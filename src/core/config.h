@@ -1,29 +1,24 @@
 // EngineConfig: the one configuration object of the whole stack.
 //
-// Before this header, every subsystem grew its own option struct and
-// callers (the CLI above all) threaded them around piecemeal:
-// UMicroOptions + SnapshotPolicy into the engines, checkpoint cadence
-// into resilience, queue/merge knobs into parallel, broker knobs into
-// serve. EngineConfig consolidates them: one value with per-field
-// defaults describes an engine, a sharded pipeline, a checkpointer, a
-// query broker, and a tenant fleet. Subsystems accept it directly
-// (UMicroEngine, ParallelUMicroEngine, CheckpointManager, QueryBroker
-// options, EngineFleet all have EngineConfig entry points); the old
-// per-subsystem constructors remain as thin deprecated shims so
-// existing code compiles unchanged.
+// One value with per-field defaults describes a sequential engine, a
+// sharded pipeline, a checkpointer's cadence, a query broker and a
+// tenant fleet. Subsystems build from it directly: UMicroEngine and
+// EngineFleet take an EngineConfig, ParallelEngineOptions::FromConfig
+// and QueryBrokerOptions::FromConfig slice it, and CheckpointManager /
+// FleetCheckpointer take its CheckpointConfig. Every field below is
+// read by one of them; umicro_cli's flag table writes into it.
 //
 // Layering: this header lives in core and therefore only names types
 // core already owns plus plain scalars. Subsystems that keep richer
-// option structs (parallel's BackpressurePolicy, resilience's
-// CheckpointPolicy, serve's QueryBrokerOptions) provide their own
-// EngineConfig converters next to those structs.
+// option structs (parallel's ParallelEngineOptions, serve's
+// QueryBrokerOptions) provide their own converters next to those
+// structs.
 
 #ifndef UMICRO_CORE_CONFIG_H_
 #define UMICRO_CORE_CONFIG_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "core/snapshot.h"
 #include "core/umicro.h"
@@ -42,8 +37,8 @@ struct EngineOptions {
 };
 
 /// Core-level mirror of parallel::BackpressurePolicy (defined here so
-/// EngineConfig does not depend on the parallel subsystem; the
-/// parallel engine maps it onto its own enum).
+/// EngineConfig does not depend on the parallel subsystem;
+/// ParallelEngineOptions::FromConfig maps it onto that enum).
 enum class QueueFullPolicy {
   kBlock,
   kDropOldest,
@@ -66,10 +61,9 @@ struct ParallelConfig {
   bool degrade = false;
 };
 
-/// Crash-safe checkpointing knobs (resilience subsystem).
+/// Crash-safe checkpointing cadence and retention (resilience and fleet
+/// checkpointers; the directory is passed alongside).
 struct CheckpointConfig {
-  /// Checkpoint directory; empty disables checkpointing.
-  std::string dir;
   /// Checkpoint after this many newly processed points (0 = never by
   /// count).
   std::size_t every_points = 0;
@@ -85,10 +79,6 @@ struct ServeConfig {
   std::size_t threads = 4;
   /// Broker queue bound (backpressure toward the front end).
   std::size_t max_queue = 1024;
-  /// Uncertainty-boundary width for ANOMALY queries.
-  double boundary_factor = 3.0;
-  /// Line-protocol pipeline depth.
-  std::size_t max_pipeline = 64;
 };
 
 /// Multi-tenant fleet knobs (fleet subsystem; docs/fleet.md).

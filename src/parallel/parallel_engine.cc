@@ -9,6 +9,31 @@
 
 namespace umicro::parallel {
 
+ParallelEngineOptions ParallelEngineOptions::FromConfig(
+    const core::EngineConfig& config) {
+  ParallelEngineOptions options;
+  options.sharded.umicro = config.umicro;
+  options.sharded.num_shards = config.parallel.threads;
+  options.sharded.merge_every = config.parallel.merge_every;
+  options.sharded.queue_capacity = config.parallel.queue_capacity;
+  options.sharded.producer_batch = config.parallel.producer_batch;
+  switch (config.parallel.backpressure) {
+    case core::QueueFullPolicy::kBlock:
+      options.sharded.backpressure = BackpressurePolicy::kBlock;
+      break;
+    case core::QueueFullPolicy::kDropOldest:
+      options.sharded.backpressure = BackpressurePolicy::kDropOldest;
+      break;
+    case core::QueueFullPolicy::kDropNewest:
+      options.sharded.backpressure = BackpressurePolicy::kDropNewest;
+      break;
+  }
+  options.sharded.degrade.enabled = config.parallel.degrade;
+  options.sharded.supervisor.enabled = config.parallel.degrade;
+  options.snapshot = config.snapshot;
+  return options;
+}
+
 ParallelUMicroEngine::ParallelUMicroEngine(std::size_t dimensions,
                                            ParallelEngineOptions options)
     : options_(options),
@@ -74,6 +99,7 @@ void ParallelUMicroEngine::Flush() {
 }
 
 void ParallelUMicroEngine::AttachSnapshotSink(core::SnapshotSink* sink) {
+  if (sink == sink_) return;  // idempotent: never double-prime a sink
   sink_ = sink;
   if (sink_ == nullptr) return;
   store_.ForEach([this](std::size_t order, const core::Snapshot& snapshot) {

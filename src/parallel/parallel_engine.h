@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config.h"
 #include "core/engine.h"
 #include "core/horizon.h"
 #include "core/snapshot.h"
@@ -43,6 +44,12 @@ struct ParallelEngineOptions {
     policy.pyramid_l = 3;
     return policy;
   }();
+
+  /// The sharded slice of the consolidated EngineConfig (core/config.h):
+  /// the umicro tunables, the parallel knobs (threads become shards;
+  /// degrade arms both load shedding and worker supervision) and the
+  /// engine's snapshot policy.
+  static ParallelEngineOptions FromConfig(const core::EngineConfig& config);
 };
 
 /// Sharded online clustering with historical horizon queries.

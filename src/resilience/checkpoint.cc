@@ -64,9 +64,10 @@ std::vector<std::pair<std::uint64_t, std::string>> ScanDir(
 
 }  // namespace
 
-CheckpointManager::CheckpointManager(std::string dir, CheckpointPolicy policy)
+CheckpointManager::CheckpointManager(std::string dir,
+                                     core::CheckpointConfig config)
     : dir_(std::move(dir)),
-      policy_(policy),
+      config_(config),
       last_checkpoint_time_(std::chrono::steady_clock::now()) {
   util::EnsureDirectory(dir_);
   // Continue the sequence past anything already on disk so recovery's
@@ -78,14 +79,14 @@ CheckpointManager::CheckpointManager(std::string dir, CheckpointPolicy policy)
 
 bool CheckpointManager::MaybeCheckpoint(core::ClusteringEngine& engine) {
   bool due = false;
-  if (policy_.every_points > 0) {
+  if (config_.every_points > 0) {
     const std::size_t points = engine.points_processed();
-    due = points >= last_checkpoint_points_ + policy_.every_points;
+    due = points >= last_checkpoint_points_ + config_.every_points;
   }
-  if (!due && policy_.every_seconds > 0.0) {
+  if (!due && config_.every_seconds > 0.0) {
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - last_checkpoint_time_;
-    due = elapsed.count() >= policy_.every_seconds;
+    due = elapsed.count() >= config_.every_seconds;
   }
   if (!due) return false;
   return CheckpointNow(engine);
@@ -112,11 +113,11 @@ bool CheckpointManager::CheckpointNow(core::ClusteringEngine& engine) {
 }
 
 void CheckpointManager::PruneOld() {
-  if (policy_.keep_last == 0) return;
+  if (config_.keep_last == 0) return;
   std::vector<std::pair<std::uint64_t, std::string>> found = ScanDir(dir_);
-  if (found.size() <= policy_.keep_last) return;
+  if (found.size() <= config_.keep_last) return;
   std::sort(found.begin(), found.end());  // oldest first
-  const std::size_t excess = found.size() - policy_.keep_last;
+  const std::size_t excess = found.size() - config_.keep_last;
   for (std::size_t i = 0; i < excess; ++i) {
     const std::string path = dir_ + "/" + found[i].second;
     std::remove(path.c_str());

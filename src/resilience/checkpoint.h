@@ -30,21 +30,10 @@
 #include <string>
 #include <vector>
 
+#include "core/config.h"
 #include "core/engine.h"
 
 namespace umicro::resilience {
-
-/// When CheckpointManager writes.
-struct CheckpointPolicy {
-  /// Checkpoint after this many newly processed points (0 = never by
-  /// count).
-  std::size_t every_points = 0;
-  /// Checkpoint after this much wall-clock time (0 = never by time).
-  double every_seconds = 0.0;
-  /// Keep only the newest N checkpoint files, pruning older ones after
-  /// each successful write (0 = keep everything).
-  std::size_t keep_last = 4;
-};
 
 /// Writes versioned engine checkpoints into one directory.
 ///
@@ -53,10 +42,12 @@ struct CheckpointPolicy {
 /// recovery can always pick "the newest" lexicographically.
 class CheckpointManager {
  public:
-  /// Uses `dir` (created if missing) under the given policy.
-  CheckpointManager(std::string dir, CheckpointPolicy policy);
+  /// Uses `dir` (created if missing) under `config`'s cadence; after
+  /// each successful write only the newest `config.keep_last` files are
+  /// kept (0 = keep everything).
+  CheckpointManager(std::string dir, core::CheckpointConfig config);
 
-  /// Writes a checkpoint when the policy says one is due. Returns true
+  /// Writes a checkpoint when the cadence says one is due. Returns true
   /// when a checkpoint was written, false when none was due or the
   /// write failed (check write_failures() to distinguish).
   bool MaybeCheckpoint(core::ClusteringEngine& engine);
@@ -82,7 +73,7 @@ class CheckpointManager {
   void PruneOld();
 
   const std::string dir_;
-  const CheckpointPolicy policy_;
+  const core::CheckpointConfig config_;
   std::uint64_t next_seq_ = 1;
   std::size_t checkpoints_written_ = 0;
   std::size_t write_failures_ = 0;

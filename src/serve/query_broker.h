@@ -56,12 +56,13 @@ struct QueryBrokerOptions {
   /// overrides options.macro.k when nonzero.
   core::MacroClusteringOptions macro;
 
-  /// The serve slice of the consolidated EngineConfig (core/config.h).
+  /// The serve slice of the consolidated EngineConfig (core/config.h);
+  /// ANOMALY answers use the engine's own boundary factor t.
   static QueryBrokerOptions FromConfig(const core::EngineConfig& config) {
     QueryBrokerOptions options;
     options.num_threads = config.serve.threads;
     options.max_queue = config.serve.max_queue;
-    options.boundary_factor = config.serve.boundary_factor;
+    options.boundary_factor = config.umicro.boundary_factor;
     return options;
   }
 };

@@ -74,7 +74,7 @@ TEST_F(CheckpointTest, RoundTripRestoresTheEngine) {
   auto engine = MakeEngine();
   for (const auto& point : dataset.points()) engine->Process(point);
 
-  CheckpointManager manager(dir, CheckpointPolicy{});
+  CheckpointManager manager(dir, core::CheckpointConfig{});
   ASSERT_TRUE(manager.CheckpointNow(*engine));
   EXPECT_EQ(manager.checkpoints_written(), 1u);
   EXPECT_FALSE(manager.last_path().empty());
@@ -93,9 +93,9 @@ TEST_F(CheckpointTest, MaybeCheckpointHonorsPointCadence) {
   const std::string dir = FreshDir("checkpoint_cadence");
   const auto dataset = RandomStream(250, 2);
   auto engine = MakeEngine();
-  CheckpointPolicy policy;
-  policy.every_points = 100;
-  CheckpointManager manager(dir, policy);
+  core::CheckpointConfig config;
+  config.every_points = 100;
+  CheckpointManager manager(dir, config);
 
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     engine->Process(dataset[i]);
@@ -109,7 +109,7 @@ TEST_F(CheckpointTest, RecoverySkipsCorruptNewestCheckpoint) {
   const std::string dir = FreshDir("checkpoint_corrupt");
   const auto dataset = RandomStream(600, 3);
   auto engine = MakeEngine();
-  CheckpointManager manager(dir, CheckpointPolicy{});
+  CheckpointManager manager(dir, core::CheckpointConfig{});
   for (std::size_t i = 0; i < 300; ++i) engine->Process(dataset[i]);
   ASSERT_TRUE(manager.CheckpointNow(*engine));
   const std::string good_path = manager.last_path();
@@ -139,7 +139,7 @@ TEST_F(CheckpointTest, RecoverySkipsIncompatibleCheckpoint) {
   const auto dataset = RandomStream(100, 4);
   auto engine = MakeEngine(3);
   for (const auto& point : dataset.points()) engine->Process(point);
-  CheckpointManager manager(dir, CheckpointPolicy{});
+  CheckpointManager manager(dir, core::CheckpointConfig{});
   ASSERT_TRUE(manager.CheckpointNow(*engine));
 
   // The factory builds a 2-d engine; the 3-d checkpoint parses fine but
@@ -157,7 +157,7 @@ TEST_F(CheckpointTest, RecoveryRefusesMismatchedPyramidGeometry) {
   const auto dataset = RandomStream(1000, 9);
   auto engine = MakeEngine();  // pyramid defaults: alpha=2, l=3
   for (const auto& point : dataset.points()) engine->Process(point);
-  CheckpointManager manager(dir, CheckpointPolicy{});
+  CheckpointManager manager(dir, core::CheckpointConfig{});
   ASSERT_TRUE(manager.CheckpointNow(*engine));
 
   // Same kind and dimensions, different pyramid precision: restoring
@@ -184,11 +184,11 @@ TEST_F(CheckpointTest, SequenceContinuesAcrossManagers) {
   for (const auto& point : dataset.points()) engine->Process(point);
 
   {
-    CheckpointManager first(dir, CheckpointPolicy{});
+    CheckpointManager first(dir, core::CheckpointConfig{});
     ASSERT_TRUE(first.CheckpointNow(*engine));
     ASSERT_TRUE(first.CheckpointNow(*engine));
   }
-  CheckpointManager second(dir, CheckpointPolicy{});
+  CheckpointManager second(dir, core::CheckpointConfig{});
   ASSERT_TRUE(second.CheckpointNow(*engine));
   // The second manager must not reuse sequence numbers 1/2, or "newest
   // wins" would pick a stale file after a restart.
@@ -203,7 +203,7 @@ TEST_F(CheckpointTest, WriteFailpointIsCountedNotFatal) {
   const auto dataset = RandomStream(100, 6);
   auto engine = MakeEngine();
   for (const auto& point : dataset.points()) engine->Process(point);
-  CheckpointManager manager(dir, CheckpointPolicy{});
+  CheckpointManager manager(dir, core::CheckpointConfig{});
 
   util::FailpointRegistry::Instance().Arm("checkpoint.write_fail",
                                           {.limit = 1});
@@ -224,9 +224,9 @@ TEST_F(CheckpointTest, PruneKeepsOnlyTheNewest) {
   auto engine = MakeEngine();
   for (const auto& point : dataset.points()) engine->Process(point);
 
-  CheckpointPolicy policy;
-  policy.keep_last = 2;
-  CheckpointManager manager(dir, policy);
+  core::CheckpointConfig config;
+  config.keep_last = 2;
+  CheckpointManager manager(dir, config);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(manager.CheckpointNow(*engine));
 
   const auto remaining = ListCheckpointFiles(dir);

@@ -4,7 +4,9 @@
 // environment errors (missing input, unwritable destinations) exit 1.
 //
 // These run the real binary (path injected by CMake as UMICRO_CLI_PATH)
-// so the exit status the shell sees is exactly what is asserted.
+// so the exit status the shell sees is exactly what is asserted. One
+// wiring check at the end asserts a flag actually reaches the served
+// answers.
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,21 +21,33 @@ namespace {
 
 struct CliResult {
   int exit_code = -1;
+  std::string stdout_text;
   std::string stderr_text;
 };
 
-CliResult RunCli(const std::string& args) {
+std::string ReadAndRemove(const std::string& path) {
+  std::ostringstream buffer;
+  buffer << std::ifstream(path).rdbuf();
+  std::remove(path.c_str());
+  return buffer.str();
+}
+
+/// Runs the CLI with `stdin_text` as its standard input.
+CliResult RunCli(const std::string& args,
+                 const std::string& stdin_text = "") {
+  const std::string stdin_path = testing::TempDir() + "/cli_stdin.txt";
+  const std::string stdout_path = testing::TempDir() + "/cli_stdout.txt";
   const std::string stderr_path = testing::TempDir() + "/cli_stderr.txt";
+  std::ofstream(stdin_path) << stdin_text;
   const std::string command = std::string(UMICRO_CLI_PATH) + " " + args +
-                              " >/dev/null 2>" + stderr_path;
+                              " <" + stdin_path + " >" + stdout_path +
+                              " 2>" + stderr_path;
   const int status = std::system(command.c_str());
   CliResult result;
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  std::ifstream file(stderr_path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  result.stderr_text = buffer.str();
-  std::remove(stderr_path.c_str());
+  result.stdout_text = ReadAndRemove(stdout_path);
+  result.stderr_text = ReadAndRemove(stderr_path);
+  std::remove(stdin_path.c_str());
   return result;
 }
 
@@ -261,6 +275,72 @@ TEST(CliErrorsTest, UnusableCheckpointDir) {
                              blocker + "/nested",
                          "--checkpoint-dir is not usable");
   std::remove(blocker.c_str());
+}
+
+// ---- Typed flag values -------------------------------------------------
+// Every flag value is parsed and range-checked by the flag table before
+// any dataset is loaded or generated.
+
+TEST(CliErrorsTest, MalformedCountsAreRejected) {
+  ExpectUsageError("--synthetic=syndrift --points=abc", "--points must be");
+  ExpectUsageError("--synthetic=syndrift --points=100 --snapshot-every=abc",
+                   "--snapshot-every must be");
+  ExpectUsageError("--synthetic=syndrift --points=100 --threads=2x",
+                   "--threads must be");
+}
+
+TEST(CliErrorsTest, OutOfRangeNumbersAreRejected) {
+  ExpectUsageError("--synthetic=syndrift --points=100 --nmicro=0",
+                   "--nmicro must be");
+  ExpectUsageError("--synthetic=syndrift --points=100 --nmicro=abc",
+                   "--nmicro must be");
+  ExpectUsageError("--synthetic=syndrift --points=100 --boundary=nan",
+                   "--boundary must be > 0");
+  ExpectUsageError("--synthetic=syndrift --points=100 --decay=-1",
+                   "--decay must be >= 0");
+  ExpectUsageError("--synthetic=syndrift --points=100 --threads=-1",
+                   "--threads must be");
+}
+
+TEST(CliErrorsTest, UnknownEnumValuesFailBeforeGeneration) {
+  // A long synthetic stream would take seconds to generate; the value
+  // errors must fire first, so nothing reaches stdout.
+  for (const std::string flag :
+       {"--algorithm", "--backpressure", "--similarity", "--assign-index"}) {
+    const std::string args =
+        "--synthetic=syndrift --points=2000000 " + flag + "=bogus";
+    ExpectUsageError(args, "unknown " + flag);
+    EXPECT_EQ(RunCli(args).stdout_text, "") << args;
+  }
+}
+
+// ---- Flag wiring ----------------------------------------------------------
+
+/// The `boundary=` field of a standalone --serve ANOMALY answer.
+double ServedAnomalyBoundary(const std::string& boundary_flag) {
+  std::string probe = "ANOMALY";
+  for (int i = 0; i < 20; ++i) probe += " 0";  // SynDrift has 20 dims
+  const CliResult result =
+      RunCli("--synthetic=syndrift --points=3000 --serve " + boundary_flag,
+             probe + "\nQUIT\n");
+  EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
+  const std::size_t at = result.stdout_text.find(" boundary=");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no ANOMALY answer in: " << result.stdout_text;
+    return 0.0;
+  }
+  return std::strtod(result.stdout_text.c_str() + at + 10, nullptr);
+}
+
+TEST(CliWiringTest, BoundaryFlagReachesStandaloneAnomalyAnswers) {
+  // The answer's boundary is t times the nearest cluster's radius. The
+  // two runs cluster slightly differently, so compare with slack: a
+  // halved t must roughly halve the boundary.
+  const double paper_t = ServedAnomalyBoundary("--boundary=3");
+  const double half_t = ServedAnomalyBoundary("--boundary=1.5");
+  EXPECT_GT(paper_t, 0.0);
+  EXPECT_LT(half_t, 0.75 * paper_t);
+  EXPECT_GT(half_t, 0.25 * paper_t);
 }
 
 }  // namespace

@@ -110,7 +110,7 @@ void RunCrashRecoveryAt(
   // the engine -- the checkpoint file is all that survives).
   {
     std::unique_ptr<core::ClusteringEngine> victim = factory();
-    CheckpointManager manager(dir, CheckpointPolicy{});
+    CheckpointManager manager(dir, core::CheckpointConfig{});
     for (std::size_t i = 0; i < kill_point; ++i) {
       victim->Process(dataset[i]);
     }

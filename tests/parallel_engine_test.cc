@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/config.h"
 #include "obs/metrics.h"
+#include "serve/replica.h"
 #include "stream/dataset.h"
 #include "util/random.h"
 
@@ -123,6 +125,43 @@ TEST(ParallelEngineTest, ProcessMetricsMatchPointsProcessed) {
   // ingest histogram is the one that fills up.
   EXPECT_GT(metrics.GetHistogram("umicro.batch_micros").count(), 0u);
   EXPECT_GT(metrics.GetHistogram("snapshot.take_micros").count(), 0u);
+}
+
+TEST(ParallelEngineTest, ReattachingTheSameSinkNeverDoublePrimes) {
+  ParallelUMicroEngine engine(2, TwoShardOptions());
+  const stream::Dataset dataset = PhasedBlobs(2000, 13);
+  for (const auto& point : dataset.points()) engine.Process(point);
+  serve::SnapshotReadReplica replica(TwoShardOptions().snapshot, 0.0);
+  engine.AttachSnapshotSink(&replica);
+  const std::uint64_t primed = replica.publish_seq();
+  EXPECT_GT(primed, 0u);
+  // The second attach of the SAME sink is a no-op: no re-priming, no
+  // duplicate frames in the replica's rings.
+  engine.AttachSnapshotSink(&replica);
+  EXPECT_EQ(replica.publish_seq(), primed);
+}
+
+TEST(ParallelEngineTest, FromConfigMapsTheParallelSlice) {
+  core::EngineConfig config;
+  config.umicro.num_micro_clusters = 17;
+  config.snapshot.snapshot_every = 300;
+  config.parallel.threads = 3;
+  config.parallel.merge_every = 99;
+  config.parallel.queue_capacity = 12;
+  config.parallel.producer_batch = 8;
+  config.parallel.backpressure = core::QueueFullPolicy::kDropOldest;
+  config.parallel.degrade = true;
+  const ParallelEngineOptions options =
+      ParallelEngineOptions::FromConfig(config);
+  EXPECT_EQ(options.sharded.umicro.num_micro_clusters, 17u);
+  EXPECT_EQ(options.sharded.num_shards, 3u);
+  EXPECT_EQ(options.sharded.merge_every, 99u);
+  EXPECT_EQ(options.sharded.queue_capacity, 12u);
+  EXPECT_EQ(options.sharded.producer_batch, 8u);
+  EXPECT_EQ(options.sharded.backpressure, BackpressurePolicy::kDropOldest);
+  EXPECT_TRUE(options.sharded.degrade.enabled);
+  EXPECT_TRUE(options.sharded.supervisor.enabled);
+  EXPECT_EQ(options.snapshot.snapshot_every, 300u);
 }
 
 }  // namespace

@@ -29,9 +29,16 @@
 // --inject-faults corrupts the stream deterministically first, so the
 // hardener has something to catch. --degrade arms the sharded pipeline's
 // adaptive load shedding and worker supervision.
+//
+// Every flag is one FlagTable() entry. Engine-facing flags write into
+// one core::EngineConfig, from which every engine, broker and
+// checkpointer is built; the table also drives fail-fast validation and
+// the usage text (the reference is docs/tools.md).
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -41,9 +48,12 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "baseline/clustream.h"
 #include "baseline/stream_kmeans.h"
@@ -85,55 +95,87 @@
 
 namespace {
 
-struct CliOptions {
+using umicro::core::EngineConfig;
+using umicro::core::QueueFullPolicy;
+using umicro::core::SimilarityMode;
+using umicro::core::SnapshotStoreMode;
+using umicro::index::IndexKind;
+using umicro::resilience::BadRecordPolicy;
+
+enum class Algorithm { kUMicro, kCluStream, kStreamKMeans };
+enum class Role { kStandalone, kLeaf, kAgg, kQuery };
+enum class TenantKey { kRoundRobin, kHash, kLabel };
+
+/// One spelled value of an enum-valued flag.
+template <typename T>
+struct Named {
+  const char* name;
+  T value;
+};
+
+constexpr Named<Algorithm> kAlgorithms[] = {
+    {"umicro", Algorithm::kUMicro}, {"clustream", Algorithm::kCluStream},
+    {"stream-kmeans", Algorithm::kStreamKMeans}};
+constexpr Named<Role> kRoles[] = {
+    {"leaf", Role::kLeaf}, {"agg", Role::kAgg}, {"query", Role::kQuery}};
+constexpr Named<TenantKey> kTenantKeys[] = {
+    {"round_robin", TenantKey::kRoundRobin}, {"hash", TenantKey::kHash},
+    {"label", TenantKey::kLabel}};
+constexpr Named<SimilarityMode> kSimilarities[] = {
+    {"counting", SimilarityMode::kDimensionCounting},
+    {"distance", SimilarityMode::kExpectedDistance}};
+constexpr Named<IndexKind> kIndexKinds[] = {
+    {"flat", IndexKind::kFlat}, {"kdtree", IndexKind::kKdTree},
+    {"coarse", IndexKind::kCoarse}, {"auto", IndexKind::kAuto}};
+constexpr Named<QueueFullPolicy> kBackpressures[] = {
+    {"block", QueueFullPolicy::kBlock},
+    {"drop_oldest", QueueFullPolicy::kDropOldest},
+    {"drop_newest", QueueFullPolicy::kDropNewest}};
+constexpr Named<SnapshotStoreMode> kStoreModes[] = {
+    {"full", SnapshotStoreMode::kFull}, {"delta", SnapshotStoreMode::kDelta},
+    {"tiered", SnapshotStoreMode::kTiered}};
+constexpr Named<BadRecordPolicy> kBadRecordPolicies[] = {
+    {"repair", BadRecordPolicy::kRepair},
+    {"quarantine", BadRecordPolicy::kQuarantine},
+    {"drop", BadRecordPolicy::kDrop}};
+
+/// The spelling of `value` in `names`; "" when it has none.
+template <typename Field, typename T, std::size_t N>
+std::string NameOf(const Named<T> (&names)[N], const Field& value) {
+  for (const Named<T>& named : names) {
+    if (value == named.value) return named.name;
+  }
+  return "";
+}
+
+/// CLI-only inputs: what is read, how it is transformed and where the
+/// results go. Everything engine-facing lives in core::EngineConfig.
+struct CliInputs {
   std::string input;
   std::string synthetic;
   std::size_t points = 100000;
-  std::string algorithm = "umicro";
-  std::size_t nmicro = 100;
-  double boundary = 3.0;
-  double thresh = 3.0;
-  double decay = 0.0;
-  std::string similarity = "counting";
-  std::string assign_index = "auto";
+  Algorithm algorithm = Algorithm::kUMicro;
   double eta = 0.0;
   bool impute = false;
   bool no_header = false;
+  bool describe = false;
   std::size_t sample_interval = 10000;
   std::size_t batch = 1;
   std::size_t max_rows = 0;
   std::string centroids_out;
-  bool describe = false;
-  std::size_t threads = 0;
-  std::size_t merge_every = 8192;
-  std::string backpressure = "block";
-  std::size_t queue_capacity = 1024;
-  std::size_t snapshot_every = 4096;
-  // Pyramidal store encoding (docs/snapshots.md). Empty keeps each
-  // context's own default: full for standalone engines, delta in the
-  // fleet.
-  std::string snapshot_store;
-  std::size_t snapshot_budget_mb = 64;
-  bool snapshot_budget_set = false;
-  std::string snapshot_spill_dir;
+  std::string state_out;
   std::string metrics_out;
   std::size_t metrics_every = 0;
   std::string checkpoint_dir;
-  std::size_t checkpoint_every = 0;
-  double checkpoint_seconds = 0.0;
   bool recover = false;
-  std::string bad_record_policy;
+  std::optional<BadRecordPolicy> bad_record_policy;
   std::string quarantine_out;
   std::string inject_faults;
   std::uint64_t fault_seed = 0xfa117u;
-  bool degrade = false;
   bool serve = false;
-  std::size_t serve_threads = 4;
-  // Multi-tenant fleet (docs/fleet.md).
-  std::size_t tenants = 0;
-  std::string tenant_key = "round_robin";
+  TenantKey tenant_key = TenantKey::kRoundRobin;
   // Distributed merge tree (docs/distributed.md).
-  std::string role;  // "" (standalone) | leaf | agg | query
+  Role role = Role::kStandalone;
   std::string connect;
   std::string listen;
   std::size_t dims = 0;
@@ -143,154 +185,329 @@ struct CliOptions {
   std::size_t offset = 0;
   std::uint64_t expect_points = 0;
   double expect_timeout = 300.0;
-  std::string state_out;
   double linger_seconds = 0.0;
-  // Failover + chaos (docs/distributed.md).
-  std::string standby;  // comma-separated HOST:PORT list (leaf role)
+  std::string standby;  // comma-separated HOST:PORT list
   bool start_as_standby = false;
   double stale_after = 0.0;  // seconds; 0 disables liveness tracking
   std::string net_chaos;
   std::uint64_t net_chaos_seed = 0xc4a05u;
-  // Leaf-only flags remember whether they were given explicitly so the
-  // role validation can reject them on non-leaf roles (their defaults
-  // are not sentinels).
-  bool delta_every_set = false;
-  bool stride_set = false;
-  bool offset_set = false;
 };
 
-bool ParseFlag(const std::string& arg, const char* name,
-               std::string* value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
+/// The CLI's engine defaults: the library's, except a coarser snapshot
+/// cadence and a 64 MiB budget for --snapshot-store=tiered.
+EngineConfig CliDefaults() {
+  EngineConfig config;
+  config.snapshot.snapshot_every = 4096;
+  config.snapshot.tiering.budget_bytes = std::size_t{64} << 20;
+  return config;
 }
 
-/// Maps the --snapshot-store flags onto the store's tiering
-/// configuration. Call only after the fail-fast validation accepted the
-/// combination; an empty --snapshot-store yields the full-store default.
-umicro::core::SnapshotTiering MakeTiering(const CliOptions& cli) {
-  umicro::core::SnapshotTiering tiering;
-  if (cli.snapshot_store == "delta") {
-    tiering.mode = umicro::core::SnapshotStoreMode::kDelta;
-  } else if (cli.snapshot_store == "tiered") {
-    tiering.mode = umicro::core::SnapshotStoreMode::kTiered;
-    tiering.budget_bytes =
-        cli.snapshot_budget_mb * std::size_t{1024} * std::size_t{1024};
-    if (!cli.snapshot_spill_dir.empty()) {
-      tiering.spill_dir = cli.snapshot_spill_dir;
-      tiering.codec = umicro::io::MakeSnapshotSpillCodec();
-    }
+/// Where one flag's value lands.
+struct Target {
+  /// Stores a value; false when `text` is malformed or out of range.
+  std::function<bool(const std::string& text)> parse;
+  /// The target's current value for the usage text ("" = none shown).
+  std::function<std::string()> show;
+  /// What a valid value looks like: "a|b|c" for enum-valued flags,
+  /// a bound such as ">= 0" for numbers, "" for free text.
+  std::string want;
+  bool enumerated = false;
+};
+
+Target Text(std::string* out) {
+  return {[out](const std::string& text) {
+            *out = text;
+            return true;
+          },
+          [out] { return *out; }, ""};
+}
+
+/// A bare `--flag` switch.
+Target Switch(bool* out) {
+  return {[out](const std::string&) { return *out = true; },
+          [] { return std::string(); }, ""};
+}
+
+/// An integer >= `min` (decimal, or hex with a 0x prefix), stored times
+/// `scale`.
+template <typename T>
+Target Count(T* out, std::type_identity_t<T> min = 0, T scale = 1) {
+  return {[=](const std::string& text) {
+            const bool hex = text.rfind("0x", 0) == 0;
+            const char* end = text.data() + text.size();
+            T value{};
+            const auto [stop, error] = std::from_chars(
+                text.data() + (hex ? 2 : 0), end, value, hex ? 16 : 10);
+            if (error != std::errc() || stop != end || value < min) {
+              return false;
+            }
+            *out = value * scale;
+            return true;
+          },
+          [=] { return std::to_string(*out / scale); },
+          "an integer >= " + std::to_string(min)};
+}
+
+/// A finite real >= 0, or > 0 when `positive`.
+Target Real(double* out, bool positive = false) {
+  return {[=](const std::string& text) {
+            char* end = nullptr;
+            const double value = std::strtod(text.c_str(), &end);
+            if (text.empty() || *end != '\0' || !std::isfinite(value) ||
+                value < 0.0 || (positive && value == 0.0)) {
+              return false;
+            }
+            *out = value;
+            return true;
+          },
+          [=] {
+            char text[32];
+            std::snprintf(text, sizeof text, "%g", *out);
+            return std::string(text);
+          },
+          positive ? "> 0" : ">= 0"};
+}
+
+/// One of `names`; `Field` is T or std::optional<T>.
+template <typename Field, typename T, std::size_t N>
+Target Choice(Field* out, const Named<T> (&names)[N]) {
+  const Named<T>(*table)[N] = &names;
+  std::string want;
+  for (const Named<T>& named : names) {
+    if (!want.empty()) want += '|';
+    want += named.name;
   }
-  return tiering;
+  return {[=](const std::string& text) {
+            for (const Named<T>& named : *table) {
+              if (text != named.name) continue;
+              *out = named.value;
+              return true;
+            }
+            return false;
+          },
+          [=] { return NameOf(*table, *out); }, want, true};
 }
 
+constexpr unsigned RoleBit(Role role) {
+  return 1u << static_cast<unsigned>(role);
+}
+constexpr unsigned kAnyRole = 0;
+constexpr unsigned kLeaf = RoleBit(Role::kLeaf);
+constexpr unsigned kAgg = RoleBit(Role::kAgg);
+
+/// "--role=leaf or --role=agg" for a role mask.
+std::string RolesText(unsigned roles) {
+  std::string text;
+  for (const Named<Role>& named : kRoles) {
+    if ((roles & RoleBit(named.value)) == 0) continue;
+    text += text.empty() ? "--role=" : " or --role=";
+    text += named.name;
+  }
+  return text;
+}
+
+/// One command-line flag: `--name=VALUE` (the bare `--name` switch when
+/// `value` is null).
+struct Flag {
+  const char* name;
+  const char* value;
+  const char* help;
+  Target target;
+  /// RoleBit mask of the roles that may use the flag; kAnyRole = all.
+  unsigned roles = kAnyRole;
+};
+
+/// The whole command line, bound to `config` and `cli`.
+std::vector<Flag> FlagTable(EngineConfig* config, CliInputs* cli) {
+  umicro::core::UMicroOptions& umicro = config->umicro;
+  umicro::core::ParallelConfig& parallel = config->parallel;
+  umicro::core::SnapshotTiering& tiering = config->snapshot.tiering;
+  return {
+      {"input", "FILE", "CSV, or ARFF by .arff extension", Text(&cli->input)},
+      {"synthetic", "NAME", "built-in workload: syndrift|network|forest",
+       Text(&cli->synthetic)},
+      {"points", "N", "synthetic stream length", Count(&cli->points)},
+      {"algorithm", "A", "algorithm", Choice(&cli->algorithm, kAlgorithms)},
+      {"nmicro", "N", "micro-cluster budget (k for stream-kmeans)",
+       Count(&umicro.num_micro_clusters, 1)},
+      {"boundary", "T", "uncertainty-boundary factor t (also for ANOMALY)",
+       Real(&umicro.boundary_factor, true)},
+      {"thresh", "T", "dimension-counting threshold",
+       Real(&umicro.dimension_threshold, true)},
+      {"decay", "L", "exponential decay rate", Real(&umicro.decay_lambda)},
+      {"similarity", "S", "closest-cluster criterion",
+       Choice(&umicro.similarity, kSimilarities)},
+      {"assign-index", "K", "candidate index under distance similarity",
+       Choice(&umicro.assign_index, kIndexKinds)},
+      {"eta", "E", "perturb with the paper's noise model", Real(&cli->eta)},
+      {"impute", nullptr, "impute missing entries", Switch(&cli->impute)},
+      {"no-header", nullptr, "headerless CSV, last column is the label",
+       Switch(&cli->no_header)},
+      {"describe", nullptr, "print the heaviest clusters",
+       Switch(&cli->describe)},
+      {"sample-interval", "N", "purity sample cadence",
+       Count(&cli->sample_interval, 1)},
+      {"batch", "N", "ingest batch size", Count(&cli->batch, 1)},
+      {"max-rows", "N", "read at most N rows, 0 = all", Count(&cli->max_rows)},
+      {"centroids-out", "FILE", "final centroids CSV",
+       Text(&cli->centroids_out)},
+      {"state-out", "FILE", "canonical micro-cluster dump",
+       Text(&cli->state_out)},
+      {"threads", "N", "shard (fleet: worker) threads, 0 = sequential",
+       Count(&parallel.threads)},
+      {"merge-every", "M", "points between global merges",
+       Count(&parallel.merge_every)},
+      {"backpressure", "P", "full-queue policy",
+       Choice(&parallel.backpressure, kBackpressures)},
+      {"queue-capacity", "N", "queue capacity in batches",
+       Count(&parallel.queue_capacity, 1)},
+      {"degrade", nullptr, "load shedding + worker supervision",
+       Switch(&parallel.degrade)},
+      {"snapshot-every", "N", "snapshot cadence, 0 disables",
+       Count(&config->snapshot.snapshot_every)},
+      {"snapshot-store", "M", "store encoding (fleet default delta)",
+       Choice(&tiering.mode, kStoreModes)},
+      {"snapshot-budget-mb", "N", "tiered-store budget",
+       Count(&tiering.budget_bytes, 0, std::size_t{1} << 20)},
+      {"snapshot-spill-dir", "DIR", "tiered-store spill directory",
+       Text(&tiering.spill_dir)},
+      {"metrics-out", "STEM", "write STEM.json + STEM.csv",
+       Text(&cli->metrics_out)},
+      {"metrics-every", "N", "re-export metrics every N points",
+       Count(&cli->metrics_every)},
+      {"checkpoint-dir", "DIR", "crash-safe checkpoints here",
+       Text(&cli->checkpoint_dir)},
+      {"checkpoint-every", "N", "checkpoint every N points",
+       Count(&config->checkpoint.every_points)},
+      {"checkpoint-seconds", "T", "checkpoint every T seconds",
+       Real(&config->checkpoint.every_seconds)},
+      {"recover", nullptr, "resume from the newest checkpoint",
+       Switch(&cli->recover)},
+      {"bad-record-policy", "P", "malformed-record handling",
+       Choice(&cli->bad_record_policy, kBadRecordPolicies)},
+      {"quarantine-out", "FILE", "quarantined-record CSV",
+       Text(&cli->quarantine_out)},
+      {"inject-faults", "SPEC", "stream faults, e.g. corrupt=0.01,gap=0.001",
+       Text(&cli->inject_faults)},
+      {"fault-seed", "N", "fault-injection seed", Count(&cli->fault_seed)},
+      {"serve", nullptr, "answer queries on stdin/stdout after ingest",
+       Switch(&cli->serve)},
+      {"serve-threads", "N", "query worker threads",
+       Count(&config->serve.threads, 1)},
+      {"tenants", "N", "tenant engines in one fleet",
+       Count(&config->fleet.tenants)},
+      {"tenant-key", "K", "record-to-tenant routing",
+       Choice(&cli->tenant_key, kTenantKeys)},
+      {"role", "R", "merge-tree role", Choice(&cli->role, kRoles)},
+      {"connect", "HOST:PORT", "aggregator address", Text(&cli->connect)},
+      {"listen", "HOST:PORT", "aggregator bind address", Text(&cli->listen)},
+      {"dims", "D", "stream dimensionality", Count(&cli->dims)},
+      {"leaf-id", "N", "this leaf's shard slot", Count(&cli->leaf_id)},
+      {"delta-every", "N", "ship a delta every N points",
+       Count(&cli->delta_every), kLeaf},
+      {"stride", "N", "ingest rows with index % N == K",
+       Count(&cli->stride, 1), kLeaf},
+      {"offset", "K", "see --stride", Count(&cli->offset), kLeaf},
+      {"standby", "H:P[,H:P]", "standby aggregators", Text(&cli->standby),
+       kLeaf},
+      {"expect-points", "N", "write --state-out after N points",
+       Count(&cli->expect_points)},
+      {"expect-timeout", "T", "--expect-points timeout, seconds",
+       Real(&cli->expect_timeout)},
+      {"linger-seconds", "T", "serve T seconds after --state-out",
+       Real(&cli->linger_seconds)},
+      {"start-as-standby", nullptr, "start as a warm standby",
+       Switch(&cli->start_as_standby), kAgg},
+      {"stale-after", "T", "drop leaves silent for T seconds",
+       Real(&cli->stale_after), kAgg},
+      {"net-chaos", "SPEC", "wire faults, e.g. drop=0.05,delay=0.1",
+       Text(&cli->net_chaos), kLeaf | kAgg},
+      {"net-chaos-seed", "N", "network chaos seed",
+       Count(&cli->net_chaos_seed)},
+  };
+}
+
+/// The usage text, generated from a table over the defaults.
 void PrintUsage() {
-  std::fprintf(
-      stderr,
-      "usage: umicro_cli (--input=FILE | --synthetic=NAME) [options]\n"
-      "  --synthetic=NAME      syndrift|network|forest workload\n"
-      "  --points=N            synthetic stream length (default 100000)\n"
-      "  --algorithm=umicro|clustream|stream-kmeans   (default umicro)\n"
-      "  --nmicro=N            micro-cluster budget (default 100)\n"
-      "  --boundary=T          uncertainty-boundary factor t (default 3)\n"
-      "  --thresh=T            dimension-counting threshold (default 3)\n"
-      "  --decay=LAMBDA        exponential decay rate (default 0 = off)\n"
-      "  --similarity=S        closest-cluster criterion: counting|\n"
-      "                        distance (default counting)\n"
-      "  --assign-index=K      candidate index for the closest-cluster\n"
-      "                        scan: flat|kdtree|coarse|auto (default\n"
-      "                        auto; distance similarity only --\n"
-      "                        docs/indexing.md)\n"
-      "  --eta=E               perturb input with the paper's noise model\n"
-      "  --impute              impute missing entries (online mean)\n"
-      "  --no-header           headerless CSV, last column is the label\n"
-      "  --describe            print the heaviest clusters at the end\n"
-      "  --threads=N           shard umicro ingest across N worker "
-      "threads\n"
-      "  --merge-every=M       points between global merges (default "
-      "8192)\n"
-      "  --backpressure=P      block|drop_oldest|drop_newest (default "
-      "block)\n"
-      "  --queue-capacity=N    per-shard queue capacity in batches\n"
-      "  --snapshot-every=N    pyramidal snapshot cadence, 0 disables "
-      "(default 4096)\n"
-      "  --snapshot-store=M    store encoding: full|delta|tiered\n"
-      "                        (default full; --tenants fleets default to\n"
-      "                        delta -- docs/snapshots.md)\n"
-      "  --snapshot-budget-mb=N  tiered-store byte budget before cold\n"
-      "                        demotion (default 64; requires\n"
-      "                        --snapshot-store=tiered)\n"
-      "  --snapshot-spill-dir=DIR  spill demoted frames to checksummed\n"
-      "                        files here instead of quantizing them\n"
-      "                        (requires --snapshot-store=tiered)\n"
-      "  --metrics-out=STEM    write STEM.json + STEM.csv metric dumps\n"
-      "  --metrics-every=N     re-export metrics every N points\n"
-      "  --sample-interval=N   purity sample cadence (default 10000)\n"
-      "  --batch=N             ingest in batches of N points through the\n"
-      "                        vectorized kernels (default 1 = per-point)\n"
-      "  --max-rows=N          read at most N rows (default all)\n"
-      "  --centroids-out=FILE  write final centroids as CSV\n"
-      "  --checkpoint-dir=DIR  write crash-safe engine checkpoints here\n"
-      "  --checkpoint-every=N  checkpoint every N processed points\n"
-      "  --checkpoint-seconds=T  checkpoint every T wall-clock seconds\n"
-      "  --recover             restore the newest valid checkpoint and\n"
-      "                        replay only the remaining input\n"
-      "  --bad-record-policy=P repair|quarantine|drop malformed records\n"
-      "  --quarantine-out=FILE side CSV receiving quarantined records\n"
-      "  --inject-faults=SPEC  deterministic stream faults, e.g.\n"
-      "                        corrupt=0.01,duplicate=0.01,reorder=0.01,"
-      "gap=0.001,max-gap=16\n"
-      "  --fault-seed=N        fault-injection seed (default 0xfa117)\n"
-      "  --degrade             adaptive load shedding + worker\n"
-      "                        supervision (requires --threads)\n"
-      "  --serve               after ingest, answer CLUSTER/NEAREST/\n"
-      "                        ANOMALY/STATS queries on stdin/stdout\n"
-      "                        (docs/serving.md; requires "
-      "--algorithm=umicro)\n"
-      "  --serve-threads=N     query worker threads for --serve "
-      "(default 4)\n"
-      "multi-tenant fleet (docs/fleet.md):\n"
-      "  --tenants=N           run N independent tenant engines behind\n"
-      "                        one fleet (requires --algorithm=umicro;\n"
-      "                        --threads sets the shared worker count)\n"
-      "  --tenant-key=K        record-to-tenant routing: round_robin|\n"
-      "                        hash|label (default round_robin)\n"
-      "distributed merge tree (docs/distributed.md):\n"
-      "  --role=leaf|agg|query leaf ingester, aggregator, or query "
-      "client\n"
-      "  --connect=HOST:PORT   aggregator address (leaf and query "
-      "roles)\n"
-      "  --listen=HOST:PORT    bind address (agg role; port 0 = "
-      "ephemeral)\n"
-      "  --dims=D              stream dimensionality (agg role)\n"
-      "  --leaf-id=N           this leaf's shard slot, dense from 0\n"
-      "  --delta-every=N       ship a state delta every N points "
-      "(default 4096,\n"
-      "                        0 = only the final one)\n"
-      "  --stride=N --offset=K ingest rows with index %% N == K (the\n"
-      "                        round-robin substream of shard K of N)\n"
-      "  --expect-points=N     agg: write --state-out once N points "
-      "merged\n"
-      "  --expect-timeout=T    agg: give up waiting after T seconds "
-      "(default 300)\n"
-      "  --state-out=FILE      canonical micro-cluster dump (agg and\n"
-      "                        standalone; byte-comparable)\n"
-      "  --linger-seconds=T    agg: keep serving T seconds after "
-      "--state-out\n"
-      "  --standby=H:P[,H:P]   leaf: standby aggregator endpoints, tried\n"
-      "                        in order when the primary stops acking\n"
-      "  --start-as-standby    agg: merge warm deltas but report role\n"
-      "                        standby until the leaves fail over here\n"
-      "  --stale-after=T       agg: exclude a leaf silent for T seconds\n"
-      "                        from the merged view (degraded answers)\n"
-      "  --net-chaos=SPEC      deterministic network fault injection,\n"
-      "                        e.g. drop=0.05,delay=0.1,delay-ms=20,"
-      "truncate=0.01,\n"
-      "                        bitflip=0.01,partition=0.02,partition-ms="
-      "300\n"
-      "  --net-chaos-seed=N    chaos seed (default 0xc4a05)\n");
+  EngineConfig config = CliDefaults();
+  CliInputs cli;
+  std::fprintf(stderr,
+               "usage: umicro_cli (--input=FILE | --synthetic=NAME) "
+               "[options]; reference: docs/tools.md\n");
+  for (const Flag& flag : FlagTable(&config, &cli)) {
+    std::string spelled = std::string("--") + flag.name;
+    if (flag.value != nullptr) spelled += std::string("=") + flag.value;
+    std::string help = flag.help;
+    if (flag.target.enumerated) help += ": " + flag.target.want;
+    const std::string shown = flag.target.show();
+    if (!shown.empty()) help += " (default " + shown + ")";
+    if (flag.roles != kAnyRole) help += " [" + RolesText(flag.roles) + "]";
+    std::fprintf(stderr, "  %-24s %s\n", spelled.c_str(), help.c_str());
+  }
+}
+
+/// Parses argv[1..] against `flags`, recording each flag seen in
+/// `given`. Returns 0, or 2 after printing one diagnostic line (plus the
+/// usage text for an unknown argument).
+int ParseCommandLine(int argc, char** argv, const std::vector<Flag>& flags,
+                     std::set<std::string>* given) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const Flag* match = nullptr;
+    std::string value;
+    for (const Flag& flag : flags) {
+      const std::string spelled = std::string("--") + flag.name;
+      if (flag.value == nullptr ? arg == spelled
+                                : arg.rfind(spelled + "=", 0) == 0) {
+        match = &flag;
+        if (flag.value != nullptr) value = arg.substr(spelled.size() + 1);
+        break;
+      }
+    }
+    if (match == nullptr) {
+      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      PrintUsage();
+      return 2;
+    }
+    const Target& target = match->target;
+    if (!target.parse(value)) {
+      if (target.enumerated) {
+        std::fprintf(stderr, "unknown --%s: %s (want %s)\n", match->name,
+                     value.c_str(), target.want.c_str());
+      } else {
+        std::fprintf(stderr, "--%s must be %s (got '%s')\n", match->name,
+                     target.want.c_str(), value.c_str());
+      }
+      return 2;
+    }
+    given->insert(match->name);
+  }
+  return 0;
+}
+
+/// Rejects a role-restricted flag given under another role. Role/flag
+/// mismatches fail fast (exit 2) before any socket or dataset work: a
+/// misconfigured process in a multi-host topology should die at launch,
+/// not half-participate.
+int CheckRoles(const std::vector<Flag>& flags,
+               const std::set<std::string>& given, Role role) {
+  for (const Flag& flag : flags) {
+    if (flag.roles == kAnyRole || (flag.roles & RoleBit(role)) != 0 ||
+        given.count(flag.name) == 0) {
+      continue;
+    }
+    std::string peers;  // every flag under the same restriction
+    for (const Flag& other : flags) {
+      if (other.roles != flag.roles) continue;
+      peers += " --";
+      peers += other.name;
+    }
+    const std::string roles = RolesText(flag.roles);
+    std::fprintf(stderr, "--%s requires %s (flags that require %s:%s)\n",
+                 flag.name, roles.c_str(), roles.c_str(), peers.c_str());
+    return 2;
+  }
+  return 0;
 }
 
 /// Parses the --inject-faults spec ("key=value,..." with keys corrupt,
@@ -353,15 +570,37 @@ std::optional<std::vector<umicro::net::SocketAddress>> ParseStandbyList(
   return endpoints;
 }
 
-bool EndsWith(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
+/// False (after one diagnostic line) when a given output path cannot be
+/// written.
+bool OutputsWritable(const CliInputs& cli) {
+  const std::pair<const char*, std::string> outputs[] = {
+      {"metrics-out", cli.metrics_out.empty() ? "" : cli.metrics_out + ".json"},
+      {"centroids-out", cli.centroids_out},
+      {"quarantine-out", cli.quarantine_out},
+      {"state-out", cli.state_out}};
+  for (const auto& [flag, path] : outputs) {
+    if (path.empty() || umicro::util::PathIsWritable(path)) continue;
+    std::fprintf(stderr, "--%s is not writable: %s\n", flag, path.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// The end-of-run metrics dump; false (with a diagnostic) on failure.
+bool FinalExport(umicro::obs::MetricsExporter& exporter) {
+  if (!exporter.ExportNow()) {
+    std::fprintf(stderr, "failed to write metrics to %s.{json,csv}\n",
+                 exporter.base_path().c_str());
+    return false;
+  }
+  std::printf("metrics written to %s.json / %s.csv\n",
+              exporter.base_path().c_str(), exporter.base_path().c_str());
+  return true;
 }
 
 /// --role=agg: listen, merge leaf deltas, serve queries. No dataset is
 /// loaded; everything arrives over the socket.
-int RunAggregatorRole(const CliOptions& cli) {
+int RunAggregatorRole(const CliInputs& cli, const EngineConfig& config) {
   const std::optional<umicro::net::SocketAddress> listen =
       umicro::net::ParseHostPort(cli.listen);
   if (!listen.has_value()) {
@@ -373,13 +612,11 @@ int RunAggregatorRole(const CliOptions& cli) {
   umicro::dist::AggregatorOptions options;
   options.listen = *listen;
   options.dimensions = cli.dims;
-  options.dimension_threshold = cli.thresh;
-  options.global_budget = cli.nmicro;
-  options.snapshot.snapshot_every = cli.snapshot_every;
-  options.snapshot.tiering = MakeTiering(cli);
-  options.decay_lambda = cli.decay;
-  options.broker.num_threads = cli.serve_threads;
-  options.broker.boundary_factor = cli.boundary;
+  options.dimension_threshold = config.umicro.dimension_threshold;
+  options.global_budget = config.umicro.num_micro_clusters;
+  options.snapshot = config.snapshot;
+  options.decay_lambda = config.umicro.decay_lambda;
+  options.broker = umicro::serve::QueryBrokerOptions::FromConfig(config);
   options.start_as_standby = cli.start_as_standby;
   options.stale_after_ms =
       static_cast<int>(cli.stale_after * 1000.0 + 0.5);
@@ -450,7 +687,7 @@ int RunAggregatorRole(const CliOptions& cli) {
 
 /// --role=query: a line-protocol client. Requests come from stdin, one
 /// per line; responses are echoed to stdout in order.
-int RunQueryRole(const CliOptions& cli) {
+int RunQueryRole(const CliInputs& cli) {
   const std::optional<umicro::net::SocketAddress> address =
       umicro::net::ParseHostPort(cli.connect);
   if (!address.has_value()) {
@@ -500,8 +737,9 @@ int RunQueryRole(const CliOptions& cli) {
 /// --recover rerun assigns each record to the same tenant and the
 /// per-tenant replay offsets line up exactly.
 std::uint64_t AssignTenant(const umicro::stream::UncertainPoint& point,
-                           std::size_t row, const CliOptions& cli) {
-  if (cli.tenant_key == "hash") {
+                           std::size_t row, TenantKey key,
+                           std::uint64_t tenants) {
+  if (key == TenantKey::kHash) {
     // FNV-1a over the value bytes: stable across runs and hosts.
     std::uint64_t hash = 1469598103934665603ull;
     for (double v : point.values) {
@@ -512,68 +750,26 @@ std::uint64_t AssignTenant(const umicro::stream::UncertainPoint& point,
         hash *= 1099511628211ull;
       }
     }
-    return hash % cli.tenants;
+    return hash % tenants;
   }
-  if (cli.tenant_key == "label") {
+  if (key == TenantKey::kLabel) {
     const std::uint64_t label =
         point.label < 0 ? 0u : static_cast<std::uint64_t>(point.label);
-    return label % cli.tenants;
+    return label % tenants;
   }
-  return static_cast<std::uint64_t>(row) % cli.tenants;  // round_robin
-}
-
-/// Applies --similarity and --assign-index to a UMicroOptions (shared
-/// by the standalone/sharded/leaf path and the fleet path). Returns
-/// false (with a diagnostic) on an unknown value.
-bool ApplyAssignOptions(const CliOptions& cli,
-                        umicro::core::UMicroOptions* options) {
-  if (cli.similarity == "counting") {
-    options->similarity = umicro::core::SimilarityMode::kDimensionCounting;
-  } else if (cli.similarity == "distance") {
-    options->similarity = umicro::core::SimilarityMode::kExpectedDistance;
-  } else {
-    std::fprintf(stderr,
-                 "unknown similarity: %s (expected counting|distance)\n",
-                 cli.similarity.c_str());
-    return false;
-  }
-  const std::optional<umicro::index::IndexKind> kind =
-      umicro::index::ParseIndexKind(cli.assign_index);
-  if (!kind.has_value()) {
-    std::fprintf(
-        stderr,
-        "unknown assign index: %s (expected flat|kdtree|coarse|auto)\n",
-        cli.assign_index.c_str());
-    return false;
-  }
-  options->assign_index = *kind;
-  return true;
+  return static_cast<std::uint64_t>(row) % tenants;  // round_robin
 }
 
 /// The --tenants path: one EngineFleet instead of one engine. The
 /// dataset arrives already hardened/imputed/perturbed, so fleet runs
 /// see exactly the stream a single-engine run would.
-int RunFleetMode(const CliOptions& cli,
+int RunFleetMode(const CliInputs& cli, EngineConfig config,
                  const umicro::stream::Dataset& dataset) {
-  umicro::core::EngineConfig config;
-  config.umicro.num_micro_clusters = cli.nmicro;
-  config.umicro.boundary_factor = cli.boundary;
-  config.umicro.dimension_threshold = cli.thresh;
-  config.umicro.decay_lambda = cli.decay;
-  if (!ApplyAssignOptions(cli, &config.umicro)) return 2;
-  config.fleet.tenants = cli.tenants;
-  // The fleet's per-tenant store defaults to delta encoding; an explicit
-  // --snapshot-store overrides it (full for debugging, tiered to cap the
-  // fleet's snapshot bytes).
-  if (!cli.snapshot_store.empty()) {
-    config.fleet.snapshot.tiering = MakeTiering(cli);
+  // --threads and --queue-capacity size the fleet's shared worker pool.
+  if (config.parallel.threads > 0) {
+    config.fleet.workers = config.parallel.threads;
   }
-  if (cli.threads > 0) config.fleet.workers = cli.threads;
-  config.fleet.queue_capacity = cli.queue_capacity;
-  config.serve.threads = cli.serve_threads;
-  config.checkpoint.dir = cli.checkpoint_dir;
-  config.checkpoint.every_points = cli.checkpoint_every;
-  config.checkpoint.every_seconds = cli.checkpoint_seconds;
+  config.fleet.queue_capacity = config.parallel.queue_capacity;
 
   std::unique_ptr<umicro::fleet::EngineFleet> fleet;
   std::map<std::uint64_t, std::uint64_t> resume_from;
@@ -598,9 +794,8 @@ int RunFleetMode(const CliOptions& cli,
         dataset.dimensions(), config);
   }
   std::printf("fleet: %zu tenants on %zu workers (%s routing)\n",
-              cli.tenants,
-              cli.threads > 0 ? cli.threads : config.fleet.workers,
-              cli.tenant_key.c_str());
+              config.fleet.tenants, config.fleet.workers,
+              NameOf(kTenantKeys, cli.tenant_key).c_str());
 
   std::unique_ptr<umicro::fleet::FleetCheckpointer> checkpointer;
   if (!cli.checkpoint_dir.empty()) {
@@ -628,7 +823,8 @@ int RunFleetMode(const CliOptions& cli,
   std::uint64_t ingested = 0;
   std::uint64_t skipped = 0;
   for (std::size_t i = 0; i < dataset.size(); ++i) {
-    const std::uint64_t tenant = AssignTenant(dataset[i], i, cli);
+    const std::uint64_t tenant =
+        AssignTenant(dataset[i], i, cli.tenant_key, config.fleet.tenants);
     const std::uint64_t position = routed[tenant]++;
     const auto offset = resume_from.find(tenant);
     if (offset != resume_from.end() && position < offset->second) {
@@ -685,303 +881,96 @@ int RunFleetMode(const CliOptions& cli,
     std::printf("serving %zu tenants on stdin/stdout with %zu query "
                 "threads (HELLO/TENANT/CLUSTER/NEAREST/ANOMALY/STATS/"
                 "QUIT)\n",
-                fleet->tenant_count(), cli.serve_threads);
+                fleet->tenant_count(), config.serve.threads);
     std::fflush(stdout);
     const std::size_t served =
         umicro::serve::ServeLineProtocol(broker, std::cin, std::cout);
     std::printf("served %zu queries\n", served);
   }
 
-  if (exporter != nullptr) {
-    if (exporter->ExportNow()) {
-      std::printf("metrics written to %s.json / %s.csv\n",
-                  exporter->base_path().c_str(),
-                  exporter->base_path().c_str());
-    } else {
-      std::fprintf(stderr, "failed to write metrics to %s.{json,csv}\n",
-                   exporter->base_path().c_str());
-      return 1;
-    }
-  }
+  if (exporter != nullptr && !FinalExport(*exporter)) return 1;
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (ParseFlag(arg, "input", &value)) {
-      cli.input = value;
-    } else if (ParseFlag(arg, "synthetic", &value)) {
-      cli.synthetic = value;
-    } else if (ParseFlag(arg, "points", &value)) {
-      cli.points = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "algorithm", &value)) {
-      cli.algorithm = value;
-    } else if (ParseFlag(arg, "nmicro", &value)) {
-      cli.nmicro = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "boundary", &value)) {
-      cli.boundary = std::strtod(value.c_str(), nullptr);
-    } else if (ParseFlag(arg, "thresh", &value)) {
-      cli.thresh = std::strtod(value.c_str(), nullptr);
-    } else if (ParseFlag(arg, "decay", &value)) {
-      cli.decay = std::strtod(value.c_str(), nullptr);
-    } else if (ParseFlag(arg, "similarity", &value)) {
-      cli.similarity = value;
-    } else if (ParseFlag(arg, "assign-index", &value)) {
-      cli.assign_index = value;
-    } else if (ParseFlag(arg, "eta", &value)) {
-      cli.eta = std::strtod(value.c_str(), nullptr);
-    } else if (arg == "--impute") {
-      cli.impute = true;
-    } else if (arg == "--describe") {
-      cli.describe = true;
-    } else if (arg == "--no-header") {
-      cli.no_header = true;
-    } else if (ParseFlag(arg, "threads", &value)) {
-      cli.threads = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "merge-every", &value)) {
-      cli.merge_every = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "backpressure", &value)) {
-      cli.backpressure = value;
-    } else if (ParseFlag(arg, "queue-capacity", &value)) {
-      cli.queue_capacity = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "snapshot-every", &value)) {
-      cli.snapshot_every = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "snapshot-store", &value)) {
-      cli.snapshot_store = value;
-    } else if (ParseFlag(arg, "snapshot-budget-mb", &value)) {
-      cli.snapshot_budget_mb = std::strtoull(value.c_str(), nullptr, 10);
-      cli.snapshot_budget_set = true;
-    } else if (ParseFlag(arg, "snapshot-spill-dir", &value)) {
-      cli.snapshot_spill_dir = value;
-    } else if (ParseFlag(arg, "metrics-out", &value)) {
-      cli.metrics_out = value;
-    } else if (ParseFlag(arg, "metrics-every", &value)) {
-      cli.metrics_every = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "sample-interval", &value)) {
-      cli.sample_interval = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "batch", &value)) {
-      cli.batch = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "max-rows", &value)) {
-      cli.max_rows = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "centroids-out", &value)) {
-      cli.centroids_out = value;
-    } else if (ParseFlag(arg, "checkpoint-dir", &value)) {
-      cli.checkpoint_dir = value;
-    } else if (ParseFlag(arg, "checkpoint-every", &value)) {
-      cli.checkpoint_every = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "checkpoint-seconds", &value)) {
-      cli.checkpoint_seconds = std::strtod(value.c_str(), nullptr);
-    } else if (arg == "--recover") {
-      cli.recover = true;
-    } else if (ParseFlag(arg, "bad-record-policy", &value)) {
-      cli.bad_record_policy = value;
-    } else if (ParseFlag(arg, "quarantine-out", &value)) {
-      cli.quarantine_out = value;
-    } else if (ParseFlag(arg, "inject-faults", &value)) {
-      cli.inject_faults = value;
-    } else if (ParseFlag(arg, "fault-seed", &value)) {
-      cli.fault_seed = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (arg == "--degrade") {
-      cli.degrade = true;
-    } else if (arg == "--serve") {
-      cli.serve = true;
-    } else if (ParseFlag(arg, "serve-threads", &value)) {
-      cli.serve_threads = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "tenants", &value)) {
-      cli.tenants = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "tenant-key", &value)) {
-      cli.tenant_key = value;
-    } else if (ParseFlag(arg, "role", &value)) {
-      cli.role = value;
-    } else if (ParseFlag(arg, "connect", &value)) {
-      cli.connect = value;
-    } else if (ParseFlag(arg, "listen", &value)) {
-      cli.listen = value;
-    } else if (ParseFlag(arg, "dims", &value)) {
-      cli.dims = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "leaf-id", &value)) {
-      cli.leaf_id = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "delta-every", &value)) {
-      cli.delta_every = std::strtoull(value.c_str(), nullptr, 10);
-      cli.delta_every_set = true;
-    } else if (ParseFlag(arg, "stride", &value)) {
-      cli.stride = std::strtoull(value.c_str(), nullptr, 10);
-      cli.stride_set = true;
-    } else if (ParseFlag(arg, "offset", &value)) {
-      cli.offset = std::strtoull(value.c_str(), nullptr, 10);
-      cli.offset_set = true;
-    } else if (ParseFlag(arg, "standby", &value)) {
-      cli.standby = value;
-    } else if (arg == "--start-as-standby") {
-      cli.start_as_standby = true;
-    } else if (ParseFlag(arg, "stale-after", &value)) {
-      cli.stale_after = std::strtod(value.c_str(), nullptr);
-    } else if (ParseFlag(arg, "net-chaos", &value)) {
-      cli.net_chaos = value;
-    } else if (ParseFlag(arg, "net-chaos-seed", &value)) {
-      cli.net_chaos_seed = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (ParseFlag(arg, "expect-points", &value)) {
-      cli.expect_points = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "expect-timeout", &value)) {
-      cli.expect_timeout = std::strtod(value.c_str(), nullptr);
-    } else if (ParseFlag(arg, "state-out", &value)) {
-      cli.state_out = value;
-    } else if (ParseFlag(arg, "linger-seconds", &value)) {
-      cli.linger_seconds = std::strtod(value.c_str(), nullptr);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      PrintUsage();
-      return 2;
-    }
-  }
+  EngineConfig config = CliDefaults();
+  CliInputs cli;
+  const std::vector<Flag> flags = FlagTable(&config, &cli);
+  std::set<std::string> given;
+  if (const int rc = ParseCommandLine(argc, argv, flags, &given)) return rc;
+  if (const int rc = CheckRoles(flags, given, cli.role)) return rc;
+
   // Snapshot-store flags are validated before the role dispatch: every
   // role that owns a pyramidal store honors them.
-  if (!cli.snapshot_store.empty() && cli.snapshot_store != "full" &&
-      cli.snapshot_store != "delta" && cli.snapshot_store != "tiered") {
-    std::fprintf(stderr,
-                 "unknown --snapshot-store: %s (want full, delta, or "
-                 "tiered)\n",
-                 cli.snapshot_store.c_str());
-    return 2;
-  }
-  if ((cli.snapshot_budget_set || !cli.snapshot_spill_dir.empty()) &&
-      cli.snapshot_store != "tiered") {
+  umicro::core::SnapshotTiering& tiering = config.snapshot.tiering;
+  if ((given.count("snapshot-budget-mb") || !tiering.spill_dir.empty()) &&
+      tiering.mode != SnapshotStoreMode::kTiered) {
     std::fprintf(stderr,
                  "--snapshot-budget-mb/--snapshot-spill-dir require "
                  "--snapshot-store=tiered (full and delta stores never "
                  "demote frames)\n");
     return 2;
   }
-  if (!cli.snapshot_spill_dir.empty() &&
-      !umicro::util::EnsureDirectory(cli.snapshot_spill_dir)) {
-    std::fprintf(stderr, "cannot create --snapshot-spill-dir: %s\n",
-                 cli.snapshot_spill_dir.c_str());
-    return 1;
+  if (!tiering.spill_dir.empty()) {
+    if (!umicro::util::EnsureDirectory(tiering.spill_dir)) {
+      std::fprintf(stderr, "cannot create --snapshot-spill-dir: %s\n",
+                   tiering.spill_dir.c_str());
+      return 1;
+    }
+    tiering.codec = umicro::io::MakeSnapshotSpillCodec();
   }
+  // The fleet's per-tenant store defaults to delta encoding; an explicit
+  // --snapshot-store overrides it (full for debugging, tiered to cap the
+  // fleet's snapshot bytes).
+  if (given.count("snapshot-store")) config.fleet.snapshot.tiering = tiering;
+
   // ---- Distributed roles ---------------------------------------------
   // agg and query never load a dataset; they are dispatched before the
   // standalone/leaf validation below.
-  if (!cli.role.empty() && cli.role != "leaf" && cli.role != "agg" &&
-      cli.role != "query") {
-    std::fprintf(stderr, "unknown --role: %s (want leaf, agg, or query)\n",
-                 cli.role.c_str());
-    return 2;
-  }
-  // Role/flag combinations fail fast (exit 2) before any socket or
-  // dataset work: a misconfigured process in a multi-host topology
-  // should die at launch, not half-participate.
-  if (cli.role != "leaf") {
-    if (!cli.standby.empty()) {
-      std::fprintf(stderr,
-                   "--standby requires --role=leaf (the leaf owns the "
-                   "failover order; an aggregator is an endpoint, not a "
-                   "chooser)\n");
-      return 2;
-    }
-    if (cli.delta_every_set || cli.stride_set || cli.offset_set) {
-      std::fprintf(stderr,
-                   "--delta-every/--stride/--offset require --role=leaf\n");
-      return 2;
-    }
-  }
-  if (cli.role != "agg") {
-    if (cli.start_as_standby) {
-      std::fprintf(stderr, "--start-as-standby requires --role=agg\n");
-      return 2;
-    }
-    if (cli.stale_after != 0.0) {
-      std::fprintf(stderr, "--stale-after requires --role=agg\n");
-      return 2;
-    }
-  }
-  if (cli.stale_after < 0.0) {
-    std::fprintf(stderr, "--stale-after must be >= 0 seconds\n");
-    return 2;
-  }
-  std::optional<umicro::net::ChaosOptions> chaos_options;
   if (!cli.net_chaos.empty()) {
-    if (cli.role != "leaf" && cli.role != "agg") {
-      std::fprintf(stderr,
-                   "--net-chaos requires --role=leaf or --role=agg (it "
-                   "wraps the merge tree's sockets)\n");
-      return 2;
-    }
-    chaos_options =
+    const std::optional<umicro::net::ChaosOptions> chaos_options =
         umicro::net::ParseChaosSpec(cli.net_chaos, cli.net_chaos_seed);
     if (!chaos_options.has_value()) {
       std::fprintf(stderr, "malformed --net-chaos spec: %s\n",
                    cli.net_chaos.c_str());
       return 2;
     }
-  }
-  std::vector<umicro::net::SocketAddress> standby_endpoints;
-  if (!cli.standby.empty()) {
-    std::optional<std::vector<umicro::net::SocketAddress>> parsed =
-        ParseStandbyList(cli.standby);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "malformed --standby list: %s\n",
-                   cli.standby.c_str());
-      return 2;
-    }
-    standby_endpoints = std::move(*parsed);
-  }
-  if (chaos_options.has_value()) {
     umicro::net::ChaosTransport::Instance().Enable(*chaos_options);
     std::fprintf(stderr, "net chaos enabled: %s (seed %llu)\n",
                  cli.net_chaos.c_str(),
                  static_cast<unsigned long long>(cli.net_chaos_seed));
   }
-  if (cli.role == "agg") {
+  if (cli.role == Role::kAgg) {
     if (cli.listen.empty() || cli.dims == 0) {
       std::fprintf(stderr, "--role=agg requires --listen and --dims\n");
       return 2;
     }
-    if (!cli.state_out.empty() &&
-        !umicro::util::PathIsWritable(cli.state_out)) {
-      std::fprintf(stderr, "--state-out is not writable: %s\n",
-                   cli.state_out.c_str());
-      return 1;
-    }
-    return RunAggregatorRole(cli);
+    if (!OutputsWritable(cli)) return 1;
+    return RunAggregatorRole(cli, config);
   }
-  if (cli.role == "query") {
+  if (cli.role == Role::kQuery) {
     if (cli.connect.empty()) {
       std::fprintf(stderr, "--role=query requires --connect\n");
       return 2;
     }
     return RunQueryRole(cli);
   }
-  const bool leaf_role = cli.role == "leaf";
-  if (leaf_role) {
-    if (cli.connect.empty()) {
-      std::fprintf(stderr, "--role=leaf requires --connect\n");
-      return 2;
-    }
-    if (cli.algorithm != "umicro" || cli.threads > 0 || cli.serve) {
-      std::fprintf(stderr,
-                   "--role=leaf requires --algorithm=umicro without "
-                   "--threads or --serve (the leaf IS one shard; the "
-                   "aggregator serves)\n");
-      return 2;
-    }
-    if (cli.stride == 0 || cli.offset >= cli.stride) {
-      std::fprintf(stderr,
-                   "--role=leaf needs --stride >= 1 and --offset < "
-                   "--stride\n");
-      return 2;
-    }
-    if (!umicro::net::ParseHostPort(cli.connect).has_value()) {
-      std::fprintf(stderr, "malformed --connect address: %s\n",
-                   cli.connect.c_str());
-      return 2;
-    }
-  }
-
+  const bool leaf_role = cli.role == Role::kLeaf;
+  const bool umicro_algorithm = cli.algorithm == Algorithm::kUMicro;
+  const bool fleet_mode = config.fleet.tenants > 0;
+  const bool checkpointing = !cli.checkpoint_dir.empty();
+  const bool checkpoint_cadence = config.checkpoint.every_points > 0 ||
+                                  config.checkpoint.every_seconds > 0.0;
+  const bool hardening = cli.bad_record_policy.has_value();
+  const std::optional<std::vector<umicro::net::SocketAddress>>
+      standby_endpoints = ParseStandbyList(cli.standby);
+  const std::optional<umicro::resilience::FaultInjectionOptions>
+      fault_options =
+          cli.inject_faults.empty()
+              ? std::nullopt
+              : ParseFaultSpec(cli.inject_faults, cli.fault_seed);
   if (cli.input.empty() == cli.synthetic.empty()) {
     std::fprintf(stderr,
                  "exactly one of --input and --synthetic is required\n");
@@ -990,112 +979,58 @@ int main(int argc, char** argv) {
   }
 
   // ---- Fail fast: flag combinations ----------------------------------
-  // Usage errors exit 2 before any work is done.
-  const bool checkpointing = !cli.checkpoint_dir.empty();
-  if (cli.recover && !checkpointing) {
-    std::fprintf(stderr, "--recover requires --checkpoint-dir\n");
+  // Usage errors exit 2 with the first failing line before any work.
+  const std::pair<bool, std::string> usage_errors[] = {
+      {leaf_role && cli.connect.empty(), "--role=leaf requires --connect"},
+      {leaf_role &&
+           (!umicro_algorithm || config.parallel.threads > 0 || cli.serve),
+       "--role=leaf requires --algorithm=umicro without --threads or "
+       "--serve (the leaf IS one shard; the aggregator serves)"},
+      {leaf_role && cli.offset >= cli.stride,
+       "--role=leaf needs --offset < --stride"},
+      {leaf_role && !umicro::net::ParseHostPort(cli.connect).has_value(),
+       "malformed --connect address: " + cli.connect},
+      {!cli.standby.empty() && !standby_endpoints.has_value(),
+       "malformed --standby list: " + cli.standby},
+      {cli.recover && !checkpointing, "--recover requires --checkpoint-dir"},
+      {checkpoint_cadence && !checkpointing,
+       "--checkpoint-every/--checkpoint-seconds require --checkpoint-dir"},
+      {checkpointing && !umicro_algorithm,
+       "--checkpoint-dir requires --algorithm=umicro (the baselines have "
+       "no serializable engine state)"},
+      {!cli.metrics_out.empty() && !umicro_algorithm,
+       "--metrics-out requires --algorithm=umicro (the baselines are "
+       "uninstrumented)"},
+      {config.parallel.degrade && config.parallel.threads == 0,
+       "--degrade requires --threads (load shedding lives in the sharded "
+       "pipeline)"},
+      {!cli.quarantine_out.empty() && !hardening,
+       "--quarantine-out requires --bad-record-policy"},
+      {!cli.inject_faults.empty() && !hardening,
+       "--inject-faults requires --bad-record-policy (an unhardened engine "
+       "would abort on corrupt records)"},
+      {!cli.inject_faults.empty() && !fault_options.has_value(),
+       "malformed --inject-faults spec: " + cli.inject_faults},
+      {cli.serve && !umicro_algorithm,
+       "--serve requires --algorithm=umicro (the baselines publish no "
+       "snapshot replica)"},
+      {fleet_mode && !umicro_algorithm,
+       "--tenants requires --algorithm=umicro (the fleet hosts umicro "
+       "tenant engines)"},
+      {fleet_mode && cli.role != Role::kStandalone,
+       "--tenants is incompatible with --role (the fleet is a "
+       "single-process multi-tenant host)"},
+      {fleet_mode && config.parallel.degrade,
+       "--degrade applies to the sharded pipeline, not the fleet"},
+      {fleet_mode && (!cli.state_out.empty() ||
+                      !cli.centroids_out.empty() || cli.describe),
+       "--state-out/--centroids-out/--describe are single-engine outputs; "
+       "a fleet has one state per tenant (query it via --serve)"},
+  };
+  for (const auto& [failed, message] : usage_errors) {
+    if (!failed) continue;
+    std::fprintf(stderr, "%s\n", message.c_str());
     return 2;
-  }
-  if ((cli.checkpoint_every > 0 || cli.checkpoint_seconds > 0.0) &&
-      !checkpointing) {
-    std::fprintf(stderr,
-                 "--checkpoint-every/--checkpoint-seconds require "
-                 "--checkpoint-dir\n");
-    return 2;
-  }
-  if (checkpointing && cli.algorithm != "umicro") {
-    std::fprintf(stderr,
-                 "--checkpoint-dir requires --algorithm=umicro (the "
-                 "baselines have no serializable engine state)\n");
-    return 2;
-  }
-  if (cli.degrade && cli.threads == 0) {
-    std::fprintf(stderr,
-                 "--degrade requires --threads (load shedding lives in "
-                 "the sharded pipeline)\n");
-    return 2;
-  }
-  if (!cli.quarantine_out.empty() && cli.bad_record_policy.empty()) {
-    std::fprintf(stderr,
-                 "--quarantine-out requires --bad-record-policy\n");
-    return 2;
-  }
-  if (cli.batch == 0) {
-    std::fprintf(stderr, "--batch must be at least 1\n");
-    return 2;
-  }
-  if (!cli.inject_faults.empty() && cli.bad_record_policy.empty()) {
-    std::fprintf(stderr,
-                 "--inject-faults requires --bad-record-policy (an "
-                 "unhardened engine would abort on corrupt records)\n");
-    return 2;
-  }
-  if (cli.serve && cli.algorithm != "umicro") {
-    std::fprintf(stderr,
-                 "--serve requires --algorithm=umicro (the baselines "
-                 "publish no snapshot replica)\n");
-    return 2;
-  }
-  if (cli.serve && cli.serve_threads == 0) {
-    std::fprintf(stderr, "--serve-threads must be at least 1\n");
-    return 2;
-  }
-  if (cli.tenant_key != "round_robin" && cli.tenant_key != "hash" &&
-      cli.tenant_key != "label") {
-    std::fprintf(stderr,
-                 "unknown --tenant-key: %s (want round_robin, hash, or "
-                 "label)\n",
-                 cli.tenant_key.c_str());
-    return 2;
-  }
-  if (cli.tenants > 0) {
-    if (cli.algorithm != "umicro") {
-      std::fprintf(stderr,
-                   "--tenants requires --algorithm=umicro (the fleet "
-                   "hosts umicro tenant engines)\n");
-      return 2;
-    }
-    if (!cli.role.empty()) {
-      std::fprintf(stderr,
-                   "--tenants is incompatible with --role (the fleet is "
-                   "a single-process multi-tenant host)\n");
-      return 2;
-    }
-    if (cli.degrade) {
-      std::fprintf(stderr,
-                   "--degrade applies to the sharded pipeline, not the "
-                   "fleet\n");
-      return 2;
-    }
-    if (!cli.state_out.empty() || !cli.centroids_out.empty() ||
-        cli.describe) {
-      std::fprintf(stderr,
-                   "--state-out/--centroids-out/--describe are "
-                   "single-engine outputs; a fleet has one state per "
-                   "tenant (query it via --serve)\n");
-      return 2;
-    }
-  }
-  std::optional<umicro::resilience::BadRecordPolicy> bad_record_policy;
-  if (!cli.bad_record_policy.empty()) {
-    bad_record_policy =
-        umicro::resilience::ParseBadRecordPolicy(cli.bad_record_policy);
-    if (!bad_record_policy.has_value()) {
-      std::fprintf(stderr,
-                   "unknown --bad-record-policy: %s (want repair, "
-                   "quarantine, or drop)\n",
-                   cli.bad_record_policy.c_str());
-      return 2;
-    }
-  }
-  std::optional<umicro::resilience::FaultInjectionOptions> fault_options;
-  if (!cli.inject_faults.empty()) {
-    fault_options = ParseFaultSpec(cli.inject_faults, cli.fault_seed);
-    if (!fault_options.has_value()) {
-      std::fprintf(stderr, "malformed --inject-faults spec: %s\n",
-                   cli.inject_faults.c_str());
-      return 2;
-    }
   }
 
   // ---- Fail fast: paths ----------------------------------------------
@@ -1105,30 +1040,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "input file not found: %s\n", cli.input.c_str());
     return 1;
   }
-  if (!cli.metrics_out.empty() &&
-      !umicro::util::PathIsWritable(cli.metrics_out + ".json")) {
-    std::fprintf(stderr, "--metrics-out is not writable: %s\n",
-                 cli.metrics_out.c_str());
-    return 1;
-  }
-  if (!cli.centroids_out.empty() &&
-      !umicro::util::PathIsWritable(cli.centroids_out)) {
-    std::fprintf(stderr, "--centroids-out is not writable: %s\n",
-                 cli.centroids_out.c_str());
-    return 1;
-  }
-  if (!cli.quarantine_out.empty() &&
-      !umicro::util::PathIsWritable(cli.quarantine_out)) {
-    std::fprintf(stderr, "--quarantine-out is not writable: %s\n",
-                 cli.quarantine_out.c_str());
-    return 1;
-  }
-  if (!cli.state_out.empty() &&
-      !umicro::util::PathIsWritable(cli.state_out)) {
-    std::fprintf(stderr, "--state-out is not writable: %s\n",
-                 cli.state_out.c_str());
-    return 1;
-  }
+  if (!OutputsWritable(cli)) return 1;
   if (checkpointing && !umicro::util::EnsureDirectory(cli.checkpoint_dir)) {
     std::fprintf(stderr, "--checkpoint-dir is not usable: %s\n",
                  cli.checkpoint_dir.c_str());
@@ -1159,7 +1071,7 @@ int main(int argc, char** argv) {
     std::printf("generated %zu records x %zu dimensions (%s, eta=%.2f)\n",
                 dataset.size(), dataset.dimensions(), cli.synthetic.c_str(),
                 eta);
-  } else if (EndsWith(cli.input, ".arff")) {
+  } else if (cli.input.ends_with(".arff")) {
     auto loaded = umicro::io::ReadArffDataset(cli.input);
     if (!loaded.has_value()) {
       std::fprintf(stderr, "failed to load ARFF file %s\n",
@@ -1205,7 +1117,7 @@ int main(int argc, char** argv) {
   // with the same seed replays the identical hardened stream.
   umicro::resilience::FaultInjectionStats fault_stats;
   umicro::resilience::ValidationStats validation_stats;
-  const bool validating = bad_record_policy.has_value();
+  const bool validating = cli.bad_record_policy.has_value();
   if (validating) {
     umicro::stream::VectorStream raw(dataset);
     umicro::stream::StreamSource* tail = &raw;
@@ -1217,7 +1129,7 @@ int main(int argc, char** argv) {
     }
     umicro::resilience::ValidationOptions validation_options;
     validation_options.policies =
-        umicro::resilience::ValidationPolicies::Uniform(*bad_record_policy);
+        umicro::resilience::ValidationPolicies::Uniform(*cli.bad_record_policy);
     validation_options.quarantine_path = cli.quarantine_out;
     umicro::resilience::ValidatingStream validator(
         tail, dataset.dimensions(), validation_options);
@@ -1312,7 +1224,7 @@ int main(int argc, char** argv) {
   // Dispatched after every deterministic input transform, so tenant
   // substreams match what a single-engine run over the same flags would
   // have ingested.
-  if (cli.tenants > 0) return RunFleetMode(cli, dataset);
+  if (fleet_mode) return RunFleetMode(cli, config, dataset);
 
   // ---- Build the clusterer --------------------------------------------
   // The umicro algorithm runs behind the unified engine interface --
@@ -1320,60 +1232,28 @@ int main(int argc, char** argv) {
   // implement the plain StreamClusterer contract.
   std::unique_ptr<umicro::core::ClusteringEngine> engine;
   std::unique_ptr<umicro::stream::StreamClusterer> baseline;
-  const umicro::core::UMicro* umicro_ptr = nullptr;
   std::uint64_t resume_from = 0;
-  if (cli.algorithm == "umicro") {
-    umicro::core::UMicroOptions umicro_options;
-    umicro_options.num_micro_clusters = cli.nmicro;
-    umicro_options.boundary_factor = cli.boundary;
-    umicro_options.dimension_threshold = cli.thresh;
-    umicro_options.decay_lambda = cli.decay;
-    if (!ApplyAssignOptions(cli, &umicro_options)) return 2;
-    umicro::core::SnapshotPolicy snapshot;
-    snapshot.snapshot_every = cli.snapshot_every;
-    snapshot.tiering = MakeTiering(cli);
+  const std::size_t dims = dataset.dimensions();
+  if (umicro_algorithm) {
     // Recovery needs a factory: RecoverOrCreateEngine builds the engine
     // fresh and restores the newest compatible checkpoint into it.
     std::function<std::unique_ptr<umicro::core::ClusteringEngine>()> factory;
-    if (cli.threads > 0) {
-      umicro::parallel::ParallelEngineOptions options;
-      options.sharded.umicro = umicro_options;
-      options.sharded.num_shards = cli.threads;
-      options.sharded.merge_every = cli.merge_every;
-      options.sharded.queue_capacity = cli.queue_capacity;
-      if (cli.backpressure == "block") {
-        options.sharded.backpressure =
-            umicro::parallel::BackpressurePolicy::kBlock;
-      } else if (cli.backpressure == "drop_oldest") {
-        options.sharded.backpressure =
-            umicro::parallel::BackpressurePolicy::kDropOldest;
-      } else if (cli.backpressure == "drop_newest") {
-        options.sharded.backpressure =
-            umicro::parallel::BackpressurePolicy::kDropNewest;
-      } else {
-        std::fprintf(stderr, "unknown backpressure policy: %s\n",
-                     cli.backpressure.c_str());
-        return 2;
-      }
-      options.sharded.degrade.enabled = cli.degrade;
-      options.sharded.supervisor.enabled = cli.degrade;
-      options.snapshot = snapshot;
-      const std::size_t dims = dataset.dimensions();
+    if (config.parallel.threads > 0) {
+      const umicro::parallel::ParallelEngineOptions options =
+          umicro::parallel::ParallelEngineOptions::FromConfig(config);
       factory = [dims, options]() {
         return std::make_unique<umicro::parallel::ParallelUMicroEngine>(
             dims, options);
       };
       std::printf("sharded ingest: %zu threads, merge every %zu points, "
                   "%s backpressure%s\n",
-                  cli.threads, cli.merge_every, cli.backpressure.c_str(),
-                  cli.degrade ? ", adaptive degradation armed" : "");
+                  config.parallel.threads, config.parallel.merge_every,
+                  NameOf(kBackpressures, config.parallel.backpressure).c_str(),
+                  config.parallel.degrade ? ", adaptive degradation armed"
+                                          : "");
     } else {
-      umicro::core::EngineOptions options;
-      options.umicro = umicro_options;
-      options.snapshot = snapshot;
-      const std::size_t dims = dataset.dimensions();
-      factory = [dims, options]() {
-        return std::make_unique<umicro::core::UMicroEngine>(dims, options);
+      factory = [dims, config]() {
+        return std::make_unique<umicro::core::UMicroEngine>(dims, config);
       };
     }
     if (cli.recover) {
@@ -1398,24 +1278,16 @@ int main(int argc, char** argv) {
     } else {
       engine = factory();
     }
-    if (auto* sequential =
-            dynamic_cast<umicro::core::UMicroEngine*>(engine.get())) {
-      umicro_ptr = &sequential->online();
-    }
-  } else if (cli.algorithm == "clustream") {
+  } else if (cli.algorithm == Algorithm::kCluStream) {
     umicro::baseline::CluStreamOptions options;
-    options.num_micro_clusters = cli.nmicro;
-    options.boundary_factor = cli.boundary;
-    baseline = std::make_unique<umicro::baseline::CluStream>(
-        dataset.dimensions(), options);
-  } else if (cli.algorithm == "stream-kmeans") {
-    umicro::baseline::StreamKMeansOptions options;
-    options.k = cli.nmicro;
-    baseline = std::make_unique<umicro::baseline::StreamKMeans>(
-        dataset.dimensions(), options);
+    options.num_micro_clusters = config.umicro.num_micro_clusters;
+    options.boundary_factor = config.umicro.boundary_factor;
+    baseline = std::make_unique<umicro::baseline::CluStream>(dims, options);
   } else {
-    std::fprintf(stderr, "unknown algorithm: %s\n", cli.algorithm.c_str());
-    return 2;
+    umicro::baseline::StreamKMeansOptions options;
+    options.k = config.umicro.num_micro_clusters;
+    baseline =
+        std::make_unique<umicro::baseline::StreamKMeans>(dims, options);
   }
   umicro::stream::StreamClusterer& clusterer =
       engine != nullptr ? static_cast<umicro::stream::StreamClusterer&>(
@@ -1427,11 +1299,8 @@ int main(int argc, char** argv) {
   // mirrored into the read replica as it is taken (docs/serving.md).
   std::unique_ptr<umicro::serve::SnapshotReadReplica> replica;
   if (cli.serve) {
-    umicro::core::SnapshotPolicy serve_policy;
-    serve_policy.snapshot_every = cli.snapshot_every;
-    serve_policy.tiering = MakeTiering(cli);
     replica = std::make_unique<umicro::serve::SnapshotReadReplica>(
-        serve_policy, cli.decay);
+        config.snapshot, config.umicro.decay_lambda);
     engine->AttachSnapshotSink(replica.get());
   }
 
@@ -1479,11 +1348,8 @@ int main(int argc, char** argv) {
   // ---- Checkpointing --------------------------------------------------
   std::unique_ptr<umicro::resilience::CheckpointManager> checkpointer;
   if (checkpointing) {
-    umicro::resilience::CheckpointPolicy policy;
-    policy.every_points = cli.checkpoint_every;
-    policy.every_seconds = cli.checkpoint_seconds;
     checkpointer = std::make_unique<umicro::resilience::CheckpointManager>(
-        cli.checkpoint_dir, policy);
+        cli.checkpoint_dir, config.checkpoint);
   }
 
   // ---- Replay offset after recovery -----------------------------------
@@ -1503,12 +1369,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<umicro::obs::MetricsExporter> exporter;
   umicro::eval::ProgressFn progress;
   if (!cli.metrics_out.empty()) {
-    if (engine == nullptr) {
-      std::fprintf(stderr,
-                   "--metrics-out requires --algorithm=umicro (the "
-                   "baselines are uninstrumented)\n");
-      return 2;
-    }
     exporter = std::make_unique<umicro::obs::MetricsExporter>(
         &engine->metrics(), cli.metrics_out, cli.metrics_every);
   }
@@ -1516,8 +1376,7 @@ int main(int argc, char** argv) {
     umicro::obs::MetricsExporter* exporter_raw =
         cli.metrics_every > 0 ? exporter.get() : nullptr;
     umicro::resilience::CheckpointManager* checkpointer_raw =
-        (checkpointer != nullptr &&
-         (cli.checkpoint_every > 0 || cli.checkpoint_seconds > 0.0))
+        checkpoint_cadence
             ? checkpointer.get()
             : nullptr;
     umicro::core::ClusteringEngine* engine_raw = engine.get();
@@ -1544,15 +1403,16 @@ int main(int argc, char** argv) {
     umicro::dist::LeafShipperOptions ship_options;
     ship_options.leaf_id = cli.leaf_id;
     ship_options.dimensions = dataset.dimensions();
-    ship_options.standbys = standby_endpoints;
+    ship_options.standbys = standby_endpoints.value_or(
+        std::vector<umicro::net::SocketAddress>{});
     shipper.emplace(*umicro::net::ParseHostPort(cli.connect), ship_options,
                     &engine->metrics());
     std::printf("leaf %llu: shipping to %s every %zu points"
                 " (%zu standby%s)\n",
                 static_cast<unsigned long long>(cli.leaf_id),
                 cli.connect.c_str(), cli.delta_every,
-                standby_endpoints.size(),
-                standby_endpoints.size() == 1 ? "" : "s");
+                ship_options.standbys.size(),
+                ship_options.standbys.size() == 1 ? "" : "s");
     std::fflush(stdout);
     const auto started = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < dataset.size(); ++i) {
@@ -1624,17 +1484,19 @@ int main(int argc, char** argv) {
   // The merged (sharded) or live (sequential) micro-cluster set in the
   // codec's full-precision text form: the byte-comparable artifact the
   // distributed e2e check diffs against an aggregator's dump.
-  if (!cli.state_out.empty() && !leaf_role && engine != nullptr) {
-    std::vector<umicro::core::MicroCluster> clusters;
+  const auto final_clusters = [&engine] {
     if (auto* parallel =
             dynamic_cast<umicro::parallel::ParallelUMicroEngine*>(
                 engine.get())) {
-      clusters = parallel->sharded().GlobalClusters();
-    } else if (umicro_ptr != nullptr) {
-      clusters = umicro_ptr->clusters();
+      return parallel->sharded().GlobalClusters();
     }
-    if (!umicro::io::WriteMicroClustersFile(clusters, dataset.dimensions(),
-                                            cli.state_out)) {
+    return dynamic_cast<umicro::core::UMicroEngine&>(*engine)
+        .online()
+        .clusters();
+  };
+  if (!cli.state_out.empty() && !leaf_role && engine != nullptr) {
+    if (!umicro::io::WriteMicroClustersFile(
+            final_clusters(), dataset.dimensions(), cli.state_out)) {
       std::fprintf(stderr, "failed to write %s\n", cli.state_out.c_str());
       return 1;
     }
@@ -1653,7 +1515,7 @@ int main(int argc, char** argv) {
                 checkpointer->write_failures(),
                 checkpointer->last_path().c_str());
   }
-  if (cli.degrade && engine != nullptr) {
+  if (config.parallel.degrade && engine != nullptr) {
     umicro::obs::MetricsRegistry& metrics = engine->metrics();
     std::printf(
         "degradation: %llu activations, %llu points shed in %llu "
@@ -1674,46 +1536,25 @@ int main(int argc, char** argv) {
   // until stdin closes or a QUIT arrives; the final metrics dump below
   // then includes the serve.* instruments.
   if (cli.serve && engine != nullptr) {
-    umicro::serve::QueryBrokerOptions broker_options;
-    broker_options.num_threads = cli.serve_threads;
-    umicro::serve::QueryBroker broker(replica.get(), broker_options,
-                                      &engine->metrics());
+    umicro::serve::QueryBroker broker(
+        replica.get(), umicro::serve::QueryBrokerOptions::FromConfig(config),
+        &engine->metrics());
     std::printf("serving on stdin/stdout with %zu query threads "
                 "(CLUSTER/NEAREST/ANOMALY/STATS/QUIT)\n",
-                cli.serve_threads);
+                config.serve.threads);
     std::fflush(stdout);
     const std::size_t served =
         umicro::serve::ServeLineProtocol(broker, std::cin, std::cout);
     std::printf("served %zu queries\n", served);
   }
 
-  if (cli.describe && umicro_ptr != nullptr) {
-    std::printf("\n%s",
-                umicro::core::SummarizeClusters(umicro_ptr->clusters())
-                    .c_str());
-  } else if (cli.describe && engine != nullptr) {
-    auto* parallel = dynamic_cast<umicro::parallel::ParallelUMicroEngine*>(
-        engine.get());
-    if (parallel != nullptr) {
-      std::printf("\n%s",
-                  umicro::core::SummarizeClusters(
-                      parallel->sharded().GlobalClusters())
-                      .c_str());
-    }
+  if (cli.describe && engine != nullptr) {
+    std::printf(
+        "\n%s", umicro::core::SummarizeClusters(final_clusters()).c_str());
   }
 
   // ---- Final metrics dump ---------------------------------------------
-  if (exporter != nullptr) {
-    if (exporter->ExportNow()) {
-      std::printf("metrics written to %s.json / %s.csv\n",
-                  exporter->base_path().c_str(),
-                  exporter->base_path().c_str());
-    } else {
-      std::fprintf(stderr, "failed to write metrics to %s.{json,csv}\n",
-                   exporter->base_path().c_str());
-      return 1;
-    }
-  }
+  if (exporter != nullptr && !FinalExport(*exporter)) return 1;
 
   // ---- Dump centroids --------------------------------------------------
   const auto centroids = clusterer.ClusterCentroids();
