@@ -106,6 +106,7 @@ void UMicro::ApplyDecay(double now) {
     clusters_.clear();
     table_.Reset(dimensions_);
     if (assign_index_ != nullptr) assign_index_->Invalidate();
+    pair_cache_.Invalidate();
     last_decay_time_ = now;
     return;
   }
@@ -115,6 +116,9 @@ void UMicro::ApplyDecay(double now) {
   // Centroids are scale-invariant in real arithmetic; the index accounts
   // the few-ulp re-derivation wobble per scale event.
   if (assign_index_ != nullptr) assign_index_->NoteScale();
+  // The re-derived centroids wobble by ulps, so every cached distance
+  // is stale: the next merge rebuilds the pair cache.
+  pair_cache_.Invalidate();
   last_decay_time_ = now;
 }
 
@@ -322,6 +326,7 @@ UMicro::ProcessOutcome UMicro::ProcessOne(const stream::UncertainPoint& point,
       }
       clusters_[closest].AddPoint(point);
       table_.AddPoint(closest, point.values.data(), errors, 1.0);
+      pair_cache_.NoteChanged(closest);
       outcome.absorbed = true;
       outcome.cluster_id = clusters_[closest].id;
       ++counters->absorbed;
@@ -332,6 +337,7 @@ UMicro::ProcessOutcome UMicro::ProcessOne(const stream::UncertainPoint& point,
   clusters_.emplace_back(next_cluster_id_++, point);
   table_.PushPointRow(point.values.data(), errors, 1.0);
   if (assign_index_ != nullptr) assign_index_->NoteAppend();
+  pair_cache_.NoteAppend();
   ++clusters_created_;
   ++counters->created;
   outcome.absorbed = false;
@@ -400,21 +406,21 @@ void UMicro::RetireOneCluster(double now) {
     table_.RemoveRow(lru);
     // Row ids shifted: the index snapshot is stale, rebuild lazily.
     if (assign_index_ != nullptr) assign_index_->Invalidate();
+    pair_cache_.NoteRemove(lru);
     ++clusters_evicted_;
     if (evicted_metric_ != nullptr) evicted_metric_->Increment();
     return;
   }
 
-  // Closest-pair search over the table's already-materialized centroid
-  // rows (cache-blocked kernel; previously an O(q^2 d) scalar scan over
-  // a freshly divided centroid matrix).
+  // Closest pair over the table's centroid rows: the cache repairs the
+  // rows that moved since the last merge (or rebuilds with the blocked
+  // all-pairs kernel) and returns the pair that kernel would.
   std::size_t best_a = 0;
   std::size_t best_b = 1;
   double best_d2 = std::numeric_limits<double>::infinity();
   {
     const obs::ScopedTimer pair_timer(closest_pair_micros_);
-    kernels::ClosestCentroidPair(table_, table_.backend(), &best_a, &best_b,
-                                 &best_d2);
+    pair_cache_.Find(table_, table_.backend(), &best_a, &best_b, &best_d2);
   }
   MicroCluster& into = clusters_[best_a];
   MicroCluster& from = clusters_[best_b];
@@ -428,11 +434,13 @@ void UMicro::RetireOneCluster(double now) {
   into.creation_time = std::min(into.creation_time, from.creation_time);
   into.ecf.Merge(from.ecf);
   table_.MergeRows(best_a, best_b);
+  pair_cache_.NoteChanged(best_a);
   for (const auto& [label, weight] : from.labels) {
     into.labels[label] += weight;
   }
   clusters_.erase(clusters_.begin() + static_cast<std::ptrdiff_t>(best_b));
   table_.RemoveRow(best_b);
+  pair_cache_.NoteRemove(best_b);
   // The merged row jumped position and the rest shifted: rebuild lazily.
   if (assign_index_ != nullptr) assign_index_->Invalidate();
   ++clusters_merged_;
@@ -474,8 +482,10 @@ void UMicro::RestoreState(const UMicroState& state) {
     table_.PushRow(cluster.ecf.cf1().data(), cluster.ecf.cf2().data(),
                    cluster.ecf.ef2().data(), cluster.ecf.weight());
   }
-  // Whatever the index had mirrored is gone with the old table.
+  // Whatever the index and the pair cache mirrored is gone with the old
+  // table.
   if (assign_index_ != nullptr) assign_index_->Invalidate();
+  pair_cache_.Invalidate();
   welford_.clear();
   welford_.reserve(state.welford.size());
   for (const auto& raw : state.welford) {

@@ -25,6 +25,7 @@
 #include "index/centroid_index.h"
 #include "core/microcluster.h"
 #include "core/snapshot.h"
+#include "kernels/closest_pair_cache.h"
 #include "kernels/cluster_table.h"
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
@@ -274,6 +275,9 @@ class UMicro : public stream::StreamClusterer {
   /// Mutable: Collect lazily rebuilds and tallies stats inside the
   /// logically-const FindClosest.
   mutable std::unique_ptr<index::CentroidIndex> assign_index_;
+  /// Nearest-neighbour cache over table_'s centroids behind the
+  /// maintenance merge's closest-pair search (derived, never saved).
+  kernels::ClosestPairCache pair_cache_;
   /// Shortlist of the current indexed scan.
   mutable std::vector<std::uint32_t> candidates_scratch_;
   /// Index stats already pushed to the registry (FlushCounters ships

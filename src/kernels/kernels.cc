@@ -224,6 +224,61 @@ double Dist2Row(Backend backend, const double* a, const double* b,
   }
 }
 
+// Blocks the q x q upper triangle so each pass keeps one tile of
+// centroid rows hot in L1/L2; 16 rows of up-to-64 padded dims are 8 KiB
+// per tile, two tiles per pass. Every row meets its candidates in
+// ascending index order (first as the b of pairs (a', b) in ascending
+// a', then as the a of pairs (a, b') in ascending b'), so a strict <
+// keeps the smallest index among equal distances. The tier's row
+// reduction is a template argument so the dispatch stays out of the
+// O(q^2) loop.
+template <double (*Dist2)(const double*, const double*, std::size_t)>
+void BlockedNeighbors(const ClusterTable& table, std::uint32_t* nn,
+                      double* nn_d2) {
+  const std::size_t q = table.rows();
+  const std::size_t stride = table.stride();
+  const double* centroids = table.centroid_data();
+  constexpr std::size_t kBlock = 16;
+  for (std::size_t a0 = 0; a0 < q; a0 += kBlock) {
+    const std::size_t a1 = std::min(a0 + kBlock, q);
+    for (std::size_t b0 = a0; b0 < q; b0 += kBlock) {
+      const std::size_t b1 = std::min(b0 + kBlock, q);
+      for (std::size_t a = a0; a < a1; ++a) {
+        const double* row_a = centroids + a * stride;
+        double best_d2 = nn_d2[a];
+        std::uint32_t best = nn[a];
+        for (std::size_t b = std::max(b0, a + 1); b < b1; ++b) {
+          const double d2 = Dist2(row_a, centroids + b * stride, stride);
+          if (d2 < best_d2) {
+            best_d2 = d2;
+            best = static_cast<std::uint32_t>(b);
+          }
+          if (d2 < nn_d2[b]) {
+            nn_d2[b] = d2;
+            nn[b] = static_cast<std::uint32_t>(a);
+          }
+        }
+        nn_d2[a] = best_d2;
+        nn[a] = best;
+      }
+    }
+  }
+}
+
+template <double (*Dist2)(const double*, const double*, std::size_t)>
+void RowToRows(const ClusterTable& table, std::size_t i, double* out) {
+  const std::size_t q = table.rows();
+  const std::size_t stride = table.stride();
+  const double* row_i = table.centroid_row(i);
+  for (std::size_t j = 0; j < i; ++j) {
+    out[j] = Dist2(table.centroid_row(j), row_i, stride);
+  }
+  out[i] = std::numeric_limits<double>::infinity();
+  for (std::size_t j = i + 1; j < q; ++j) {
+    out[j] = Dist2(row_i, table.centroid_row(j), stride);
+  }
+}
+
 }  // namespace
 
 void PointContext::Prepare(const ClusterTable& table, const double* values,
@@ -309,43 +364,70 @@ double BoxSquaredDistance(Backend backend, const double* x, const double* lo,
   }
 }
 
-void ClosestCentroidPair(const ClusterTable& table, Backend backend,
-                         std::size_t* out_a, std::size_t* out_b,
-                         double* out_d2) {
+void ClosestCentroidNeighbors(const ClusterTable& table, Backend backend,
+                              std::uint32_t* nn, double* nn_d2) {
   const std::size_t q = table.rows();
   UMICRO_CHECK(q >= 2);
-  const std::size_t stride = table.stride();
-  const double* centroids = table.centroid_data();
+  std::fill(nn, nn + q, static_cast<std::uint32_t>(q));
+  std::fill(nn_d2, nn_d2 + q, std::numeric_limits<double>::infinity());
+  switch (backend) {
+#if UMICRO_KERNELS_X64
+    case Backend::kAvx2:
+      return BlockedNeighbors<Dist2RowAvx2>(table, nn, nn_d2);
+    case Backend::kSse2:
+      return BlockedNeighbors<Dist2RowSse2>(table, nn, nn_d2);
+#endif
+    default:
+      return BlockedNeighbors<Dist2RowScalar>(table, nn, nn_d2);
+  }
+}
 
-  // Block the q x q upper triangle so each pass keeps one tile of
-  // centroid rows hot in L1/L2; 16 rows of up-to-64 padded dims are
-  // 8 KiB per tile, two tiles per pass.
-  constexpr std::size_t kBlock = 16;
+void RowPairDistances(const ClusterTable& table, Backend backend,
+                      std::size_t i, double* out) {
+  UMICRO_DCHECK(i < table.rows());
+  switch (backend) {
+#if UMICRO_KERNELS_X64
+    case Backend::kAvx2:
+      return RowToRows<Dist2RowAvx2>(table, i, out);
+    case Backend::kSse2:
+      return RowToRows<Dist2RowSse2>(table, i, out);
+#endif
+    default:
+      return RowToRows<Dist2RowScalar>(table, i, out);
+  }
+}
+
+void ClosestPairFromNeighbors(const std::uint32_t* nn, const double* nn_d2,
+                              std::size_t rows, std::size_t* out_a,
+                              std::size_t* out_b, double* out_d2) {
+  UMICRO_CHECK(rows >= 2);
   std::size_t best_a = 0;
   std::size_t best_b = 1;
   double best_d2 = std::numeric_limits<double>::infinity();
-  for (std::size_t a0 = 0; a0 < q; a0 += kBlock) {
-    const std::size_t a1 = std::min(a0 + kBlock, q);
-    for (std::size_t b0 = a0; b0 < q; b0 += kBlock) {
-      const std::size_t b1 = std::min(b0 + kBlock, q);
-      for (std::size_t a = a0; a < a1; ++a) {
-        const double* row_a = centroids + a * stride;
-        const std::size_t b_begin = std::max(b0, a + 1);
-        for (std::size_t b = b_begin; b < b1; ++b) {
-          const double d2 = Dist2Row(backend, row_a, centroids + b * stride,
-                                     stride);
-          if (d2 < best_d2) {
-            best_d2 = d2;
-            best_a = a;
-            best_b = b;
-          }
-        }
-      }
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double d2 = nn_d2[i];
+    const std::size_t a = std::min<std::size_t>(i, nn[i]);
+    const std::size_t b = std::max<std::size_t>(i, nn[i]);
+    if (d2 < best_d2 ||
+        (d2 == best_d2 && (a < best_a || (a == best_a && b < best_b)))) {
+      best_d2 = d2;
+      best_a = a;
+      best_b = b;
     }
   }
   *out_a = best_a;
   *out_b = best_b;
   *out_d2 = best_d2;
+}
+
+void ClosestCentroidPair(const ClusterTable& table, Backend backend,
+                         std::size_t* out_a, std::size_t* out_b,
+                         double* out_d2) {
+  const std::size_t q = table.rows();
+  std::vector<std::uint32_t> nn(q);
+  std::vector<double> nn_d2(q);
+  ClosestCentroidNeighbors(table, backend, nn.data(), nn_d2.data());
+  ClosestPairFromNeighbors(nn.data(), nn_d2.data(), q, out_a, out_b, out_d2);
 }
 
 std::size_t ArgMax(const double* values, std::size_t n) {

@@ -97,11 +97,37 @@ double RowSquaredDistance(Backend backend, const double* a, const double* b,
 double BoxSquaredDistance(Backend backend, const double* x, const double* lo,
                           const double* hi, std::size_t stride);
 
-/// Cache-blocked search for the pair of rows with minimal squared
-/// centroid distance (the maintenance-merge candidate). Requires at
-/// least two rows; writes the winning indices (a < b; exact-distance
-/// ties resolve to whichever pair the blocked traversal visits first)
-/// and their squared distance.
+/// Cache-blocked all-pairs scan that fills, for every row i, its
+/// nearest other row nn[i] and the squared centroid distance nn_d2[i]
+/// to it. Each pair is evaluated once, as RowSquaredDistance(row a,
+/// row b) with a < b; exact-distance ties resolve to the smaller
+/// neighbour index. Requires at least two rows; both outputs hold
+/// table.rows() entries.
+void ClosestCentroidNeighbors(const ClusterTable& table, Backend backend,
+                              std::uint32_t* nn, double* nn_d2);
+
+/// Squared centroid distance from row `i` to every row: out[j] is the
+/// value ClosestCentroidNeighbors computes for the pair (min(i, j),
+/// max(i, j)), bit for bit; out[i] is +infinity. `out` must hold
+/// table.rows() doubles.
+void RowPairDistances(const ClusterTable& table, Backend backend,
+                      std::size_t i, double* out);
+
+/// The closest pair among `rows` per-row neighbour entries (as filled by
+/// ClosestCentroidNeighbors): the minimum distance, with exact ties
+/// broken lexicographically on (min(a, b), max(a, b)). Writes a < b and
+/// the pair's squared distance.
+void ClosestPairFromNeighbors(const std::uint32_t* nn, const double* nn_d2,
+                              std::size_t rows, std::size_t* out_a,
+                              std::size_t* out_b, double* out_d2);
+
+/// Search for the pair of rows with minimal squared centroid distance
+/// (the maintenance-merge candidate): ClosestCentroidNeighbors followed
+/// by ClosestPairFromNeighbors. Requires at least two rows; writes the
+/// winning indices (a < b; exact-distance ties resolve to the
+/// lexicographically smallest (a, b)) and their squared distance.
+/// core::UMicro gets the same pair from kernels::ClosestPairCache,
+/// which does not rescan unchanged rows; this is its test reference.
 void ClosestCentroidPair(const ClusterTable& table, Backend backend,
                          std::size_t* out_a, std::size_t* out_b,
                          double* out_d2);

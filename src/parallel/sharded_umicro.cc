@@ -16,6 +16,9 @@ namespace umicro::parallel {
 
 namespace {
 
+/// Processed batches a shard keeps for the coordinator to refill.
+constexpr std::size_t kMaxSpareBatches = 4;
+
 /// FNV-1a over the coordinate bytes: a stable point->shard mapping.
 std::uint64_t HashPointValues(const stream::UncertainPoint& point) {
   std::uint64_t h = 1469598103934665603ull;
@@ -59,6 +62,7 @@ ShardedUMicro::ShardedUMicro(std::size_t dimensions,
   UMICRO_CHECK(options_.queue_capacity >= 1);
   shards_.reserve(options_.num_shards);
   pending_batches_.resize(options_.num_shards);
+  pending_fill_.assign(options_.num_shards, 0);
   in_flight_.assign(options_.num_shards, 0);
   // One shared enqueue-pressure histogram: only the coordinator pushes,
   // so shard attribution adds nothing the per-shard counters don't give.
@@ -135,9 +139,21 @@ void ShardedUMicro::WorkerLoop(std::size_t index) {
       // vector is contiguous, so it views directly as a span).
       shard.algo.ProcessBatch(shard.in_progress_batch);
     }
+    {
+      // Hand the batch back whole: the coordinator overwrites its points
+      // in place, so steady-state ingest frees nothing across threads.
+      // The coordinator takes one spare per enqueue and outpaces the
+      // worker, so a short list covers that reuse; a batch beyond it
+      // (the queue draining into a merge, while the coordinator waits)
+      // is freed here, which keeps peak memory at one queue's worth.
+      std::lock_guard<std::mutex> lock(shard.spare_mu);
+      if (shard.spares.size() < kMaxSpareBatches) {
+        shard.spares.push_back(std::move(shard.in_progress_batch));
+      }
+    }
+    shard.in_progress_batch.clear();
     shard.points_processed->Increment(n);
     shard.batches_processed->Increment();
-    shard.in_progress_batch.clear();
     {
       std::lock_guard<std::mutex> lock(done_mu_);
       in_flight_[index] -= n;
@@ -238,28 +254,28 @@ std::size_t ShardedUMicro::PickShard(const stream::UncertainPoint& point) {
 
 void ShardedUMicro::EnqueueBatch(std::size_t index) {
   std::vector<stream::UncertainPoint>& batch = pending_batches_[index];
-  if (batch.empty()) return;
-  const std::size_t n = batch.size();
+  const std::size_t n = pending_fill_[index];
+  if (n == 0) return;
   if (ShouldShedBatch(index)) {
     // Shed before the in-flight accounting: a shed batch never enters
-    // the pipeline, so drain/exactness bookkeeping is untouched.
+    // the pipeline, so drain/exactness bookkeeping is untouched. The
+    // buffer stays pending and is refilled from the start.
     batches_shed_metric_->Increment();
     points_shed_metric_->Increment(n);
     shards_[index]->points_dropped->Increment(n);
     points_dropped_metric_->Increment(n);
-    batch.clear();
-    batch.reserve(options_.producer_batch);
+    pending_fill_[index] = 0;
     return;
   }
   {
     std::lock_guard<std::mutex> lock(done_mu_);
     in_flight_[index] += n;
   }
+  batch.erase(batch.begin() + static_cast<std::ptrdiff_t>(n), batch.end());
   std::optional<std::vector<stream::UncertainPoint>> displaced;
   const bool accepted = shards_[index]->queue.Push(std::move(batch),
                                                    &displaced);
-  batch.clear();
-  batch.reserve(options_.producer_batch);
+  TakeSpareBatch(index);
 
   std::size_t dropped = 0;
   if (!accepted) {
@@ -276,18 +292,40 @@ void ShardedUMicro::EnqueueBatch(std::size_t index) {
   }
 }
 
+void ShardedUMicro::TakeSpareBatch(std::size_t index) {
+  std::vector<stream::UncertainPoint>& batch = pending_batches_[index];
+  batch.clear();
+  {
+    Shard& shard = *shards_[index];
+    std::lock_guard<std::mutex> lock(shard.spare_mu);
+    if (!shard.spares.empty()) {
+      batch = std::move(shard.spares.back());
+      shard.spares.pop_back();
+    }
+  }
+  if (batch.empty()) batch.reserve(options_.producer_batch);
+  pending_fill_[index] = 0;
+}
+
 void ShardedUMicro::Process(const stream::UncertainPoint& point) {
   UMICRO_CHECK_MSG(point.dimensions() == dimensions_,
                    "point has %zu dimensions, pipeline expects %zu",
                    point.dimensions(), dimensions_);
   const std::size_t shard = PickShard(point);
-  pending_batches_[shard].push_back(point);
+  std::vector<stream::UncertainPoint>& batch = pending_batches_[shard];
+  std::size_t& fill = pending_fill_[shard];
+  // Copy-assign into a recycled element (reusing its vectors' storage)
+  // when there is one; append otherwise.
+  if (fill < batch.size()) {
+    batch[fill] = point;
+  } else {
+    batch.push_back(point);
+  }
+  ++fill;
   ++points_ingested_;
   points_ingested_metric_->Increment();
   ++points_since_merge_;
-  if (pending_batches_[shard].size() >= options_.producer_batch) {
-    EnqueueBatch(shard);
-  }
+  if (fill >= options_.producer_batch) EnqueueBatch(shard);
   // While degraded, merges (the costliest coordinator work) run at a
   // stretched cadence so the coordinator sheds load too.
   std::size_t effective_merge_every = options_.merge_every;
@@ -342,6 +380,15 @@ void ShardedUMicro::MergeNow() {
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) EnqueueBatch(i);
   WaitDrained();
+  // Free the leftover spares here, on the thread that allocated them,
+  // instead of carrying them across the merge.
+  for (auto& shard : shards_) {
+    std::vector<std::vector<stream::UncertainPoint>> spares;
+    {
+      std::lock_guard<std::mutex> lock(shard->spare_mu);
+      spares.swap(shard->spares);
+    }
+  }
   RebuildGlobalView();
   merges_metric_->Increment();
   global_clusters_metric_->Set(static_cast<double>(global_clusters_.size()));

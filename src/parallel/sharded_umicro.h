@@ -230,6 +230,13 @@ class ShardedUMicro : public stream::StreamClusterer {
     /// worker, read by the supervisor only after joining the dead thread
     /// (join orders the accesses), so no lock is needed.
     std::vector<stream::UncertainPoint> in_progress_batch;
+    /// Processed batches handed back by the worker for the coordinator
+    /// to refill (guarded by spare_mu; a few at most). Recycling keeps
+    /// steady-state batch memory allocated and freed on the coordinator
+    /// thread; the coordinator frees what is left after each drained
+    /// merge.
+    std::mutex spare_mu;
+    std::vector<std::vector<stream::UncertainPoint>> spares;
     std::thread worker;
   };
 
@@ -253,6 +260,11 @@ class ShardedUMicro : public stream::StreamClusterer {
 
   /// Enqueues shard `index`'s pending producer batch (no-op if empty).
   void EnqueueBatch(std::size_t index);
+
+  /// Replaces shard `index`'s pending batch (just moved into the queue)
+  /// with the spare its worker handed back last, or with a fresh buffer
+  /// when there is none, and resets the fill to zero.
+  void TakeSpareBatch(std::size_t index);
 
   /// Blocks until every shard's queue is empty and its worker idle.
   void WaitDrained();
@@ -287,8 +299,12 @@ class ShardedUMicro : public stream::StreamClusterer {
   obs::Counter* worker_restarts_metric_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Producer-side point buffers, one per shard (coordinator thread only).
+  /// Producer-side point buffers, one per shard (coordinator thread
+  /// only). A recycled buffer keeps its old points as storage: the first
+  /// pending_fill_[i] elements of pending_batches_[i] are the pending
+  /// points, the rest are overwritten in place as points arrive.
   std::vector<std::vector<stream::UncertainPoint>> pending_batches_;
+  std::vector<std::size_t> pending_fill_;
 
   /// In-flight points per shard (enqueued, not yet processed); guarded by
   /// done_mu_, signalled via done_cv_ when a shard reaches zero.

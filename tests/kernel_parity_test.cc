@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -294,11 +295,54 @@ TEST(KernelReductionParity, ClosestPairMatchesBruteForce) {
       std::size_t got_a = 0, got_b = 0;
       double got_d2 = 0.0;
       ClosestCentroidPair(table, backend, &got_a, &got_b, &got_d2);
-      // Random centroids: ties have probability zero, so the indices
-      // must match exactly; the distance to tolerance.
+      // Random centroids: ties have probability zero here (exact ties
+      // are covered below), so the indices must match exactly; the
+      // distance to tolerance.
       EXPECT_EQ(got_a, best_a) << "backend=" << BackendName(backend);
       EXPECT_EQ(got_b, best_b);
       ExpectClose(got_d2, best_d2, best_d2);
+    }
+  }
+}
+
+TEST(KernelReductionParity, ClosestPairBreaksExactTiesLexicographically) {
+  // Integer coordinates keep every centroid and every squared distance
+  // exact, so equal offsets give bit-equal distances on every tier. The
+  // tied pairs (1, 2) and (0, 40) sit in different 16-row tiles; the
+  // blocked traversal meets (1, 2) first, yet (0, 40) must win.
+  constexpr std::size_t kDims = 10;
+  constexpr std::size_t kRows = 48;
+  for (const double offset : {0.0, 1.0}) {
+    util::Rng rng(4242);
+    std::vector<std::vector<double>> rows(kRows, std::vector<double>(kDims));
+    for (auto& row : rows) {
+      for (double& v : row) v = std::floor(rng.Uniform(-1000.0, 1000.0));
+    }
+    rows[40] = rows[0];
+    rows[40][3] += offset;
+    rows[2] = rows[1];
+    rows[2][7] -= offset;
+    for (const Backend backend : TestableBackends()) {
+      ClusterTable table(kDims);
+      table.set_backend(backend);
+      for (const auto& row : rows) {
+        table.PushPointRow(row.data(), nullptr, 1.0);
+      }
+      std::size_t a = 0, b = 0;
+      double d2 = -1.0;
+      ClosestCentroidPair(table, backend, &a, &b, &d2);
+      EXPECT_EQ(a, 0u) << "backend=" << BackendName(backend);
+      EXPECT_EQ(b, 40u) << "backend=" << BackendName(backend);
+      EXPECT_EQ(d2, offset * offset);
+
+      std::vector<std::uint32_t> nn(kRows);
+      std::vector<double> nn_d2(kRows);
+      ClosestCentroidNeighbors(table, backend, nn.data(), nn_d2.data());
+      // Per row, ties go to the smaller neighbour index.
+      EXPECT_EQ(nn[0], 40u);
+      EXPECT_EQ(nn[40], 0u);
+      EXPECT_EQ(nn[1], 2u);
+      EXPECT_EQ(nn[2], 1u);
     }
   }
 }

@@ -3,10 +3,12 @@
 
 #include "parallel/sharded_umicro.h"
 
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "obs/metrics.h"
 #include "stream/dataset.h"
 #include "synth/workloads.h"
+#include "util/failpoints.h"
 
 namespace umicro::parallel {
 namespace {
@@ -258,6 +261,179 @@ TEST(ShardedUMicroTest, ClustererInterfaceMergesOnRead) {
   EXPECT_FALSE(clusterer.ClusterCentroids().empty());
   EXPECT_EQ(clusterer.points_processed(), 2000u);
   EXPECT_EQ(clusterer.name(), "ShardedUMicro(2)");
+}
+
+/// Asserts that two cluster sets are bit-identical (ids, creation
+/// times and every ECF statistic).
+void ExpectSameClusters(const std::vector<core::MicroCluster>& expected,
+                        const std::vector<core::MicroCluster>& actual,
+                        std::size_t dimensions) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& a = expected[i];
+    const auto& b = actual[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.creation_time, b.creation_time);
+    EXPECT_EQ(a.ecf.weight(), b.ecf.weight());
+    for (std::size_t j = 0; j < dimensions; ++j) {
+      EXPECT_EQ(a.ecf.cf1()[j], b.ecf.cf1()[j]);
+      EXPECT_EQ(a.ecf.cf2()[j], b.ecf.cf2()[j]);
+      EXPECT_EQ(a.ecf.ef2()[j], b.ecf.ef2()[j]);
+    }
+  }
+}
+
+/// Drives a one-shard pipeline so that its batches are recycled: after
+/// every enqueue it waits until the worker has processed (and handed
+/// back) everything enqueued so far, so each later enqueue refills a
+/// spare buffer whose old points are overwritten in place.
+class PacedOneShardFeed {
+ public:
+  PacedOneShardFeed(ShardedUMicro* sharded, std::size_t producer_batch)
+      : sharded_(sharded), producer_batch_(producer_batch) {}
+
+  void Process(const stream::UncertainPoint& point) {
+    sharded_->Process(point);
+    if (++pending_ == producer_batch_) {
+      enqueued_ += pending_;
+      pending_ = 0;
+      WaitProcessed();
+    }
+  }
+
+  /// Accounts the partial batch a Flush or export just enqueued.
+  void NoteFlushed() {
+    enqueued_ += pending_;
+    pending_ = 0;
+  }
+
+ private:
+  void WaitProcessed() {
+    const obs::Counter& processed =
+        sharded_->metrics().GetCounter("parallel.shard0.points");
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (processed.value() < enqueued_) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::yield();
+    }
+  }
+
+  ShardedUMicro* sharded_;
+  std::size_t producer_batch_;
+  std::size_t pending_ = 0;
+  std::uint64_t enqueued_ = 0;
+};
+
+TEST(ShardedUMicroTest, RecycledPartialBatchesStayBitIdentical) {
+  const stream::Dataset dataset = synth::MakeSynDriftWorkload(6000, 0.5, 17);
+  const std::size_t dims = dataset.dimensions();
+  core::UMicro sequential(dims, MassConservingOptions(50));
+
+  ShardedUMicroOptions options;
+  options.umicro = MassConservingOptions(50);
+  options.num_shards = 1;
+  options.producer_batch = 16;
+  options.merge_every = 0;
+  ShardedUMicro sharded(dims, options);
+  PacedOneShardFeed feed(&sharded, options.producer_batch);
+
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const stream::UncertainPoint& point = dataset.points()[i];
+    sequential.Process(point);
+    feed.Process(point);
+    // Odd positions: each flush and export finds a recycled buffer
+    // partly refilled, with stale points beyond the fill.
+    if (i == 997 || i == 2500 || i == 4001) {
+      sharded.Flush();
+      feed.NoteFlushed();
+      ExpectSameClusters(sequential.clusters(), sharded.GlobalClusters(),
+                         dims);
+    }
+    if (i == 3333) {
+      const ShardedPipelineState state = sharded.ExportPipelineState();
+      feed.NoteFlushed();
+      ASSERT_EQ(state.shard_states.size(), 1u);
+      ExpectSameClusters(sequential.clusters(),
+                         state.shard_states[0].clusters, dims);
+      EXPECT_EQ(state.points_ingested, i + 1);
+    }
+  }
+  sharded.Flush();
+  EXPECT_GT(sequential.clusters_merged(), 0u);
+  ExpectSameClusters(sequential.clusters(), sharded.GlobalClusters(), dims);
+}
+
+TEST(ShardedUMicroTest, DropOldestDisplacesRecycledBatchesExactly) {
+  const stream::Dataset dataset = synth::MakeSynDriftWorkload(3000, 0.5, 23);
+  ShardedUMicroOptions options;
+  options.umicro = MassConservingOptions(30);
+  options.num_shards = 1;
+  options.queue_capacity = 1;
+  options.producer_batch = 8;
+  options.backpressure = BackpressurePolicy::kDropOldest;
+  options.merge_every = 0;
+  ShardedUMicro sharded(dataset.dimensions(), options);
+
+  // A slow worker keeps the one-slot queue full, so most enqueues
+  // displace a queued (often recycled) batch.
+  util::FailpointRegistry::Instance().Arm("parallel.worker.stall",
+                                          {.stall_millis = 1});
+  for (const auto& point : dataset.points()) sharded.Process(point);
+  util::FailpointRegistry::Instance().DisarmAll();
+  sharded.Flush();
+
+  obs::MetricsRegistry& metrics = sharded.metrics();
+  const std::uint64_t processed =
+      metrics.GetCounter("parallel.shard0.points").value();
+  const std::uint64_t dropped =
+      metrics.GetCounter("parallel.points_dropped").value();
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(processed + dropped, 3000u);
+  EXPECT_EQ(metrics.GetCounter("parallel.points_ingested").value(), 3000u);
+  const EcfTotals totals =
+      TotalsOf(sharded.GlobalClusters(), dataset.dimensions());
+  EXPECT_EQ(totals.n, static_cast<double>(processed));
+}
+
+TEST(ShardedUMicroTest, WorkerDeathWithRecycledBatchesInFlight) {
+  const stream::Dataset dataset = synth::MakeSynDriftWorkload(4000, 0.5, 29);
+  const std::size_t dims = dataset.dimensions();
+  core::UMicro sequential(dims, MassConservingOptions(50));
+  for (const auto& point : dataset.points()) sequential.Process(point);
+
+  ShardedUMicroOptions options;
+  options.umicro = MassConservingOptions(50);
+  options.num_shards = 1;
+  options.producer_batch = 16;
+  options.queue_capacity = 8;
+  options.merge_every = 0;
+  options.supervisor.enabled = true;
+  options.supervisor.poll_millis = 1;
+  ShardedUMicro sharded(dims, options);
+  PacedOneShardFeed feed(&sharded, options.producer_batch);
+
+  // The worker dies on its 6th pop and again on the first pop after 40
+  // batches: both times the popped batch is a recycled buffer the
+  // supervisor must apply as the orphan.
+  util::FailpointRegistry::Instance().Arm("parallel.worker.death",
+                                          {.skip = 5, .limit = 1});
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    if (i == 40 * options.producer_batch) {
+      util::FailpointRegistry::Instance().Arm("parallel.worker.death",
+                                              {.limit = 1});
+    }
+    feed.Process(dataset.points()[i]);
+  }
+  sharded.Flush();
+  util::FailpointRegistry::Instance().DisarmAll();
+
+  EXPECT_EQ(sharded.worker_restarts(), 2u);
+  EXPECT_EQ(sharded.metrics().GetCounter("parallel.shard0.points").value(),
+            4000u);
+  // The orphan is applied before the replacement pops anything, so the
+  // shard sees the stream in order: the sequential result, bit for bit.
+  ExpectSameClusters(sequential.clusters(), sharded.GlobalClusters(), dims);
 }
 
 }  // namespace
