@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "obs/scoped_timer.h"
 
@@ -57,11 +58,16 @@ void EngineCore::PublishStoreMetrics() {
 void EngineCore::TakeCadenceSnapshot() {
   const obs::ScopedTimer timer(snapshot_micros_);
   const std::uint64_t tick = next_tick_++;
-  Snapshot snapshot = online_.TakeSnapshot(last_timestamp_);
-  if (sink_ != nullptr) {
-    sink_->PublishSnapshot(store_.OrderOf(tick), snapshot);
+  if (sink_ == nullptr) {
+    store_.Insert(tick, online_.TakeSnapshot(last_timestamp_));
+  } else {
+    // One immutable frame: the store's ring head and the sink's ring
+    // hold the same object.
+    auto frame = std::make_shared<const Snapshot>(
+        online_.TakeSnapshot(last_timestamp_));
+    sink_->PublishSnapshot(tick, store_.OrderOf(tick), frame);
+    store_.Insert(tick, std::move(frame));
   }
-  store_.Insert(tick, std::move(snapshot));
   since_snapshot_ = 0;
   if (snapshots_taken_ != nullptr) snapshots_taken_->Increment();
   if (snapshots_stored_ != nullptr) {
@@ -117,7 +123,8 @@ std::optional<HorizonClustering> EngineCore::ClusterRecent(
 
 void EngineCore::Flush() {
   if (sink_ != nullptr && online_.points_processed() > 0) {
-    sink_->PublishCurrent(online_.TakeSnapshot(last_timestamp_));
+    sink_->PublishCurrent(
+        std::make_shared<const Snapshot>(online_.TakeSnapshot(last_timestamp_)));
   }
 }
 
@@ -125,12 +132,8 @@ void EngineCore::AttachSnapshotSink(SnapshotSink* sink) {
   if (sink == sink_) return;  // idempotent: never double-prime a sink
   sink_ = sink;
   if (sink_ == nullptr) return;
-  store_.ForEach([this](std::size_t order, const Snapshot& snapshot) {
-    sink_->PublishSnapshot(order, snapshot);
-  });
-  if (online_.points_processed() > 0) {
-    sink_->PublishCurrent(online_.TakeSnapshot(last_timestamp_));
-  }
+  store_.PrimeSink(*sink_);
+  Flush();
 }
 
 EngineState EngineCore::ExportState() const {

@@ -170,20 +170,44 @@ void SnapshotStore::EncodeDelta(EncodedFrame& frame, const Snapshot& parent) {
   parent_by_id.reserve(parent.clusters.size());
   for (const auto& state : parent.clusters) parent_by_id.emplace(state.id, &state);
 
-  frame.ids.reserve(frame.full.size());
-  for (auto& state : frame.full) {
+  // A store-owned frame was created mutable by Insert(tick, Snapshot) and
+  // nothing else references it, so its changed clusters are moved out. A
+  // frame shared with a sink stays intact for its readers: copy instead.
+  Snapshot* owned =
+      frame.store_owned ? const_cast<Snapshot*>(frame.full.get()) : nullptr;
+  const std::vector<MicroClusterState>& clusters = frame.full->clusters;
+  frame.ids.reserve(clusters.size());
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    const MicroClusterState& state = clusters[i];
     frame.ids.push_back(state.id);
     auto it = parent_by_id.find(state.id);
     if (it == parent_by_id.end() || !BitIdentical(state, *it->second)) {
-      frame.changed.push_back(std::move(state));
+      if (owned != nullptr) {
+        frame.changed.push_back(std::move(owned->clusters[i]));
+      } else {
+        frame.changed.push_back(state);
+      }
     }
   }
-  frame.full.clear();
-  frame.full.shrink_to_fit();
+  frame.full.reset();
+  frame.store_owned = false;
   frame.encoding = FrameEncoding::kDelta;
 }
 
 void SnapshotStore::Insert(std::uint64_t tick, Snapshot snapshot) {
+  InsertFrame(tick, std::make_shared<Snapshot>(std::move(snapshot)),
+              /*store_owned=*/true);
+}
+
+void SnapshotStore::Insert(std::uint64_t tick,
+                           std::shared_ptr<const Snapshot> snapshot) {
+  UMICRO_CHECK(snapshot != nullptr);
+  InsertFrame(tick, std::move(snapshot), /*store_owned=*/false);
+}
+
+void SnapshotStore::InsertFrame(std::uint64_t tick,
+                                std::shared_ptr<const Snapshot> snapshot,
+                                bool store_owned) {
   UMICRO_CHECK_MSG(tick > last_tick_, "ticks must be strictly increasing");
   last_tick_ = tick;
   const std::size_t order = OrderOf(tick);
@@ -194,18 +218,19 @@ void SnapshotStore::Insert(std::uint64_t tick, Snapshot snapshot) {
   // previous head turns warm and keeps only what differs from it.
   if (tiering_.mode != SnapshotStoreMode::kFull && !ring.empty() &&
       ring.back().encoding == FrameEncoding::kFull) {
-    EncodeDelta(ring.back(), snapshot);
+    EncodeDelta(ring.back(), *snapshot);
   }
 
   EncodedFrame frame;
   frame.tick = tick;
-  frame.time = snapshot.time;
+  frame.time = snapshot->time;
   frame.encoding = FrameEncoding::kFull;
-  frame.cluster_count = snapshot.clusters.size();
-  frame.dims = snapshot.clusters.empty()
+  frame.cluster_count = snapshot->clusters.size();
+  frame.dims = snapshot->clusters.empty()
                    ? 0
-                   : snapshot.clusters.front().ecf.dimensions();
-  frame.full = std::move(snapshot.clusters);
+                   : snapshot->clusters.front().ecf.dimensions();
+  frame.full = std::move(snapshot);
+  frame.store_owned = store_owned;
   ring.push_back(std::move(frame));
   if (ring.size() > capacity_per_order_) EvictFront(ring);
   EnforceBudget();
@@ -221,12 +246,8 @@ void SnapshotStore::EvictFront(std::deque<EncodedFrame>& ring) {
 std::optional<Snapshot> SnapshotStore::MaterializeSelfContained(
     const EncodedFrame& frame) const {
   switch (frame.encoding) {
-    case FrameEncoding::kFull: {
-      Snapshot out;
-      out.time = frame.time;
-      out.clusters = frame.full;
-      return out;
-    }
+    case FrameEncoding::kFull:
+      return *frame.full;
     case FrameEncoding::kQuantized:
       ++reconstructions_;
       return Widen(frame);
@@ -280,6 +301,7 @@ std::optional<Snapshot> SnapshotStore::MaterializeFrame(
 std::optional<Snapshot> SnapshotStore::FindAtOrBefore(double time) const {
   struct Candidate {
     double time;
+    std::uint64_t tick;
     std::size_t order;
     std::size_t index;
   };
@@ -287,12 +309,17 @@ std::optional<Snapshot> SnapshotStore::FindAtOrBefore(double time) const {
   for (std::size_t order = 0; order < orders_.size(); ++order) {
     const auto& ring = orders_[order];
     for (std::size_t i = 0; i < ring.size(); ++i) {
-      if (ring[i].time <= time) candidates.push_back({ring[i].time, order, i});
+      if (ring[i].time <= time) {
+        candidates.push_back({ring[i].time, ring[i].tick, order, i});
+      }
     }
   }
+  // Newest first, by (time, tick): equal-time frames (coarse input
+  // timestamps) resolve to the newest tick, as the read replica does.
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
-              return a.time > b.time;
+              if (a.time != b.time) return a.time > b.time;
+              return a.tick > b.tick;
             });
   // Skip-and-degrade: a frame whose spill file is gone is not an error,
   // the next-best retained frame answers instead.
@@ -307,6 +334,7 @@ std::optional<Snapshot> SnapshotStore::FindNearest(double time) const {
   struct Candidate {
     double diff;
     double time;
+    std::uint64_t tick;
     std::size_t order;
     std::size_t index;
   };
@@ -314,14 +342,15 @@ std::optional<Snapshot> SnapshotStore::FindNearest(double time) const {
   for (std::size_t order = 0; order < orders_.size(); ++order) {
     const auto& ring = orders_[order];
     for (std::size_t i = 0; i < ring.size(); ++i) {
-      candidates.push_back(
-          {std::abs(ring[i].time - time), ring[i].time, order, i});
+      candidates.push_back({std::abs(ring[i].time - time), ring[i].time,
+                            ring[i].tick, order, i});
     }
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
               if (a.diff != b.diff) return a.diff < b.diff;
-              return a.time > b.time;
+              if (a.time != b.time) return a.time > b.time;
+              return a.tick > b.tick;
             });
   for (const Candidate& c : candidates) {
     std::optional<Snapshot> snapshot = MaterializeIndex(orders_[c.order], c.index);
@@ -330,13 +359,22 @@ std::optional<Snapshot> SnapshotStore::FindNearest(double time) const {
   return std::nullopt;
 }
 
-void SnapshotStore::ForEach(
-    const std::function<void(std::size_t, const Snapshot&)>& fn) const {
+void SnapshotStore::PrimeSink(SnapshotSink& sink) {
   for (std::size_t order = 0; order < orders_.size(); ++order) {
-    const auto& ring = orders_[order];
+    auto& ring = orders_[order];
     for (std::size_t i = 0; i < ring.size(); ++i) {
-      std::optional<Snapshot> snapshot = MaterializeIndex(ring, i);
-      if (snapshot.has_value()) fn(order, *snapshot);
+      EncodedFrame& frame = ring[i];
+      std::shared_ptr<const Snapshot> shared;
+      if (frame.encoding == FrameEncoding::kFull) {
+        // The sink keeps this object: from now on it is immutable.
+        frame.store_owned = false;
+        shared = frame.full;
+      } else {
+        std::optional<Snapshot> snapshot = MaterializeIndex(ring, i);
+        if (!snapshot.has_value()) continue;
+        shared = std::make_shared<const Snapshot>(std::move(*snapshot));
+      }
+      sink.PublishSnapshot(frame.tick, order, std::move(shared));
     }
   }
 }
@@ -409,15 +447,11 @@ std::size_t SnapshotStore::FrameBytes(const EncodedFrame& frame) {
   std::size_t bytes = kFrameOverheadBytes;
   switch (frame.encoding) {
     case FrameEncoding::kFull:
-      for (const auto& state : frame.full) {
-        bytes += ExactClusterBytes(state.ecf.dimensions());
-      }
+      bytes += frame.cluster_count * ExactClusterBytes(frame.dims);
       break;
     case FrameEncoding::kDelta:
-      bytes += frame.ids.size() * sizeof(std::uint64_t);
-      for (const auto& state : frame.changed) {
-        bytes += ExactClusterBytes(state.ecf.dimensions());
-      }
+      bytes += frame.ids.size() * sizeof(std::uint64_t) +
+               frame.changed.size() * ExactClusterBytes(frame.dims);
       break;
     case FrameEncoding::kQuantized:
       bytes += frame.quant.ids.size() * sizeof(std::uint64_t);
@@ -480,7 +514,14 @@ SnapshotStoreState SnapshotStore::ExportState() const {
   state.l = l_;
   state.orders.reserve(orders_.size());
   for (const auto& ring : orders_) {
-    state.orders.emplace_back(ring.begin(), ring.end());
+    auto& frames = state.orders.emplace_back(ring.begin(), ring.end());
+    // A store-owned frame may still be moved from by a later re-encode;
+    // the exported state gets its own copy.
+    for (EncodedFrame& frame : frames) {
+      if (!frame.store_owned) continue;
+      frame.full = std::make_shared<const Snapshot>(*frame.full);
+      frame.store_owned = false;
+    }
   }
   return state;
 }
@@ -536,7 +577,8 @@ bool SnapshotStore::RestoreState(const SnapshotStoreState& state,
       }
       switch (frame.encoding) {
         case FrameEncoding::kFull:
-          if (frame.full.size() != frame.cluster_count) {
+          if (frame.full == nullptr ||
+              frame.full->clusters.size() != frame.cluster_count) {
             return fail("full frame at tick " + std::to_string(frame.tick) +
                         " has inconsistent cluster count");
           }
@@ -582,6 +624,13 @@ bool SnapshotStore::RestoreState(const SnapshotStoreState& state,
   orders_.resize(state.orders.size());
   for (std::size_t i = 0; i < state.orders.size(); ++i) {
     orders_[i].assign(state.orders[i].begin(), state.orders[i].end());
+    for (EncodedFrame& frame : orders_[i]) {
+      if (frame.encoding != FrameEncoding::kFull) continue;
+      auto copy = std::make_shared<Snapshot>(*frame.full);
+      copy->time = frame.time;
+      frame.full = std::move(copy);
+      frame.store_owned = true;
+    }
   }
   return true;
 }

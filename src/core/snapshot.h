@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -136,8 +137,15 @@ struct EncodedFrame {
   std::size_t cluster_count = 0;
   /// Point dimensionality of the frame's clusters (0 when empty).
   std::size_t dims = 0;
-  /// kFull payload.
-  std::vector<MicroClusterState> full;
+  /// kFull payload: the immutable frame itself, shared with every sink
+  /// it was published to (a replica's ring holds the same object).
+  std::shared_ptr<const Snapshot> full;
+  /// kFull only: the store holds the sole reference to `full` (it was
+  /// inserted by value and never handed out), so re-encoding it as a
+  /// delta may move clusters out instead of copying them. Set once, by
+  /// the store, when the frame enters a ring; exported frames never
+  /// carry it.
+  bool store_owned = false;
   /// kDelta payload: the frame's full id sequence plus the entries whose
   /// bit pattern differs from the parent frame's same-id entry.
   std::vector<std::uint64_t> ids;
@@ -184,20 +192,24 @@ struct SnapshotTierStats {
 ///
 /// Engines call this on the ingest/coordinator thread, never
 /// concurrently with itself; implementations make the published state
-/// visible to readers on other threads (see serve/replica.h).
+/// visible to readers on other threads (see serve/replica.h). Frames
+/// arrive as immutable shared objects: a sink keeps the pointer it is
+/// given, so publishing never copies a frame.
 class SnapshotSink {
  public:
   virtual ~SnapshotSink() = default;
 
-  /// A pyramidal-cadence snapshot was just stored at ring `order`
-  /// (SnapshotStore::OrderOf of its tick). Entering the same order with
-  /// the same retention reproduces the store's ring contents exactly.
-  virtual void PublishSnapshot(std::size_t order, const Snapshot& snapshot) = 0;
+  /// A pyramidal-cadence snapshot taken at clock `tick` was just stored
+  /// at ring `order` (SnapshotStore::OrderOf(tick)). Entering the same
+  /// order with the same retention reproduces the store's ring contents
+  /// exactly; the tick breaks ties between frames of equal time.
+  virtual void PublishSnapshot(std::uint64_t tick, std::size_t order,
+                               std::shared_ptr<const Snapshot> snapshot) = 0;
 
   /// A fresh off-cadence view of the live state (attach / flush /
   /// quiesce): becomes the replica's "current" snapshot but does not
   /// enter pyramidal retention.
-  virtual void PublishCurrent(const Snapshot& snapshot) = 0;
+  virtual void PublishCurrent(std::shared_ptr<const Snapshot> snapshot) = 0;
 };
 
 /// Pyramidal retention store for snapshots, with tiered frame storage.
@@ -213,29 +225,39 @@ class SnapshotStore {
   /// Stores `snapshot`, which was taken at integer clock `tick` >= 1.
   /// Ticks must be inserted in increasing order. In delta/tiered modes
   /// the ring's previous head is re-encoded against the new frame.
+  ///
+  /// Ownership rule: a frame inserted by value is store-owned, so its
+  /// re-encoding moves clusters out of it; a frame inserted as a shared
+  /// pointer (one that was also handed to a sink) is never mutated, and
+  /// its re-encoding copies the changed clusters instead.
   void Insert(std::uint64_t tick, Snapshot snapshot);
+  void Insert(std::uint64_t tick, std::shared_ptr<const Snapshot> snapshot);
 
   /// Highest-order snapshot classification of `tick` (largest i with
   /// alpha^i dividing tick); exposed for tests.
   std::size_t OrderOf(std::uint64_t tick) const;
 
-  /// Snapshot whose time is closest to `time` from below (<= time).
-  /// Frames whose spill file is missing/corrupt are skipped (the next
-  /// best candidate answers instead) and counted as spill_failures.
+  /// Snapshot whose time is closest to `time` from below (<= time);
+  /// among frames of equal time the newest tick wins. Frames whose spill
+  /// file is missing/corrupt are skipped (the next best candidate
+  /// answers instead) and counted as spill_failures.
   std::optional<Snapshot> FindAtOrBefore(double time) const;
 
-  /// Snapshot whose time is nearest to `time` in absolute difference,
-  /// with the same skip-and-degrade behaviour on spill failures.
+  /// Snapshot whose time is nearest to `time` in absolute difference
+  /// (ties: the later time, then the newest tick), with the same
+  /// skip-and-degrade behaviour on spill failures.
   std::optional<Snapshot> FindNearest(double time) const;
 
   /// Total number of snapshots currently retained (storage-cost metric).
   std::size_t TotalStored() const;
 
-  /// Visits every retained snapshot as (order, snapshot), oldest first
-  /// within each order ring (replica priming after recovery/attach).
-  /// Frames that fail to materialize (lost spill files) are skipped.
-  void ForEach(
-      const std::function<void(std::size_t, const Snapshot&)>& fn) const;
+  /// Primes `sink` with every retained frame as PublishSnapshot(tick,
+  /// order, frame), oldest first within each order ring (attach after
+  /// recovery). A kFull frame is handed over as the store's own shared
+  /// frame and is no longer store-owned afterwards; other encodings are
+  /// materialized into a new frame. Frames that fail to materialize
+  /// (lost spill files) are skipped.
+  void PrimeSink(SnapshotSink& sink);
 
   /// Number of order levels currently in use.
   std::size_t NumOrders() const { return orders_.size(); }
@@ -268,16 +290,20 @@ class SnapshotStore {
   /// Active tiering configuration.
   const SnapshotTiering& tiering() const { return tiering_; }
 
-  /// Storage-tier accounting (byte totals recomputed on call; counters
-  /// are cumulative since construction/restore).
+  /// Storage-tier accounting. Byte totals are recomputed on call from
+  /// each frame's header (cluster count, dims, payload sizes), O(frames)
+  /// and independent of the cluster count; counters are cumulative since
+  /// construction/restore.
   SnapshotTierStats TierStats() const;
 
   /// Captures the complete retention state for checkpointing. Frames are
-  /// exported in their encoded form (deltas stay deltas).
+  /// exported in their encoded form (deltas stay deltas); a kFull frame
+  /// already shared with a sink is exported as the same immutable object,
+  /// a store-owned one as a copy.
   SnapshotStoreState ExportState() const;
 
-  /// Restores a previously exported state, replacing current contents.
-  /// Fails fast (returning false, with a diagnostic in `*error` when
+  /// Restores a previously exported state, replacing current contents
+  /// (kFull frames are copied in and become store-owned). Fails fast (returning false, with a diagnostic in `*error` when
   /// non-null) if the state was exported under a different alpha/l or
   /// violates ring invariants -- restoring such a state would silently
   /// truncate or overfill the order rings. On failure the store is left
@@ -287,8 +313,14 @@ class SnapshotStore {
 
  private:
   /// Re-encodes the given kFull frame as a delta against `parent` (the
-  /// next-newer frame's materialized contents).
+  /// next-newer frame's materialized contents): moves the changed
+  /// clusters out of a store-owned frame, copies them from a shared one.
   static void EncodeDelta(EncodedFrame& frame, const Snapshot& parent);
+
+  /// Appends `snapshot` as the new head of its order ring, re-encoding
+  /// the previous head and enforcing retention and budget.
+  void InsertFrame(std::uint64_t tick,
+                   std::shared_ptr<const Snapshot> snapshot, bool store_owned);
 
   /// Materializes a frame that does not depend on a parent (kFull,
   /// kQuantized, kSpilled). nullopt on spill read failure.
@@ -310,7 +342,9 @@ class SnapshotStore {
   /// Drops the oldest frame of `ring`, deleting its spill file if any.
   void EvictFront(std::deque<EncodedFrame>& ring);
 
-  /// Approximate resident bytes of one encoded frame.
+  /// Approximate resident bytes of one encoded frame, from its header:
+  /// O(1), equal to summing every cluster's bytes since a frame has a
+  /// single dimensionality.
   static std::size_t FrameBytes(const EncodedFrame& frame);
 
   /// Bytes the frame would occupy in the full-array store.

@@ -224,18 +224,25 @@ double UMicro::UncertaintyBoundary(std::size_t index) const {
   // stays inside this cluster's Voronoi cell. With no other cluster to
   // measure against the boundary is 0: a lone singleton absorbs only
   // exact duplicates and the cluster set can grow from the start.
+  // Reads the table's bit-identical cf1/weight mirrors (contiguous rows)
+  // and divides this cluster's centroid out once, not once per row.
   double nearest = 0.0;
   if (clusters_.size() > 1) {
     double nearest_d2 = std::numeric_limits<double>::infinity();
-    const double n_self = cluster.ecf.weight();
-    const double* cf1_self = cluster.ecf.cf1().data();
+    const double n_self = table_.weight(index);
+    const double* cf1_self = table_.cf1_row(index);
+    boundary_scratch_.resize(dimensions_);
+    double* centroid_self = boundary_scratch_.data();
+    for (std::size_t j = 0; j < dimensions_; ++j) {
+      centroid_self[j] = cf1_self[j] / n_self;
+    }
     for (std::size_t i = 0; i < clusters_.size(); ++i) {
       if (i == index) continue;
-      const double n_other = clusters_[i].ecf.weight();
-      const double* cf1_other = clusters_[i].ecf.cf1().data();
+      const double n_other = table_.weight(i);
+      const double* cf1_other = table_.cf1_row(i);
       double d2 = 0.0;
       for (std::size_t j = 0; j < dimensions_; ++j) {
-        const double diff = cf1_self[j] / n_self - cf1_other[j] / n_other;
+        const double diff = centroid_self[j] - cf1_other[j] / n_other;
         d2 += diff * diff;
       }
       nearest_d2 = std::min(nearest_d2, d2);
@@ -246,7 +253,7 @@ double UMicro::UncertaintyBoundary(std::size_t index) const {
 }
 
 bool UMicro::ShouldAbsorb(const stream::UncertainPoint& point,
-                          std::size_t index) const {
+                          std::size_t index, double expected_distance) const {
   const MicroCluster& cluster = clusters_[index];
   const double boundary = UncertaintyBoundary(index);
 
@@ -255,8 +262,7 @@ bool UMicro::ShouldAbsorb(const stream::UncertainPoint& point,
     // standard deviations of the expected point-to-centroid distances
     // (Eq. 6). Under strong noise this over-absorbs, since the boundary
     // carries t^2 times the error mass the distance does.
-    return std::sqrt(ExpectedSquaredDistance(point, cluster.ecf)) <=
-           boundary;
+    return expected_distance <= boundary;
   }
 
   // Bias-corrected (default): the geometric distance between the
@@ -309,7 +315,7 @@ UMicro::ProcessOutcome UMicro::ProcessOne(const stream::UncertainPoint& point,
     const std::size_t closest = FindClosest(point);
     outcome.expected_distance =
         std::sqrt(ExpectedSquaredDistance(point, clusters_[closest].ecf));
-    if (ShouldAbsorb(point, closest)) {
+    if (ShouldAbsorb(point, closest, outcome.expected_distance)) {
       if (assign_index_ != nullptr) {
         // Folding a unit-weight point moves the centroid by exactly
         // ||x - c_old|| / (n + 1) (real arithmetic); report it before

@@ -239,8 +239,10 @@ class UMicro : public stream::StreamClusterer {
   /// (Figure 1's absorb-or-create decision). Mature clusters compare the
   /// expected distance against t*U; near-singletons compare the
   /// error-stripped geometric distance against the Voronoi fallback.
-  bool ShouldAbsorb(const stream::UncertainPoint& point,
-                    std::size_t index) const;
+  /// `expected_distance` is sqrt(ExpectedSquaredDistance(point, cluster
+  /// `index`)), which the caller has already computed.
+  bool ShouldAbsorb(const stream::UncertainPoint& point, std::size_t index,
+                    double expected_distance) const;
 
   /// Applies pending exponential decay to every cluster (lazy, single
   /// shared rate: all statistics scale by 2^(-lambda * dt)).
@@ -271,6 +273,9 @@ class UMicro : public stream::StreamClusterer {
   mutable kernels::PointContext point_ctx_;
   /// Per-cluster scores (votes or distances) of the current scan.
   mutable std::vector<double> scores_scratch_;
+  /// Centroid of the near-singleton whose fallback boundary is being
+  /// measured (UncertaintyBoundary).
+  mutable std::vector<double> boundary_scratch_;
   /// Candidate index over table_'s centroids (null = always full scan).
   /// Mutable: Collect lazily rebuilds and tallies stats inside the
   /// logically-const FindClosest.

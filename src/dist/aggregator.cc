@@ -395,17 +395,17 @@ void Aggregator::RebuildMergedViewLocked() {
   // Publish to the replica the query broker reads. state_mu_ serializes
   // every publication, honoring the SnapshotSink single-publisher
   // contract.
-  core::Snapshot snapshot;
-  snapshot.time = merged_time_;
-  snapshot.clusters.reserve(merged_.size());
+  auto snapshot = std::make_shared<core::Snapshot>();
+  snapshot->time = merged_time_;
+  snapshot->clusters.reserve(merged_.size());
   for (const core::MicroCluster& cluster : merged_) {
     core::MicroClusterState frozen;
     frozen.id = cluster.id;
     frozen.creation_time = cluster.creation_time;
     frozen.ecf = cluster.ecf;
-    snapshot.clusters.push_back(std::move(frozen));
+    snapshot->clusters.push_back(std::move(frozen));
   }
-  replica_.PublishCurrent(snapshot);
+  replica_.PublishCurrent(std::move(snapshot));
 }
 
 std::uint64_t Aggregator::total_points() const {

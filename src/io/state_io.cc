@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -345,7 +346,7 @@ void AppendSnapshotStoreState(std::ostringstream& out,
           << frame.cluster_count << ' ' << frame.dims << "\n";
       switch (frame.encoding) {
         case core::FrameEncoding::kFull:
-          for (const auto& cluster : frame.full) {
+          for (const auto& cluster : frame.full->clusters) {
             AppendClusterState(out, cluster);
           }
           break;
@@ -404,12 +405,15 @@ bool ParseEncodedFrame(std::istream& in, std::size_t engine_dims,
   }
   if (tag == "full") {
     frame.encoding = core::FrameEncoding::kFull;
-    frame.full.reserve(frame.cluster_count);
+    auto full = std::make_shared<core::Snapshot>();
+    full->time = frame.time;
+    full->clusters.reserve(frame.cluster_count);
     for (std::size_t c = 0; c < frame.cluster_count; ++c) {
       core::MicroClusterState cluster;
       if (!ParseClusterState(in, frame.dims, &cluster)) return false;
-      frame.full.push_back(std::move(cluster));
+      full->clusters.push_back(std::move(cluster));
     }
+    frame.full = std::move(full);
   } else if (tag == "delta") {
     frame.encoding = core::FrameEncoding::kDelta;
     std::string key;

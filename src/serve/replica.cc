@@ -30,20 +30,23 @@ SnapshotReadReplica::SnapshotReadReplica(const core::SnapshotPolicy& policy,
   UMICRO_CHECK(decay_lambda >= 0.0);
 }
 
-void SnapshotReadReplica::PublishSnapshot(std::size_t order,
-                                          const core::Snapshot& snapshot) {
-  auto shared = std::make_shared<const core::Snapshot>(snapshot);
+void SnapshotReadReplica::PublishSnapshot(
+    std::uint64_t tick, std::size_t order,
+    std::shared_ptr<const core::Snapshot> snapshot) {
+  UMICRO_CHECK(snapshot != nullptr);
   if (order >= orders_.size()) orders_.resize(order + 1);
   auto& ring = orders_[order];
-  ring.push_back(shared);
+  ring.push_back({tick, snapshot});
   if (ring.size() > capacity_per_order_) ring.pop_front();
   // A cadence snapshot is also the freshest view of the live state.
-  current_ = std::move(shared);
+  current_ = std::move(snapshot);
   InstallState();
 }
 
-void SnapshotReadReplica::PublishCurrent(const core::Snapshot& snapshot) {
-  current_ = std::make_shared<const core::Snapshot>(snapshot);
+void SnapshotReadReplica::PublishCurrent(
+    std::shared_ptr<const core::Snapshot> snapshot) {
+  UMICRO_CHECK(snapshot != nullptr);
+  current_ = std::move(snapshot);
   InstallState();
 }
 
@@ -57,8 +60,15 @@ void SnapshotReadReplica::InstallState() {
   for (const auto& ring : orders_) {
     next->history.insert(next->history.end(), ring.begin(), ring.end());
   }
+  // (time, tick) order, as SnapshotStore: frames of equal time (coarse
+  // input timestamps) resolve to the newest tick.
   std::sort(next->history.begin(), next->history.end(),
-            [](const auto& a, const auto& b) { return a->time < b->time; });
+            [](const ReplicaFrame& a, const ReplicaFrame& b) {
+              if (a.snapshot->time != b.snapshot->time) {
+                return a.snapshot->time < b.snapshot->time;
+              }
+              return a.tick < b.tick;
+            });
   std::shared_ptr<const ReplicaState> installed(std::move(next));
   std::lock_guard<std::mutex> lock(state_mu_);
   state_.swap(installed);
@@ -72,9 +82,9 @@ std::shared_ptr<const ReplicaState> SnapshotReadReplica::Acquire() const {
 const core::Snapshot* SnapshotReadReplica::FindAtOrBefore(
     const ReplicaState& state, double time) {
   const core::Snapshot* best = nullptr;
-  for (const auto& snapshot : state.history) {
-    if (snapshot->time > time) break;  // history is ascending by time
-    best = snapshot.get();
+  for (const ReplicaFrame& frame : state.history) {
+    if (frame.snapshot->time > time) break;  // history is ascending
+    best = frame.snapshot.get();
   }
   return best;
 }
@@ -83,10 +93,12 @@ const core::Snapshot* SnapshotReadReplica::FindNearest(
     const ReplicaState& state, double time) {
   const core::Snapshot* best = nullptr;
   double best_diff = 0.0;
-  for (const auto& snapshot : state.history) {
-    const double diff = std::abs(snapshot->time - time);
-    if (best == nullptr || diff < best_diff) {
-      best = snapshot.get();
+  for (const ReplicaFrame& frame : state.history) {
+    // `<=`: on ties the later history entry -- later time, then newer
+    // tick -- wins, matching SnapshotStore::FindNearest.
+    const double diff = std::abs(frame.snapshot->time - time);
+    if (best == nullptr || diff <= best_diff) {
+      best = frame.snapshot.get();
       best_diff = diff;
     }
   }

@@ -1,19 +1,23 @@
 // SnapshotReadReplica: the immutable published view query threads read.
 //
 // The engine (one coordinator thread) publishes on snapshot cadence via
-// the core::SnapshotSink interface; each publication builds a fresh
-// ReplicaState -- a copy-on-publish value that shares the unchanged
-// Snapshot objects with its predecessors through shared_ptr -- and
-// swaps it in under a pointer-sized critical section. Readers Acquire()
+// the core::SnapshotSink interface, handing over the same immutable
+// frame its own snapshot store keeps (no copy on the publish path);
+// each publication builds a fresh ReplicaState -- a copy-on-publish
+// value that shares the Snapshot objects with its predecessors and with
+// the store through shared_ptr -- and swaps it in under a pointer-sized
+// critical section. Readers Acquire()
 // a shared_ptr copy and keep a consistent view for as long as they hold
 // it, no matter how many publications happen meanwhile. No lock is ever
 // held across a query or across snapshot construction; the only point
 // where ingest and readers can touch is the one-pointer swap/copy.
 //
 // The replica mirrors the engine store's pyramidal retention exactly
-// (same per-order rings, same capacity), so the snapshot a replica
-// query selects is the same one an in-process ClusterRecent would
-// select -- the quiesced-equality guarantee the serve tests assert.
+// (same per-order rings, same capacity) and orders frames by (time,
+// tick) as the store does, so the snapshot a replica query selects is
+// the same one an in-process ClusterRecent would select, even among
+// frames of equal time -- the quiesced-equality guarantee the serve
+// tests assert.
 
 #ifndef UMICRO_SERVE_REPLICA_H_
 #define UMICRO_SERVE_REPLICA_H_
@@ -29,6 +33,13 @@
 
 namespace umicro::serve {
 
+/// One retained cadence frame: its engine clock tick and the shared,
+/// immutable snapshot.
+struct ReplicaFrame {
+  std::uint64_t tick = 0;
+  std::shared_ptr<const core::Snapshot> snapshot;
+};
+
 /// One published, immutable view of the engine's snapshot state.
 struct ReplicaState {
   /// Monotone publication sequence number (0 = never published).
@@ -36,9 +47,10 @@ struct ReplicaState {
   /// The freshest view of the live micro-cluster set; null before any
   /// data has been published.
   std::shared_ptr<const core::Snapshot> current;
-  /// Pyramid-retained snapshot history, ascending by time. Entries are
-  /// shared with earlier/later states; only the vector is per-state.
-  std::vector<std::shared_ptr<const core::Snapshot>> history;
+  /// Pyramid-retained snapshot history, ascending by (time, tick).
+  /// Snapshots are shared with earlier/later states and with the engine
+  /// store; only the vector is per-state.
+  std::vector<ReplicaFrame> history;
 };
 
 /// Copy-on-publish snapshot replica behind a guarded shared_ptr swap.
@@ -51,9 +63,9 @@ class SnapshotReadReplica : public core::SnapshotSink {
                       double decay_lambda);
 
   // core::SnapshotSink (engine thread only).
-  void PublishSnapshot(std::size_t order,
-                       const core::Snapshot& snapshot) override;
-  void PublishCurrent(const core::Snapshot& snapshot) override;
+  void PublishSnapshot(std::uint64_t tick, std::size_t order,
+                       std::shared_ptr<const core::Snapshot> snapshot) override;
+  void PublishCurrent(std::shared_ptr<const core::Snapshot> snapshot) override;
 
   /// The current published state (never null; publish_seq == 0 and a
   /// null `current` before the first publication). Safe from any thread;
@@ -66,11 +78,13 @@ class SnapshotReadReplica : public core::SnapshotSink {
   /// Publications so far.
   std::uint64_t publish_seq() const { return publish_seq_; }
 
-  /// Latest history snapshot at or before `time`; nullptr if none.
+  /// Latest history snapshot at or before `time` (the newest tick among
+  /// equal times); nullptr if none.
   static const core::Snapshot* FindAtOrBefore(const ReplicaState& state,
                                               double time);
 
-  /// History snapshot nearest to `time`; nullptr on empty history.
+  /// History snapshot nearest to `time` (ties: the later time, then the
+  /// newest tick); nullptr on empty history.
   static const core::Snapshot* FindNearest(const ReplicaState& state,
                                            double time);
 
@@ -83,7 +97,7 @@ class SnapshotReadReplica : public core::SnapshotSink {
   const double decay_lambda_;
   /// Writer-side retention rings (engine thread only), mirroring
   /// SnapshotStore: orders_[i] holds order-i snapshots, oldest first.
-  std::vector<std::deque<std::shared_ptr<const core::Snapshot>>> orders_;
+  std::vector<std::deque<ReplicaFrame>> orders_;
   std::shared_ptr<const core::Snapshot> current_;
   std::uint64_t publish_seq_ = 0;
   /// Guards only the `state_` pointer itself. Held for one shared_ptr

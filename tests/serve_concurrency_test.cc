@@ -9,7 +9,12 @@
 //   * queries racing ingest never crash, never block ingest, and every
 //     answer is internally consistent (run under TSan in CI);
 //   * the replica state a reader holds never mutates, no matter how
-//     many publications happen meanwhile.
+//     many publications happen meanwhile;
+//   * publishing never copies a frame: the replica's history holds the
+//     very objects that are the store's full ring heads, and a published
+//     frame stays intact when the store re-encodes its own entry;
+//   * frames of equal time resolve to the newest tick in the store and
+//     the replica alike.
 
 #include <algorithm>
 #include <atomic>
@@ -24,6 +29,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/engine_core.h"
+#include "io/snapshot_io.h"
 #include "parallel/parallel_engine.h"
 #include "serve/query_broker.h"
 #include "serve/replica.h"
@@ -212,13 +219,13 @@ TEST(ReplicaTest, AcquiredStateIsImmutableAcrossPublishes) {
   policy.snapshot_every = 10;
   SnapshotReadReplica replica(policy, 0.0);
 
-  core::Snapshot first;
-  first.time = 10.0;
+  auto first = std::make_shared<core::Snapshot>();
+  first->time = 10.0;
   core::ErrorClusterFeature ecf(1);
   ecf.AddPoint(UncertainPoint(std::vector<double>{1.0},
                               std::vector<double>{0.1}, 10.0));
-  first.clusters.push_back({1, 0.0, ecf});
-  replica.PublishSnapshot(1, first);
+  first->clusters.push_back({1, 0.0, ecf});
+  replica.PublishSnapshot(1, 1, first);
   replica.PublishCurrent(first);
 
   const auto held = replica.Acquire();
@@ -227,10 +234,11 @@ TEST(ReplicaTest, AcquiredStateIsImmutableAcrossPublishes) {
   const double held_time = held->current->time;
 
   for (int i = 2; i <= 40; ++i) {
-    core::Snapshot next;
-    next.time = 10.0 * i;
-    next.clusters.push_back({1, 0.0, ecf});
-    replica.PublishSnapshot(static_cast<std::size_t>(i % 3), next);
+    auto next = std::make_shared<core::Snapshot>();
+    next->time = 10.0 * i;
+    next->clusters.push_back({1, 0.0, ecf});
+    replica.PublishSnapshot(static_cast<std::uint64_t>(i),
+                            static_cast<std::size_t>(i % 3), next);
     replica.PublishCurrent(next);
   }
 
@@ -252,10 +260,10 @@ TEST(ReplicaTest, RetentionMirrorsSnapshotStore) {
   ecf.AddPoint(UncertainPoint(std::vector<double>{0.5},
                               std::vector<double>{0.1}, 1.0));
   for (std::uint64_t tick = 1; tick <= 500; ++tick) {
-    core::Snapshot snapshot;
-    snapshot.time = static_cast<double>(tick);
-    snapshot.clusters.push_back({1, 0.0, ecf});
-    replica.PublishSnapshot(store.OrderOf(tick), snapshot);
+    auto snapshot = std::make_shared<core::Snapshot>();
+    snapshot->time = static_cast<double>(tick);
+    snapshot->clusters.push_back({1, 0.0, ecf});
+    replica.PublishSnapshot(tick, store.OrderOf(tick), snapshot);
     store.Insert(tick, std::move(snapshot));
   }
 
@@ -270,6 +278,209 @@ TEST(ReplicaTest, RetentionMirrorsSnapshotStore) {
       EXPECT_EQ(from_store->time, from_replica->time) << t;
     }
   }
+}
+
+/// Store frame of `tick` (any order), or nullptr.
+const core::EncodedFrame* StoreFrame(const core::SnapshotStore& store,
+                                     std::uint64_t tick) {
+  for (std::size_t order = 0; order < store.NumOrders(); ++order) {
+    for (std::size_t i = 0; i < store.OrderSize(order); ++i) {
+      if (store.FrameAt(order, i).tick == tick) return &store.FrameAt(order, i);
+    }
+  }
+  return nullptr;
+}
+
+/// Publishing shares, never copies: every replica history entry whose
+/// store frame is still a full head is that very object, on the cadence
+/// path and after attach-time priming alike.
+TEST(ReplicaTest, HistorySharesTheStoresFullFrames) {
+  for (const auto mode :
+       {core::SnapshotStoreMode::kFull, core::SnapshotStoreMode::kDelta}) {
+    core::EngineOptions options = SmallEngineOptions(0.0);
+    options.snapshot.tiering.mode = mode;
+    const auto points = MakeStream(3000, 5);
+    core::EngineCore live(2, options);
+    SnapshotReadReplica live_replica(options.snapshot, 0.0);
+    live.AttachSnapshotSink(&live_replica);
+    core::EngineCore primed(2, options);
+    primed.ProcessBatch(points);
+    live.ProcessBatch(points);
+    SnapshotReadReplica primed_replica(options.snapshot, 0.0);
+    primed.AttachSnapshotSink(&primed_replica);
+
+    for (const auto& [engine, replica] :
+         {std::pair(&live, &live_replica),
+          std::pair(&primed, &primed_replica)}) {
+      const core::SnapshotStore& store = engine->store();
+      const auto state = replica->Acquire();
+      ASSERT_EQ(state->history.size(), store.TotalStored());
+      std::size_t shared_heads = 0;
+      for (const ReplicaFrame& entry : state->history) {
+        const core::EncodedFrame* frame = StoreFrame(store, entry.tick);
+        ASSERT_NE(frame, nullptr) << "tick " << entry.tick;
+        EXPECT_EQ(frame->time, entry.snapshot->time);
+        if (frame->encoding != core::FrameEncoding::kFull) continue;
+        EXPECT_EQ(frame->full.get(), entry.snapshot.get())
+            << "tick " << entry.tick;
+        ++shared_heads;
+      }
+      EXPECT_GT(shared_heads, 0u);
+    }
+    // On the cadence path the newest frame is also the "current" view.
+    EXPECT_EQ(live_replica.Acquire()->current.get(),
+              live_replica.Acquire()->history.back().snapshot.get());
+  }
+}
+
+/// A frame handed to a sink is immutable: when the delta store re-encodes
+/// its own entry for that tick (moving clusters out of frames only it
+/// owns), the replica's object keeps every bit -- whether the frame was
+/// published on cadence or handed over by attach-time priming.
+void ExpectPublishedFrameSurvivesDeltaReencode(bool prime) {
+  core::EngineOptions options = SmallEngineOptions(0.0);
+  options.snapshot.tiering.mode = core::SnapshotStoreMode::kDelta;
+  core::EngineCore engine(2, options);
+  SnapshotReadReplica replica(options.snapshot, 0.0);
+  if (!prime) engine.AttachSnapshotSink(&replica);
+  const auto points = MakeStream(2000, 23);
+  engine.ProcessBatch(std::span(points).first(64 * 4));
+  if (prime) engine.AttachSnapshotSink(&replica);
+
+  const auto held = replica.Acquire()->history.back();
+  const std::string before = io::SnapshotToString(*held.snapshot);
+  const core::EncodedFrame* head = StoreFrame(engine.store(), held.tick);
+  ASSERT_NE(head, nullptr);
+  ASSERT_EQ(head->encoding, core::FrameEncoding::kFull);
+  ASSERT_EQ(head->full.get(), held.snapshot.get());
+
+  // Enough cadence snapshots that the ring re-encodes that head.
+  engine.ProcessBatch(std::span(points).subspan(64 * 4, 64 * 8));
+  const core::EncodedFrame* warm = StoreFrame(engine.store(), held.tick);
+  ASSERT_NE(warm, nullptr);
+  ASSERT_EQ(warm->encoding, core::FrameEncoding::kDelta);
+  EXPECT_EQ(io::SnapshotToString(*held.snapshot), before);
+  for (std::size_t order = 0; order < engine.store().NumOrders(); ++order) {
+    for (std::size_t i = 0; i < engine.store().OrderSize(order); ++i) {
+      if (engine.store().FrameAt(order, i).tick != held.tick) continue;
+      const auto materialized = engine.store().MaterializeFrame(order, i);
+      ASSERT_TRUE(materialized.has_value());
+      EXPECT_EQ(io::SnapshotToString(*materialized), before);
+    }
+  }
+
+  // A checkpoint copies store-owned frames and shares published ones.
+  const core::SnapshotStoreState exported = engine.store().ExportState();
+  for (const auto& ring : exported.orders) {
+    for (const auto& frame : ring) EXPECT_FALSE(frame.store_owned);
+  }
+}
+
+TEST(ReplicaTest, PublishedFrameSurvivesDeltaReencode) {
+  {
+    SCOPED_TRACE("cadence");
+    ExpectPublishedFrameSurvivesDeltaReencode(false);
+  }
+  {
+    SCOPED_TRACE("primed");
+    ExpectPublishedFrameSurvivesDeltaReencode(true);
+  }
+}
+
+/// Coarse timestamps give many cadence snapshots the same time. Among
+/// equal times the newest tick must win, in the store and the replica
+/// alike, so every horizon answer served from the replica is bitwise the
+/// engine's own: 100 points per timestamp, a snapshot every 10 points.
+TEST(ServeQuiescedEqualityTest, TiedSnapshotTimesPickTheSameTick) {
+  core::EngineOptions options = SmallEngineOptions(0.0);
+  options.snapshot.snapshot_every = 10;
+  core::EngineCore engine(2, options);
+  SnapshotReadReplica replica(options.snapshot, 0.0);
+  engine.AttachSnapshotSink(&replica);
+  auto points = MakeStream(2400, 41);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    points[i].timestamp = static_cast<double>(i / 100 + 1);
+  }
+  engine.ProcessBatch(points);
+  engine.Flush();
+
+  QueryBroker broker(&replica, {});
+  const auto state = replica.Acquire();
+  const core::SnapshotStore& store = engine.store();
+  std::size_t tied_picks = 0;
+  for (int step = 1; step <= 48; ++step) {
+    const double horizon = step == 48 ? 1e5 : 0.5 * step;
+    const double target = state->current->time - horizon;
+
+    // The frame both sides must pick: the newest tick among the latest
+    // time at or before the target, or -- when the horizon predates
+    // retention -- among the oldest retained time (the nearest).
+    const core::EncodedFrame* expected = nullptr;
+    bool at_or_before = false;
+    for (std::size_t order = 0; order < store.NumOrders(); ++order) {
+      for (std::size_t i = 0; i < store.OrderSize(order); ++i) {
+        at_or_before |= store.FrameAt(order, i).time <= target;
+      }
+    }
+    for (std::size_t order = 0; order < store.NumOrders(); ++order) {
+      for (std::size_t i = 0; i < store.OrderSize(order); ++i) {
+        const core::EncodedFrame& frame = store.FrameAt(order, i);
+        if (at_or_before && frame.time > target) continue;
+        if (expected == nullptr ||
+            (at_or_before ? frame.time > expected->time
+                          : frame.time < expected->time) ||
+            (frame.time == expected->time && frame.tick > expected->tick)) {
+          expected = &frame;
+        }
+      }
+    }
+    ASSERT_NE(expected, nullptr) << "horizon " << horizon;
+    std::size_t same_time = 0;
+    for (const ReplicaFrame& entry : state->history) {
+      same_time += entry.snapshot->time == expected->time;
+    }
+    tied_picks += same_time > 1;
+    const core::Snapshot* from_replica =
+        at_or_before ? SnapshotReadReplica::FindAtOrBefore(*state, target)
+                     : SnapshotReadReplica::FindNearest(*state, target);
+    ASSERT_NE(from_replica, nullptr);
+    const auto expected_entry = std::find_if(
+        state->history.begin(), state->history.end(),
+        [&](const ReplicaFrame& entry) { return entry.tick == expected->tick; });
+    ASSERT_NE(expected_entry, state->history.end());
+    EXPECT_EQ(from_replica, expected_entry->snapshot.get())
+        << "horizon " << horizon;
+    const auto from_store = at_or_before ? store.FindAtOrBefore(target)
+                                         : store.FindNearest(target);
+    ASSERT_TRUE(from_store.has_value());
+    EXPECT_EQ(io::SnapshotToString(*from_store),
+              io::SnapshotToString(*from_replica))
+        << "horizon " << horizon;
+
+    core::MacroClusteringOptions macro = QueryBrokerOptions{}.macro;
+    const auto engine_answer = engine.ClusterRecent(horizon, macro);
+    QueryRequest request;
+    request.kind = QueryRequest::Kind::kClusterRecent;
+    request.horizon = horizon;
+    const QueryResponse served = broker.Execute(request);
+    ASSERT_TRUE(served.ok);
+    ASSERT_EQ(served.clustering.has_value(), engine_answer.has_value())
+        << "horizon " << horizon;
+    if (!engine_answer.has_value()) continue;
+    EXPECT_EQ(served.clustering->realized_horizon,
+              engine_answer->realized_horizon);
+    core::Snapshot served_window{0.0, served.clustering->window};
+    core::Snapshot engine_window{0.0, engine_answer->window};
+    EXPECT_EQ(io::SnapshotToString(served_window),
+              io::SnapshotToString(engine_window))
+        << "horizon " << horizon;
+    EXPECT_EQ(served.clustering->macro.centroids,
+              engine_answer->macro.centroids)
+        << "horizon " << horizon;
+    EXPECT_EQ(served.clustering->macro.weighted_ssq,
+              engine_answer->macro.weighted_ssq);
+  }
+  EXPECT_GE(tied_picks, 10u);
 }
 
 /// The line protocol end to end over string streams: pipelined

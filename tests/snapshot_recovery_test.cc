@@ -111,8 +111,12 @@ void ExpectDegradedButAlive(EngineCore& engine, std::size_t dead_frames) {
     EXPECT_GT(result->macro.centroids.size(), 0u);
   }
   std::size_t visited = 0;
-  engine.store().ForEach(
-      [&visited](std::size_t, const Snapshot&) { ++visited; });
+  const SnapshotStore& store = engine.store();
+  for (std::size_t order = 0; order < store.NumOrders(); ++order) {
+    for (std::size_t i = 0; i < store.OrderSize(order); ++i) {
+      visited += store.MaterializeFrame(order, i).has_value();
+    }
+  }
   const SnapshotTierStats stats = engine.store().TierStats();
   EXPECT_EQ(visited, stats.frames - dead_frames);
   EXPECT_GE(stats.spill_failures, dead_frames);

@@ -332,6 +332,104 @@ TEST(SnapshotTierTest, TieredSpillRoundTripsExactly) {
   EXPECT_GT(tiered.TierStats().spill_loads, 0u);
 }
 
+// ---- Byte accounting ---------------------------------------------------
+
+// The per-cluster walk the store's byte accounting used to run over every
+// cluster of every frame: 64 bytes of frame overhead, and per exact
+// cluster a 32-byte header plus cf1/cf2/ef2 at its own dimensionality.
+std::size_t PerClusterBytes(const EncodedFrame& frame) {
+  auto exact = [](const MicroClusterState& state) {
+    return 32 + 3 * state.ecf.dimensions() * sizeof(double);
+  };
+  std::size_t bytes = 64;
+  switch (frame.encoding) {
+    case FrameEncoding::kFull:
+      for (const auto& state : frame.full->clusters) bytes += exact(state);
+      break;
+    case FrameEncoding::kDelta:
+      bytes += frame.ids.size() * sizeof(std::uint64_t);
+      for (const auto& state : frame.changed) bytes += exact(state);
+      break;
+    case FrameEncoding::kQuantized:
+      bytes += frame.quant.ids.size() * sizeof(std::uint64_t) +
+               frame.quant.creation_times.size() * sizeof(double) +
+               (frame.quant.weights.size() + frame.quant.last_updates.size() +
+                frame.quant.values.size()) *
+                   sizeof(float);
+      break;
+    case FrameEncoding::kSpilled:
+      bytes += frame.spill_path.size();
+      break;
+  }
+  return bytes;
+}
+
+// TierStats byte totals must equal the per-cluster walk, frame by frame
+// summed, with every encoding present.
+void ExpectBytesMatchPerClusterWalk(const SnapshotStore& store,
+                                    const char* label) {
+  std::size_t approx = 0;
+  std::size_t full_equivalent = 0;
+  for (std::size_t order = 0; order < store.NumOrders(); ++order) {
+    for (std::size_t i = 0; i < store.OrderSize(order); ++i) {
+      const EncodedFrame& frame = store.FrameAt(order, i);
+      approx += PerClusterBytes(frame);
+      full_equivalent +=
+          64 + frame.cluster_count * (32 + 3 * frame.dims * sizeof(double));
+    }
+  }
+  const SnapshotTierStats stats = store.TierStats();
+  EXPECT_EQ(stats.approx_bytes, approx) << label;
+  EXPECT_EQ(stats.full_equivalent_bytes, full_equivalent) << label;
+}
+
+TEST(SnapshotTierTest, FrameBytesEqualThePerClusterWalk) {
+  const std::string dir = ::testing::TempDir() + "snapshot_tier_bytes_" +
+                          std::to_string(::getpid());
+  ASSERT_TRUE(util::EnsureDirectory(dir));
+  SnapshotTiering delta;
+  delta.mode = SnapshotStoreMode::kDelta;
+  SnapshotTiering quantized;
+  quantized.mode = SnapshotStoreMode::kTiered;
+  quantized.budget_bytes = 4096;
+  SnapshotTiering spilled = quantized;
+  spilled.spill_dir = dir;
+  spilled.codec = io::MakeSnapshotSpillCodec();
+
+  struct Case {
+    const char* label;
+    SnapshotTiering tiering;
+    FrameEncoding expected;
+  };
+  for (const Case& c : {Case{"full", {}, FrameEncoding::kFull},
+                        Case{"delta", delta, FrameEncoding::kDelta},
+                        Case{"quantized", quantized, FrameEncoding::kQuantized},
+                        Case{"spilled", spilled, FrameEncoding::kSpilled}}) {
+    SnapshotStore store(2, 3, c.tiering);
+    SnapshotStore twin(2, 3, c.tiering);
+    FillStores(store, twin, 5, 200);
+    // Empty frames (no live clusters) inside the retention as well.
+    store.Insert(201, Snapshot{201.0, {}});
+    store.Insert(202, Snapshot{202.0, {}});
+    std::size_t with_encoding = 0;
+    for (std::size_t order = 0; order < store.NumOrders(); ++order) {
+      for (std::size_t i = 0; i < store.OrderSize(order); ++i) {
+        with_encoding += store.FrameAt(order, i).encoding == c.expected;
+      }
+    }
+    EXPECT_GT(with_encoding, 0u) << c.label;
+    ExpectBytesMatchPerClusterWalk(store, c.label);
+
+    // The totals survive a checkpoint round trip unchanged.
+    SnapshotStore restored(2, 3, c.tiering);
+    ASSERT_TRUE(restored.RestoreState(store.ExportState())) << c.label;
+    ExpectBytesMatchPerClusterWalk(restored, c.label);
+    EXPECT_EQ(restored.TierStats().approx_bytes,
+              store.TierStats().approx_bytes)
+        << c.label;
+  }
+}
+
 // ---- Restore fail-fast -------------------------------------------------
 
 TEST(SnapshotTierTest, RestoreRejectsGeometryMismatchAndLeavesStoreIntact) {
