@@ -1,4 +1,4 @@
-// Assignment-index speedup sweep: flat full scan vs kd-tree vs coarse
+// Assignment-index speedup sweep: flat full scan vs the kd-tree
 // candidate index on the expected-distance absorb path.
 //
 //   bench_index_speedup [--dims=D] [--points=N] [--trials=K]
@@ -131,8 +131,7 @@ int main(int argc, char** argv) {
   umicro::util::CsvWriter csv({"dims", "nmicro", "backend", "points_per_sec",
                                "speedup_vs_flat", "prune_ratio", "host_cores",
                                "cpu_model"});
-  const IndexKind kinds[] = {IndexKind::kFlat, IndexKind::kKdTree,
-                             IndexKind::kCoarse};
+  const IndexKind kinds[] = {IndexKind::kFlat, IndexKind::kKdTree};
   for (const std::size_t q : {64u, 256u, 512u}) {
     umicro::util::Rng rng(2008 + q);
     const auto centers = MakeCenters(rng, q, dims);

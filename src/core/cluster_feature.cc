@@ -7,6 +7,29 @@
 
 namespace umicro::core {
 
+std::vector<double> Centroid(const double* cf1, double weight,
+                             std::size_t dims) {
+  std::vector<double> centroid(dims);
+  for (std::size_t j = 0; j < dims; ++j) centroid[j] = cf1[j] / weight;
+  return centroid;
+}
+
+double UncertainRadiusSquared(const double* cf1, const double* cf2,
+                              const double* ef2, double weight,
+                              std::size_t dims) {
+  const double n = weight;
+  double sum = 0.0;
+  for (std::size_t j = 0; j < dims; ++j) {
+    sum += cf2[j] + ef2[j] * (1.0 + 1.0 / n) - cf1[j] * cf1[j] / n;
+  }
+  return std::max(0.0, sum / n);
+}
+
+double VarianceAt(double cf1, double cf2, double weight) {
+  const double mean = cf1 / weight;
+  return std::max(0.0, cf2 / weight - mean * mean);
+}
+
 ErrorClusterFeature::ErrorClusterFeature(std::size_t dimensions)
     : cf1_(dimensions, 0.0), cf2_(dimensions, 0.0), ef2_(dimensions, 0.0) {
   UMICRO_CHECK(dimensions > 0);
@@ -78,11 +101,7 @@ void ErrorClusterFeature::Scale(double factor) {
 
 std::vector<double> ErrorClusterFeature::Centroid() const {
   UMICRO_CHECK(!empty());
-  std::vector<double> centroid(dimensions());
-  for (std::size_t j = 0; j < dimensions(); ++j) {
-    centroid[j] = cf1_[j] / weight_;
-  }
-  return centroid;
+  return core::Centroid(cf1_.data(), weight_, dimensions());
 }
 
 double ErrorClusterFeature::CentroidAt(std::size_t j) const {
@@ -103,12 +122,8 @@ double ErrorClusterFeature::ExpectedCentroidNormSquared() const {
 
 double ErrorClusterFeature::UncertainRadiusSquared() const {
   UMICRO_CHECK(!empty());
-  const double n = weight_;
-  double sum = 0.0;
-  for (std::size_t j = 0; j < dimensions(); ++j) {
-    sum += cf2_[j] + ef2_[j] * (1.0 + 1.0 / n) - cf1_[j] * cf1_[j] / n;
-  }
-  return std::max(0.0, sum / n);
+  return core::UncertainRadiusSquared(cf1_.data(), cf2_.data(), ef2_.data(),
+                                      weight_, dimensions());
 }
 
 double ErrorClusterFeature::UncertainRadius() const {
@@ -118,8 +133,7 @@ double ErrorClusterFeature::UncertainRadius() const {
 double ErrorClusterFeature::VarianceAt(std::size_t j) const {
   UMICRO_CHECK(!empty());
   UMICRO_CHECK(j < dimensions());
-  const double mean = cf1_[j] / weight_;
-  return std::max(0.0, cf2_[j] / weight_ - mean * mean);
+  return core::VarianceAt(cf1_[j], cf2_[j], weight_);
 }
 
 ErrorClusterFeature ErrorClusterFeature::FromRaw(std::vector<double> cf1,

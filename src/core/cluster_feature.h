@@ -23,6 +23,24 @@
 
 namespace umicro::core {
 
+/// The ECF statistics over raw row data: `cf1`/`cf2`/`ef2` point at
+/// `dims` doubles and `weight` is n(C) > 0. These are the single
+/// implementation of each statistic: ErrorClusterFeature's methods
+/// forward to them, and core::UMicro applies them to its SoA table rows.
+
+/// Centroid CF1x / n.
+std::vector<double> Centroid(const double* cf1, double weight,
+                             std::size_t dims);
+
+/// Squared uncertain radius (Eq. 6), clamped at 0; see
+/// ErrorClusterFeature::UncertainRadiusSquared.
+double UncertainRadiusSquared(const double* cf1, const double* cf2,
+                              const double* ef2, double weight,
+                              std::size_t dims);
+
+/// BIRCH variance of one dimension, cf2/n - (cf1/n)^2, clamped at 0.
+double VarianceAt(double cf1, double cf2, double weight);
+
 /// Additive error-based cluster feature vector (ECF).
 class ErrorClusterFeature {
  public:

@@ -6,31 +6,44 @@
 
 namespace umicro::core {
 
+double ExpectedSquaredDistance(const double* x, const double* psi,
+                               const double* cf1, const double* ef2,
+                               double n, std::size_t dims) {
+  double v = 0.0;
+  for (std::size_t j = 0; j < dims; ++j) {
+    v += ExpectedSquaredDistanceAt(x[j], psi == nullptr ? 0.0 : psi[j],
+                                   cf1[j], ef2[j], n);
+  }
+  // v is a sum of expectations of squares; clamp tiny negative residue.
+  return std::max(0.0, v);
+}
+
 double ExpectedSquaredDistance(const stream::UncertainPoint& point,
                                const ErrorClusterFeature& cluster) {
   UMICRO_CHECK(!cluster.empty());
   UMICRO_CHECK(point.dimensions() == cluster.dimensions());
-  double v = 0.0;
-  for (std::size_t j = 0; j < cluster.dimensions(); ++j) {
-    v += ExpectedSquaredDistanceAt(point, cluster, j);
+  return ExpectedSquaredDistance(
+      point.values.data(),
+      point.errors.empty() ? nullptr : point.errors.data(),
+      cluster.cf1().data(), cluster.ef2().data(), cluster.weight(),
+      cluster.dimensions());
+}
+
+double GeometricSquaredDistance(const double* x, const double* cf1,
+                                double n, std::size_t dims) {
+  double g = 0.0;
+  for (std::size_t j = 0; j < dims; ++j) {
+    g += GeometricSquaredDistanceAt(x[j], cf1[j], n);
   }
-  // v is a sum of expectations of squares; clamp tiny negative residue.
-  return std::max(0.0, v);
+  return g;
 }
 
 double GeometricSquaredDistance(const stream::UncertainPoint& point,
                                 const ErrorClusterFeature& cluster) {
   UMICRO_DCHECK(!cluster.empty());
   UMICRO_DCHECK(point.dimensions() == cluster.dimensions());
-  const double n = cluster.weight();
-  const double* cf1 = cluster.cf1().data();
-  const double* x = point.values.data();
-  double g = 0.0;
-  for (std::size_t j = 0; j < cluster.dimensions(); ++j) {
-    const double diff = x[j] - cf1[j] / n;
-    g += diff * diff;
-  }
-  return g;
+  return GeometricSquaredDistance(point.values.data(), cluster.cf1().data(),
+                                  cluster.weight(), cluster.dimensions());
 }
 
 double DimensionCountingSimilarity(

@@ -24,18 +24,30 @@ namespace umicro::core {
 /// Defined inline: this is the innermost operation of the algorithm
 /// (evaluated per cluster per dimension per point) and must inline into
 /// the scan loops.
+inline double ExpectedSquaredDistanceAt(double x, double psi, double cf1,
+                                        double ef2, double n) {
+  return cf1 * cf1 / (n * n) + ef2 / (n * n) + psi * psi + x * x -
+         2.0 * x * cf1 / n;
+}
+
+/// The same term for one dimension of `point` against `cluster`.
 inline double ExpectedSquaredDistanceAt(const stream::UncertainPoint& point,
                                         const ErrorClusterFeature& cluster,
                                         std::size_t j) {
-  const double n = cluster.weight();
-  const double cf1 = cluster.cf1()[j];
-  const double x = point.values[j];
-  const double psi = point.ErrorAt(j);
-  return cf1 * cf1 / (n * n) + cluster.ef2()[j] / (n * n) + psi * psi +
-         x * x - 2.0 * x * cf1 / n;
+  return ExpectedSquaredDistanceAt(point.values[j], point.ErrorAt(j),
+                                   cluster.cf1()[j], cluster.ef2()[j],
+                                   cluster.weight());
 }
 
-/// Lemma 2.2, summed over dimensions: v = E[||X - Z||^2].
+/// Lemma 2.2, summed over dimensions and clamped at 0: v = E[||X - Z||^2]
+/// over raw row data -- the point's values `x` and errors `psi` (null
+/// for a deterministic point) against a cluster with first moments
+/// `cf1`, squared-error sums `ef2` and weight `n` > 0, all `dims` long.
+double ExpectedSquaredDistance(const double* x, const double* psi,
+                               const double* cf1, const double* ef2,
+                               double n, std::size_t dims);
+
+/// Lemma 2.2 summed over dimensions, for an ECF.
 double ExpectedSquaredDistance(const stream::UncertainPoint& point,
                                const ErrorClusterFeature& cluster);
 
@@ -60,14 +72,25 @@ inline double ComparableSquaredDistanceAt(
 /// The purely geometric squared distance between the instantiation x and
 /// the expected centroid E[Z] = CF1/n along dimension j. Equals Lemma
 /// 2.2 minus both error terms (psi_j^2 and EF2_j/n^2).
-inline double GeometricSquaredDistanceAt(const stream::UncertainPoint& point,
-                                         const ErrorClusterFeature& cluster,
-                                         std::size_t j) {
-  const double diff = point.values[j] - cluster.cf1()[j] / cluster.weight();
+inline double GeometricSquaredDistanceAt(double x, double cf1, double n) {
+  const double diff = x - cf1 / n;
   return diff * diff;
 }
 
-/// Geometric squared distance summed over dimensions, clamped at 0.
+/// The same term for one dimension of `point` against `cluster`.
+inline double GeometricSquaredDistanceAt(const stream::UncertainPoint& point,
+                                         const ErrorClusterFeature& cluster,
+                                         std::size_t j) {
+  return GeometricSquaredDistanceAt(point.values[j], cluster.cf1()[j],
+                                    cluster.weight());
+}
+
+/// Geometric squared distance summed over dimensions, over raw row data
+/// (see the raw ExpectedSquaredDistance).
+double GeometricSquaredDistance(const double* x, const double* cf1,
+                                double n, std::size_t dims);
+
+/// Geometric squared distance summed over dimensions, for an ECF.
 double GeometricSquaredDistance(const stream::UncertainPoint& point,
                                 const ErrorClusterFeature& cluster);
 

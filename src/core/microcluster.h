@@ -1,5 +1,7 @@
-// A live micro-cluster: ECF statistics plus bookkeeping the algorithm
-// needs (identity, creation time) and evaluation-only label histograms.
+// A micro-cluster as a value: ECF statistics plus the bookkeeping the
+// algorithm needs (identity, creation time) and evaluation-only label
+// histograms. core::UMicro keeps its live clusters in a SoA table and
+// materializes these at its edges (export, inspection, shard merges).
 
 #ifndef UMICRO_CORE_MICROCLUSTER_H_
 #define UMICRO_CORE_MICROCLUSTER_H_
@@ -12,12 +14,12 @@
 
 namespace umicro::core {
 
-/// One micro-cluster maintained by the UMicro algorithm.
+/// One micro-cluster of the UMicro algorithm.
 ///
 /// `labels` accumulates ground-truth label weights for evaluation (cluster
-/// purity); it never influences clustering decisions. Under time decay the
-/// histogram is scaled together with the ECF so purity reflects the same
-/// weighting as the statistics.
+/// purity); it never influences clustering decisions. Under time decay
+/// UMicro scales the histogram together with the ECF so purity reflects
+/// the same weighting as the statistics.
 struct MicroCluster {
   /// Stable identity, used to match clusters across snapshots for the
   /// subtractive horizon computation.
@@ -38,18 +40,6 @@ struct MicroCluster {
         creation_time(point.timestamp),
         ecf(ErrorClusterFeature::FromPoint(point, weight)) {
     if (point.label != stream::kUnlabeled) labels[point.label] += weight;
-  }
-
-  /// Folds `point` into the statistics and the label histogram.
-  void AddPoint(const stream::UncertainPoint& point, double weight = 1.0) {
-    ecf.AddPoint(point, weight);
-    if (point.label != stream::kUnlabeled) labels[point.label] += weight;
-  }
-
-  /// Applies one decay step to statistics and histogram alike.
-  void Decay(double factor) {
-    ecf.Scale(factor);
-    for (auto& [label, w] : labels) w *= factor;
   }
 };
 

@@ -24,7 +24,7 @@ UMicro::UMicro(std::size_t dimensions, UMicroOptions options)
   UMICRO_CHECK(options_.decay_lambda >= 0.0);
   UMICRO_CHECK(options_.eviction_horizon >= 0.0);
   UMICRO_CHECK(options_.variance_refresh_interval > 0);
-  clusters_.reserve(options_.num_micro_clusters + 1);
+  meta_.reserve(options_.num_micro_clusters + 1);
   table_.Reserve(options_.num_micro_clusters + 1);
   scores_scratch_.reserve(options_.num_micro_clusters + 1);
   // The candidate index serves only the expected-distance similarity:
@@ -41,46 +41,30 @@ std::string UMicro::name() const {
 }
 
 void UMicro::AttachMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    process_micros_ = nullptr;
-    batch_micros_ = nullptr;
-    closest_pair_micros_ = nullptr;
-    kernel_tier_metric_ = nullptr;
-    points_metric_ = nullptr;
-    kernel_scans_metric_ = nullptr;
-    absorbed_metric_ = nullptr;
-    created_metric_ = nullptr;
-    evicted_metric_ = nullptr;
-    merged_metric_ = nullptr;
-    live_clusters_metric_ = nullptr;
-    index_queries_metric_ = nullptr;
-    index_candidates_metric_ = nullptr;
-    index_rebuilds_metric_ = nullptr;
-    index_prune_ratio_metric_ = nullptr;
-    return;
-  }
-  process_micros_ = &registry->GetHistogram("umicro.process_micros");
-  batch_micros_ = &registry->GetHistogram("umicro.batch_micros");
-  closest_pair_micros_ =
+  metrics_ = {};
+  if (registry == nullptr) return;
+  metrics_.process_micros = &registry->GetHistogram("umicro.process_micros");
+  metrics_.batch_micros = &registry->GetHistogram("umicro.batch_micros");
+  metrics_.closest_pair_micros =
       &registry->GetHistogram("umicro.closest_pair_micros");
-  kernel_tier_metric_ = &registry->GetGauge("umicro.kernel_tier");
-  kernel_tier_metric_->Set(static_cast<double>(table_.backend()));
-  points_metric_ = &registry->GetCounter("umicro.points");
-  kernel_scans_metric_ = &registry->GetCounter("umicro.kernel_scans");
-  absorbed_metric_ = &registry->GetCounter("umicro.absorbed");
-  created_metric_ = &registry->GetCounter("umicro.created");
-  evicted_metric_ = &registry->GetCounter("umicro.evicted");
-  merged_metric_ = &registry->GetCounter("umicro.merged");
-  live_clusters_metric_ = &registry->GetGauge("umicro.live_clusters");
+  metrics_.kernel_tier = &registry->GetGauge("umicro.kernel_tier");
+  metrics_.kernel_tier->Set(static_cast<double>(table_.backend()));
+  metrics_.points = &registry->GetCounter("umicro.points");
+  metrics_.kernel_scans = &registry->GetCounter("umicro.kernel_scans");
+  metrics_.absorbed = &registry->GetCounter("umicro.absorbed");
+  metrics_.created = &registry->GetCounter("umicro.created");
+  metrics_.evicted = &registry->GetCounter("umicro.evicted");
+  metrics_.merged = &registry->GetCounter("umicro.merged");
+  metrics_.live_clusters = &registry->GetGauge("umicro.live_clusters");
   // Index metrics only exist for instances that can actually index
   // (expected-distance similarity + non-flat kind), so flat/counting
   // runs keep their metric exports unchanged.
   if (assign_index_ != nullptr) {
-    index_queries_metric_ = &registry->GetCounter("umicro.index.queries");
-    index_candidates_metric_ =
+    metrics_.index_queries = &registry->GetCounter("umicro.index.queries");
+    metrics_.index_candidates =
         &registry->GetCounter("umicro.index.candidates");
-    index_rebuilds_metric_ = &registry->GetCounter("umicro.index.rebuilds");
-    index_prune_ratio_metric_ =
+    metrics_.index_rebuilds = &registry->GetCounter("umicro.index.rebuilds");
+    metrics_.index_prune_ratio =
         &registry->GetGauge("umicro.index.prune_ratio");
   }
 }
@@ -103,16 +87,17 @@ void UMicro::ApplyDecay(double now) {
     // factor would leave denormal dust (or trip the scale kernel's
     // positivity contract), so the cluster set is dropped outright --
     // the stream effectively restarts after the gap.
-    clusters_.clear();
     table_.Reset(dimensions_);
+    meta_.clear();
     if (assign_index_ != nullptr) assign_index_->Invalidate();
     pair_cache_.Invalidate();
     last_decay_time_ = now;
     return;
   }
-  for (auto& cluster : clusters_) cluster.Decay(factor);
-  // Mirror the decay in the SoA table (bit-identical scale kernel).
   table_.ScaleAll(factor);
+  for (auto& row : meta_) {
+    for (auto& [label, weight] : row.labels) weight *= factor;
+  }
   // Centroids are scale-invariant in real arithmetic; the index accounts
   // the few-ulp re-derivation wobble per scale event.
   if (assign_index_ != nullptr) assign_index_->NoteScale();
@@ -120,6 +105,27 @@ void UMicro::ApplyDecay(double now) {
   // is stale: the next merge rebuilds the pair cache.
   pair_cache_.Invalidate();
   last_decay_time_ = now;
+  // The per-row form of the guard above: a row under 2^-511 would
+  // overflow 1/n^2 in the table's derived rows (NaN in the padding
+  // lanes, which wins every scan), so it is retired as an eviction.
+  const double floor = std::sqrt(std::numeric_limits<double>::min());
+  for (std::size_t i = table_.rows(); i-- > 0;) {
+    if (table_.weight(i) < floor) EvictRow(i);
+  }
+}
+
+void UMicro::RemoveRow(std::size_t i) {
+  table_.RemoveRow(i);
+  meta_.erase(meta_.begin() + static_cast<std::ptrdiff_t>(i));
+  pair_cache_.NoteRemove(i);
+  // Row ids shifted: the index snapshot is stale, rebuild lazily.
+  if (assign_index_ != nullptr) assign_index_->Invalidate();
+}
+
+void UMicro::EvictRow(std::size_t i) {
+  RemoveRow(i);
+  ++clusters_evicted_;
+  if (metrics_.evicted != nullptr) metrics_.evicted->Increment();
 }
 
 void UMicro::UpdateGlobalVariances(const stream::UncertainPoint& point) {
@@ -132,17 +138,24 @@ void UMicro::UpdateGlobalVariances(const stream::UncertainPoint& point) {
       break;
     }
     case VarianceSource::kClusterAggregate: {
-      if (points_processed_ % options_.variance_refresh_interval != 0 &&
-          !clusters_.empty()) {
+      if (table_.rows() == 0 ||
+          points_processed_ % options_.variance_refresh_interval != 0) {
         return;
       }
-      // Sum every micro-cluster's CF vector into one global feature
+      // Sum every micro-cluster's CF vectors into one global feature
       // vector and apply the BIRCH variance formula (the paper's recipe).
-      ErrorClusterFeature global(dimensions_);
-      for (const auto& cluster : clusters_) global.Merge(cluster.ecf);
-      if (global.empty()) return;
+      std::vector<double> cf1(dimensions_, 0.0);
+      std::vector<double> cf2(dimensions_, 0.0);
+      double weight = 0.0;
+      for (std::size_t i = 0; i < table_.rows(); ++i) {
+        for (std::size_t j = 0; j < dimensions_; ++j) {
+          cf1[j] += table_.cf1_row(i)[j];
+          cf2[j] += table_.cf2_row(i)[j];
+        }
+        weight += table_.weight(i);
+      }
       for (std::size_t j = 0; j < dimensions_; ++j) {
-        global_variances_[j] = global.VarianceAt(j);
+        global_variances_[j] = VarianceAt(cf1[j], cf2[j], weight);
       }
       break;
     }
@@ -153,17 +166,15 @@ void UMicro::UpdateGlobalVariances(const stream::UncertainPoint& point) {
   }
 }
 
-std::size_t UMicro::FindClosest(const stream::UncertainPoint& point) const {
-  UMICRO_DCHECK(!clusters_.empty());
-  UMICRO_DCHECK(table_.rows() == clusters_.size());
+std::size_t UMicro::FindClosest(const stream::UncertainPoint& point,
+                                const double* errors) const {
+  UMICRO_DCHECK(table_.rows() > 0);
   const std::size_t q = table_.rows();
   const bool counting =
       options_.similarity == SimilarityMode::kDimensionCounting;
   const bool paper_form =
       options_.distance_form == DistanceForm::kPaperExpected;
   const kernels::Backend backend = table_.backend();
-  const double* errors =
-      point.errors.empty() ? nullptr : point.errors.data();
 
   // Stage the point once (O(d)), then scan all q rows through the
   // batch kernels (kernels::BatchDimensionVotes mirrors the old inline
@@ -184,12 +195,10 @@ std::size_t UMicro::FindClosest(const stream::UncertainPoint& point) const {
                                          ? kernels::DistanceKind::kExpected
                                          : kernels::DistanceKind::kGeometric;
   if (assign_index_ != nullptr &&
-      assign_index_->Collect(
-          table_, point_ctx_.x.data(),
-          /*include_cluster_error=*/kind == kernels::DistanceKind::kExpected,
-          kind == kernels::DistanceKind::kExpected ? point_ctx_.psi2_sum
-                                                   : 0.0,
-          &candidates_scratch_)) {
+      assign_index_->Collect(table_, point_ctx_.x.data(),
+                             /*include_cluster_error=*/paper_form,
+                             paper_form ? point_ctx_.psi2_sum : 0.0,
+                             &candidates_scratch_)) {
     // Exact refinement on the shortlist: the gathered kernel computes
     // the same per-row values as the full scan, and the shortlist is
     // ascending and provably contains the full scan's winner, so the
@@ -208,10 +217,14 @@ std::size_t UMicro::FindClosest(const stream::UncertainPoint& point) const {
 }
 
 double UMicro::UncertaintyBoundary(std::size_t index) const {
-  const MicroCluster& cluster = clusters_[index];
-  if (cluster.ecf.weight() >= 2.0) {
+  const double n = table_.weight(index);
+  const double* cf1 = table_.cf1_row(index);
+  if (n >= 2.0) {
     const double own_radius =
-        options_.boundary_factor * cluster.ecf.UncertainRadius();
+        options_.boundary_factor *
+        std::sqrt(UncertainRadiusSquared(cf1, table_.cf2_row(index),
+                                         table_.ef2_row(index), n,
+                                         dimensions_));
     if (own_radius > 0.0) return own_radius;
   }
 
@@ -224,28 +237,21 @@ double UMicro::UncertaintyBoundary(std::size_t index) const {
   // stays inside this cluster's Voronoi cell. With no other cluster to
   // measure against the boundary is 0: a lone singleton absorbs only
   // exact duplicates and the cluster set can grow from the start.
-  // Reads the table's bit-identical cf1/weight mirrors (contiguous rows)
-  // and divides this cluster's centroid out once, not once per row.
+  // Divides this cluster's centroid out once, then measures it against
+  // every other row as a point.
   double nearest = 0.0;
-  if (clusters_.size() > 1) {
+  if (table_.rows() > 1) {
     double nearest_d2 = std::numeric_limits<double>::infinity();
-    const double n_self = table_.weight(index);
-    const double* cf1_self = table_.cf1_row(index);
     boundary_scratch_.resize(dimensions_);
-    double* centroid_self = boundary_scratch_.data();
     for (std::size_t j = 0; j < dimensions_; ++j) {
-      centroid_self[j] = cf1_self[j] / n_self;
+      boundary_scratch_[j] = cf1[j] / n;
     }
-    for (std::size_t i = 0; i < clusters_.size(); ++i) {
+    for (std::size_t i = 0; i < table_.rows(); ++i) {
       if (i == index) continue;
-      const double n_other = table_.weight(i);
-      const double* cf1_other = table_.cf1_row(i);
-      double d2 = 0.0;
-      for (std::size_t j = 0; j < dimensions_; ++j) {
-        const double diff = centroid_self[j] - cf1_other[j] / n_other;
-        d2 += diff * diff;
-      }
-      nearest_d2 = std::min(nearest_d2, d2);
+      nearest_d2 = std::min(
+          nearest_d2,
+          GeometricSquaredDistance(boundary_scratch_.data(), table_.cf1_row(i),
+                                   table_.weight(i), dimensions_));
     }
     nearest = 0.5 * std::sqrt(nearest_d2);
   }
@@ -254,7 +260,6 @@ double UMicro::UncertaintyBoundary(std::size_t index) const {
 
 bool UMicro::ShouldAbsorb(const stream::UncertainPoint& point,
                           std::size_t index, double expected_distance) const {
-  const MicroCluster& cluster = clusters_[index];
   const double boundary = UncertaintyBoundary(index);
 
   if (options_.distance_form == DistanceForm::kPaperExpected) {
@@ -271,8 +276,9 @@ bool UMicro::ShouldAbsorb(const stream::UncertainPoint& point,
   // Eq. 6), which is error-aware: heavily uncertain clusters accept a
   // wider neighborhood, but the acceptance test itself cannot be gamed
   // by the point's or the cluster's error mass.
-  return std::sqrt(GeometricSquaredDistance(point, cluster.ecf)) <=
-         boundary;
+  return std::sqrt(GeometricSquaredDistance(
+             point.values.data(), table_.cf1_row(index),
+             table_.weight(index), dimensions_)) <= boundary;
 }
 
 void UMicro::Process(const stream::UncertainPoint& point) {
@@ -281,7 +287,7 @@ void UMicro::Process(const stream::UncertainPoint& point) {
 
 void UMicro::ProcessBatch(std::span<const stream::UncertainPoint> points) {
   if (points.empty()) return;
-  const obs::ScopedTimer timer(batch_micros_);
+  const obs::ScopedTimer timer(metrics_.batch_micros);
   BatchCounters counters;
   for (const auto& point : points) ProcessOne(point, &counters);
   FlushCounters(counters, points.size());
@@ -289,7 +295,7 @@ void UMicro::ProcessBatch(std::span<const stream::UncertainPoint> points) {
 
 UMicro::ProcessOutcome UMicro::ProcessAndExplain(
     const stream::UncertainPoint& point) {
-  const obs::ScopedTimer timer(process_micros_);
+  const obs::ScopedTimer timer(metrics_.process_micros);
   BatchCounters counters;
   const ProcessOutcome outcome = ProcessOne(point, &counters);
   FlushCounters(counters, 1);
@@ -308,13 +314,14 @@ UMicro::ProcessOutcome UMicro::ProcessOne(const stream::UncertainPoint& point,
   const double* errors =
       point.errors.empty() ? nullptr : point.errors.data();
   ProcessOutcome outcome;
-  if (!clusters_.empty()) {
+  if (table_.rows() > 0) {
     // One similarity-kernel scan per live cluster: the per-point cost of
     // the expected-distance kernel, in units of cluster comparisons.
-    counters->scans += clusters_.size();
-    const std::size_t closest = FindClosest(point);
-    outcome.expected_distance =
-        std::sqrt(ExpectedSquaredDistance(point, clusters_[closest].ecf));
+    counters->scans += table_.rows();
+    const std::size_t closest = FindClosest(point, errors);
+    outcome.expected_distance = std::sqrt(ExpectedSquaredDistance(
+        point.values.data(), errors, table_.cf1_row(closest),
+        table_.ef2_row(closest), table_.weight(closest), dimensions_));
     if (ShouldAbsorb(point, closest, outcome.expected_distance)) {
       if (assign_index_ != nullptr) {
         // Folding a unit-weight point moves the centroid by exactly
@@ -326,29 +333,28 @@ UMicro::ProcessOutcome UMicro::ProcessOne(const stream::UncertainPoint& point,
           const double diff = point.values[j] - c_old[j];
           d2 += diff * diff;
         }
-        assign_index_->NoteDrift(closest,
-                                 std::sqrt(d2) /
-                                     (table_.weight(closest) + 1.0));
+        assign_index_->NoteDrift(
+            closest, std::sqrt(d2) / (table_.weight(closest) + 1.0));
       }
-      clusters_[closest].AddPoint(point);
       table_.AddPoint(closest, point.values.data(), errors, 1.0);
+      meta_[closest].Absorb(point);
       pair_cache_.NoteChanged(closest);
       outcome.absorbed = true;
-      outcome.cluster_id = clusters_[closest].id;
+      outcome.cluster_id = meta_[closest].id;
       ++counters->absorbed;
       return outcome;
     }
   }
 
-  clusters_.emplace_back(next_cluster_id_++, point);
   table_.PushPointRow(point.values.data(), errors, 1.0);
+  meta_.push_back({next_cluster_id_++, point.timestamp, 0.0, {}});
+  meta_.back().Absorb(point);
   if (assign_index_ != nullptr) assign_index_->NoteAppend();
   pair_cache_.NoteAppend();
   ++clusters_created_;
   ++counters->created;
-  outcome.absorbed = false;
-  outcome.cluster_id = clusters_.back().id;
-  if (clusters_.size() > options_.num_micro_clusters) {
+  outcome.cluster_id = meta_.back().id;
+  if (table_.rows() > options_.num_micro_clusters) {
     RetireOneCluster(point.timestamp);
   }
   return outcome;
@@ -356,35 +362,25 @@ UMicro::ProcessOutcome UMicro::ProcessOne(const stream::UncertainPoint& point,
 
 void UMicro::FlushCounters(const BatchCounters& counters,
                            std::size_t points) {
-  if (points_metric_ != nullptr) points_metric_->Increment(points);
-  if (kernel_scans_metric_ != nullptr && counters.scans > 0) {
-    kernel_scans_metric_->Increment(counters.scans);
+  const auto add = [](obs::Counter* counter, std::uint64_t n) {
+    if (counter != nullptr && n > 0) counter->Increment(n);
+  };
+  add(metrics_.points, points);
+  add(metrics_.kernel_scans, counters.scans);
+  add(metrics_.absorbed, counters.absorbed);
+  add(metrics_.created, counters.created);
+  if (metrics_.live_clusters != nullptr && counters.created > 0) {
+    metrics_.live_clusters->Set(static_cast<double>(table_.rows()));
   }
-  if (absorbed_metric_ != nullptr && counters.absorbed > 0) {
-    absorbed_metric_->Increment(counters.absorbed);
-  }
-  if (created_metric_ != nullptr && counters.created > 0) {
-    created_metric_->Increment(counters.created);
-  }
-  if (live_clusters_metric_ != nullptr && counters.created > 0) {
-    live_clusters_metric_->Set(static_cast<double>(clusters_.size()));
-  }
-  if (assign_index_ != nullptr && index_queries_metric_ != nullptr) {
+  if (assign_index_ != nullptr && metrics_.index_queries != nullptr) {
+    // Ship the monotone index counters' growth since the last flush.
     const index::IndexStats& stats = assign_index_->stats();
-    if (stats.queries > flushed_index_stats_.queries) {
-      index_queries_metric_->Increment(stats.queries -
-                                       flushed_index_stats_.queries);
-    }
-    if (stats.candidates > flushed_index_stats_.candidates) {
-      index_candidates_metric_->Increment(stats.candidates -
-                                          flushed_index_stats_.candidates);
-    }
-    if (stats.rebuilds > flushed_index_stats_.rebuilds) {
-      index_rebuilds_metric_->Increment(stats.rebuilds -
-                                        flushed_index_stats_.rebuilds);
-    }
+    const index::IndexStats& shipped = flushed_index_stats_;
+    add(metrics_.index_queries, stats.queries - shipped.queries);
+    add(metrics_.index_candidates, stats.candidates - shipped.candidates);
+    add(metrics_.index_rebuilds, stats.rebuilds - shipped.rebuilds);
     if (stats.scanned_rows > 0) {
-      index_prune_ratio_metric_->Set(
+      metrics_.index_prune_ratio->Set(
           1.0 - static_cast<double>(stats.candidates) /
                     static_cast<double>(stats.scanned_rows));
     }
@@ -400,21 +396,11 @@ void UMicro::RetireOneCluster(double now) {
   // the CluStream framework this algorithm extends); the additive
   // property makes the merge exact.
   std::size_t lru = 0;
-  for (std::size_t i = 1; i < clusters_.size(); ++i) {
-    if (clusters_[i].ecf.last_update_time() <
-        clusters_[lru].ecf.last_update_time()) {
-      lru = i;
-    }
+  for (std::size_t i = 1; i < meta_.size(); ++i) {
+    if (meta_[i].last_update_time < meta_[lru].last_update_time) lru = i;
   }
-  if (clusters_[lru].ecf.last_update_time() <
-      now - options_.eviction_horizon) {
-    clusters_.erase(clusters_.begin() + static_cast<std::ptrdiff_t>(lru));
-    table_.RemoveRow(lru);
-    // Row ids shifted: the index snapshot is stale, rebuild lazily.
-    if (assign_index_ != nullptr) assign_index_->Invalidate();
-    pair_cache_.NoteRemove(lru);
-    ++clusters_evicted_;
-    if (evicted_metric_ != nullptr) evicted_metric_->Increment();
+  if (meta_[lru].last_update_time < now - options_.eviction_horizon) {
+    EvictRow(lru);
     return;
   }
 
@@ -425,37 +411,54 @@ void UMicro::RetireOneCluster(double now) {
   std::size_t best_b = 1;
   double best_d2 = std::numeric_limits<double>::infinity();
   {
-    const obs::ScopedTimer pair_timer(closest_pair_micros_);
+    const obs::ScopedTimer pair_timer(metrics_.closest_pair_micros);
     pair_cache_.Find(table_, table_.backend(), &best_a, &best_b, &best_d2);
   }
-  MicroCluster& into = clusters_[best_a];
-  MicroCluster& from = clusters_[best_b];
+  RowMeta& into = meta_[best_a];
+  RowMeta& from = meta_[best_b];
   // The merged cluster continues under the heavier constituent's
   // identity; the lighter id disappears, which horizon subtraction
   // treats as a removed cluster (documented approximation).
-  if (from.ecf.weight() > into.ecf.weight()) {
+  if (table_.weight(best_b) > table_.weight(best_a)) {
     std::swap(into.id, from.id);
     std::swap(into.creation_time, from.creation_time);
   }
   into.creation_time = std::min(into.creation_time, from.creation_time);
-  into.ecf.Merge(from.ecf);
-  table_.MergeRows(best_a, best_b);
-  pair_cache_.NoteChanged(best_a);
+  into.last_update_time =
+      std::max(into.last_update_time, from.last_update_time);
   for (const auto& [label, weight] : from.labels) {
     into.labels[label] += weight;
   }
-  clusters_.erase(clusters_.begin() + static_cast<std::ptrdiff_t>(best_b));
-  table_.RemoveRow(best_b);
-  pair_cache_.NoteRemove(best_b);
-  // The merged row jumped position and the rest shifted: rebuild lazily.
-  if (assign_index_ != nullptr) assign_index_->Invalidate();
+  table_.MergeRows(best_a, best_b);
+  pair_cache_.NoteChanged(best_a);
+  RemoveRow(best_b);
   ++clusters_merged_;
-  if (merged_metric_ != nullptr) merged_metric_->Increment();
+  if (metrics_.merged != nullptr) metrics_.merged->Increment();
+}
+
+ErrorClusterFeature UMicro::RowFeature(std::size_t i) const {
+  const std::size_t d = dimensions_;
+  return ErrorClusterFeature::FromRaw(
+      {table_.cf1_row(i), table_.cf1_row(i) + d},
+      {table_.cf2_row(i), table_.cf2_row(i) + d},
+      {table_.ef2_row(i), table_.ef2_row(i) + d}, table_.weight(i),
+      meta_[i].last_update_time);
+}
+
+std::vector<MicroCluster> UMicro::clusters() const {
+  std::vector<MicroCluster> clusters(meta_.size());
+  for (std::size_t i = 0; i < meta_.size(); ++i) {
+    clusters[i].id = meta_[i].id;
+    clusters[i].creation_time = meta_[i].creation_time;
+    clusters[i].ecf = RowFeature(i);
+    clusters[i].labels = meta_[i].labels;
+  }
+  return clusters;
 }
 
 UMicroState UMicro::ExportState() const {
   UMicroState state;
-  state.clusters = clusters_;
+  state.clusters = clusters();
   state.welford.reserve(welford_.size());
   for (const auto& acc : welford_) {
     state.welford.push_back({acc.count(), acc.Mean(), acc.m2()});
@@ -476,17 +479,18 @@ void UMicro::RestoreState(const UMicroState& state) {
                    "state has %zu dimensions, algorithm expects %zu",
                    state.welford.size(), dimensions_);
   UMICRO_CHECK(state.global_variances.size() == dimensions_);
+  // Raw copies of the statistics, so the restored rows are the exported
+  // ones bit for bit.
+  table_.Reset(dimensions_);
+  table_.Reserve(state.clusters.size());
+  meta_.clear();
+  meta_.reserve(state.clusters.size());
   for (const auto& cluster : state.clusters) {
     UMICRO_CHECK(cluster.ecf.dimensions() == dimensions_);
-  }
-  clusters_ = state.clusters;
-  // Rebuild the SoA mirror from the restored structs (raw copies, so
-  // mirror and structs start out bit-identical again).
-  table_.Reset(dimensions_);
-  table_.Reserve(clusters_.size());
-  for (const auto& cluster : clusters_) {
     table_.PushRow(cluster.ecf.cf1().data(), cluster.ecf.cf2().data(),
                    cluster.ecf.ef2().data(), cluster.ecf.weight());
+    meta_.push_back({cluster.id, cluster.creation_time,
+                     cluster.ecf.last_update_time(), cluster.labels});
   }
   // Whatever the index and the pair cache mirrored is gone with the old
   // table.
@@ -514,30 +518,25 @@ void UMicro::RestoreState(const UMicroState& state) {
 
 std::vector<stream::LabelHistogram> UMicro::ClusterLabelHistograms() const {
   std::vector<stream::LabelHistogram> histograms;
-  histograms.reserve(clusters_.size());
-  for (const auto& cluster : clusters_) histograms.push_back(cluster.labels);
+  histograms.reserve(meta_.size());
+  for (const auto& row : meta_) histograms.push_back(row.labels);
   return histograms;
 }
 
 std::vector<std::vector<double>> UMicro::ClusterCentroids() const {
-  std::vector<std::vector<double>> centroids;
-  centroids.reserve(clusters_.size());
-  for (const auto& cluster : clusters_) {
-    if (!cluster.ecf.empty()) centroids.push_back(cluster.ecf.Centroid());
+  std::vector<std::vector<double>> centroids(table_.rows());
+  for (std::size_t i = 0; i < table_.rows(); ++i) {
+    centroids[i] = Centroid(table_.cf1_row(i), table_.weight(i), dimensions_);
   }
   return centroids;
 }
 
 Snapshot UMicro::TakeSnapshot(double time) const {
-  Snapshot snapshot;
-  snapshot.time = time;
-  snapshot.clusters.reserve(clusters_.size());
-  for (const auto& cluster : clusters_) {
-    MicroClusterState state;
-    state.id = cluster.id;
-    state.creation_time = cluster.creation_time;
-    state.ecf = cluster.ecf;
-    snapshot.clusters.push_back(std::move(state));
+  Snapshot snapshot{time, {}};
+  snapshot.clusters.reserve(meta_.size());
+  for (std::size_t i = 0; i < meta_.size(); ++i) {
+    snapshot.clusters.push_back(
+        {meta_[i].id, meta_[i].creation_time, RowFeature(i)});
   }
   return snapshot;
 }

@@ -14,6 +14,7 @@
 #ifndef UMICRO_CORE_UMICRO_H_
 #define UMICRO_CORE_UMICRO_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -157,8 +158,12 @@ class UMicro : public stream::StreamClusterer {
   std::vector<stream::LabelHistogram> ClusterLabelHistograms() const override;
   std::vector<std::vector<double>> ClusterCentroids() const override;
 
-  /// Live micro-clusters (inspection / offline macro-clustering input).
-  const std::vector<MicroCluster>& clusters() const { return clusters_; }
+  /// Live micro-clusters (inspection / offline macro-clustering input),
+  /// materialized from the table on every call and returned by value.
+  std::vector<MicroCluster> clusters() const;
+
+  /// Number of live micro-clusters (no materialization).
+  std::size_t num_clusters() const { return table_.rows(); }
 
   /// Current global per-dimension variance estimates.
   const std::vector<double>& global_variances() const {
@@ -227,8 +232,10 @@ class UMicro : public stream::StreamClusterer {
   void FlushCounters(const BatchCounters& counters, std::size_t points);
 
   /// Index of the closest cluster under the configured similarity;
-  /// clusters_ must be non-empty.
-  std::size_t FindClosest(const stream::UncertainPoint& point) const;
+  /// the table must be non-empty. `errors` is the point's error vector,
+  /// or null for a deterministic point.
+  std::size_t FindClosest(const stream::UncertainPoint& point,
+                          const double* errors) const;
 
   /// Critical uncertainty boundary of cluster `index` (Section II-C):
   /// boundary_factor * U, with the nearest-other-centroid fallback for
@@ -245,8 +252,19 @@ class UMicro : public stream::StreamClusterer {
                     double expected_distance) const;
 
   /// Applies pending exponential decay to every cluster (lazy, single
-  /// shared rate: all statistics scale by 2^(-lambda * dt)).
+  /// shared rate: all statistics scale by 2^(-lambda * dt)), then
+  /// retires, as evictions, the rows that decayed below 2^-511.
   void ApplyDecay(double now);
+
+  /// Drops row `i` from the table and the metadata, and reports the
+  /// shift to the pair cache and the index.
+  void RemoveRow(std::size_t i);
+
+  /// RemoveRow, counted as an eviction.
+  void EvictRow(std::size_t i);
+
+  /// Row `i` as a value (the snapshot/export edge).
+  ErrorClusterFeature RowFeature(std::size_t i) const;
 
   /// Makes room after a creation pushed the set past the budget: evicts
   /// the least-recently-updated cluster if stale, else merges the two
@@ -259,10 +277,30 @@ class UMicro : public stream::StreamClusterer {
   const std::size_t dimensions_;
   const UMicroOptions options_;
 
-  std::vector<MicroCluster> clusters_;
-  /// SoA mirror of clusters_ (row i <-> clusters_[i]), kept bit-identical
-  /// through the fused update kernels; all batch scans read it.
+  /// Bookkeeping of one live cluster beside its table row.
+  struct RowMeta {
+    std::uint64_t id = 0;
+    double creation_time = 0.0;
+    /// t(C), the ECF rule: 0.0 max-ed with every absorbed timestamp and,
+    /// on merge, with the other cluster's; decay leaves it alone.
+    double last_update_time = 0.0;
+    /// Evaluation-only label weights, decayed with the statistics.
+    stream::LabelHistogram labels;
+
+    /// Notes the timestamp and label of a unit-weight point folded into
+    /// the row, the row's first point included.
+    void Absorb(const stream::UncertainPoint& point) {
+      last_update_time = std::max(last_update_time, point.timestamp);
+      if (point.label != stream::kUnlabeled) labels[point.label] += 1.0;
+    }
+  };
+
+  /// The live micro-clusters: the table holds each cluster's ECF
+  /// statistics as a contiguous row (all batch scans read it), meta_
+  /// holds the rest (row i <-> meta_[i]). This is the only copy of the
+  /// state; MicroCluster values are built from it at the edges.
   kernels::ClusterTable table_;
+  std::vector<RowMeta> meta_;
   std::vector<util::WelfordAccumulator> welford_;
   std::vector<double> global_variances_;
   /// Cached 1/(thresh * sigma_j^2) (0 where sigma_j^2 == 0), refreshed
@@ -291,21 +329,24 @@ class UMicro : public stream::StreamClusterer {
 
   // Metric handles resolved once by AttachMetrics; all null when no
   // registry is attached (the hot path then costs one pointer test).
-  obs::Histogram* process_micros_ = nullptr;
-  obs::Histogram* batch_micros_ = nullptr;
-  obs::Histogram* closest_pair_micros_ = nullptr;
-  obs::Gauge* kernel_tier_metric_ = nullptr;
-  obs::Counter* points_metric_ = nullptr;
-  obs::Counter* kernel_scans_metric_ = nullptr;
-  obs::Counter* absorbed_metric_ = nullptr;
-  obs::Counter* created_metric_ = nullptr;
-  obs::Counter* evicted_metric_ = nullptr;
-  obs::Counter* merged_metric_ = nullptr;
-  obs::Gauge* live_clusters_metric_ = nullptr;
-  obs::Counter* index_queries_metric_ = nullptr;
-  obs::Counter* index_candidates_metric_ = nullptr;
-  obs::Counter* index_rebuilds_metric_ = nullptr;
-  obs::Gauge* index_prune_ratio_metric_ = nullptr;
+  struct MetricHandles {
+    obs::Histogram* process_micros = nullptr;
+    obs::Histogram* batch_micros = nullptr;
+    obs::Histogram* closest_pair_micros = nullptr;
+    obs::Gauge* kernel_tier = nullptr;
+    obs::Counter* points = nullptr;
+    obs::Counter* kernel_scans = nullptr;
+    obs::Counter* absorbed = nullptr;
+    obs::Counter* created = nullptr;
+    obs::Counter* evicted = nullptr;
+    obs::Counter* merged = nullptr;
+    obs::Gauge* live_clusters = nullptr;
+    obs::Counter* index_queries = nullptr;
+    obs::Counter* index_candidates = nullptr;
+    obs::Counter* index_rebuilds = nullptr;
+    obs::Gauge* index_prune_ratio = nullptr;
+  };
+  MetricHandles metrics_;
 
   std::size_t points_processed_ = 0;
   std::uint64_t next_cluster_id_ = 0;

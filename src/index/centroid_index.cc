@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 
-#include "index/coarse_index.h"
 #include "index/kdtree_index.h"
 #include "kernels/kernels.h"
 #include "util/check.h"
@@ -29,8 +28,6 @@ const char* IndexKindName(IndexKind kind) {
       return "flat";
     case IndexKind::kKdTree:
       return "kdtree";
-    case IndexKind::kCoarse:
-      return "coarse";
     case IndexKind::kAuto:
       return "auto";
   }
@@ -40,7 +37,6 @@ const char* IndexKindName(IndexKind kind) {
 std::optional<IndexKind> ParseIndexKind(const std::string& name) {
   if (name == "flat") return IndexKind::kFlat;
   if (name == "kdtree") return IndexKind::kKdTree;
-  if (name == "coarse") return IndexKind::kCoarse;
   if (name == "auto") return IndexKind::kAuto;
   return std::nullopt;
 }
@@ -168,8 +164,6 @@ std::unique_ptr<CentroidIndex> MakeCentroidIndex(IndexKind kind) {
       return nullptr;
     case IndexKind::kKdTree:
       return std::make_unique<KdTreeIndex>(options);
-    case IndexKind::kCoarse:
-      return std::make_unique<CoarseIndex>(options);
     case IndexKind::kAuto:
       // Below ~64 rows the full SIMD scan beats tree traversal plus
       // gather refinement; gate the index instead of paying overhead.

@@ -48,16 +48,13 @@ enum class IndexKind {
   kFlat,
   /// Median-split kd-tree over the snapshot centroids.
   kKdTree,
-  /// Quantized coarse centers (~sqrt(q) groups, IVF-style) with
-  /// per-member radii and triangle-inequality bounds.
-  kCoarse,
   /// kKdTree gated to engage only once q is large enough to win
   /// (min_rows = 64); below that every query falls back to the flat
   /// scan.
   kAuto,
 };
 
-/// "flat" | "kdtree" | "coarse" | "auto".
+/// "flat" | "kdtree" | "auto".
 const char* IndexKindName(IndexKind kind);
 
 /// Inverse of IndexKindName; nullopt for unknown names.
@@ -101,7 +98,7 @@ class CentroidIndex {
   CentroidIndex(const CentroidIndex&) = delete;
   CentroidIndex& operator=(const CentroidIndex&) = delete;
 
-  /// Backend name ("kdtree" | "coarse").
+  /// Backend name ("kdtree").
   virtual const char* name() const = 0;
 
   // ---- O(1) owner hooks: every table mutation is reported -----------
@@ -189,11 +186,6 @@ class CentroidIndex {
   /// snapshot position (drift + per-scale-event ulp slack).
   double QueryDrift(std::size_t row) const {
     return drift_[row] + query_scale_ulp_ * snap_norm_[row];
-  }
-
-  /// Max of QueryDrift over all built rows (node-level slack).
-  double MaxQueryDrift() const {
-    return max_drift_ + query_scale_ulp_ * max_norm_;
   }
 
   /// score_row >= RowLower: snapshot distance deflated by margins and

@@ -1,30 +1,29 @@
-// Structure-of-arrays mirror of the live micro-cluster set.
+// Structure-of-arrays store of the live micro-cluster set.
 //
 // The UMicro hot path evaluates every arriving point against all q
 // micro-clusters (expected distance / dimension-counting similarity,
-// Lemmas 2.1/2.2). With the clusters stored as an array of
-// ErrorClusterFeature structs that scan chases q heap-allocated vectors
-// per point; this table keeps the same statistics as q contiguous,
-// zero-padded rows so the scan kernels stream through memory and
-// vectorize.
+// Lemmas 2.1/2.2). This table keeps the clusters' ECF statistics as q
+// contiguous, zero-padded rows so the scan kernels stream through
+// memory and vectorize.
 //
 // Per cluster row i (stride-padded, zeros beyond `dims`):
-//   cf1[i][j]       first moments          (authoritative mirror)
-//   cf2[i][j]       second moments         (authoritative mirror)
-//   ef2[i][j]       squared-error sums     (authoritative mirror)
-//   centroid[i][j]  cf1[j] / n             (derived, scan input)
+//   cf1[i][j]       first moments          (state)
+//   cf2[i][j]       second moments         (state)
+//   ef2[i][j]       squared-error sums     (state)
+//   centroid[i][j]  cf1[j] * (1/n)         (derived, scan input)
 //   ef2n2[i][j]     ef2[j] / n^2           (derived, scan input)
 // plus per-cluster scalars: weight n, 1/n, and sum_j ef2n2[j] (the
 // cluster-error constant of the expected distance).
 //
-// Synchronization contract: the owner (core::UMicro) applies every
-// mutation of a cluster's ECF to the same row here, through the fused
-// update entry points below. Those updates perform the identical IEEE
-// multiply-then-add sequence as ErrorClusterFeature, so mirror and
-// struct stay bit-identical -- checkpoints keep serializing the structs
-// and remain byte-compatible ("ucheckpoint 2"). The derived rows are
+// The table is UMicro's state: core::UMicro keeps no other copy of the
+// statistics, only per-row metadata (id, times, labels) beside it. The
+// fused update entry points below perform the identical IEEE
+// multiply-then-add sequence as ErrorClusterFeature, so a row
+// materialized as an ECF (checkpoints, snapshots, "ucheckpoint 2") is
+// bit for bit what the ECF arithmetic gives. The derived rows are
 // refreshed by shared (tier-independent) code so every backend sees the
-// same scan inputs.
+// same scan inputs; they are scan inputs only -- anything exported
+// divides cf1[j] / n instead of reading centroid[i][j].
 
 #ifndef UMICRO_KERNELS_CLUSTER_TABLE_H_
 #define UMICRO_KERNELS_CLUSTER_TABLE_H_
@@ -81,7 +80,7 @@ class ClusterTable {
   void MergeRows(std::size_t into, std::size_t from);
 
   /// Removes row `i`, shifting later rows down (order-preserving, so row
-  /// indices keep matching the owner's cluster vector).
+  /// indices keep matching the owner's per-row metadata).
   void RemoveRow(std::size_t i);
 
   /// Number of live rows q.

@@ -354,7 +354,7 @@ void ShardedUMicro::RebuildGlobalView() {
     Shard& shard = *shards_[i];
     std::lock_guard<std::mutex> lock(shard.state_mu);
     shard.clusters_at_merge->Set(
-        static_cast<double>(shard.algo.clusters().size()));
+        static_cast<double>(shard.algo.num_clusters()));
     shard_sets[i] = shard.algo.clusters();
   }
   ShardMergeOptions merge_options;

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "index/coarse_index.h"
 #include "index/kdtree_index.h"
 #include "kernels/kernels.h"
 #include "util/random.h"
@@ -90,108 +89,99 @@ void ExpectShortlistSafe(CentroidIndex* index, const ClusterTable& table,
 }
 
 TEST(CentroidIndexTest, ParseAndNameRoundTrip) {
-  for (const IndexKind kind : {IndexKind::kFlat, IndexKind::kKdTree,
-                               IndexKind::kCoarse, IndexKind::kAuto}) {
+  for (const IndexKind kind :
+       {IndexKind::kFlat, IndexKind::kKdTree, IndexKind::kAuto}) {
     const auto parsed = ParseIndexKind(IndexKindName(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(ParseIndexKind("ivf").has_value());
+  EXPECT_FALSE(ParseIndexKind("coarse").has_value());
   EXPECT_FALSE(ParseIndexKind("").has_value());
 }
 
 TEST(CentroidIndexTest, FlatKindMakesNoIndex) {
   EXPECT_EQ(MakeCentroidIndex(IndexKind::kFlat), nullptr);
   EXPECT_NE(MakeCentroidIndex(IndexKind::kKdTree), nullptr);
-  EXPECT_NE(MakeCentroidIndex(IndexKind::kCoarse), nullptr);
   EXPECT_NE(MakeCentroidIndex(IndexKind::kAuto), nullptr);
 }
 
 TEST(CentroidIndexTest, ShortlistContainsWinnerRandomized) {
   util::Rng rng(101);
-  for (const IndexKind kind : {IndexKind::kKdTree, IndexKind::kCoarse}) {
-    SCOPED_TRACE(IndexKindName(kind));
-    for (const std::size_t rows : {2u, 3u, 17u, 64u, 257u}) {
-      for (const std::size_t dims : {1u, 2u, 7u, 16u, 33u}) {
-        ClusterTable table = RandomTable(rng, rows, dims, 20.0, 0.5);
-        auto index = MakeCentroidIndex(kind);
-        ExpectShortlistSafe(index.get(), table, rng, 40, 25.0, true);
-        ExpectShortlistSafe(index.get(), table, rng, 10, 25.0, false);
-      }
+  for (const std::size_t rows : {2u, 3u, 17u, 64u, 257u}) {
+    for (const std::size_t dims : {1u, 2u, 7u, 16u, 33u}) {
+      ClusterTable table = RandomTable(rng, rows, dims, 20.0, 0.5);
+      auto index = MakeCentroidIndex(IndexKind::kKdTree);
+      ExpectShortlistSafe(index.get(), table, rng, 40, 25.0, true);
+      ExpectShortlistSafe(index.get(), table, rng, 10, 25.0, false);
     }
   }
 }
 
 TEST(CentroidIndexTest, AllRowsIdentical) {
   // Degenerate geometry: every centroid at the same location. The
-  // kd-tree must terminate (zero split extent) and both backends must
-  // still return the first row among the tied winners.
+  // kd-tree must terminate (zero split extent) and still return the
+  // first row among the tied winners.
   util::Rng rng(7);
   std::vector<double> values(4, 3.25);
   std::vector<double> errors(4, 0.1);
-  for (const IndexKind kind : {IndexKind::kKdTree, IndexKind::kCoarse}) {
-    SCOPED_TRACE(IndexKindName(kind));
-    ClusterTable table(4);
-    for (int i = 0; i < 100; ++i) {
-      table.PushPointRow(values.data(), errors.data(), 1.0);
-    }
-    auto index = MakeCentroidIndex(kind);
-    ExpectShortlistSafe(index.get(), table, rng, 20, 10.0, true);
+  ClusterTable table(4);
+  for (int i = 0; i < 100; ++i) {
+    table.PushPointRow(values.data(), errors.data(), 1.0);
   }
+  auto index = MakeCentroidIndex(IndexKind::kKdTree);
+  ExpectShortlistSafe(index.get(), table, rng, 20, 10.0, true);
 }
 
 TEST(CentroidIndexTest, SurvivesMutationHooks) {
   // Drive the full mutation protocol -- absorb drift, appends, decay
   // scales, removals -- re-checking safety after each phase.
   util::Rng rng(211);
-  for (const IndexKind kind : {IndexKind::kKdTree, IndexKind::kCoarse}) {
-    SCOPED_TRACE(IndexKindName(kind));
-    ClusterTable table = RandomTable(rng, 80, 6, 20.0, 0.5);
-    auto index = MakeCentroidIndex(kind);
-    ExpectShortlistSafe(index.get(), table, rng, 20, 25.0, true);
+  ClusterTable table = RandomTable(rng, 80, 6, 20.0, 0.5);
+  auto index = MakeCentroidIndex(IndexKind::kKdTree);
+  ExpectShortlistSafe(index.get(), table, rng, 20, 25.0, true);
 
-    // Absorb points into random rows, reporting exact centroid motion.
-    std::vector<double> values(6);
-    std::vector<double> errors(6, 0.2);
-    for (int step = 0; step < 200; ++step) {
-      const std::size_t row = rng.NextBounded(table.rows());
-      for (auto& v : values) v = rng.Uniform(-25.0, 25.0);
-      double d2 = 0.0;
-      const double* centroid = table.centroid_row(row);
-      for (std::size_t j = 0; j < 6; ++j) {
-        const double diff = values[j] - centroid[j];
-        d2 += diff * diff;
-      }
-      index->NoteDrift(row, std::sqrt(d2) / (table.weight(row) + 1.0));
-      table.AddPoint(row, values.data(), errors.data(), 1.0);
+  // Absorb points into random rows, reporting exact centroid motion.
+  std::vector<double> values(6);
+  std::vector<double> errors(6, 0.2);
+  for (int step = 0; step < 200; ++step) {
+    const std::size_t row = rng.NextBounded(table.rows());
+    for (auto& v : values) v = rng.Uniform(-25.0, 25.0);
+    double d2 = 0.0;
+    const double* centroid = table.centroid_row(row);
+    for (std::size_t j = 0; j < 6; ++j) {
+      const double diff = values[j] - centroid[j];
+      d2 += diff * diff;
     }
-    ExpectShortlistSafe(index.get(), table, rng, 20, 25.0, true);
-
-    // Appended rows are always candidates before the next rebuild.
-    for (int step = 0; step < 10; ++step) {
-      for (auto& v : values) v = rng.Uniform(-25.0, 25.0);
-      table.PushPointRow(values.data(), errors.data(), 1.0);
-      index->NoteAppend();
-    }
-    ExpectShortlistSafe(index.get(), table, rng, 20, 25.0, true);
-
-    // Decay scaling leaves centroids put in real arithmetic but wobbles
-    // them by ulps; NoteScale charges the slack.
-    for (int step = 0; step < 50; ++step) {
-      table.ScaleAll(0.9999);
-      index->NoteScale();
-    }
-    ExpectShortlistSafe(index.get(), table, rng, 20, 25.0, true);
-
-    // Structural edits demand invalidation.
-    table.RemoveRow(3);
-    table.MergeRows(0, table.rows() - 1);
-    table.RemoveRow(table.rows() - 1);
-    index->Invalidate();
-    const std::uint64_t rebuilds_before = index->stats().rebuilds;
-    ExpectShortlistSafe(index.get(), table, rng, 20, 25.0, true);
-    EXPECT_GT(index->stats().rebuilds, rebuilds_before);
+    index->NoteDrift(row, std::sqrt(d2) / (table.weight(row) + 1.0));
+    table.AddPoint(row, values.data(), errors.data(), 1.0);
   }
+  ExpectShortlistSafe(index.get(), table, rng, 20, 25.0, true);
+
+  // Appended rows are always candidates before the next rebuild.
+  for (int step = 0; step < 10; ++step) {
+    for (auto& v : values) v = rng.Uniform(-25.0, 25.0);
+    table.PushPointRow(values.data(), errors.data(), 1.0);
+    index->NoteAppend();
+  }
+  ExpectShortlistSafe(index.get(), table, rng, 20, 25.0, true);
+
+  // Decay scaling leaves centroids put in real arithmetic but wobbles
+  // them by ulps; NoteScale charges the slack.
+  for (int step = 0; step < 50; ++step) {
+    table.ScaleAll(0.9999);
+    index->NoteScale();
+  }
+  ExpectShortlistSafe(index.get(), table, rng, 20, 25.0, true);
+
+  // Structural edits demand invalidation.
+  table.RemoveRow(3);
+  table.MergeRows(0, table.rows() - 1);
+  table.RemoveRow(table.rows() - 1);
+  index->Invalidate();
+  const std::uint64_t rebuilds_before = index->stats().rebuilds;
+  ExpectShortlistSafe(index.get(), table, rng, 20, 25.0, true);
+  EXPECT_GT(index->stats().rebuilds, rebuilds_before);
 }
 
 TEST(CentroidIndexTest, GatherMatchesBatchBitwise) {

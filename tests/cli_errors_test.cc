@@ -314,6 +314,14 @@ TEST(CliErrorsTest, UnknownEnumValuesFailBeforeGeneration) {
   }
 }
 
+TEST(CliErrorsTest, CoarseIndexKindIsUnknown) {
+  // Only flat, kdtree and auto name an index; `coarse` is rejected like
+  // any other unknown value.
+  ExpectUsageError("--synthetic=syndrift --points=100 --similarity=distance "
+                   "--assign-index=coarse",
+                   "unknown --assign-index");
+}
+
 // ---- Flag wiring ----------------------------------------------------------
 
 /// The `boundary=` field of a standalone --serve ANOMALY answer.

@@ -237,13 +237,15 @@ TEST(ClosestPairParity, FirstFindBuildsAndHooksBeforeItAreFree) {
 // ---- UMicro: checkpoint round-trips mid-stream ------------------------
 
 void ExpectSameState(const core::UMicro& expected, const core::UMicro& actual) {
-  ASSERT_EQ(actual.clusters().size(), expected.clusters().size());
+  const auto expected_clusters = expected.clusters();
+  const auto actual_clusters = actual.clusters();
+  ASSERT_EQ(actual_clusters.size(), expected_clusters.size());
   EXPECT_EQ(actual.clusters_merged(), expected.clusters_merged());
   EXPECT_EQ(actual.clusters_evicted(), expected.clusters_evicted());
   EXPECT_EQ(actual.clusters_created(), expected.clusters_created());
-  for (std::size_t i = 0; i < expected.clusters().size(); ++i) {
-    const auto& a = expected.clusters()[i];
-    const auto& b = actual.clusters()[i];
+  for (std::size_t i = 0; i < expected_clusters.size(); ++i) {
+    const auto& a = expected_clusters[i];
+    const auto& b = actual_clusters[i];
     ASSERT_EQ(a.id, b.id) << "cluster " << i;
     EXPECT_EQ(a.creation_time, b.creation_time);
     EXPECT_EQ(a.ecf.weight(), b.ecf.weight());

@@ -1,11 +1,14 @@
 // Focused tests of the exponential time-decay semantics (Section II-E).
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/umicro.h"
+#include "io/state_io.h"
+#include "stream/clusterer.h"
 #include "stream/point.h"
 #include "util/random.h"
 
@@ -39,8 +42,9 @@ TEST_P(DecayLawTest, LazyDecayMatchesBruteForceWeighting) {
         t);
     algorithm.Process(points.back());
   }
-  ASSERT_EQ(algorithm.clusters().size(), 1u);
-  const ErrorClusterFeature& ecf = algorithm.clusters()[0].ecf;
+  const std::vector<MicroCluster> clusters = algorithm.clusters();
+  ASSERT_EQ(clusters.size(), 1u);
+  const ErrorClusterFeature& ecf = clusters[0].ecf;
 
   const double t_c = points.back().timestamp;
   double expected_w = 0.0;
@@ -120,10 +124,11 @@ TEST(DecayTest, DecayDoesNotChangeAsymptoticComplexity) {
   // depend only on elapsed time, which is identical.
   b.Process(UncertainPoint({0.0}, 0.0, 0));
   b.Process(UncertainPoint({50.0}, 100.0, 1));
-  ASSERT_EQ(a.clusters().size(), b.clusters().size());
-  for (std::size_t i = 0; i < a.clusters().size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.clusters()[i].ecf.weight(),
-                     b.clusters()[i].ecf.weight());
+  const std::vector<MicroCluster> a_clusters = a.clusters();
+  const std::vector<MicroCluster> b_clusters = b.clusters();
+  ASSERT_EQ(a_clusters.size(), b_clusters.size());
+  for (std::size_t i = 0; i < a_clusters.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a_clusters[i].ecf.weight(), b_clusters[i].ecf.weight());
   }
 }
 
@@ -140,7 +145,8 @@ TEST(DecayTest, WeightedLemmasStillHold) {
   algorithm.Process(UncertainPoint({2.0}, std::vector<double>{0.3}, 0.0));
   algorithm.Process(UncertainPoint({6.0}, std::vector<double>{0.4}, 10.0));
 
-  const ErrorClusterFeature& ecf = algorithm.clusters()[0].ecf;
+  const std::vector<MicroCluster> clusters = algorithm.clusters();
+  const ErrorClusterFeature& ecf = clusters[0].ecf;
   const double w1 = std::exp2(-lambda * 10.0);
   const double w2 = 1.0;
   const double expected_centroid = (w1 * 2.0 + w2 * 6.0) / (w1 + w2);
@@ -152,6 +158,88 @@ TEST(DecayTest, WeightedLemmasStillHold) {
   const double w = w1 + w2;
   EXPECT_NEAR(ecf.ExpectedCentroidNormSquared(),
               cf1 * cf1 / (w * w) + ef2 / (w * w), 1e-9);
+}
+
+TEST(DecayTest, DecayScalesLabelsWithStatistics) {
+  UMicroOptions options;
+  options.num_micro_clusters = 1;
+  options.decay_lambda = 1.0;
+  UMicro algorithm(1, options);
+  algorithm.Process(UncertainPoint({4.0}, 0.0, 2));
+  // One time unit later the first point weighs 1/2, in the statistics
+  // and in the histogram alike.
+  algorithm.Process(UncertainPoint({4.0}, 1.0, 2));
+  algorithm.Process(UncertainPoint({4.0}, 1.0, 3));
+  const std::vector<MicroCluster> clusters = algorithm.clusters();
+  ASSERT_EQ(clusters.size(), 1u);
+  EXPECT_EQ(clusters[0].ecf.weight(), 2.5);
+  EXPECT_EQ(clusters[0].labels,
+            (stream::LabelHistogram{{2, 1.5}, {3, 1.0}}));
+}
+
+TEST(DecayTest, HistogramMassTracksWeightThroughMerges) {
+  UMicroOptions options;
+  options.num_micro_clusters = 5;
+  options.decay_lambda = 0.05;
+  UMicro algorithm(2, options);
+  util::Rng rng(5);
+  for (int i = 0; i < 2000; ++i) {
+    const int label = static_cast<int>(rng.NextBounded(3));
+    algorithm.Process(UncertainPoint(
+        {10.0 * label + rng.Gaussian(0.0, 1.0), rng.Gaussian(0.0, 1.0)},
+        {0.2, 0.2}, 0.5 * i, label));
+  }
+  ASSERT_GT(algorithm.clusters_merged(), 0u);
+  for (const auto& cluster : algorithm.clusters()) {
+    EXPECT_NEAR(stream::HistogramWeight(cluster.labels), cluster.ecf.weight(),
+                1e-9 * cluster.ecf.weight());
+  }
+}
+
+// A cluster that is never touched decays without bound. Once its weight
+// falls below 2^-511 its 1/n^2 overflows, and the distance scan would
+// read it as the nearest cluster to every point; it must instead be
+// retired as an eviction, leaving the live cluster to absorb the stream.
+TEST(DecayTest, FullyDecayedClusterIsRetired) {
+  UMicroOptions options;
+  options.similarity = SimilarityMode::kExpectedDistance;
+  options.decay_lambda = 0.5;
+  UMicro algorithm(2, options);
+  algorithm.Process(UncertainPoint({0.0, 0.0}, {1.0, 1.0}, 0.0));
+  const std::uint64_t b_id =
+      algorithm.ProcessAndExplain(
+                   UncertainPoint({100.0, 100.0}, {1.0, 1.0}, 0.0))
+          .cluster_id;
+
+  util::Rng rng(11);
+  const auto next = [&rng](int t) {
+    return UncertainPoint(
+        {100.0 + rng.Gaussian(0.0, 1.0), 100.0 + rng.Gaussian(0.0, 1.0)},
+        {1.0, 1.0}, static_cast<double>(t));
+  };
+  UMicro resumed(2, options);
+  for (int t = 1; t <= 1500; ++t) {
+    const UncertainPoint point = next(t);
+    const UMicro::ProcessOutcome outcome = algorithm.ProcessAndExplain(point);
+    EXPECT_TRUE(outcome.absorbed) << "t=" << t;
+    EXPECT_EQ(outcome.cluster_id, b_id) << "t=" << t;
+    ASSERT_LE(algorithm.num_clusters(), 2u) << "t=" << t;
+    if (t == 1020) {
+      EXPECT_EQ(algorithm.num_clusters(), 2u);
+    }
+    if (t == 1100) resumed.RestoreState(algorithm.ExportState());
+    if (t > 1100) resumed.Process(point);
+  }
+  EXPECT_EQ(algorithm.num_clusters(), 1u);
+  EXPECT_EQ(algorithm.clusters_evicted(), 1u);
+  EXPECT_EQ(algorithm.clusters_created(),
+            algorithm.num_clusters() + algorithm.clusters_merged() +
+                algorithm.clusters_evicted());
+  for (const auto& centroid : algorithm.ClusterCentroids()) {
+    for (const double c : centroid) EXPECT_TRUE(std::isfinite(c));
+  }
+  EXPECT_EQ(io::UMicroStateToString(resumed.ExportState()),
+            io::UMicroStateToString(algorithm.ExportState()));
 }
 
 }  // namespace

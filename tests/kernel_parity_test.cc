@@ -382,10 +382,12 @@ TEST(BatchedIngest, ProcessBatchMatchesPerPointExactly) {
   }
   ASSERT_EQ(offset, points.size());
 
-  ASSERT_EQ(per_point.clusters().size(), batched.clusters().size());
-  for (std::size_t i = 0; i < per_point.clusters().size(); ++i) {
-    const auto& a = per_point.clusters()[i];
-    const auto& b = batched.clusters()[i];
+  const auto per_point_clusters = per_point.clusters();
+  const auto batched_clusters = batched.clusters();
+  ASSERT_EQ(per_point_clusters.size(), batched_clusters.size());
+  for (std::size_t i = 0; i < per_point_clusters.size(); ++i) {
+    const auto& a = per_point_clusters[i];
+    const auto& b = batched_clusters[i];
     EXPECT_EQ(a.id, b.id);
     EXPECT_EQ(a.ecf.weight(), b.ecf.weight());
     for (std::size_t j = 0; j < dims; ++j) {
@@ -413,7 +415,7 @@ TEST(BatchedIngest, CheckpointRoundTripThroughBatchedPath) {
   // going batched. Engine B restores the checkpoint and replays the
   // second half per-point. State must match exactly: the checkpoint
   // format is unchanged ("ucheckpoint 2" payloads serialize the ECF
-  // structs, which the table mirrors bit-identically).
+  // structs, materialized bit for bit from the table rows).
   core::UMicroEngine a(dims, options);
   a.ProcessBatch(all.subspan(0, 250));
   const core::EngineState checkpoint = a.ExportEngineState();
@@ -423,10 +425,12 @@ TEST(BatchedIngest, CheckpointRoundTripThroughBatchedPath) {
   ASSERT_TRUE(b.RestoreEngineState(checkpoint));
   for (std::size_t i = 250; i < points.size(); ++i) b.Process(points[i]);
 
-  ASSERT_EQ(a.online().clusters().size(), b.online().clusters().size());
-  for (std::size_t i = 0; i < a.online().clusters().size(); ++i) {
-    const auto& ca = a.online().clusters()[i];
-    const auto& cb = b.online().clusters()[i];
+  const auto a_clusters = a.online().clusters();
+  const auto b_clusters = b.online().clusters();
+  ASSERT_EQ(a_clusters.size(), b_clusters.size());
+  for (std::size_t i = 0; i < a_clusters.size(); ++i) {
+    const auto& ca = a_clusters[i];
+    const auto& cb = b_clusters[i];
     EXPECT_EQ(ca.id, cb.id);
     EXPECT_EQ(ca.ecf.weight(), cb.ecf.weight());
     for (std::size_t j = 0; j < dims; ++j) {

@@ -1,4 +1,6 @@
-// Tests for the MicroCluster wrapper (labels + decay bookkeeping).
+// Tests for the MicroCluster value type (singleton construction). How
+// UMicro accumulates, merges and decays labels is asserted at the
+// algorithm level, in umicro_test and decay_test.
 
 #include "core/microcluster.h"
 
@@ -23,35 +25,13 @@ TEST(MicroClusterTest, UnlabeledPointsLeaveHistogramEmpty) {
   UncertainPoint point({1.0}, 0.0);
   MicroCluster cluster(1, point);
   EXPECT_TRUE(cluster.labels.empty());
-  cluster.AddPoint(UncertainPoint({2.0}, 1.0));
-  EXPECT_TRUE(cluster.labels.empty());
-  EXPECT_DOUBLE_EQ(cluster.ecf.weight(), 2.0);
+  EXPECT_DOUBLE_EQ(cluster.ecf.weight(), 1.0);
 }
 
-TEST(MicroClusterTest, AddPointAccumulatesLabels) {
-  MicroCluster cluster(1, UncertainPoint({0.0}, 0.0, 0));
-  cluster.AddPoint(UncertainPoint({1.0}, 1.0, 0));
-  cluster.AddPoint(UncertainPoint({2.0}, 2.0, 1));
-  EXPECT_DOUBLE_EQ(cluster.labels.at(0), 2.0);
-  EXPECT_DOUBLE_EQ(cluster.labels.at(1), 1.0);
-}
-
-TEST(MicroClusterTest, WeightedAddScalesHistogram) {
+TEST(MicroClusterTest, WeightedSingletonScalesHistogram) {
   MicroCluster cluster(1, UncertainPoint({0.0}, 0.0, 0), 0.5);
   EXPECT_DOUBLE_EQ(cluster.labels.at(0), 0.5);
-  cluster.AddPoint(UncertainPoint({1.0}, 1.0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(cluster.labels.at(0), 2.5);
-  EXPECT_DOUBLE_EQ(cluster.ecf.weight(), 2.5);
-}
-
-TEST(MicroClusterTest, DecayScalesStatisticsAndLabelsTogether) {
-  MicroCluster cluster(1, UncertainPoint({4.0}, 0.0, 2));
-  cluster.AddPoint(UncertainPoint({6.0}, 1.0, 2));
-  cluster.Decay(0.25);
   EXPECT_DOUBLE_EQ(cluster.ecf.weight(), 0.5);
-  EXPECT_DOUBLE_EQ(cluster.labels.at(2), 0.5);
-  // Centroid invariant under decay.
-  EXPECT_DOUBLE_EQ(cluster.ecf.CentroidAt(0), 5.0);
 }
 
 }  // namespace

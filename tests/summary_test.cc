@@ -11,14 +11,10 @@ namespace {
 
 std::vector<MicroCluster> MakeClusters() {
   std::vector<MicroCluster> clusters;
-  // Heavy cluster of label 2 around (1, 2).
-  MicroCluster heavy(7, stream::UncertainPoint({1.0, 2.0}, {0.1, 0.1},
-                                               0.0, 2));
-  for (int i = 0; i < 9; ++i) {
-    heavy.AddPoint(
-        stream::UncertainPoint({1.0, 2.0}, {0.1, 0.1}, i + 1.0, 2));
-  }
-  clusters.push_back(std::move(heavy));
+  // Heavy cluster of label 2 at (1, 2): ten coincident points, folded
+  // in as one weight-10 singleton.
+  clusters.emplace_back(
+      7, stream::UncertainPoint({1.0, 2.0}, {0.1, 0.1}, 0.0, 2), 10.0);
   // Light unlabeled singleton.
   clusters.emplace_back(8, stream::UncertainPoint({5.0, -5.0}, 10.0));
   return clusters;

@@ -148,6 +148,58 @@ TEST(UMicroTest, LabelHistogramsTrackMass) {
               static_cast<double>(algorithm.clusters_evicted()) + 1e-9);
 }
 
+TEST(UMicroTest, AbsorbAccumulatesLabelsAndLastUpdate) {
+  UMicro algorithm(1, UMicroOptions{});
+  // Exact duplicates of a lone singleton are absorbed into it.
+  algorithm.Process(UncertainPoint({0.0}, 0.0, 0));
+  algorithm.Process(UncertainPoint({0.0}, 1.0, 0));
+  algorithm.Process(UncertainPoint({0.0}, 2.0, 1));
+  algorithm.Process(UncertainPoint({0.0}, 3.0));  // unlabeled
+  const std::vector<MicroCluster> clusters = algorithm.clusters();
+  ASSERT_EQ(clusters.size(), 1u);
+  EXPECT_EQ(clusters[0].ecf.weight(), 4.0);
+  EXPECT_EQ(clusters[0].ecf.last_update_time(), 3.0);
+  EXPECT_EQ(clusters[0].labels,
+            (stream::LabelHistogram{{0, 2.0}, {1, 1.0}}));
+  EXPECT_EQ(algorithm.ClusterLabelHistograms()[0], clusters[0].labels);
+}
+
+TEST(UMicroTest, NegativeTimestampsLeaveLastUpdateAtZero) {
+  // t(C) follows the ECF rule: 0 max-ed with every absorbed timestamp.
+  UMicro algorithm(1, UMicroOptions{});
+  algorithm.Process(UncertainPoint({0.0}, -5.0));
+  algorithm.Process(UncertainPoint({0.0}, -4.0));
+  const std::vector<MicroCluster> clusters = algorithm.clusters();
+  ASSERT_EQ(clusters.size(), 1u);
+  EXPECT_EQ(clusters[0].creation_time, -5.0);
+  EXPECT_EQ(clusters[0].ecf.last_update_time(), 0.0);
+}
+
+TEST(UMicroTest, MergeSumsLabelsUnderTheHeavierId) {
+  UMicroOptions options;
+  options.num_micro_clusters = 2;
+  UMicro algorithm(1, options);
+  algorithm.Process(UncertainPoint({0.0}, 0.0, 0));    // A: id 0
+  algorithm.Process(UncertainPoint({100.0}, 1.0, 1));  // B: id 1
+  algorithm.Process(UncertainPoint({100.0}, 2.0, 1));  // absorbed into B
+  algorithm.Process(UncertainPoint({100.0}, 3.0, 1));  // absorbed into B
+  // C opens a third cluster; nothing is stale, so the closest pair (A,
+  // B) merges into A's row under B's (heavier) id and A's (earlier)
+  // creation time.
+  algorithm.Process(UncertainPoint({250.0}, 4.0, 2));
+  ASSERT_EQ(algorithm.clusters_merged(), 1u);
+  const std::vector<MicroCluster> clusters = algorithm.clusters();
+  ASSERT_EQ(clusters.size(), 2u);
+  EXPECT_EQ(clusters[0].id, 1u);
+  EXPECT_EQ(clusters[0].creation_time, 0.0);
+  EXPECT_EQ(clusters[0].ecf.weight(), 4.0);
+  EXPECT_EQ(clusters[0].ecf.last_update_time(), 3.0);
+  EXPECT_EQ(clusters[0].labels,
+            (stream::LabelHistogram{{0, 1.0}, {1, 3.0}}));
+  EXPECT_EQ(clusters[1].id, 2u);
+  EXPECT_EQ(clusters[1].labels, (stream::LabelHistogram{{2, 1.0}}));
+}
+
 TEST(UMicroTest, ExpectedDistanceModeAlsoClusters) {
   const Dataset dataset = MakeBlobs(200, 0.1, 9);
   UMicroOptions options;
@@ -313,11 +365,12 @@ TEST(UMicroTest, ProcessAndExplainMatchesProcess) {
     a.Process(point);
     b.ProcessAndExplain(point);
   }
-  ASSERT_EQ(a.clusters().size(), b.clusters().size());
-  for (std::size_t i = 0; i < a.clusters().size(); ++i) {
-    EXPECT_EQ(a.clusters()[i].id, b.clusters()[i].id);
-    EXPECT_DOUBLE_EQ(a.clusters()[i].ecf.weight(),
-                     b.clusters()[i].ecf.weight());
+  const std::vector<MicroCluster> a_clusters = a.clusters();
+  const std::vector<MicroCluster> b_clusters = b.clusters();
+  ASSERT_EQ(a_clusters.size(), b_clusters.size());
+  for (std::size_t i = 0; i < a_clusters.size(); ++i) {
+    EXPECT_EQ(a_clusters[i].id, b_clusters[i].id);
+    EXPECT_DOUBLE_EQ(a_clusters[i].ecf.weight(), b_clusters[i].ecf.weight());
   }
 }
 

@@ -126,7 +126,7 @@ constexpr Named<SimilarityMode> kSimilarities[] = {
     {"distance", SimilarityMode::kExpectedDistance}};
 constexpr Named<IndexKind> kIndexKinds[] = {
     {"flat", IndexKind::kFlat}, {"kdtree", IndexKind::kKdTree},
-    {"coarse", IndexKind::kCoarse}, {"auto", IndexKind::kAuto}};
+    {"auto", IndexKind::kAuto}};
 constexpr Named<QueueFullPolicy> kBackpressures[] = {
     {"block", QueueFullPolicy::kBlock},
     {"drop_oldest", QueueFullPolicy::kDropOldest},
