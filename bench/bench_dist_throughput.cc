@@ -32,8 +32,8 @@ namespace {
 
 using umicro::stream::Dataset;
 
-umicro::core::EngineOptions LeafOptions(std::size_t nmicro) {
-  umicro::core::EngineOptions options;
+umicro::core::EngineConfig LeafOptions(std::size_t nmicro) {
+  umicro::core::EngineConfig options;
   options.umicro.num_micro_clusters = nmicro;
   options.snapshot.snapshot_every = 0;  // snapshot cost is not under test
   return options;

@@ -45,7 +45,7 @@ struct RunResult {
 RunResult RunOnce(const umicro::stream::Dataset& dataset,
                   std::size_t queriers, double query_interval_ms,
                   double horizon) {
-  umicro::core::EngineOptions options;
+  umicro::core::EngineConfig options;
   options.umicro.num_micro_clusters = 100;
   options.umicro.decay_lambda = 0.001;
   options.snapshot.snapshot_every = 4096;

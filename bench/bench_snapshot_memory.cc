@@ -214,12 +214,12 @@ int main(int argc, char** argv) {
   // every horizon query is compared centroid-by-centroid.
   const umicro::stream::Dataset long_stream =
       BlockedStream(4000, dims, 77);
-  umicro::core::EngineOptions full_opt;
+  umicro::core::EngineConfig full_opt;
   full_opt.umicro.num_micro_clusters = nmicro;
   full_opt.snapshot.snapshot_every = 16;
   full_opt.snapshot.pyramid_alpha = 2;
   full_opt.snapshot.pyramid_l = 2;
-  umicro::core::EngineOptions tier_opt = full_opt;
+  umicro::core::EngineConfig tier_opt = full_opt;
   tier_opt.snapshot.tiering.mode = SnapshotStoreMode::kTiered;
   tier_opt.snapshot.tiering.budget_bytes = 8192;
   umicro::core::UMicroEngine exact(dims, full_opt);

@@ -25,23 +25,14 @@
 
 namespace umicro::core {
 
-/// Configuration of the sequential engine. Deprecated shim: new code
-/// should carry a full EngineConfig and let subsystems slice it; this
-/// struct survives because every existing constructor and test names
-/// it.
-struct EngineOptions {
-  /// Online component configuration.
-  UMicroOptions umicro;
-  /// Snapshot cadence and pyramidal retention.
-  SnapshotPolicy snapshot;
-};
-
-/// Core-level mirror of parallel::BackpressurePolicy (defined here so
-/// EngineConfig does not depend on the parallel subsystem;
-/// ParallelEngineOptions::FromConfig maps it onto that enum).
-enum class QueueFullPolicy {
+/// What a full bounded queue does with an incoming item (the sharded
+/// pipeline's shard queues; parallel::BackpressurePolicy aliases it).
+enum class BackpressurePolicy {
+  /// Block the producer until a consumer frees a slot (lossless).
   kBlock,
+  /// Evict the oldest queued item to make room (bounded staleness).
   kDropOldest,
+  /// Reject the incoming item (bounded latency for what is queued).
   kDropNewest,
 };
 
@@ -56,7 +47,7 @@ struct ParallelConfig {
   /// Points buffered per shard before an enqueue.
   std::size_t producer_batch = 64;
   /// Reaction to a full shard queue.
-  QueueFullPolicy backpressure = QueueFullPolicy::kBlock;
+  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Adaptive load shedding + worker supervision.
   bool degrade = false;
 };
@@ -111,8 +102,9 @@ struct FleetConfig {
 };
 
 /// The consolidated configuration. Every field group has working
-/// defaults; a default-constructed EngineConfig describes the same
-/// sequential engine `UMicroEngine(dims, EngineOptions{})` builds.
+/// defaults; a default-constructed EngineConfig describes a sequential
+/// engine. UMicroEngine reads `umicro` + `snapshot`; a fleet tenant
+/// reads `umicro` + `fleet.snapshot`.
 struct EngineConfig {
   /// Online algorithm tunables (shared by every engine and tenant).
   UMicroOptions umicro;
@@ -126,13 +118,6 @@ struct EngineConfig {
   ServeConfig serve;
   /// Multi-tenant fleet.
   FleetConfig fleet;
-
-  /// The core slice: what a sequential engine (or one fleet tenant with
-  /// the single-engine store) consumes.
-  EngineOptions CoreOptions() const { return {umicro, snapshot}; }
-
-  /// The per-tenant slice: same algorithm, fleet-sized pyramidal store.
-  EngineOptions TenantOptions() const { return {umicro, fleet.snapshot}; }
 };
 
 }  // namespace umicro::core

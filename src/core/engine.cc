@@ -2,8 +2,8 @@
 
 namespace umicro::core {
 
-UMicroEngine::UMicroEngine(std::size_t dimensions, EngineOptions options)
-    : core_(dimensions, options) {
+UMicroEngine::UMicroEngine(std::size_t dimensions, const EngineConfig& config)
+    : core_(dimensions, config.umicro, config.snapshot) {
   core_.AttachMetrics(&metrics_);
 }
 

@@ -11,9 +11,10 @@
 // one object. Section II-D: "as in [CluStream], the approach can be used
 // to perform interactive and online clustering in a data stream
 // environment". All of its algorithm state -- the UMicro online
-// component, the pyramidal snapshot store, and the stream clock -- lives
-// in one handle-owned core::EngineCore (engine_core.h); the engine adds
-// the metrics registry and the virtual facade. The fleet layer
+// component and its pyramidal snapshot timeline (store, cadence, stream
+// clock) -- lives in one handle-owned core::EngineCore (engine_core.h;
+// the sharded engine runs the same SnapshotTimeline over its merged
+// state). The engine adds the metrics registry and the virtual facade. The fleet layer
 // (src/fleet) owns thousands of the same EngineCore objects directly,
 // one per tenant, without this facade.
 
@@ -91,13 +92,9 @@ class ClusteringEngine : public stream::StreamClusterer {
 /// Online uncertain-stream clustering with historical horizon queries.
 class UMicroEngine : public ClusteringEngine {
  public:
-  /// Creates an engine for `dimensions`-dimensional streams.
-  UMicroEngine(std::size_t dimensions, EngineOptions options);
-
-  /// Creates an engine from the consolidated configuration (the umicro
-  /// + snapshot slices; see core/config.h).
-  UMicroEngine(std::size_t dimensions, const EngineConfig& config)
-      : UMicroEngine(dimensions, config.CoreOptions()) {}
+  /// Creates an engine for `dimensions`-dimensional streams from the
+  /// `umicro` and `snapshot` fields of the consolidated configuration.
+  UMicroEngine(std::size_t dimensions, const EngineConfig& config);
 
   UMicroEngine(const UMicroEngine&) = delete;
   UMicroEngine& operator=(const UMicroEngine&) = delete;

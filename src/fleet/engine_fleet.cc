@@ -70,8 +70,8 @@ EngineFleet::TenantSlot* EngineFleet::EnsureSlot(std::uint64_t tenant) {
   // Build the engine outside the lock (resolver callers must never wait
   // on an engine construction), then publish the slot.
   auto slot = std::make_unique<TenantSlot>();
-  slot->handle =
-      TenantHandle(tenant, dimensions_, config_.TenantOptions());
+  slot->handle = TenantHandle(tenant, dimensions_, config_.umicro,
+                              config_.fleet.snapshot);
   slot->pending.reserve(config_.fleet.tenant_batch);
   TenantSlot* raw = slot.get();
   {

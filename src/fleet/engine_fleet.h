@@ -81,8 +81,8 @@ class EngineFleet {
   /// Creates the fleet for `dimensions`-dimensional streams:
   /// `config.fleet.tenants` engines (ids 0..N-1) eagerly, more lazily
   /// via EnsureTenant/Ingest; `config.fleet.workers` ingest workers.
-  /// Each tenant runs config.TenantOptions() -- the shared algorithm
-  /// tunables with the fleet-sized pyramidal store.
+  /// Each tenant runs config.umicro -- the shared algorithm tunables --
+  /// with the fleet-sized pyramidal store config.fleet.snapshot.
   EngineFleet(std::size_t dimensions, const core::EngineConfig& config);
 
   EngineFleet(const EngineFleet&) = delete;

@@ -3,12 +3,11 @@
 // state behind one movable handle with a driver").
 //
 // A handle owns exactly one core::EngineCore (the UMicro online
-// component + pyramidal store + stream clock extracted from
-// UMicroEngine) tagged with the tenant id. Handles move freely: the
-// fleet keeps them in its tenant table, ReleaseTenant() moves one out
-// (live migration, offline compaction), AdoptTenant() moves one back
-// in. An empty (default-constructed or moved-from) handle owns nothing
-// and converts to false.
+// component + its pyramidal snapshot timeline) tagged with the tenant
+// id. Handles move freely: the fleet keeps them in its tenant table,
+// ReleaseTenant() moves one out (live migration, offline compaction),
+// AdoptTenant() moves one back in. An empty (default-constructed or
+// moved-from) handle owns nothing and converts to false.
 
 #ifndef UMICRO_FLEET_TENANT_HANDLE_H_
 #define UMICRO_FLEET_TENANT_HANDLE_H_
@@ -18,8 +17,9 @@
 #include <memory>
 #include <utility>
 
-#include "core/config.h"
 #include "core/engine_core.h"
+#include "core/snapshot.h"
+#include "core/umicro.h"
 
 namespace umicro::fleet {
 
@@ -31,9 +31,11 @@ class TenantHandle {
 
   /// Creates tenant `id`'s engine for `dimensions`-dimensional streams.
   TenantHandle(std::uint64_t id, std::size_t dimensions,
-               const core::EngineOptions& options)
+               const core::UMicroOptions& umicro,
+               const core::SnapshotPolicy& snapshot)
       : id_(id),
-        core_(std::make_unique<core::EngineCore>(dimensions, options)) {}
+        core_(std::make_unique<core::EngineCore>(dimensions, umicro,
+                                                 snapshot)) {}
 
   TenantHandle(TenantHandle&&) noexcept = default;
   TenantHandle& operator=(TenantHandle&&) noexcept = default;

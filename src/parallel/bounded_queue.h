@@ -22,21 +22,16 @@
 #include <utility>
 #include <vector>
 
+#include "core/config.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 #include "util/check.h"
 
 namespace umicro::parallel {
 
-/// What Push does when the queue is full.
-enum class BackpressurePolicy {
-  /// Block the producer until a consumer frees a slot (lossless).
-  kBlock,
-  /// Evict the oldest queued item to make room (bounded staleness).
-  kDropOldest,
-  /// Reject the incoming item (bounded latency for what is queued).
-  kDropNewest,
-};
+/// What Push does when the queue is full (defined once in core so
+/// EngineConfig can carry it).
+using BackpressurePolicy = core::BackpressurePolicy;
 
 /// Optional registry-backed observability hooks of one queue. All
 /// pointers may be null (that probe is then skipped); the queue keeps its

@@ -1,11 +1,12 @@
 // ParallelUMicroEngine: the sharded implementation of ClusteringEngine.
 //
-// Mirrors the sequential engine's facade -- feed points, get automatic
-// pyramidal snapshots and horizon queries -- but ingests through the
-// ShardedUMicro pipeline. Snapshots are taken on the merged global state
-// (a snapshot cadence point forces a global merge first), so the
-// pyramidal store and ClusterOverHorizon work exactly as in the
-// sequential engine; ECF additivity makes the merged statistics exact.
+// ShardedUMicro plus the sequential engine's SnapshotTimeline: feed
+// points, get automatic pyramidal snapshots and horizon queries, but
+// ingest through the sharded pipeline. Snapshots are taken on the merged
+// global state (a snapshot cadence point forces a global merge first),
+// so the one timeline -- cadence, store, sink, clock -- works exactly
+// as in the sequential engine; ECF additivity makes the merged
+// statistics exact.
 //
 // Like ShardedUMicro, the public API is single-coordinator: call it from
 // one thread.
@@ -21,6 +22,7 @@
 
 #include "core/config.h"
 #include "core/engine.h"
+#include "core/engine_core.h"
 #include "core/horizon.h"
 #include "core/snapshot.h"
 #include "obs/metrics.h"
@@ -89,7 +91,9 @@ class ParallelUMicroEngine : public core::ClusteringEngine {
   void AttachSnapshotSink(core::SnapshotSink* sink) override;
   core::EngineState ExportEngineState() override;
   bool RestoreEngineState(const core::EngineState& state) override;
-  const core::SnapshotStore& store() const override { return store_; }
+  const core::SnapshotStore& store() const override {
+    return timeline_.store();
+  }
   /// The pipeline's registry (engine-level snapshot metrics land in the
   /// same registry, so one export covers the whole stack).
   obs::MetricsRegistry& metrics() override { return sharded_.metrics(); }
@@ -98,27 +102,8 @@ class ParallelUMicroEngine : public core::ClusteringEngine {
   const ShardedUMicro& sharded() const { return sharded_; }
 
  private:
-  ParallelEngineOptions options_;
   ShardedUMicro sharded_;
-  core::SnapshotStore store_;
-  core::SnapshotSink* sink_ = nullptr;
-  /// Refreshes the snapshot.{bytes,frames,delta_ratio} gauges and feeds
-  /// the store's cumulative counters into the registry as deltas.
-  void PublishStoreMetrics();
-
-  obs::Histogram* snapshot_micros_;
-  obs::Counter* snapshots_taken_;
-  obs::Gauge* snapshots_stored_;
-  obs::Gauge* snapshot_bytes_;
-  obs::Gauge* snapshot_frames_;
-  obs::Gauge* snapshot_delta_ratio_;
-  obs::Counter* snapshot_reconstructions_;
-  obs::Counter* snapshot_spills_;
-  std::uint64_t published_reconstructions_ = 0;
-  std::uint64_t published_spills_ = 0;
-  std::uint64_t next_tick_ = 1;
-  std::size_t since_snapshot_ = 0;
-  double last_timestamp_ = 0.0;
+  core::SnapshotTimeline timeline_;
 };
 
 }  // namespace umicro::parallel

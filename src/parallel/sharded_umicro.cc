@@ -452,7 +452,7 @@ ShardedPipelineState ShardedUMicro::ExportPipelineState() {
   return state;
 }
 
-bool ShardedUMicro::RestorePipelineState(const ShardedPipelineState& state) {
+bool ShardedUMicro::Accepts(const ShardedPipelineState& state) const {
   if (state.shard_states.size() != shards_.size()) return false;
   for (const auto& shard_state : state.shard_states) {
     if (shard_state.welford.size() != dimensions_) return false;
@@ -463,6 +463,11 @@ bool ShardedUMicro::RestorePipelineState(const ShardedPipelineState& state) {
   for (const auto& cluster : state.global_clusters) {
     if (cluster.ecf.dimensions() != dimensions_) return false;
   }
+  return true;
+}
+
+void ShardedUMicro::RestorePipelineState(const ShardedPipelineState& state) {
+  UMICRO_CHECK(Accepts(state));
   Flush();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     std::lock_guard<std::mutex> lock(shards_[i]->state_mu);
@@ -474,7 +479,6 @@ bool ShardedUMicro::RestorePipelineState(const ShardedPipelineState& state) {
       static_cast<std::size_t>(state.next_round_robin) % options_.num_shards;
   points_since_merge_ = 0;
   global_clusters_metric_->Set(static_cast<double>(global_clusters_.size()));
-  return true;
 }
 
 std::size_t ShardedUMicro::worker_restarts() const {

@@ -184,10 +184,13 @@ class ShardedUMicro : public stream::StreamClusterer {
   /// first, so there are no in-flight points to lose).
   ShardedPipelineState ExportPipelineState();
 
+  /// True when `state` fits this pipeline: same shard count and
+  /// dimensionality.
+  bool Accepts(const ShardedPipelineState& state) const;
+
   /// Restores a previously exported state into this freshly constructed,
-  /// identically configured pipeline. Returns false (pipeline untouched)
-  /// when the shard count does not match.
-  bool RestorePipelineState(const ShardedPipelineState& state);
+  /// identically configured pipeline. Requires Accepts(state).
+  void RestorePipelineState(const ShardedPipelineState& state);
 
   /// True while the adaptive load-shed controller is degrading service.
   bool degraded() const { return degraded_; }

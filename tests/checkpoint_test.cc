@@ -34,7 +34,7 @@ stream::Dataset RandomStream(std::size_t n, std::uint64_t seed) {
 }
 
 std::unique_ptr<core::ClusteringEngine> MakeEngine(std::size_t dims = 3) {
-  core::EngineOptions options;
+  core::EngineConfig options;
   options.umicro.num_micro_clusters = 20;
   options.snapshot.snapshot_every = 256;
   return std::make_unique<core::UMicroEngine>(dims, options);
@@ -165,7 +165,7 @@ TEST_F(CheckpointTest, RecoveryRefusesMismatchedPyramidGeometry) {
   // geometry check must refuse the state and recovery must fall back to
   // a fresh engine instead of a half-restored one.
   const RecoveredEngine recovered = RecoverOrCreateEngine(dir, [] {
-    core::EngineOptions options;
+    core::EngineConfig options;
     options.umicro.num_micro_clusters = 20;
     options.snapshot.snapshot_every = 256;
     options.snapshot.pyramid_l = 2;

@@ -49,7 +49,7 @@ stream::Dataset RandomStream(std::uint64_t seed) {
 }
 
 std::unique_ptr<core::ClusteringEngine> MakeSequential() {
-  core::EngineOptions options;
+  core::EngineConfig options;
   options.umicro.num_micro_clusters = 25;
   options.snapshot.snapshot_every = 512;
   return std::make_unique<core::UMicroEngine>(kDims, options);

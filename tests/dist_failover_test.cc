@@ -49,15 +49,15 @@ struct ChaosGuard {
   ~ChaosGuard() { net::ChaosTransport::Instance().Disable(); }
 };
 
-core::EngineOptions LeafEngineOptions() {
-  core::EngineOptions options;
+core::EngineConfig LeafEngineOptions() {
+  core::EngineConfig options;
   options.umicro.num_micro_clusters = 40;
   options.snapshot.snapshot_every = 0;
   return options;
 }
 
 AggregatorOptions MatchingAggregatorOptions(std::size_t dimensions) {
-  const core::EngineOptions engine = LeafEngineOptions();
+  const core::EngineConfig engine = LeafEngineOptions();
   AggregatorOptions options;
   options.dimensions = dimensions;
   options.dimension_threshold = engine.umicro.dimension_threshold;

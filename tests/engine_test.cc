@@ -3,10 +3,13 @@
 #include "core/engine.h"
 
 #include <cmath>
+#include <span>
 
 #include <gtest/gtest.h>
 
+#include "core/engine_core.h"
 #include "core/horizon.h"
+#include "io/state_io.h"
 #include "stream/dataset.h"
 #include "util/random.h"
 
@@ -72,7 +75,7 @@ TEST(ClusterOverHorizonTest, RecoversWindowClustering) {
 }
 
 TEST(UMicroEngineTest, ProcessesAndSnapshots) {
-  EngineOptions options;
+  EngineConfig options;
   options.snapshot.snapshot_every = 50;
   UMicroEngine engine(2, options);
   const stream::Dataset dataset = PhasedBlobs(1000, 5);
@@ -85,7 +88,7 @@ TEST(UMicroEngineTest, ProcessesAndSnapshots) {
 }
 
 TEST(UMicroEngineTest, ProcessMetricsMatchPointsProcessed) {
-  EngineOptions options;
+  EngineConfig options;
   options.snapshot.snapshot_every = 50;
   UMicroEngine engine(2, options);
   const stream::Dataset dataset = PhasedBlobs(1000, 5);
@@ -116,7 +119,7 @@ TEST(UMicroEngineTest, ProcessMetricsMatchPointsProcessed) {
 }
 
 TEST(UMicroEngineTest, ClusterRecentBeforeAnyDataIsNull) {
-  UMicroEngine engine(2, EngineOptions{});
+  UMicroEngine engine(2, EngineConfig{});
   MacroClusteringOptions macro;
   EXPECT_FALSE(engine.ClusterRecent(100.0, macro).has_value());
 }
@@ -124,7 +127,7 @@ TEST(UMicroEngineTest, ClusterRecentBeforeAnyDataIsNull) {
 TEST(UMicroEngineTest, ClusterRecentSeesOnlyRecentRegime) {
   // Blob 1 exists only in the second half; a short-horizon query must
   // see it, and the window mass must be about the horizon length.
-  EngineOptions options;
+  EngineConfig options;
   options.snapshot.snapshot_every = 100;
   options.umicro.num_micro_clusters = 30;
   UMicroEngine engine(2, options);
@@ -146,7 +149,7 @@ TEST(UMicroEngineTest, ClusterRecentSeesOnlyRecentRegime) {
 }
 
 TEST(UMicroEngineTest, LongHorizonCoversWholeStream) {
-  EngineOptions options;
+  EngineConfig options;
   options.snapshot.snapshot_every = 25;
   UMicroEngine engine(1, options);
   util::Rng rng(11);
@@ -169,7 +172,7 @@ TEST(UMicroEngineTest, OutOfOrderTimestampsDoNotRewindClock) {
   // than stored snapshots and SubtractSnapshot's older.time <=
   // current.time contract blew up. Sharded replay makes such arrival
   // patterns routine; the clock must be monotone.
-  EngineOptions options;
+  EngineConfig options;
   options.snapshot.snapshot_every = 10;
   options.umicro.num_micro_clusters = 10;
   options.umicro.decay_lambda = 0.01;
@@ -192,6 +195,35 @@ TEST(UMicroEngineTest, OutOfOrderTimestampsDoNotRewindClock) {
   const auto latest = engine.store().FindAtOrBefore(1e18);
   ASSERT_TRUE(latest.has_value());
   EXPECT_LE(latest->time, 198.0);
+}
+
+TEST(EngineCoreTest, BatchCadenceMatchesProcessAfterPastDueRestore) {
+  // Regression: a restored clock already past due (since_snapshot >=
+  // snapshot_every, e.g. recovery with a smaller cadence) underflowed
+  // the batch path's chunking, which then snapshotted after the whole
+  // batch instead of after the first point as Process does.
+  const stream::Dataset dataset = PhasedBlobs(154, 23);
+  const std::span<const UncertainPoint> points = dataset.points();
+  UMicroOptions umicro;
+  umicro.num_micro_clusters = 10;
+  SnapshotPolicy coarse;
+  coarse.snapshot_every = 100;
+  EngineCore writer(2, umicro, coarse);
+  for (const auto& point : points.first(90)) writer.Process(point);
+  const EngineState state = writer.ExportState();
+  ASSERT_EQ(state.since_snapshot, 90u);
+
+  SnapshotPolicy fine = coarse;
+  fine.snapshot_every = 64;
+  EngineCore by_point(2, umicro, fine);
+  EngineCore by_batch(2, umicro, fine);
+  ASSERT_TRUE(by_point.RestoreState(state));
+  ASSERT_TRUE(by_batch.RestoreState(state));
+  for (const auto& point : points.subspan(90)) by_point.Process(point);
+  by_batch.ProcessBatch(points.subspan(90));
+  EXPECT_EQ(by_point.ExportState().since_snapshot, 63u);
+  EXPECT_EQ(io::EngineStateToString(by_batch.ExportState()),
+            io::EngineStateToString(by_point.ExportState()));
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ core::EngineConfig ParityConfig(double decay) {
 std::string IsolatedReference(
     const stream::Dataset& dataset, std::uint64_t tenant,
     const core::EngineConfig& config) {
-  core::EngineCore engine(kDims, config.TenantOptions());
+  core::EngineCore engine(kDims, config.umicro, config.fleet.snapshot);
   std::vector<stream::UncertainPoint> batch;
   batch.reserve(config.fleet.tenant_batch);
   for (std::size_t i = 0; i < dataset.size(); ++i) {

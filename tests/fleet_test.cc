@@ -1,7 +1,7 @@
 // EngineFleet API, EngineConfig consolidation, and protocol-v2 suite.
 //
 // Covers the fleet's tenant lifecycle (lazy creation, release/adopt,
-// per-tenant queries), the consolidated EngineConfig slices, the
+// per-tenant queries), the consolidated EngineConfig, the
 // idempotent snapshot-sink attach, and the serve line protocol's v2
 // surface (HELLO capabilities, TENANT session selection, the
 // tenant-qualified CLUSTER form) against both a multi-tenant resolver
@@ -51,16 +51,18 @@ core::EngineConfig SmallConfig(std::size_t tenants) {
 
 // ---- EngineConfig consolidation ---------------------------------------
 
-TEST(EngineConfigTest, SlicesSelectTheRightSnapshotPolicy) {
-  core::EngineConfig config;
+TEST(EngineConfigTest, TenantsRunTheFleetSnapshotPolicy) {
+  core::EngineConfig config = SmallConfig(1);
   config.snapshot.snapshot_every = 1000;
   config.fleet.snapshot.snapshot_every = 50;
-  EXPECT_EQ(config.CoreOptions().snapshot.snapshot_every, 1000u);
-  EXPECT_EQ(config.TenantOptions().snapshot.snapshot_every, 50u);
-  // Both slices carry the same algorithm tunables.
-  config.umicro.num_micro_clusters = 7;
-  EXPECT_EQ(config.CoreOptions().umicro.num_micro_clusters, 7u);
-  EXPECT_EQ(config.TenantOptions().umicro.num_micro_clusters, 7u);
+  EngineFleet fleet(kDims, config);
+  util::Rng rng(3);
+  for (std::size_t i = 0; i < 100; ++i) {
+    fleet.Ingest(0, MakePoint(rng, static_cast<double>(i)));
+  }
+  fleet.Flush();
+  // Two cadence snapshots at the fleet's cadence; none at the engine's.
+  EXPECT_EQ(fleet.EnsureTenant(0).core().store().TotalStored(), 2u);
 }
 
 TEST(EngineConfigTest, FromConfigMapsTheServeSlice) {
@@ -73,25 +75,6 @@ TEST(EngineConfigTest, FromConfigMapsTheServeSlice) {
   EXPECT_EQ(options.num_threads, 9u);
   EXPECT_EQ(options.max_queue, 33u);
   EXPECT_DOUBLE_EQ(options.boundary_factor, 2.5);
-}
-
-TEST(EngineConfigTest, EngineConfigConstructorMatchesEngineOptionsShim) {
-  core::EngineConfig config;
-  config.umicro.num_micro_clusters = 8;
-  config.snapshot.snapshot_every = 64;
-  core::UMicroEngine from_config(kDims, config);
-  core::UMicroEngine from_options(kDims, config.CoreOptions());
-  util::Rng rng(11);
-  for (std::size_t i = 0; i < 500; ++i) {
-    const stream::UncertainPoint point =
-        MakePoint(rng, static_cast<double>(i));
-    from_config.Process(point);
-    from_options.Process(point);
-  }
-  from_config.Flush();
-  from_options.Flush();
-  EXPECT_EQ(io::EngineStateToString(from_config.ExportEngineState()),
-            io::EngineStateToString(from_options.ExportEngineState()));
 }
 
 // ---- Tenant lifecycle --------------------------------------------------
@@ -167,7 +150,8 @@ TEST(EngineFleetTest, ReleaseAndAdoptMoveATenantWithItsState) {
   // Releasing an unknown tenant yields an empty handle; adopting into an
   // occupied id is refused.
   EXPECT_FALSE(static_cast<bool>(fleet.ReleaseTenant(42)));
-  TenantHandle duplicate(1, kDims, SmallConfig(0).TenantOptions());
+  const core::EngineConfig config = SmallConfig(0);
+  TenantHandle duplicate(1, kDims, config.umicro, config.fleet.snapshot);
   EXPECT_FALSE(fleet.AdoptTenant(std::move(duplicate)));
 }
 
@@ -177,7 +161,7 @@ TEST(EngineCoreTest, ReattachingTheSameSinkNeverDoublePrimes) {
   core::EngineConfig config;
   config.umicro.num_micro_clusters = 8;
   config.fleet.snapshot.snapshot_every = 16;
-  core::EngineCore engine(kDims, config.TenantOptions());
+  core::EngineCore engine(kDims, config.umicro, config.fleet.snapshot);
   util::Rng rng(5);
   for (std::size_t i = 0; i < 200; ++i) {
     engine.Process(MakePoint(rng, static_cast<double>(i)));

@@ -99,7 +99,7 @@ class DecayedHorizonTest : public testing::TestWithParam<double> {};
 TEST_P(DecayedHorizonTest, EngineWindowMatchesBruteForceRecompute) {
   const double lambda = GetParam();
   const std::size_t dims = 2;
-  EngineOptions options;
+  EngineConfig options;
   // A budget far above the stream length: no eviction or merge ever
   // fires, so aggregate window totals are exactly comparable.
   options.umicro.num_micro_clusters = 4096;
@@ -267,7 +267,7 @@ TEST(SubtractSnapshotTest, CancellationNoiseIsDropped) {
 /// stay inside the data bounding box padded by the largest uncertainty.
 TEST(HorizonBoundingBoxTest, MacroCentroidsStayInsideDataBounds) {
   const std::size_t dims = 2;
-  EngineOptions options;
+  EngineConfig options;
   options.umicro.num_micro_clusters = 64;
   options.umicro.decay_lambda = 0.01;
   options.snapshot.snapshot_every = 32;
@@ -327,7 +327,7 @@ TEST(SubtractSnapshotTest, FullyDecayedGapYieldsEmptyWindowNotNoise) {
 /// the decayed-away era.
 TEST(HorizonLongGapTest, WindowAfterFullDecayGapIsFreshMassOnly) {
   const std::size_t dims = 2;
-  EngineOptions options;
+  EngineConfig options;
   options.umicro.num_micro_clusters = 32;
   options.umicro.decay_lambda = 0.05;
   options.snapshot.snapshot_every = 10;
@@ -367,7 +367,7 @@ TEST(HorizonLongGapTest, WindowAfterFullDecayGapIsFreshMassOnly) {
 /// snapshot.horizon_clamped counter in the engine registry.
 TEST(HorizonSelectionTest, ClampedFallbackIncrementsCounter) {
   const std::size_t dims = 1;
-  EngineOptions options;
+  EngineConfig options;
   options.umicro.num_micro_clusters = 8;
   options.snapshot.snapshot_every = 10;
   UMicroEngine engine(dims, options);
@@ -399,7 +399,7 @@ TEST(HorizonSelectionTest, ClampedFallbackIncrementsCounter) {
 /// ratio surfaced honestly instead of silently).
 TEST(HorizonSelectionTest, AtOrBeforePreferredNearestOnlyAsFallback) {
   const std::size_t dims = 1;
-  EngineOptions options;
+  EngineConfig options;
   options.umicro.num_micro_clusters = 8;
   options.snapshot.snapshot_every = 10;
   UMicroEngine engine(dims, options);

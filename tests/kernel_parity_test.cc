@@ -400,7 +400,7 @@ TEST(BatchedIngest, ProcessBatchMatchesPerPointExactly) {
 
 TEST(BatchedIngest, CheckpointRoundTripThroughBatchedPath) {
   const std::size_t dims = 4;
-  core::EngineOptions options;
+  core::EngineConfig options;
   options.umicro.num_micro_clusters = 10;
   options.snapshot.snapshot_every = 50;
 

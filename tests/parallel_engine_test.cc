@@ -141,6 +141,27 @@ TEST(ParallelEngineTest, ReattachingTheSameSinkNeverDoublePrimes) {
   EXPECT_EQ(replica.publish_seq(), primed);
 }
 
+TEST(ParallelEngineTest, RejectedRestoreLeavesTheEngineUntouched) {
+  // Regression: the store used to be restored before the pipeline
+  // rejected a shard-count mismatch, so a failed restore still replaced
+  // the victim's retention rings.
+  ParallelEngineOptions three = TwoShardOptions();
+  three.sharded.num_shards = 3;
+  ParallelUMicroEngine exporter(2, three);
+  const stream::Dataset long_stream = PhasedBlobs(8000, 17);
+  for (const auto& point : long_stream.points()) exporter.Process(point);
+  const core::EngineState state = exporter.ExportEngineState();
+
+  ParallelUMicroEngine victim(2, TwoShardOptions());
+  const stream::Dataset short_stream = PhasedBlobs(2000, 19);
+  for (const auto& point : short_stream.points()) victim.Process(point);
+  const std::size_t stored = victim.store().TotalStored();
+  ASSERT_NE(stored, exporter.store().TotalStored());
+  EXPECT_FALSE(victim.RestoreEngineState(state));
+  EXPECT_EQ(victim.store().TotalStored(), stored);
+  EXPECT_EQ(victim.points_processed(), 2000u);
+}
+
 TEST(ParallelEngineTest, FromConfigMapsTheParallelSlice) {
   core::EngineConfig config;
   config.umicro.num_micro_clusters = 17;
@@ -149,7 +170,7 @@ TEST(ParallelEngineTest, FromConfigMapsTheParallelSlice) {
   config.parallel.merge_every = 99;
   config.parallel.queue_capacity = 12;
   config.parallel.producer_batch = 8;
-  config.parallel.backpressure = core::QueueFullPolicy::kDropOldest;
+  config.parallel.backpressure = core::BackpressurePolicy::kDropOldest;
   config.parallel.degrade = true;
   const ParallelEngineOptions options =
       ParallelEngineOptions::FromConfig(config);

@@ -56,8 +56,8 @@ std::vector<UncertainPoint> MakeStream(std::size_t n, std::uint64_t seed) {
   return points;
 }
 
-core::EngineOptions SmallEngineOptions(double decay) {
-  core::EngineOptions options;
+core::EngineConfig SmallEngineOptions(double decay) {
+  core::EngineConfig options;
   options.umicro.num_micro_clusters = 32;
   options.umicro.decay_lambda = decay;
   options.snapshot.snapshot_every = 64;
@@ -69,7 +69,7 @@ core::EngineOptions SmallEngineOptions(double decay) {
 /// same window mass, same macro-centroids to the last bit.
 TEST(ServeQuiescedEqualityTest, BrokerMatchesEngineBitForBit) {
   for (const double decay : {0.0, 0.01}) {
-    core::EngineOptions options = SmallEngineOptions(decay);
+    core::EngineConfig options = SmallEngineOptions(decay);
     core::UMicroEngine engine(2, options);
     SnapshotReadReplica replica(options.snapshot, decay);
     engine.AttachSnapshotSink(&replica);
@@ -149,7 +149,7 @@ TEST(ServeQuiescedEqualityTest, ParallelEngineAttachAndMatch) {
 /// consistent (monotone publish_seq). This is the test CI runs under
 /// TSan -- the replica swap and Acquire are the racy surface.
 TEST(ServeConcurrencyTest, QueriesRaceIngestSafely) {
-  core::EngineOptions options = SmallEngineOptions(0.005);
+  core::EngineConfig options = SmallEngineOptions(0.005);
   core::UMicroEngine engine(2, options);
   SnapshotReadReplica replica(options.snapshot, 0.005);
   engine.AttachSnapshotSink(&replica);
@@ -297,13 +297,13 @@ const core::EncodedFrame* StoreFrame(const core::SnapshotStore& store,
 TEST(ReplicaTest, HistorySharesTheStoresFullFrames) {
   for (const auto mode :
        {core::SnapshotStoreMode::kFull, core::SnapshotStoreMode::kDelta}) {
-    core::EngineOptions options = SmallEngineOptions(0.0);
+    core::EngineConfig options = SmallEngineOptions(0.0);
     options.snapshot.tiering.mode = mode;
     const auto points = MakeStream(3000, 5);
-    core::EngineCore live(2, options);
+    core::EngineCore live(2, options.umicro, options.snapshot);
     SnapshotReadReplica live_replica(options.snapshot, 0.0);
     live.AttachSnapshotSink(&live_replica);
-    core::EngineCore primed(2, options);
+    core::EngineCore primed(2, options.umicro, options.snapshot);
     primed.ProcessBatch(points);
     live.ProcessBatch(points);
     SnapshotReadReplica primed_replica(options.snapshot, 0.0);
@@ -338,9 +338,9 @@ TEST(ReplicaTest, HistorySharesTheStoresFullFrames) {
 /// owns), the replica's object keeps every bit -- whether the frame was
 /// published on cadence or handed over by attach-time priming.
 void ExpectPublishedFrameSurvivesDeltaReencode(bool prime) {
-  core::EngineOptions options = SmallEngineOptions(0.0);
+  core::EngineConfig options = SmallEngineOptions(0.0);
   options.snapshot.tiering.mode = core::SnapshotStoreMode::kDelta;
-  core::EngineCore engine(2, options);
+  core::EngineCore engine(2, options.umicro, options.snapshot);
   SnapshotReadReplica replica(options.snapshot, 0.0);
   if (!prime) engine.AttachSnapshotSink(&replica);
   const auto points = MakeStream(2000, 23);
@@ -392,9 +392,9 @@ TEST(ReplicaTest, PublishedFrameSurvivesDeltaReencode) {
 /// alike, so every horizon answer served from the replica is bitwise the
 /// engine's own: 100 points per timestamp, a snapshot every 10 points.
 TEST(ServeQuiescedEqualityTest, TiedSnapshotTimesPickTheSameTick) {
-  core::EngineOptions options = SmallEngineOptions(0.0);
+  core::EngineConfig options = SmallEngineOptions(0.0);
   options.snapshot.snapshot_every = 10;
-  core::EngineCore engine(2, options);
+  core::EngineCore engine(2, options.umicro, options.snapshot);
   SnapshotReadReplica replica(options.snapshot, 0.0);
   engine.AttachSnapshotSink(&replica);
   auto points = MakeStream(2400, 41);
@@ -486,7 +486,7 @@ TEST(ServeQuiescedEqualityTest, TiedSnapshotTimesPickTheSameTick) {
 /// The line protocol end to end over string streams: pipelined
 /// requests, in-order responses, ERR for malformed input, QUIT ends.
 TEST(ServerTest, LineProtocolAnswersInOrder) {
-  core::EngineOptions options = SmallEngineOptions(0.0);
+  core::EngineConfig options = SmallEngineOptions(0.0);
   core::UMicroEngine engine(2, options);
   SnapshotReadReplica replica(options.snapshot, 0.0);
   engine.AttachSnapshotSink(&replica);

@@ -27,7 +27,7 @@ namespace {
 class ServeProtocolFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    core::EngineOptions options;
+    core::EngineConfig options;
     options.umicro.num_micro_clusters = 16;
     options.snapshot.snapshot_every = 64;
     engine_ = std::make_unique<core::UMicroEngine>(2, options);

@@ -62,8 +62,8 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-EngineOptions TieredOptions(const std::string& spill_dir) {
-  EngineOptions options;
+EngineConfig TieredOptions(const std::string& spill_dir) {
+  EngineConfig options;
   options.umicro.num_micro_clusters = 16;
   options.snapshot.snapshot_every = 4;
   options.snapshot.pyramid_alpha = 2;
@@ -73,6 +73,11 @@ EngineOptions TieredOptions(const std::string& spill_dir) {
   options.snapshot.tiering.spill_dir = spill_dir;
   options.snapshot.tiering.codec = io::MakeSnapshotSpillCodec();
   return options;
+}
+
+/// A sequential core over the umicro + snapshot fields of `config`.
+EngineCore MakeCore(std::size_t dims, const EngineConfig& config) {
+  return EngineCore(dims, config.umicro, config.snapshot);
 }
 
 std::vector<std::string> SpillPaths(const SnapshotStore& store) {
@@ -124,7 +129,7 @@ void ExpectDegradedButAlive(EngineCore& engine, std::size_t dead_frames) {
 
 TEST(SnapshotRecoveryTest, RestoreWithMissingSpillFilesSkipsAndDegrades) {
   const std::string dir = FreshDir("missing");
-  EngineCore engine(2, TieredOptions(dir));
+  EngineCore engine = MakeCore(2, TieredOptions(dir));
   for (const auto& point : DriftStream(0x51, 2, 2000)) {
     engine.Process(point);
   }
@@ -138,14 +143,14 @@ TEST(SnapshotRecoveryTest, RestoreWithMissingSpillFilesSkipsAndDegrades) {
 
   const auto parsed = io::ParseEngineState(text);
   ASSERT_TRUE(parsed.has_value());
-  EngineCore recovered(2, TieredOptions(dir));
+  EngineCore recovered = MakeCore(2, TieredOptions(dir));
   ASSERT_TRUE(recovered.RestoreState(*parsed));
   ExpectDegradedButAlive(recovered, spills.size());
 }
 
 TEST(SnapshotRecoveryTest, RestoreWithCorruptSpillFilesSkipsAndDegrades) {
   const std::string dir = FreshDir("corrupt");
-  EngineCore engine(2, TieredOptions(dir));
+  EngineCore engine = MakeCore(2, TieredOptions(dir));
   for (const auto& point : DriftStream(0x52, 2, 2000)) {
     engine.Process(point);
   }
@@ -159,7 +164,7 @@ TEST(SnapshotRecoveryTest, RestoreWithCorruptSpillFilesSkipsAndDegrades) {
 
   const auto parsed = io::ParseEngineState(text);
   ASSERT_TRUE(parsed.has_value());
-  EngineCore recovered(2, TieredOptions(dir));
+  EngineCore recovered = MakeCore(2, TieredOptions(dir));
   ASSERT_TRUE(recovered.RestoreState(*parsed));
   ExpectDegradedButAlive(recovered, spills.size());
 }

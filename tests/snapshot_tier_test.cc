@@ -89,9 +89,9 @@ std::map<std::pair<std::size_t, std::uint64_t>, std::string> FrameStrings(
   return frames;
 }
 
-EngineOptions TierOptions(std::size_t q, double decay,
-                          SnapshotStoreMode mode) {
-  EngineOptions options;
+EngineConfig TierOptions(std::size_t q, double decay,
+                         SnapshotStoreMode mode) {
+  EngineConfig options;
   options.umicro.num_micro_clusters = q;
   options.umicro.decay_lambda = decay;
   options.snapshot.snapshot_every = 4;
@@ -101,15 +101,21 @@ EngineOptions TierOptions(std::size_t q, double decay,
   return options;
 }
 
+/// A sequential core over the umicro + snapshot fields of `config`.
+EngineCore MakeCore(std::size_t dims, const EngineConfig& config) {
+  return EngineCore(dims, config.umicro, config.snapshot);
+}
+
 // ---- Delta parity ------------------------------------------------------
 
 TEST(SnapshotTierTest, DeltaStoreIsBitIdenticalAcrossTheGrid) {
   for (const std::size_t dims : {1u, 3u, 16u}) {
     for (const std::size_t q : {4u, 32u, 128u}) {
       for (const double decay : {0.0, 0.02}) {
-        EngineCore full(dims, TierOptions(q, decay, SnapshotStoreMode::kFull));
-        EngineCore delta(dims,
-                         TierOptions(q, decay, SnapshotStoreMode::kDelta));
+        EngineCore full =
+            MakeCore(dims, TierOptions(q, decay, SnapshotStoreMode::kFull));
+        EngineCore delta =
+            MakeCore(dims, TierOptions(q, decay, SnapshotStoreMode::kDelta));
         const auto points =
             DriftStream(dims * 1000 + q * 10 + (decay > 0 ? 1 : 0), dims, 600);
         for (const auto& point : points) {
@@ -168,7 +174,8 @@ TEST(SnapshotTierTest, DeltaStoreIsBitIdenticalAcrossTheGrid) {
 
 TEST(SnapshotTierTest, DeltaCheckpointRoundTripIsBitIdentical) {
   const std::size_t dims = 4;
-  EngineCore engine(dims, TierOptions(32, 0.01, SnapshotStoreMode::kDelta));
+  EngineCore engine =
+      MakeCore(dims, TierOptions(32, 0.01, SnapshotStoreMode::kDelta));
   for (const auto& point : DriftStream(0xc0ffee, dims, 800)) {
     engine.Process(point);
   }
@@ -178,7 +185,8 @@ TEST(SnapshotTierTest, DeltaCheckpointRoundTripIsBitIdentical) {
   const std::optional<EngineState> parsed = io::ParseEngineState(text);
   ASSERT_TRUE(parsed.has_value());
 
-  EngineCore restored(dims, TierOptions(32, 0.01, SnapshotStoreMode::kDelta));
+  EngineCore restored =
+      MakeCore(dims, TierOptions(32, 0.01, SnapshotStoreMode::kDelta));
   ASSERT_TRUE(restored.RestoreState(*parsed));
 
   // The serialized state (deltas stay deltas on disk) and every
@@ -461,15 +469,16 @@ TEST(SnapshotTierTest, RestoreRejectsGeometryMismatchAndLeavesStoreIntact) {
 
 TEST(SnapshotTierTest, EngineRestoreRejectsMismatchedPyramidGeometry) {
   const std::size_t dims = 3;
-  EngineCore exporter(dims, TierOptions(16, 0.0, SnapshotStoreMode::kDelta));
+  EngineCore exporter =
+      MakeCore(dims, TierOptions(16, 0.0, SnapshotStoreMode::kDelta));
   for (const auto& point : DriftStream(0xabc, dims, 400)) {
     exporter.Process(point);
   }
   const EngineState state = exporter.ExportState();
 
-  EngineOptions mismatched = TierOptions(16, 0.0, SnapshotStoreMode::kDelta);
+  EngineConfig mismatched = TierOptions(16, 0.0, SnapshotStoreMode::kDelta);
   mismatched.snapshot.pyramid_l = 3;  // exporter ran l=2
-  EngineCore victim(dims, mismatched);
+  EngineCore victim = MakeCore(dims, mismatched);
   EXPECT_FALSE(victim.RestoreState(state));
   // Fail fast left the engine untouched and usable.
   EXPECT_EQ(victim.points_processed(), 0u);

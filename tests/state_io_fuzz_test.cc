@@ -58,7 +58,7 @@ std::string CluStreamText() {
 }
 
 std::string EngineText() {
-  core::EngineOptions options;
+  core::EngineConfig options;
   options.umicro.num_micro_clusters = 15;
   options.snapshot.snapshot_every = 128;
   core::UMicroEngine engine(3, options);
@@ -158,7 +158,7 @@ TEST(StateIoFuzzTest, EngineParserSurvivesRandomSplices) {
 }
 
 std::string TieredEngineText(core::SnapshotStoreMode mode) {
-  core::EngineOptions options;
+  core::EngineConfig options;
   options.umicro.num_micro_clusters = 15;
   options.snapshot.snapshot_every = 16;
   options.snapshot.pyramid_l = 2;

@@ -95,7 +95,7 @@ TEST(StressTest, InvariantsHoldOverAdversarialStream) {
 }
 
 TEST(StressTest, EngineSurvivesLongRunWithSnapshots) {
-  EngineOptions options;
+  EngineConfig options;
   options.snapshot.snapshot_every = 64;
   options.umicro.num_micro_clusters = 25;
   UMicroEngine engine(3, options);

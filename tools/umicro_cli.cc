@@ -95,8 +95,8 @@
 
 namespace {
 
+using umicro::core::BackpressurePolicy;
 using umicro::core::EngineConfig;
-using umicro::core::QueueFullPolicy;
 using umicro::core::SimilarityMode;
 using umicro::core::SnapshotStoreMode;
 using umicro::index::IndexKind;
@@ -127,10 +127,10 @@ constexpr Named<SimilarityMode> kSimilarities[] = {
 constexpr Named<IndexKind> kIndexKinds[] = {
     {"flat", IndexKind::kFlat}, {"kdtree", IndexKind::kKdTree},
     {"auto", IndexKind::kAuto}};
-constexpr Named<QueueFullPolicy> kBackpressures[] = {
-    {"block", QueueFullPolicy::kBlock},
-    {"drop_oldest", QueueFullPolicy::kDropOldest},
-    {"drop_newest", QueueFullPolicy::kDropNewest}};
+constexpr Named<BackpressurePolicy> kBackpressures[] = {
+    {"block", BackpressurePolicy::kBlock},
+    {"drop_oldest", BackpressurePolicy::kDropOldest},
+    {"drop_newest", BackpressurePolicy::kDropNewest}};
 constexpr Named<SnapshotStoreMode> kStoreModes[] = {
     {"full", SnapshotStoreMode::kFull}, {"delta", SnapshotStoreMode::kDelta},
     {"tiered", SnapshotStoreMode::kTiered}};
