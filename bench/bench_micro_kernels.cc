@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <span>
 
 #include "baseline/clustream.h"
@@ -16,7 +17,10 @@
 #include "kernels/cluster_table.h"
 #include "kernels/dispatch.h"
 #include "kernels/kernels.h"
+#include "parallel/shard_merge.h"
+#include "stream/dataset.h"
 #include "stream/point.h"
+#include "synth/workloads.h"
 #include "util/random.h"
 
 namespace {
@@ -378,5 +382,43 @@ void BM_UMicroProcessBatch(benchmark::State& state) {
                           static_cast<int64_t>(batch));
 }
 BENCHMARK(BM_UMicroProcessBatch)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_ShardMerge(benchmark::State& state) {
+  // One global-view rebuild of the sharded pipeline: the argument is the
+  // shard count, each shard holding 100 SynDrift clusters at d=20 (the
+  // syndrift_sharded configuration at 2 shards). The merge reconciles
+  // the concatenated clusters back to a budget of 100 on the
+  // DetectBackend() tier; the timed loop includes the by-value copy of
+  // the shard sets the merge consumes.
+  const std::size_t shards = static_cast<std::size_t>(state.range(0));
+  const umicro::stream::Dataset dataset =
+      umicro::synth::MakeSynDriftWorkload(20000 * shards, 0.5, 17);
+  umicro::core::UMicroOptions options;
+  options.num_micro_clusters = 100;
+  std::vector<std::unique_ptr<umicro::core::UMicro>> algorithms;
+  for (std::size_t i = 0; i < shards; ++i) {
+    algorithms.push_back(std::make_unique<umicro::core::UMicro>(
+        dataset.dimensions(), options));
+  }
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    algorithms[i % shards]->Process(dataset.points()[i]);
+  }
+  std::vector<std::vector<umicro::core::MicroCluster>> shard_sets;
+  for (const auto& algorithm : algorithms) {
+    shard_sets.push_back(algorithm->clusters());
+  }
+  umicro::parallel::ShardMergeOptions merge_options;
+  merge_options.dimensions = dataset.dimensions();
+  merge_options.dimension_threshold = options.dimension_threshold;
+  merge_options.global_budget = 100;
+  for (auto _ : state) {
+    std::size_t reconciliations = 0;
+    auto merged = umicro::parallel::MergeShardClusterSets(
+        shard_sets, merge_options, &reconciliations);
+    benchmark::DoNotOptimize(merged.data());
+    benchmark::DoNotOptimize(reconciliations);
+  }
+}
+BENCHMARK(BM_ShardMerge)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

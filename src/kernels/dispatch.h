@@ -13,7 +13,8 @@
 // scalar loop. Reduction kernels (batch distances, similarity votes,
 // closest-pair) reassociate the per-dimension sum, so tiers agree only
 // to floating-point tolerance; callers must not depend on which side of
-// an exact tie a reduction lands.
+// an exact tie a reduction lands. The pair kernel (pair_similarity.h)
+// puts its lanes across pairs instead, so it is bit-identical too.
 
 #ifndef UMICRO_KERNELS_DISPATCH_H_
 #define UMICRO_KERNELS_DISPATCH_H_

@@ -28,7 +28,8 @@ ParallelUMicroEngine::ParallelUMicroEngine(std::size_t dimensions,
 void ParallelUMicroEngine::Process(const stream::UncertainPoint& point) {
   sharded_.Process(point);
   if (!timeline_.Advance(point.timestamp)) return;
-  // The snapshot.take_micros timing includes the forced drain + merge.
+  // The snapshot.take_micros timing includes the drain + rebuild, when
+  // no merge_every merge on this point already made the view current.
   timeline_.TakeSnapshot([this](double time) {
     sharded_.Flush();
     core::Snapshot merged = sharded_.GlobalSnapshot(time);

@@ -35,10 +35,11 @@ namespace umicro::parallel {
 struct ParallelEngineOptions {
   /// Ingest pipeline configuration.
   ShardedUMicroOptions sharded;
-  /// Snapshot cadence and pyramidal retention. Each snapshot forces a
-  /// drain + merge, so the cadence default (8192, vs the sequential
-  /// engine's 100) stays well above the per-point cost you are willing
-  /// to amortize.
+  /// Snapshot cadence and pyramidal retention. A cadence snapshot is
+  /// taken on a current global view: it drains the shards and rebuilds
+  /// the view, unless a `sharded.merge_every` merge on the same point
+  /// already did. The cadence default (8192, vs the sequential engine's
+  /// 100) keeps those rebuilds rare enough to amortize.
   core::SnapshotPolicy snapshot = [] {
     core::SnapshotPolicy policy;
     policy.snapshot_every = 8192;

@@ -1,9 +1,12 @@
 #include "parallel/shard_merge.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <utility>
 
+#include "kernels/dispatch.h"
+#include "kernels/pair_similarity.h"
 #include "util/check.h"
 
 namespace umicro::parallel {
@@ -18,6 +21,29 @@ std::size_t FindRoot(std::vector<std::size_t>& parent, std::size_t i) {
   }
   return i;
 }
+
+/// One candidate union of the reconciliation.
+struct CandidatePair {
+  double similarity;
+  double dist2;
+  std::uint32_t a;
+  std::uint32_t b;
+};
+
+/// The union order, a strict total order over the pairs of one merge:
+/// most similar first, then the nearer centroids, then the
+/// lexicographically smallest (a, b). Exact score ties (the same cluster
+/// reported by several shards) therefore resolve the same way on every
+/// standard library.
+bool UnitesBefore(const CandidatePair& x, const CandidatePair& y) {
+  if (x.similarity != y.similarity) return x.similarity > y.similarity;
+  if (x.dist2 != y.dist2) return x.dist2 < y.dist2;
+  if (x.a != y.a) return x.a < y.a;
+  return x.b < y.b;
+}
+
+/// Smallest chunk of the union order selected at a time.
+constexpr std::size_t kMinSelectChunk = 64;
 
 }  // namespace
 
@@ -81,41 +107,55 @@ std::vector<core::MicroCluster> MergeShardClusterSets(
     inv_scaled[j] = scaled > 0.0 ? 1.0 / scaled : 0.0;
   }
 
-  struct CandidatePair {
-    double similarity;
-    double dist2;
-    std::size_t a;
-    std::size_t b;
-  };
+  // Score every pair on the kernel tier from per-row terms staged once
+  // (bit-identical to ClusterSimilarity on every tier).
+  kernels::PairTermTable terms(options.dimensions, q);
+  for (std::size_t i = 0; i < q; ++i) {
+    const core::ErrorClusterFeature& ecf = merged[i].ecf;
+    terms.SetRow(i, ecf.cf1().data(), ecf.ef2().data(), ecf.weight());
+  }
+  const kernels::Backend backend = kernels::DetectBackend();
+  std::vector<double> votes(terms.stride());
+  std::vector<double> dists(terms.stride());
   std::vector<CandidatePair> pairs;
   pairs.reserve(q * (q - 1) / 2);
   for (std::size_t a = 0; a + 1 < q; ++a) {
+    kernels::PairSimilarityRow(terms, inv_scaled.data(), a, backend,
+                               votes.data(), dists.data());
     for (std::size_t b = a + 1; b < q; ++b) {
-      double d2 = 0.0;
-      const double sim =
-          ClusterSimilarity(merged[a].ecf, merged[b].ecf, inv_scaled, &d2);
-      pairs.push_back({sim, d2, a, b});
+      UMICRO_DCHECK(std::isfinite(votes[b]) && std::isfinite(dists[b]));
+      pairs.push_back({votes[b], dists[b], static_cast<std::uint32_t>(a),
+                       static_cast<std::uint32_t>(b)});
     }
   }
-  std::sort(pairs.begin(), pairs.end(),
-            [](const CandidatePair& x, const CandidatePair& y) {
-              if (x.similarity != y.similarity)
-                return x.similarity > y.similarity;
-              return x.dist2 < y.dist2;
-            });
 
+  // Unite pairs in UnitesBefore order until the budget holds. Only a
+  // prefix of that order is ever consumed, so it is selected a chunk at
+  // a time (nth_element, then a sort of the chunk) instead of sorting
+  // all q(q-1)/2 pairs; under a strict total order the consumed prefix
+  // is exactly the one a full sort gives.
   std::vector<std::size_t> parent(q);
   std::iota(parent.begin(), parent.end(), 0);
   std::size_t components = q;
   std::size_t unions = 0;
-  for (const CandidatePair& pair : pairs) {
-    if (components <= options.global_budget) break;
-    const std::size_t ra = FindRoot(parent, pair.a);
-    const std::size_t rb = FindRoot(parent, pair.b);
-    if (ra == rb) continue;
-    parent[rb] = ra;
-    --components;
-    ++unions;
+  std::size_t chunk = std::max<std::size_t>(2 * (q - options.global_budget),
+                                            kMinSelectChunk);
+  for (auto begin = pairs.begin();
+       components > options.global_budget && begin != pairs.end();
+       chunk *= 2) {
+    const auto end =
+        begin + static_cast<std::ptrdiff_t>(std::min<std::size_t>(
+                    chunk, static_cast<std::size_t>(pairs.end() - begin)));
+    std::nth_element(begin, end, pairs.end(), UnitesBefore);
+    std::sort(begin, end, UnitesBefore);
+    for (; begin != end && components > options.global_budget; ++begin) {
+      const std::size_t ra = FindRoot(parent, begin->a);
+      const std::size_t rb = FindRoot(parent, begin->b);
+      if (ra == rb) continue;
+      parent[rb] = ra;
+      --components;
+      ++unions;
+    }
   }
   if (reconciliations != nullptr) *reconciliations = unions;
 

@@ -58,6 +58,8 @@ struct ShardMergeOptions {
 /// and dimension j votes max{0, 1 - gap_j/(thresh*sigma_j^2)}.
 /// `inv_scaled[j]` caches 1/(thresh*sigma_j^2) (0 for dead dimensions).
 /// Also reports the plain squared centroid distance for tie-breaking.
+/// The merge scores pairs with kernels::PairSimilarityRow, which is bit
+/// for bit this function on every tier; this is its reference.
 double ClusterSimilarity(const core::ErrorClusterFeature& a,
                          const core::ErrorClusterFeature& b,
                          const std::vector<double>& inv_scaled,
@@ -66,8 +68,11 @@ double ClusterSimilarity(const core::ErrorClusterFeature& a,
 /// Merges `shard_sets` (one cluster list per shard, shard order) into a
 /// single global view: tags ids by shard index, then reconciles
 /// near-duplicates down to `options.global_budget` when over budget.
-/// `reconciliations` (optional) receives the number of pairwise unions
-/// performed.
+/// Pairs are united in a strict total order -- similarity descending,
+/// then squared centroid distance ascending, then (a, b) ascending over
+/// the concatenated positions -- so exact score ties resolve the same
+/// way everywhere. `reconciliations` (optional) receives the number of
+/// pairwise unions performed.
 std::vector<core::MicroCluster> MergeShardClusterSets(
     std::vector<std::vector<core::MicroCluster>> shard_sets,
     const ShardMergeOptions& options,

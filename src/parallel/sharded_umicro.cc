@@ -46,6 +46,7 @@ ShardedUMicro::ShardedUMicro(std::size_t dimensions,
       merges_metric_(&metrics_.GetCounter("parallel.merges")),
       reconcile_metric_(&metrics_.GetCounter("parallel.reconcile_merges")),
       merge_micros_(&metrics_.GetHistogram("parallel.merge_micros")),
+      rebuild_micros_(&metrics_.GetHistogram("parallel.rebuild_micros")),
       global_clusters_metric_(&metrics_.GetGauge("parallel.global_clusters")),
       degrade_activations_metric_(
           &metrics_.GetCounter("parallel.degrade.activations")),
@@ -275,6 +276,7 @@ void ShardedUMicro::EnqueueBatch(std::size_t index) {
   std::optional<std::vector<stream::UncertainPoint>> displaced;
   const bool accepted = shards_[index]->queue.Push(std::move(batch),
                                                    &displaced);
+  if (accepted) view_current_ = false;
   TakeSpareBatch(index);
 
   std::size_t dropped = 0;
@@ -364,12 +366,14 @@ void ShardedUMicro::RebuildGlobalView() {
   std::size_t reconciliations = 0;
   global_clusters_ = MergeShardClusterSets(std::move(shard_sets),
                                            merge_options, &reconciliations);
-  for (std::size_t n = 0; n < reconciliations; ++n) {
-    reconcile_metric_->Increment();
-  }
+  reconcile_metric_->Increment(reconciliations);
 }
 
 void ShardedUMicro::MergeNow() {
+  for (std::size_t i = 0; i < shards_.size(); ++i) EnqueueBatch(i);
+  points_since_merge_ = 0;
+  // Nothing reached a shard since the last rebuild: the view is current.
+  if (view_current_) return;
   const obs::ScopedTimer timer(merge_micros_);
   if (util::FailpointRegistry::Instance().AnyArmed()) {
     const std::size_t stall = util::FailpointRegistry::Instance()
@@ -378,7 +382,6 @@ void ShardedUMicro::MergeNow() {
       std::this_thread::sleep_for(std::chrono::milliseconds(stall));
     }
   }
-  for (std::size_t i = 0; i < shards_.size(); ++i) EnqueueBatch(i);
   WaitDrained();
   // Free the leftover spares here, on the thread that allocated them,
   // instead of carrying them across the merge.
@@ -389,10 +392,13 @@ void ShardedUMicro::MergeNow() {
       spares.swap(shard->spares);
     }
   }
-  RebuildGlobalView();
+  {
+    const obs::ScopedTimer rebuild_timer(rebuild_micros_);
+    RebuildGlobalView();
+  }
+  view_current_ = true;
   merges_metric_->Increment();
   global_clusters_metric_->Set(static_cast<double>(global_clusters_.size()));
-  points_since_merge_ = 0;
 }
 
 void ShardedUMicro::Flush() { MergeNow(); }
@@ -474,6 +480,7 @@ void ShardedUMicro::RestorePipelineState(const ShardedPipelineState& state) {
     shards_[i]->algo.RestoreState(state.shard_states[i]);
   }
   global_clusters_ = state.global_clusters;
+  view_current_ = false;
   points_ingested_ = static_cast<std::size_t>(state.points_ingested);
   next_round_robin_ =
       static_cast<std::size_t>(state.next_round_robin) % options_.num_shards;

@@ -168,7 +168,10 @@ class ShardedUMicro : public stream::StreamClusterer {
   std::vector<std::vector<double>> ClusterCentroids() const override;
 
   /// Flushes producer batches, waits until every queue is drained and
-  /// every worker idle, then recomputes the merged global view.
+  /// every worker idle, then recomputes the merged global view. When no
+  /// batch has reached a shard since the last rebuild (and no state was
+  /// restored), the view is already current: nothing is drained or
+  /// rebuilt, and no merge is counted.
   void Flush();
 
   /// Merged global micro-clusters as of the last merge (call Flush()
@@ -276,7 +279,8 @@ class ShardedUMicro : public stream::StreamClusterer {
   /// only run with all queues drained.
   void RebuildGlobalView();
 
-  /// Drain + rebuild + merge-stat bookkeeping.
+  /// Enqueue of pending batches, then drain + rebuild + merge-stat
+  /// bookkeeping unless the view is current.
   void MergeNow();
 
   const std::size_t dimensions_;
@@ -293,6 +297,7 @@ class ShardedUMicro : public stream::StreamClusterer {
   obs::Counter* merges_metric_;
   obs::Counter* reconcile_metric_;
   obs::Histogram* merge_micros_;
+  obs::Histogram* rebuild_micros_;
   obs::Gauge* global_clusters_metric_;
   // Degradation / supervision metric handles.
   obs::Counter* degrade_activations_metric_;
@@ -320,6 +325,9 @@ class ShardedUMicro : public stream::StreamClusterer {
   std::size_t points_since_merge_ = 0;
   std::size_t next_round_robin_ = 0;
   std::vector<core::MicroCluster> global_clusters_;
+  /// False once a batch was pushed to a shard queue or a state restored
+  /// since the last rebuild; MergeNow skips the rebuild while true.
+  bool view_current_ = true;
   /// Set by the destructor before tearing anything down; read by the
   /// supervisor to suppress restarts during shutdown.
   std::atomic<bool> stopped_{false};

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <vector>
@@ -21,6 +22,8 @@
 #include "kernels/cluster_table.h"
 #include "kernels/dispatch.h"
 #include "kernels/kernels.h"
+#include "kernels/pair_similarity.h"
+#include "parallel/shard_merge.h"
 #include "stream/point.h"
 #include "util/random.h"
 
@@ -343,6 +346,57 @@ TEST(KernelReductionParity, ClosestPairBreaksExactTiesLexicographically) {
       EXPECT_EQ(nn[40], 0u);
       EXPECT_EQ(nn[1], 2u);
       EXPECT_EQ(nn[2], 1u);
+    }
+  }
+}
+
+// ---- Pair kernel: bit-identical across tiers --------------------------
+
+TEST(KernelPairParity, PairSimilarityRowMatchesClusterSimilarityBitExactly) {
+  // Unlike the point scans, the pair kernel's tiers must agree bit for
+  // bit with parallel::ClusterSimilarity: lanes run across pairs, so
+  // every pair keeps the scalar left-to-right sum without FMA. Covers
+  // dead dimensions (inv_scaled = 0), votes clamped at 0, fractional
+  // (decayed) weights, duplicated rows, and row counts that leave
+  // partial vector blocks.
+  util::Rng rng(9090);
+  for (const std::size_t dims : {1u, 3u, 7u, 20u, 64u}) {
+    for (const std::size_t q : {2u, 9u, 17u, 100u}) {
+      ClusterTable table;
+      std::vector<core::ErrorClusterFeature> ecfs;
+      BuildRandomClusters(rng, dims, q, Backend::kScalar, &table, &ecfs);
+      for (std::size_t i = 0; i < q; ++i) {
+        if (i % 3 == 1) ecfs[i].Scale(rng.Uniform(0.05, 0.99));
+      }
+      if (q > 4) ecfs[q - 1] = ecfs[2];
+      std::vector<double> inv_scaled(dims);
+      for (std::size_t j = 0; j < dims; ++j) {
+        inv_scaled[j] = (j % 4 == 2) ? 0.0 : 1.0 / rng.Uniform(1.0, 200.0);
+      }
+      PairTermTable terms(dims, q);
+      for (std::size_t i = 0; i < q; ++i) {
+        terms.SetRow(i, ecfs[i].cf1().data(), ecfs[i].ef2().data(),
+                     ecfs[i].weight());
+      }
+      for (const Backend backend : TestableBackends()) {
+        std::vector<double> vote(terms.stride());
+        std::vector<double> d2(terms.stride());
+        for (std::size_t a = 0; a + 1 < q; ++a) {
+          PairSimilarityRow(terms, inv_scaled.data(), a, backend, vote.data(),
+                            d2.data());
+          for (std::size_t b = a + 1; b < q; ++b) {
+            double want_d2 = 0.0;
+            const double want_vote = parallel::ClusterSimilarity(
+                ecfs[a], ecfs[b], inv_scaled, &want_d2);
+            ASSERT_EQ(std::memcmp(&vote[b], &want_vote, sizeof(double)), 0)
+                << "backend=" << BackendName(backend) << " d=" << dims
+                << " q=" << q << " pair=(" << a << ", " << b << ")";
+            ASSERT_EQ(std::memcmp(&d2[b], &want_d2, sizeof(double)), 0)
+                << "backend=" << BackendName(backend) << " d=" << dims
+                << " q=" << q << " pair=(" << a << ", " << b << ")";
+          }
+        }
+      }
     }
   }
 }

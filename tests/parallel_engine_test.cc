@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/config.h"
+#include "io/state_io.h"
 #include "obs/metrics.h"
 #include "serve/replica.h"
 #include "stream/dataset.h"
@@ -160,6 +161,43 @@ TEST(ParallelEngineTest, RejectedRestoreLeavesTheEngineUntouched) {
   EXPECT_FALSE(victim.RestoreEngineState(state));
   EXPECT_EQ(victim.store().TotalStored(), stored);
   EXPECT_EQ(victim.points_processed(), 2000u);
+}
+
+TEST(ParallelEngineTest, OneMergePerCadencePoint) {
+  // With merge_every == snapshot_every the merge_every merge and the
+  // cadence snapshot fall on the same point; the snapshot must find the
+  // view current and not rebuild it again, and the state must be the
+  // one a cadence-only engine reaches.
+  constexpr std::size_t kCadence = 8192;
+  constexpr std::size_t kTicks = 3;
+  ParallelEngineOptions both = TwoShardOptions();
+  both.sharded.global_budget = 30;  // over budget: every merge reconciles
+  both.snapshot.snapshot_every = kCadence;
+  both.sharded.merge_every = kCadence;
+  ParallelEngineOptions cadence_only = both;
+  cadence_only.sharded.merge_every = 0;
+  ParallelUMicroEngine a(2, both);
+  ParallelUMicroEngine b(2, cadence_only);
+  const stream::Dataset dataset = PhasedBlobs(kTicks * kCadence, 23);
+  for (const auto& point : dataset.points()) {
+    a.Process(point);
+    b.Process(point);
+  }
+  core::EngineState state_a = a.ExportEngineState();
+  core::EngineState state_b = b.ExportEngineState();
+  for (ParallelUMicroEngine* engine : {&a, &b}) {
+    obs::MetricsRegistry& metrics = engine->metrics();
+    EXPECT_EQ(metrics.GetCounter("parallel.merges").value(), kTicks);
+    EXPECT_EQ(metrics.GetHistogram("parallel.rebuild_micros").count(),
+              kTicks);
+    EXPECT_GT(metrics.GetCounter("parallel.reconcile_merges").value(), 0u);
+  }
+  for (core::EngineState* state : {&state_a, &state_b}) {
+    state->counters.clear();
+    state->gauges.clear();
+  }
+  EXPECT_EQ(io::EngineStateToString(state_a),
+            io::EngineStateToString(state_b));
 }
 
 TEST(ParallelEngineTest, FromConfigMapsTheParallelSlice) {

@@ -202,6 +202,50 @@ TEST(ShardedUMicroTest, MetricsSurfaceIsConsistent) {
   EXPECT_GT(merge_micros.sum(), 0.0);
 }
 
+TEST(ShardedUMicroTest, FlushWithNothingNewDoesNotRebuild) {
+  // The view is rebuilt only after a batch reached a shard queue or a
+  // state was restored; a repeated flush or a read on a quiet pipeline
+  // is free and is not counted as a merge.
+  const stream::Dataset dataset = synth::MakeSynDriftWorkload(3000, 0.5, 5);
+  ShardedUMicroOptions options;
+  options.umicro = MassConservingOptions(30);
+  options.num_shards = 2;
+  options.merge_every = 0;
+  ShardedUMicro sharded(dataset.dimensions(), options);
+  const obs::Counter& merges = sharded.metrics().GetCounter("parallel.merges");
+  sharded.Flush();
+  EXPECT_EQ(merges.value(), 0u);  // nothing ingested yet
+
+  for (const auto& point : dataset.points()) sharded.Process(point);
+  sharded.Flush();
+  EXPECT_EQ(merges.value(), 1u);
+  const std::vector<core::MicroCluster> view = sharded.GlobalClusters();
+  sharded.Flush();
+  EXPECT_EQ(sharded.ClusterCentroids().size(), view.size());
+  EXPECT_EQ(sharded.ClusterLabelHistograms().size(), view.size());
+  EXPECT_EQ(merges.value(), 1u);
+
+  // A restore rebuilds on the next flush, to the same view.
+  const ShardedPipelineState state = sharded.ExportPipelineState();
+  EXPECT_EQ(merges.value(), 1u);
+  sharded.RestorePipelineState(state);
+  sharded.Flush();
+  EXPECT_EQ(merges.value(), 2u);
+  ASSERT_EQ(sharded.GlobalClusters().size(), view.size());
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    EXPECT_EQ(sharded.GlobalClusters()[i].id, view[i].id);
+    EXPECT_EQ(sharded.GlobalClusters()[i].ecf.cf1(), view[i].ecf.cf1());
+  }
+
+  // One new point makes the view stale again.
+  sharded.Process(dataset.points().front());
+  sharded.Flush();
+  EXPECT_EQ(merges.value(), 3u);
+  obs::MetricsRegistry& metrics = sharded.metrics();
+  EXPECT_EQ(metrics.GetHistogram("parallel.merge_micros").count(), 3u);
+  EXPECT_EQ(metrics.GetHistogram("parallel.rebuild_micros").count(), 3u);
+}
+
 TEST(ShardedUMicroTest, DropPoliciesKeepAccountingExact) {
   // Tiny queues + drop policies: some batches may be shed depending on
   // scheduling, but ingested == processed + dropped must hold exactly
