@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "baseline/clustream.h"
 #include "core/cluster_feature.h"
@@ -199,23 +200,25 @@ void BM_SnapshotSubtract(benchmark::State& state) {
   // Horizon extraction cost at the paper's scale (100 micro-clusters).
   const std::size_t dims = 20;
   umicro::util::Rng rng(10);
-  umicro::core::Snapshot older;
-  umicro::core::Snapshot current;
-  older.time = 100.0;
-  current.time = 200.0;
+  std::vector<umicro::core::MicroClusterState> older_states;
+  std::vector<umicro::core::MicroClusterState> current_states;
   for (std::uint64_t id = 0; id < 100; ++id) {
     umicro::core::MicroClusterState state_a;
     state_a.id = id;
     ErrorClusterFeature ecf(dims);
     for (int p = 0; p < 10; ++p) ecf.AddPoint(MakePoint(rng, dims));
     state_a.ecf = ecf;
-    older.clusters.push_back(state_a);
+    older_states.push_back(state_a);
     for (int p = 0; p < 10; ++p) ecf.AddPoint(MakePoint(rng, dims));
     umicro::core::MicroClusterState state_b;
     state_b.id = id;
     state_b.ecf = std::move(ecf);
-    current.clusters.push_back(std::move(state_b));
+    current_states.push_back(std::move(state_b));
   }
+  const auto older =
+      umicro::core::Snapshot::FromStates(100.0, older_states);
+  const auto current =
+      umicro::core::Snapshot::FromStates(200.0, current_states);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         umicro::core::SubtractSnapshot(current, older));

@@ -107,7 +107,7 @@ int main() {
     const auto reloaded = umicro::io::ReadSnapshotFile(path);
     std::printf("\nsnapshot persisted to %s and reloaded: %zu clusters, "
                 "time %.0f\n",
-                path, reloaded->clusters.size(), reloaded->time);
+                path, reloaded->size(), reloaded->time);
   }
   return 0;
 }

@@ -250,18 +250,13 @@ void CluStream::RestoreState(const CluStreamState& state) {
 }
 
 core::Snapshot CluStream::TakeSnapshot(double time) const {
-  core::Snapshot snapshot;
-  snapshot.time = time;
-  snapshot.clusters.reserve(clusters_.size());
+  core::Snapshot snapshot(time, dimensions_, clusters_.size());
+  // CluStream's points are deterministic: every EF2 row is zero.
+  const std::vector<double> no_error(dimensions_, 0.0);
   for (const auto& cluster : clusters_) {
-    core::MicroClusterState state;
-    state.id = cluster.ids.front();
-    state.creation_time = cluster.creation_time;
-    state.ecf = core::ErrorClusterFeature::FromRaw(
-        cluster.cf1, cluster.cf2,
-        std::vector<double>(cluster.cf1.size(), 0.0), cluster.count,
-        cluster.last_update_time);
-    snapshot.clusters.push_back(std::move(state));
+    snapshot.Append(cluster.ids.front(), cluster.creation_time, cluster.count,
+                    cluster.last_update_time, cluster.cf1.data(),
+                    cluster.cf2.data(), no_error.data());
   }
   return snapshot;
 }

@@ -138,9 +138,6 @@ class SnapshotTimeline {
   /// retention rings are never primed twice.
   bool AttachSink(SnapshotSink* sink);
 
-  /// The attached sink (nullptr when detached).
-  SnapshotSink* sink() const { return sink_; }
-
   /// Attaches the "snapshot." and horizon-query instruments (nullptr
   /// detaches). The registry must outlive the timeline.
   void AttachMetrics(obs::MetricsRegistry* registry);

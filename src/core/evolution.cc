@@ -29,13 +29,21 @@ MacroSummary Summarize(const std::vector<MicroClusterState>& window,
   // cluster's RMS scale.
   std::vector<double> msd(k, 0.0);
   for (std::size_t i = 0; i < window.size(); ++i) {
-    const int c = clustering.assignment[i];
-    const double w = window[i].ecf.weight();
-    summary.mass[static_cast<std::size_t>(c)] += w;
-    msd[static_cast<std::size_t>(c)] +=
-        w * util::SquaredDistance(window[i].ecf.Centroid(),
-                                  clustering.centroids[
-                                      static_cast<std::size_t>(c)]);
+    const auto c = static_cast<std::size_t>(clustering.assignment[i]);
+    const ErrorClusterFeature& ecf = window[i].ecf;
+    const double w = ecf.weight();
+    summary.mass[c] += w;
+    // Squared distance of the micro centroid cf1 / w to the macro
+    // centroid, read off the cf1 row without materializing the centroid.
+    const double* cf1 = ecf.cf1().data();
+    const std::vector<double>& centre = clustering.centroids[c];
+    UMICRO_CHECK(centre.size() == ecf.dimensions());
+    double d2 = 0.0;
+    for (std::size_t j = 0; j < centre.size(); ++j) {
+      const double diff = cf1[j] / w - centre[j];
+      d2 += diff * diff;
+    }
+    msd[c] += w * d2;
   }
   summary.rms.resize(k);
   for (std::size_t c = 0; c < k; ++c) {

@@ -24,35 +24,13 @@ constexpr double kMinResidualFraction = 1e-6;
 /// headers, tick/time/encoding metadata).
 constexpr std::size_t kFrameOverheadBytes = 64;
 
-/// Per-cluster bookkeeping outside the three statistic vectors:
-/// id + creation_time + weight + last_update_time.
+/// Per-cluster bookkeeping outside the three statistic rows: the
+/// record's id, creation_time, weight and last_update_time slots.
 constexpr std::size_t kClusterHeaderBytes = 32;
 
 /// Process-wide serial for spill file names: stores sharing one spill
 /// directory (a tenant fleet) must not collide.
 std::atomic<std::uint64_t> g_spill_serial{0};
-
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  return a.empty() ||
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-/// Bitwise equality of two frozen micro-clusters. Deliberately not
-/// operator== on doubles: -0.0 vs 0.0 and NaN payloads must count as
-/// changes for reconstruction to be bit-identical.
-bool BitIdentical(const MicroClusterState& a, const MicroClusterState& b) {
-  return a.id == b.id && SameBits(a.creation_time, b.creation_time) &&
-         SameBits(a.ecf.weight(), b.ecf.weight()) &&
-         SameBits(a.ecf.last_update_time(), b.ecf.last_update_time()) &&
-         SameBits(a.ecf.cf1(), b.ecf.cf1()) &&
-         SameBits(a.ecf.cf2(), b.ecf.cf2()) &&
-         SameBits(a.ecf.ef2(), b.ecf.ef2());
-}
 
 bool IsCold(const EncodedFrame& frame) {
   return frame.encoding == FrameEncoding::kQuantized ||
@@ -65,80 +43,134 @@ std::size_t ExactClusterBytes(std::size_t dims) {
 
 QuantizedClusters Quantize(const Snapshot& snapshot) {
   QuantizedClusters q;
-  const std::size_t n = snapshot.clusters.size();
-  q.dims = n == 0 ? 0 : snapshot.clusters.front().ecf.dimensions();
+  const std::size_t n = snapshot.size();
+  const std::size_t d = snapshot.dims();
+  q.dims = d;
   q.ids.reserve(n);
   q.creation_times.reserve(n);
   q.weights.reserve(n);
   q.last_updates.reserve(n);
-  q.values.reserve(n * 3 * q.dims);
-  for (const auto& state : snapshot.clusters) {
-    UMICRO_CHECK_MSG(state.ecf.dimensions() == q.dims,
-                     "mixed dimensionality inside one snapshot frame");
-    q.ids.push_back(state.id);
-    q.creation_times.push_back(state.creation_time);
-    q.weights.push_back(static_cast<float>(state.ecf.weight()));
-    q.last_updates.push_back(static_cast<float>(state.ecf.last_update_time()));
-    for (double v : state.ecf.cf1()) q.values.push_back(static_cast<float>(v));
-    for (double v : state.ecf.cf2()) q.values.push_back(static_cast<float>(v));
-    for (double v : state.ecf.ef2()) q.values.push_back(static_cast<float>(v));
+  q.values.reserve(n * 3 * d);
+  for (std::size_t i = 0; i < n; ++i) {
+    q.ids.push_back(snapshot.id(i));
+    q.creation_times.push_back(snapshot.creation_time(i));
+    q.weights.push_back(static_cast<float>(snapshot.weight(i)));
+    q.last_updates.push_back(static_cast<float>(snapshot.last_update_time(i)));
+    // cf1, cf2 and ef2 are adjacent in the record.
+    const double* stats = snapshot.cf1(i);
+    for (std::size_t j = 0; j < 3 * d; ++j) {
+      q.values.push_back(static_cast<float>(stats[j]));
+    }
   }
   return q;
 }
 
 Snapshot Widen(const EncodedFrame& frame) {
   const QuantizedClusters& q = frame.quant;
-  Snapshot out;
-  out.time = frame.time;
-  out.clusters.reserve(q.ids.size());
   const std::size_t d = q.dims;
+  Snapshot out(frame.time, d, q.ids.size());
+  std::vector<double> stats(3 * d);
   for (std::size_t i = 0; i < q.ids.size(); ++i) {
-    MicroClusterState state;
-    state.id = q.ids[i];
-    state.creation_time = q.creation_times[i];
-    std::vector<double> cf1(d), cf2(d), ef2(d);
     const float* base = q.values.data() + i * 3 * d;
-    for (std::size_t j = 0; j < d; ++j) cf1[j] = static_cast<double>(base[j]);
-    for (std::size_t j = 0; j < d; ++j)
-      cf2[j] = static_cast<double>(base[d + j]);
-    for (std::size_t j = 0; j < d; ++j)
-      ef2[j] = static_cast<double>(base[2 * d + j]);
-    state.ecf = ErrorClusterFeature::FromRaw(
-        std::move(cf1), std::move(cf2), std::move(ef2),
-        static_cast<double>(q.weights[i]),
-        static_cast<double>(q.last_updates[i]));
-    out.clusters.push_back(std::move(state));
+    for (std::size_t j = 0; j < 3 * d; ++j) {
+      stats[j] = static_cast<double>(base[j]);
+    }
+    out.Append(q.ids[i], q.creation_times[i],
+               static_cast<double>(q.weights[i]),
+               static_cast<double>(q.last_updates[i]), stats.data(),
+               stats.data() + d, stats.data() + 2 * d);
   }
   return out;
 }
 
+/// Record index of every id in `frame`.
+std::unordered_map<std::uint64_t, std::size_t> IndexById(
+    const Snapshot& frame) {
+  std::unordered_map<std::uint64_t, std::size_t> by_id;
+  by_id.reserve(frame.size());
+  for (std::size_t i = 0; i < frame.size(); ++i) by_id.emplace(frame.id(i), i);
+  return by_id;
+}
+
 /// Reconstructs a delta frame on top of its materialized parent. nullopt
-/// on structural corruption (an id with no donor entry anywhere).
+/// on structural corruption (an id with no donor record anywhere, or a
+/// donor of another dimensionality).
 std::optional<Snapshot> ApplyDelta(const EncodedFrame& frame,
                                    const Snapshot& parent) {
-  std::unordered_map<std::uint64_t, const MicroClusterState*> changed_by_id;
-  changed_by_id.reserve(frame.changed.size());
-  for (const auto& state : frame.changed) changed_by_id.emplace(state.id, &state);
-  std::unordered_map<std::uint64_t, const MicroClusterState*> parent_by_id;
-  parent_by_id.reserve(parent.clusters.size());
-  for (const auto& state : parent.clusters) parent_by_id.emplace(state.id, &state);
+  // Records are copied whole, so every donor must share the frame's
+  // dimensionality.
+  if ((!frame.changed.empty() && frame.changed.dims() != frame.dims) ||
+      (!parent.empty() && !frame.ids.empty() && parent.dims() != frame.dims)) {
+    return std::nullopt;
+  }
+  const std::unordered_map<std::uint64_t, std::size_t> changed_by_id =
+      IndexById(frame.changed);
+  const std::unordered_map<std::uint64_t, std::size_t> parent_by_id =
+      IndexById(parent);
 
-  Snapshot out;
-  out.time = frame.time;
-  out.clusters.reserve(frame.ids.size());
+  Snapshot out(frame.time, frame.dims, frame.ids.size());
   for (std::uint64_t id : frame.ids) {
     auto it = changed_by_id.find(id);
     if (it != changed_by_id.end()) {
-      out.clusters.push_back(*it->second);
+      out.AppendRecord(frame.changed.record(it->second));
       continue;
     }
     auto pit = parent_by_id.find(id);
     if (pit == parent_by_id.end()) return std::nullopt;
-    out.clusters.push_back(*pit->second);
+    out.AppendRecord(parent.record(pit->second));
   }
   return out;
 }
 }  // namespace
+
+Snapshot::Snapshot(double time, std::size_t dims, std::size_t capacity)
+    : time(time), dims_(dims) {
+  UMICRO_CHECK(dims <= (records_.max_size() - kHeaderSlots) / 3);
+  UMICRO_CHECK(capacity <= records_.max_size() / RecordSize(dims));
+  records_.reserve(capacity * RecordSize(dims));
+}
+
+Snapshot Snapshot::FromStates(double time,
+                              std::span<const MicroClusterState> states) {
+  const std::size_t d =
+      states.empty() ? 0 : states.front().ecf.dimensions();
+  Snapshot frame(time, d, states.size());
+  for (const MicroClusterState& state : states) {
+    UMICRO_CHECK_MSG(state.ecf.dimensions() == d,
+                     "mixed dimensionality inside one snapshot frame");
+    frame.Append(state.id, state.creation_time, state.ecf.weight(),
+                 state.ecf.last_update_time(), state.ecf.cf1().data(),
+                 state.ecf.cf2().data(), state.ecf.ef2().data());
+  }
+  return frame;
+}
+
+MicroClusterState Snapshot::State(std::size_t i) const {
+  const std::size_t d = dims_;
+  return {id(i), creation_time(i),
+          ErrorClusterFeature::FromRaw({cf1(i), cf1(i) + d},
+                                       {cf2(i), cf2(i) + d},
+                                       {ef2(i), ef2(i) + d}, weight(i),
+                                       last_update_time(i))};
+}
+
+void Snapshot::Append(std::uint64_t id, double creation_time, double weight,
+                      double last_update_time, const double* cf1,
+                      const double* cf2, const double* ef2) {
+  const double header[kHeaderSlots] = {std::bit_cast<double>(id),
+                                       creation_time, weight,
+                                       last_update_time};
+  records_.insert(records_.end(), header, header + kHeaderSlots);
+  records_.insert(records_.end(), cf1, cf1 + dims_);
+  records_.insert(records_.end(), cf2, cf2 + dims_);
+  records_.insert(records_.end(), ef2, ef2 + dims_);
+  ++size_;
+}
+
+void Snapshot::AppendRecord(const double* record) {
+  records_.insert(records_.end(), record, record + RecordSize(dims_));
+  ++size_;
+}
 
 SnapshotStore::SnapshotStore(std::size_t alpha, std::size_t l)
     : SnapshotStore(alpha, l, SnapshotTiering{}) {}
@@ -166,48 +198,35 @@ std::size_t SnapshotStore::OrderOf(std::uint64_t tick) const {
 
 void SnapshotStore::EncodeDelta(EncodedFrame& frame, const Snapshot& parent) {
   UMICRO_CHECK(frame.encoding == FrameEncoding::kFull);
-  std::unordered_map<std::uint64_t, const MicroClusterState*> parent_by_id;
-  parent_by_id.reserve(parent.clusters.size());
-  for (const auto& state : parent.clusters) parent_by_id.emplace(state.id, &state);
-
-  // A store-owned frame was created mutable by Insert(tick, Snapshot) and
-  // nothing else references it, so its changed clusters are moved out. A
-  // frame shared with a sink stays intact for its readers: copy instead.
-  Snapshot* owned =
-      frame.store_owned ? const_cast<Snapshot*>(frame.full.get()) : nullptr;
-  const std::vector<MicroClusterState>& clusters = frame.full->clusters;
-  frame.ids.reserve(clusters.size());
-  for (std::size_t i = 0; i < clusters.size(); ++i) {
-    const MicroClusterState& state = clusters[i];
-    frame.ids.push_back(state.id);
-    auto it = parent_by_id.find(state.id);
-    if (it == parent_by_id.end() || !BitIdentical(state, *it->second)) {
-      if (owned != nullptr) {
-        frame.changed.push_back(std::move(owned->clusters[i]));
-      } else {
-        frame.changed.push_back(state);
-      }
+  const Snapshot& full = *frame.full;
+  const std::unordered_map<std::uint64_t, std::size_t> parent_by_id =
+      IndexById(parent);
+  // Bitwise record equality, not operator== on doubles: -0.0 vs 0.0 and
+  // NaN payloads must count as changes for reconstruction to be
+  // bit-identical. Records of another dimensionality never match.
+  const bool comparable = parent.dims() == full.dims();
+  const std::size_t record_bytes =
+      Snapshot::RecordSize(full.dims()) * sizeof(double);
+  std::vector<std::size_t> changed;
+  frame.ids.reserve(full.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    frame.ids.push_back(full.id(i));
+    auto it = parent_by_id.find(full.id(i));
+    if (it == parent_by_id.end() || !comparable ||
+        std::memcmp(full.record(i), parent.record(it->second),
+                    record_bytes) != 0) {
+      changed.push_back(i);
     }
   }
+  frame.changed = Snapshot(full.time, full.dims(), changed.size());
+  for (std::size_t i : changed) frame.changed.AppendRecord(full.record(i));
   frame.full.reset();
-  frame.store_owned = false;
   frame.encoding = FrameEncoding::kDelta;
-}
-
-void SnapshotStore::Insert(std::uint64_t tick, Snapshot snapshot) {
-  InsertFrame(tick, std::make_shared<Snapshot>(std::move(snapshot)),
-              /*store_owned=*/true);
 }
 
 void SnapshotStore::Insert(std::uint64_t tick,
                            std::shared_ptr<const Snapshot> snapshot) {
   UMICRO_CHECK(snapshot != nullptr);
-  InsertFrame(tick, std::move(snapshot), /*store_owned=*/false);
-}
-
-void SnapshotStore::InsertFrame(std::uint64_t tick,
-                                std::shared_ptr<const Snapshot> snapshot,
-                                bool store_owned) {
   UMICRO_CHECK_MSG(tick > last_tick_, "ticks must be strictly increasing");
   last_tick_ = tick;
   const std::size_t order = OrderOf(tick);
@@ -225,12 +244,9 @@ void SnapshotStore::InsertFrame(std::uint64_t tick,
   frame.tick = tick;
   frame.time = snapshot->time;
   frame.encoding = FrameEncoding::kFull;
-  frame.cluster_count = snapshot->clusters.size();
-  frame.dims = snapshot->clusters.empty()
-                   ? 0
-                   : snapshot->clusters.front().ecf.dimensions();
+  frame.cluster_count = snapshot->size();
+  frame.dims = snapshot->dims();
   frame.full = std::move(snapshot);
-  frame.store_owned = store_owned;
   ring.push_back(std::move(frame));
   if (ring.size() > capacity_per_order_) EvictFront(ring);
   EnforceBudget();
@@ -359,15 +375,13 @@ std::optional<Snapshot> SnapshotStore::FindNearest(double time) const {
   return std::nullopt;
 }
 
-void SnapshotStore::PrimeSink(SnapshotSink& sink) {
+void SnapshotStore::PrimeSink(SnapshotSink& sink) const {
   for (std::size_t order = 0; order < orders_.size(); ++order) {
-    auto& ring = orders_[order];
+    const auto& ring = orders_[order];
     for (std::size_t i = 0; i < ring.size(); ++i) {
-      EncodedFrame& frame = ring[i];
+      const EncodedFrame& frame = ring[i];
       std::shared_ptr<const Snapshot> shared;
       if (frame.encoding == FrameEncoding::kFull) {
-        // The sink keeps this object: from now on it is immutable.
-        frame.store_owned = false;
         shared = frame.full;
       } else {
         std::optional<Snapshot> snapshot = MaterializeIndex(ring, i);
@@ -409,10 +423,8 @@ bool SnapshotStore::DemoteOldestToCold() {
   EncodedFrame cold;
   cold.tick = best->tick;
   cold.time = best->time;
-  cold.cluster_count = exact->clusters.size();
-  cold.dims = exact->clusters.empty()
-                  ? 0
-                  : exact->clusters.front().ecf.dimensions();
+  cold.cluster_count = exact->size();
+  cold.dims = exact->dims();
   bool spilled = false;
   if (!tiering_.spill_dir.empty() && tiering_.codec.valid()) {
     std::string path = tiering_.spill_dir + "/frame-" +
@@ -514,14 +526,7 @@ SnapshotStoreState SnapshotStore::ExportState() const {
   state.l = l_;
   state.orders.reserve(orders_.size());
   for (const auto& ring : orders_) {
-    auto& frames = state.orders.emplace_back(ring.begin(), ring.end());
-    // A store-owned frame may still be moved from by a later re-encode;
-    // the exported state gets its own copy.
-    for (EncodedFrame& frame : frames) {
-      if (!frame.store_owned) continue;
-      frame.full = std::make_shared<const Snapshot>(*frame.full);
-      frame.store_owned = false;
-    }
+    state.orders.emplace_back(ring.begin(), ring.end());
   }
   return state;
 }
@@ -578,14 +583,16 @@ bool SnapshotStore::RestoreState(const SnapshotStoreState& state,
       switch (frame.encoding) {
         case FrameEncoding::kFull:
           if (frame.full == nullptr ||
-              frame.full->clusters.size() != frame.cluster_count) {
+              frame.full->size() != frame.cluster_count ||
+              (frame.cluster_count > 0 && frame.full->dims() != frame.dims)) {
             return fail("full frame at tick " + std::to_string(frame.tick) +
-                        " has inconsistent cluster count");
+                        " has inconsistent cluster count or dims");
           }
           break;
         case FrameEncoding::kDelta:
           if (frame.ids.size() != frame.cluster_count ||
-              frame.changed.size() > frame.ids.size()) {
+              frame.changed.size() > frame.ids.size() ||
+              (!frame.changed.empty() && frame.changed.dims() != frame.dims)) {
             return fail("delta frame at tick " + std::to_string(frame.tick) +
                         " has inconsistent id/changed counts");
           }
@@ -624,12 +631,16 @@ bool SnapshotStore::RestoreState(const SnapshotStoreState& state,
   orders_.resize(state.orders.size());
   for (std::size_t i = 0; i < state.orders.size(); ++i) {
     orders_[i].assign(state.orders[i].begin(), state.orders[i].end());
+    // Frames are immutable, so restore shares them; only a frame whose
+    // own time disagrees with its header is copied to carry the header's.
     for (EncodedFrame& frame : orders_[i]) {
-      if (frame.encoding != FrameEncoding::kFull) continue;
+      if (frame.encoding != FrameEncoding::kFull ||
+          frame.full->time == frame.time) {
+        continue;
+      }
       auto copy = std::make_shared<Snapshot>(*frame.full);
       copy->time = frame.time;
       frame.full = std::move(copy);
-      frame.store_owned = true;
     }
   }
   return true;
@@ -657,38 +668,59 @@ std::vector<MicroClusterState> SubtractSnapshot(const Snapshot& current,
   // mass; flush it to zero so the scaled statistics below are exact
   // zeros rather than denormal noise.
   if (decay_factor < std::numeric_limits<double>::min()) decay_factor = 0.0;
-  std::unordered_map<std::uint64_t, const MicroClusterState*> older_by_id;
-  older_by_id.reserve(older.clusters.size());
-  for (const auto& state : older.clusters) {
-    older_by_id.emplace(state.id, &state);
-  }
+  const std::unordered_map<std::uint64_t, std::size_t> older_by_id =
+      IndexById(older);
+  const std::size_t d = current.dims();
 
   std::vector<MicroClusterState> result;
-  result.reserve(current.clusters.size());
-  for (const auto& state : current.clusters) {
-    auto it = older_by_id.find(state.id);
+  result.reserve(current.size());
+  for (std::size_t i = 0; i < current.size(); ++i) {
+    auto it = older_by_id.find(current.id(i));
     if (it == older_by_id.end()) {
       // Created inside the horizon: keep whole.
-      result.push_back(state);
+      result.push_back(current.State(i));
       continue;
     }
-    MicroClusterState window = state;
-    ErrorClusterFeature scaled = it->second->ecf;
-    if (decay_factor != 1.0) scaled.Scale(decay_factor);
-    const double subtracted_weight = scaled.weight();
-    if (subtracted_weight > kMinResidualWeight) {
-      window.ecf.Subtract(scaled);
-    }
+    const std::size_t o = it->second;
+    // The older record, read in place: ErrorClusterFeature::Scale then
+    // ::Subtract, operation for operation, so the residual is what the
+    // ECF arithmetic gives.
+    const bool scale = decay_factor != 1.0;
+    const double subtracted_weight =
+        scale ? older.weight(o) * decay_factor : older.weight(o);
+    double weight = current.weight(i);
+    const bool subtract = subtracted_weight > kMinResidualWeight;
+    if (subtract) weight -= subtracted_weight;
     // When the older contribution has fully decayed (zero/denormal
     // weight), nothing is subtracted: whatever mass the live cluster
     // still has is genuine window mass -- but it must itself clear the
     // absolute floor, otherwise the "window" is just the decayed husk of
-    // pre-horizon points and belongs to the empty window.
+    // pre-horizon points and belongs to the empty window. An
+    // over-subtracted cluster (weight <= 0) is empty and never clears it.
     const double floor = std::max(kMinResidualWeight,
                                   kMinResidualFraction * subtracted_weight);
-    if (window.ecf.weight() > floor) {
-      result.push_back(std::move(window));
+    if (!(weight > floor)) continue;
+    std::vector<double> cf1(current.cf1(i), current.cf1(i) + d);
+    std::vector<double> cf2(current.cf2(i), current.cf2(i) + d);
+    std::vector<double> ef2(current.ef2(i), current.ef2(i) + d);
+    if (subtract) {
+      UMICRO_CHECK(older.dims() == d);
+      const double* ocf1 = older.cf1(o);
+      const double* ocf2 = older.cf2(o);
+      const double* oef2 = older.ef2(o);
+      for (std::size_t j = 0; j < d; ++j) {
+        const double s1 = scale ? ocf1[j] * decay_factor : ocf1[j];
+        const double s2 = scale ? ocf2[j] * decay_factor : ocf2[j];
+        const double s3 = scale ? oef2[j] * decay_factor : oef2[j];
+        cf1[j] -= s1;
+        cf2[j] = std::max(0.0, cf2[j] - s2);
+        ef2[j] = std::max(0.0, ef2[j] - s3);
+      }
     }
+    result.push_back({current.id(i), current.creation_time(i),
+                      ErrorClusterFeature::FromRaw(
+                          std::move(cf1), std::move(cf2), std::move(ef2),
+                          weight, current.last_update_time(i))});
   }
   return result;
 }

@@ -13,11 +13,11 @@
 // the window (t_c - h', t_c].
 //
 // Storage tiers (docs/snapshots.md): each order ring holds its newest
-// frame ("hot") as a verbatim micro-cluster array. In delta/tiered modes
-// older frames in the ring ("warm") keep only the clusters whose bits
-// differ from the next-newer frame -- reconstruction re-reads unchanged
-// clusters from the parent, so a materialized warm frame is bit-identical
-// to what the full store would have returned. In tiered mode the oldest
+// frame ("hot") as the verbatim flat frame. In delta/tiered modes older
+// frames in the ring ("warm") keep only the records whose bits differ
+// from the next-newer frame -- reconstruction re-reads unchanged records
+// from the parent, so a materialized warm frame is bit-identical to what
+// the full store would have returned. In tiered mode the oldest
 // frames ("cold") beyond a byte budget are either spilled to disk through
 // an injected codec (exact) or quantized to float32 in memory (bounded
 // error, measured by bench_snapshot_memory).
@@ -25,12 +25,14 @@
 #ifndef UMICRO_CORE_SNAPSHOT_H_
 #define UMICRO_CORE_SNAPSHOT_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,24 +40,96 @@
 
 namespace umicro::core {
 
-/// Frozen state of one micro-cluster inside a snapshot.
+/// Frozen state of one micro-cluster: the edge form of one snapshot
+/// record (io, tests and horizon windows build and read these).
 struct MicroClusterState {
   std::uint64_t id = 0;
   double creation_time = 0.0;
   ErrorClusterFeature ecf;
 };
 
-/// Frozen state of the whole micro-cluster set at one instant.
-struct Snapshot {
+/// Frozen state of the whole micro-cluster set at one instant: a flat
+/// frame of records in one allocation.
+///
+/// Record i is RecordSize(dims()) doubles, row-major:
+///   [id, creation_time, weight, last_update_time, cf1[d], cf2[d], ef2[d]]
+/// where the id slot holds the bits of the 64-bit id. Copying a record
+/// is one memcpy and comparing two records is one memcmp, bit for bit
+/// (-0.0 against 0.0 and NaN payloads differ). A producer appends its
+/// records once; a published frame (shared_ptr<const Snapshot>) is
+/// never mutated.
+class Snapshot {
+ public:
+  /// Slots ahead of the three statistic rows: id, creation time,
+  /// weight, last-update time.
+  static constexpr std::size_t kHeaderSlots = 4;
+
+  /// Doubles per record of a `dims`-dimensional frame.
+  static constexpr std::size_t RecordSize(std::size_t dims) {
+    return kHeaderSlots + 3 * dims;
+  }
+
+  Snapshot() = default;
+
+  /// An empty frame at `time` for `dims`-dimensional records, with room
+  /// for `capacity` records allocated up front.
+  Snapshot(double time, std::size_t dims, std::size_t capacity = 0);
+
+  /// Builds a frame from edge-form states, which must share one
+  /// dimensionality (checked).
+  static Snapshot FromStates(double time,
+                             std::span<const MicroClusterState> states);
+
   /// Stream time at which the snapshot was taken.
   double time = 0.0;
-  /// All live micro-clusters at that time.
-  std::vector<MicroClusterState> clusters;
+
+  /// Number of records (micro-clusters).
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// Point dimensionality of the records; 0 for an empty frame.
+  std::size_t dims() const { return size_ == 0 ? 0 : dims_; }
+
+  /// Record `i` as RecordSize(dims()) doubles.
+  const double* record(std::size_t i) const {
+    return records_.data() + i * RecordSize(dims_);
+  }
+
+  std::uint64_t id(std::size_t i) const {
+    return std::bit_cast<std::uint64_t>(record(i)[0]);
+  }
+  double creation_time(std::size_t i) const { return record(i)[1]; }
+  /// n(C) (or W(C) under decay) of record `i`.
+  double weight(std::size_t i) const { return record(i)[2]; }
+  double last_update_time(std::size_t i) const { return record(i)[3]; }
+  /// The ECF rows of record `i`, dims() doubles each.
+  const double* cf1(std::size_t i) const { return record(i) + kHeaderSlots; }
+  const double* cf2(std::size_t i) const { return cf1(i) + dims_; }
+  const double* ef2(std::size_t i) const { return cf2(i) + dims_; }
+
+  /// Record `i` in edge form (a fresh ECF, bit-identical to the record).
+  MicroClusterState State(std::size_t i) const;
+
+  /// Appends one record from its fields; the rows are dims doubles each.
+  void Append(std::uint64_t id, double creation_time, double weight,
+              double last_update_time, const double* cf1, const double* cf2,
+              const double* ef2);
+
+  /// Appends a verbatim copy of `record` (RecordSize(dims) doubles, e.g.
+  /// another frame's record(i)).
+  void AppendRecord(const double* record);
+
+ private:
+  /// Dimensionality records are appended with (dims() reads 0 while the
+  /// frame is empty).
+  std::size_t dims_ = 0;
+  std::size_t size_ = 0;
+  std::vector<double> records_;
 };
 
 /// How the store represents retained frames.
 enum class SnapshotStoreMode : std::uint8_t {
-  /// Every frame is a verbatim micro-cluster array (the classic store).
+  /// Every frame is a verbatim flat frame (the classic store).
   kFull = 0,
   /// Ring heads stay verbatim; older frames are delta-encoded against
   /// their pyramid parent. Lossless: materialization is bit-identical.
@@ -108,8 +182,8 @@ struct SnapshotPolicy {
 
 /// On-disk / in-memory representation of one retained frame.
 enum class FrameEncoding : std::uint8_t {
-  kFull = 0,       ///< verbatim micro-cluster array
-  kDelta = 1,      ///< ids + clusters whose bits differ from the parent
+  kFull = 0,       ///< verbatim flat frame
+  kDelta = 1,      ///< ids + records whose bits differ from the parent
   kQuantized = 2,  ///< float32 statistics, in memory
   kSpilled = 3,    ///< exact frame on disk; only the header stays resident
 };
@@ -140,16 +214,11 @@ struct EncodedFrame {
   /// kFull payload: the immutable frame itself, shared with every sink
   /// it was published to (a replica's ring holds the same object).
   std::shared_ptr<const Snapshot> full;
-  /// kFull only: the store holds the sole reference to `full` (it was
-  /// inserted by value and never handed out), so re-encoding it as a
-  /// delta may move clusters out instead of copying them. Set once, by
-  /// the store, when the frame enters a ring; exported frames never
-  /// carry it.
-  bool store_owned = false;
-  /// kDelta payload: the frame's full id sequence plus the entries whose
-  /// bit pattern differs from the parent frame's same-id entry.
+  /// kDelta payload: the frame's full id sequence plus, as a flat frame,
+  /// the records whose bit pattern differs from the parent frame's
+  /// same-id record.
   std::vector<std::uint64_t> ids;
-  std::vector<MicroClusterState> changed;
+  Snapshot changed;
   /// kQuantized payload.
   QuantizedClusters quant;
   /// kSpilled payload: file written by the injected codec.
@@ -224,14 +293,13 @@ class SnapshotStore {
 
   /// Stores `snapshot`, which was taken at integer clock `tick` >= 1.
   /// Ticks must be inserted in increasing order. In delta/tiered modes
-  /// the ring's previous head is re-encoded against the new frame.
-  ///
-  /// Ownership rule: a frame inserted by value is store-owned, so its
-  /// re-encoding moves clusters out of it; a frame inserted as a shared
-  /// pointer (one that was also handed to a sink) is never mutated, and
-  /// its re-encoding copies the changed clusters instead.
-  void Insert(std::uint64_t tick, Snapshot snapshot);
+  /// the ring's previous head is re-encoded against the new frame (its
+  /// changed records are copied; the frame itself is never mutated, so
+  /// it may be shared with a sink).
   void Insert(std::uint64_t tick, std::shared_ptr<const Snapshot> snapshot);
+  void Insert(std::uint64_t tick, Snapshot snapshot) {
+    Insert(tick, std::make_shared<const Snapshot>(std::move(snapshot)));
+  }
 
   /// Highest-order snapshot classification of `tick` (largest i with
   /// alpha^i dividing tick); exposed for tests.
@@ -254,10 +322,9 @@ class SnapshotStore {
   /// Primes `sink` with every retained frame as PublishSnapshot(tick,
   /// order, frame), oldest first within each order ring (attach after
   /// recovery). A kFull frame is handed over as the store's own shared
-  /// frame and is no longer store-owned afterwards; other encodings are
-  /// materialized into a new frame. Frames that fail to materialize
-  /// (lost spill files) are skipped.
-  void PrimeSink(SnapshotSink& sink);
+  /// frame; other encodings are materialized into a new frame. Frames
+  /// that fail to materialize (lost spill files) are skipped.
+  void PrimeSink(SnapshotSink& sink) const;
 
   /// Number of order levels currently in use.
   std::size_t NumOrders() const { return orders_.size(); }
@@ -298,29 +365,23 @@ class SnapshotStore {
 
   /// Captures the complete retention state for checkpointing. Frames are
   /// exported in their encoded form (deltas stay deltas); a kFull frame
-  /// already shared with a sink is exported as the same immutable object,
-  /// a store-owned one as a copy.
+  /// is exported as the same immutable object.
   SnapshotStoreState ExportState() const;
 
   /// Restores a previously exported state, replacing current contents
-  /// (kFull frames are copied in and become store-owned). Fails fast (returning false, with a diagnostic in `*error` when
-  /// non-null) if the state was exported under a different alpha/l or
-  /// violates ring invariants -- restoring such a state would silently
-  /// truncate or overfill the order rings. On failure the store is left
-  /// unchanged.
+  /// (kFull frames are shared, not copied). Fails fast (returning false,
+  /// with a diagnostic in `*error` when non-null) if the state was
+  /// exported under a different alpha/l or violates ring invariants --
+  /// restoring such a state would silently truncate or overfill the
+  /// order rings. On failure the store is left unchanged.
   [[nodiscard]] bool RestoreState(const SnapshotStoreState& state,
                                   std::string* error = nullptr);
 
  private:
   /// Re-encodes the given kFull frame as a delta against `parent` (the
-  /// next-newer frame's materialized contents): moves the changed
-  /// clusters out of a store-owned frame, copies them from a shared one.
+  /// next-newer frame's materialized contents), copying the records
+  /// whose bytes differ.
   static void EncodeDelta(EncodedFrame& frame, const Snapshot& parent);
-
-  /// Appends `snapshot` as the new head of its order ring, re-encoding
-  /// the previous head and enforcing retention and budget.
-  void InsertFrame(std::uint64_t tick,
-                   std::shared_ptr<const Snapshot> snapshot, bool store_owned);
 
   /// Materializes a frame that does not depend on a parent (kFull,
   /// kQuantized, kSpilled). nullopt on spill read failure.

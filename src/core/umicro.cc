@@ -532,11 +532,11 @@ std::vector<std::vector<double>> UMicro::ClusterCentroids() const {
 }
 
 Snapshot UMicro::TakeSnapshot(double time) const {
-  Snapshot snapshot{time, {}};
-  snapshot.clusters.reserve(meta_.size());
+  Snapshot snapshot(time, dimensions_, meta_.size());
   for (std::size_t i = 0; i < meta_.size(); ++i) {
-    snapshot.clusters.push_back(
-        {meta_[i].id, meta_[i].creation_time, RowFeature(i)});
+    snapshot.Append(meta_[i].id, meta_[i].creation_time, table_.weight(i),
+                    meta_[i].last_update_time, table_.cf1_row(i),
+                    table_.cf2_row(i), table_.ef2_row(i));
   }
   return snapshot;
 }

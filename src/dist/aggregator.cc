@@ -395,15 +395,13 @@ void Aggregator::RebuildMergedViewLocked() {
   // Publish to the replica the query broker reads. state_mu_ serializes
   // every publication, honoring the SnapshotSink single-publisher
   // contract.
-  auto snapshot = std::make_shared<core::Snapshot>();
-  snapshot->time = merged_time_;
-  snapshot->clusters.reserve(merged_.size());
+  auto snapshot = std::make_shared<core::Snapshot>(
+      merged_time_, merged_.empty() ? 0 : merged_.front().ecf.dimensions(),
+      merged_.size());
   for (const core::MicroCluster& cluster : merged_) {
-    core::MicroClusterState frozen;
-    frozen.id = cluster.id;
-    frozen.creation_time = cluster.creation_time;
-    frozen.ecf = cluster.ecf;
-    snapshot->clusters.push_back(std::move(frozen));
+    snapshot->Append(cluster.id, cluster.creation_time, cluster.ecf.weight(),
+                     cluster.ecf.last_update_time(), cluster.ecf.cf1().data(),
+                     cluster.ecf.cf2().data(), cluster.ecf.ef2().data());
   }
   replica_.PublishCurrent(std::move(snapshot));
 }

@@ -27,30 +27,10 @@ std::string SnapshotToString(const core::Snapshot& snapshot) {
   out << "time ";
   AppendDouble(out, snapshot.time);
   out << "\n";
-  const std::size_t dims = snapshot.clusters.empty()
-                               ? 0
-                               : snapshot.clusters[0].ecf.dimensions();
-  out << "dims " << dims << " clusters " << snapshot.clusters.size() << "\n";
-  for (const auto& state : snapshot.clusters) {
-    out << state.id << ' ';
-    AppendDouble(out, state.creation_time);
-    out << ' ';
-    AppendDouble(out, state.ecf.weight());
-    out << ' ';
-    AppendDouble(out, state.ecf.last_update_time());
-    for (double v : state.ecf.cf1()) {
-      out << ' ';
-      AppendDouble(out, v);
-    }
-    for (double v : state.ecf.cf2()) {
-      out << ' ';
-      AppendDouble(out, v);
-    }
-    for (double v : state.ecf.ef2()) {
-      out << ' ';
-      AppendDouble(out, v);
-    }
-    out << '\n';
+  const std::size_t dims = snapshot.dims();
+  out << "dims " << dims << " clusters " << snapshot.size() << "\n";
+  for (std::size_t i = 0; i < snapshot.size(); ++i) {
+    AppendRecordLine(out, snapshot, i);
   }
   return out.str();
 }
@@ -64,9 +44,9 @@ std::optional<core::Snapshot> ParseSnapshot(const std::string& text) {
     return std::nullopt;
   }
 
-  core::Snapshot snapshot;
+  double time = 0.0;
   std::string key;
-  if (!(in >> key >> snapshot.time) || key != "time") return std::nullopt;
+  if (!(in >> key >> time) || key != "time") return std::nullopt;
 
   std::size_t dims = 0;
   std::size_t count = 0;
@@ -76,28 +56,13 @@ std::optional<core::Snapshot> ParseSnapshot(const std::string& text) {
     return std::nullopt;
   }
   if (count > 0 && dims == 0) return std::nullopt;
+  // The frame is one block sized by the header: refuse a header the
+  // text cannot back before allocating it.
+  if (!FrameHeaderFits(count, dims, text.size())) return std::nullopt;
 
-  snapshot.clusters.reserve(count);
+  core::Snapshot snapshot(time, dims, count);
   for (std::size_t c = 0; c < count; ++c) {
-    core::MicroClusterState state;
-    double weight = 0.0;
-    double last_update = 0.0;
-    if (!(in >> state.id >> state.creation_time >> weight >> last_update)) {
-      return std::nullopt;
-    }
-    std::vector<double> cf1(dims), cf2(dims), ef2(dims);
-    for (double& v : cf1) {
-      if (!(in >> v)) return std::nullopt;
-    }
-    for (double& v : cf2) {
-      if (!(in >> v)) return std::nullopt;
-    }
-    for (double& v : ef2) {
-      if (!(in >> v)) return std::nullopt;
-    }
-    state.ecf = core::ErrorClusterFeature::FromRaw(
-        std::move(cf1), std::move(cf2), std::move(ef2), weight, last_update);
-    snapshot.clusters.push_back(std::move(state));
+    if (!ParseRecordLine(in, dims, &snapshot)) return std::nullopt;
   }
   return snapshot;
 }

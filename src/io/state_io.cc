@@ -22,11 +22,8 @@ namespace {
 constexpr int kFormatVersion = 1;
 constexpr int kCheckpointVersion = 2;
 
-// Hard caps on counts read from untrusted bytes: large enough for any
-// real deployment, small enough that a corrupted count can no longer
-// drive reserve/resize into an OOM before the parse fails.
-constexpr std::size_t kMaxDims = std::size_t{1} << 16;
-constexpr std::size_t kMaxClusters = std::size_t{1} << 20;
+// Hard caps on the remaining counts read from untrusted bytes (kMaxDims
+// and kMaxClusters are in the header), same rationale.
 constexpr std::size_t kMaxLabels = std::size_t{1} << 20;
 constexpr std::size_t kMaxIds = std::size_t{1} << 20;
 constexpr std::size_t kMaxShards = std::size_t{1} << 10;
@@ -51,7 +48,50 @@ bool ReadFinite(std::istream& in, double* out) {
 
 }  // namespace
 
-std::uint64_t Fnv1a(const std::string& text) {
+bool FrameHeaderFits(std::size_t count, std::size_t dims,
+                     std::size_t text_bytes) {
+  return dims <= kMaxDims && count <= kMaxClusters &&
+         count <= text_bytes / core::Snapshot::RecordSize(dims);
+}
+
+void AppendRecordLine(std::ostringstream& out, const core::Snapshot& frame,
+                      std::size_t i) {
+  out << frame.id(i);
+  for (const double v : {frame.creation_time(i), frame.weight(i),
+                         frame.last_update_time(i)}) {
+    out << ' ';
+    AppendDouble(out, v);
+  }
+  for (const double* row : {frame.cf1(i), frame.cf2(i), frame.ef2(i)}) {
+    for (std::size_t j = 0; j < frame.dims(); ++j) {
+      out << ' ';
+      AppendDouble(out, row[j]);
+    }
+  }
+  out << "\n";
+}
+
+bool ParseRecordLine(std::istream& in, std::size_t dims,
+                     core::Snapshot* frame) {
+  std::uint64_t id = 0;
+  double creation_time = 0.0;
+  double weight = 0.0;
+  double last_update = 0.0;
+  if (!(in >> id) || !ReadFinite(in, &creation_time) ||
+      !ReadFinite(in, &weight) || !ReadFinite(in, &last_update)) {
+    return false;
+  }
+  if (weight < 0.0) return false;
+  std::vector<double> rows(3 * dims);
+  for (double& v : rows) {
+    if (!ReadFinite(in, &v)) return false;
+  }
+  frame->Append(id, creation_time, weight, last_update, rows.data(),
+                rows.data() + dims, rows.data() + 2 * dims);
+  return true;
+}
+
+std::uint64_t Fnv1a(std::string_view text) {
   std::uint64_t h = 1469598103934665603ull;
   for (const char ch : text) {
     h ^= static_cast<unsigned char>(ch);
@@ -172,55 +212,6 @@ bool ParseMicroCluster(std::istream& in, std::size_t dims,
     cluster.labels[label] = label_weight;
   }
   *out = std::move(cluster);
-  return true;
-}
-
-void AppendClusterState(std::ostringstream& out,
-                        const core::MicroClusterState& state) {
-  out << state.id << ' ';
-  AppendDouble(out, state.creation_time);
-  out << ' ';
-  AppendDouble(out, state.ecf.weight());
-  out << ' ';
-  AppendDouble(out, state.ecf.last_update_time());
-  for (double v : state.ecf.cf1()) {
-    out << ' ';
-    AppendDouble(out, v);
-  }
-  for (double v : state.ecf.cf2()) {
-    out << ' ';
-    AppendDouble(out, v);
-  }
-  for (double v : state.ecf.ef2()) {
-    out << ' ';
-    AppendDouble(out, v);
-  }
-  out << "\n";
-}
-
-bool ParseClusterState(std::istream& in, std::size_t dims,
-                       core::MicroClusterState* out) {
-  core::MicroClusterState state;
-  double weight = 0.0;
-  double last_update = 0.0;
-  if (!(in >> state.id) || !ReadFinite(in, &state.creation_time) ||
-      !ReadFinite(in, &weight) || !ReadFinite(in, &last_update)) {
-    return false;
-  }
-  if (weight < 0.0) return false;
-  std::vector<double> cf1(dims), cf2(dims), ef2(dims);
-  for (double& v : cf1) {
-    if (!ReadFinite(in, &v)) return false;
-  }
-  for (double& v : cf2) {
-    if (!ReadFinite(in, &v)) return false;
-  }
-  for (double& v : ef2) {
-    if (!ReadFinite(in, &v)) return false;
-  }
-  state.ecf = core::ErrorClusterFeature::FromRaw(
-      std::move(cf1), std::move(cf2), std::move(ef2), weight, last_update);
-  *out = std::move(state);
   return true;
 }
 
@@ -346,8 +337,8 @@ void AppendSnapshotStoreState(std::ostringstream& out,
           << frame.cluster_count << ' ' << frame.dims << "\n";
       switch (frame.encoding) {
         case core::FrameEncoding::kFull:
-          for (const auto& cluster : frame.full->clusters) {
-            AppendClusterState(out, cluster);
+          for (std::size_t i = 0; i < frame.full->size(); ++i) {
+            AppendRecordLine(out, *frame.full, i);
           }
           break;
         case core::FrameEncoding::kDelta: {
@@ -355,8 +346,8 @@ void AppendSnapshotStoreState(std::ostringstream& out,
           for (std::uint64_t id : frame.ids) out << ' ' << id;
           out << "\n";
           out << "changed " << frame.changed.size() << "\n";
-          for (const auto& cluster : frame.changed) {
-            AppendClusterState(out, cluster);
+          for (std::size_t i = 0; i < frame.changed.size(); ++i) {
+            AppendRecordLine(out, frame.changed, i);
           }
           break;
         }
@@ -385,9 +376,10 @@ void AppendSnapshotStoreState(std::ostringstream& out,
   }
 }
 
-/// Parses one encoded frame (after the "frame" keyword was consumed).
+/// Parses one encoded frame (after the "frame" keyword was consumed);
+/// `text_bytes` bounds the records the rest of the input can hold.
 bool ParseEncodedFrame(std::istream& in, std::size_t engine_dims,
-                       core::EncodedFrame* out) {
+                       std::size_t text_bytes, core::EncodedFrame* out) {
   core::EncodedFrame frame;
   std::string tag;
   if (!(in >> frame.tick) || frame.tick == 0 ||
@@ -405,13 +397,13 @@ bool ParseEncodedFrame(std::istream& in, std::size_t engine_dims,
   }
   if (tag == "full") {
     frame.encoding = core::FrameEncoding::kFull;
-    auto full = std::make_shared<core::Snapshot>();
-    full->time = frame.time;
-    full->clusters.reserve(frame.cluster_count);
+    if (!FrameHeaderFits(frame.cluster_count, frame.dims, text_bytes)) {
+      return false;
+    }
+    auto full = std::make_shared<core::Snapshot>(frame.time, frame.dims,
+                                                 frame.cluster_count);
     for (std::size_t c = 0; c < frame.cluster_count; ++c) {
-      core::MicroClusterState cluster;
-      if (!ParseClusterState(in, frame.dims, &cluster)) return false;
-      full->clusters.push_back(std::move(cluster));
+      if (!ParseRecordLine(in, frame.dims, full.get())) return false;
     }
     frame.full = std::move(full);
   } else if (tag == "delta") {
@@ -424,17 +416,19 @@ bool ParseEncodedFrame(std::istream& in, std::size_t engine_dims,
     }
     std::size_t changed_count = 0;
     if (!(in >> key >> changed_count) || key != "changed" ||
-        changed_count > frame.cluster_count) {
+        changed_count > frame.cluster_count ||
+        !FrameHeaderFits(changed_count, frame.dims, text_bytes)) {
       return false;
     }
-    frame.changed.reserve(changed_count);
+    frame.changed = core::Snapshot(frame.time, frame.dims, changed_count);
     for (std::size_t c = 0; c < changed_count; ++c) {
-      core::MicroClusterState cluster;
-      if (!ParseClusterState(in, frame.dims, &cluster)) return false;
-      frame.changed.push_back(std::move(cluster));
+      if (!ParseRecordLine(in, frame.dims, &frame.changed)) return false;
     }
   } else if (tag == "quant") {
     frame.encoding = core::FrameEncoding::kQuantized;
+    if (!FrameHeaderFits(frame.cluster_count, frame.dims, text_bytes)) {
+      return false;
+    }
     auto& q = frame.quant;
     q.dims = frame.dims;
     q.ids.resize(frame.cluster_count);
@@ -476,6 +470,7 @@ bool ParseEncodedFrame(std::istream& in, std::size_t engine_dims,
 
 /// Parses the store section written by AppendSnapshotStoreState.
 bool ParseSnapshotStoreState(std::istream& in, std::size_t engine_dims,
+                             std::size_t text_bytes,
                              core::SnapshotStoreState* out) {
   std::string key;
   std::size_t order_count = 0;
@@ -494,7 +489,9 @@ bool ParseSnapshotStoreState(std::istream& in, std::size_t engine_dims,
     for (std::size_t f = 0; f < frame_count; ++f) {
       if (!(in >> key) || key != "frame") return false;
       core::EncodedFrame frame;
-      if (!ParseEncodedFrame(in, engine_dims, &frame)) return false;
+      if (!ParseEncodedFrame(in, engine_dims, text_bytes, &frame)) {
+        return false;
+      }
       order.push_back(std::move(frame));
     }
   }
@@ -502,8 +499,8 @@ bool ParseSnapshotStoreState(std::istream& in, std::size_t engine_dims,
 }
 
 /// Everything after the checkpoint header line.
-std::string EngineCheckpointBody(const core::EngineState& state) {
-  std::ostringstream out;
+void AppendEngineCheckpointBody(std::ostringstream& out,
+                                const core::EngineState& state) {
   out << "kind " << state.engine_kind << "\n";
   out << "dims " << state.dimensions << "\n";
   out << "ingest " << state.points_ingested << ' ' << state.next_round_robin
@@ -532,7 +529,6 @@ std::string EngineCheckpointBody(const core::EngineState& state) {
     AppendDouble(out, value);
     out << "\n";
   }
-  return out.str();
 }
 
 bool ParseMetricCells(std::istream& in, const std::string& expected_key,
@@ -720,12 +716,25 @@ bool WriteMicroClustersFile(const std::vector<core::MicroCluster>& clusters,
 }
 
 std::string EngineStateToString(const core::EngineState& state) {
-  const std::string body = EngineCheckpointBody(state);
-  char header[64];
-  std::snprintf(header, sizeof(header), "ucheckpoint %d %016llx\n",
-                kCheckpointVersion,
-                static_cast<unsigned long long>(Fnv1a(body)));
-  return std::string(header) + body;
+  // The body is written after a fixed-width header whose checksum is
+  // filled in place afterwards, so the text of a multi-megabyte engine
+  // exists once in memory rather than as body, copy and concatenation.
+  auto header = [](std::uint64_t checksum) {
+    char line[64];
+    std::snprintf(line, sizeof(line), "ucheckpoint %d %016llx\n",
+                  kCheckpointVersion,
+                  static_cast<unsigned long long>(checksum));
+    return std::string(line);
+  };
+  const std::size_t header_size = header(0).size();
+  std::ostringstream out;
+  out << header(0);
+  AppendEngineCheckpointBody(out, state);
+  std::string text = std::move(out).str();
+  const std::string line =
+      header(Fnv1a(std::string_view(text).substr(header_size)));
+  text.replace(0, header_size, line);
+  return text;
 }
 
 std::optional<core::EngineState> ParseEngineState(const std::string& text) {
@@ -747,7 +756,9 @@ std::optional<core::EngineState> ParseEngineState(const std::string& text) {
     if (errno != 0 || end != checksum_hex.c_str() + checksum_hex.size()) {
       return std::nullopt;
     }
-    if (checksum != Fnv1a(text.substr(newline + 1))) return std::nullopt;
+    if (checksum != Fnv1a(std::string_view(text).substr(newline + 1))) {
+      return std::nullopt;
+    }
   }
 
   std::istringstream in(text.substr(newline + 1));
@@ -797,7 +808,8 @@ std::optional<core::EngineState> ParseEngineState(const std::string& text) {
     state.global_clusters.push_back(std::move(cluster));
   }
 
-  if (!ParseSnapshotStoreState(in, state.dimensions, &state.store)) {
+  if (!ParseSnapshotStoreState(in, state.dimensions, text.size(),
+                               &state.store)) {
     return std::nullopt;
   }
 

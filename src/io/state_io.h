@@ -18,9 +18,12 @@
 #ifndef UMICRO_IO_STATE_IO_H_
 #define UMICRO_IO_STATE_IO_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "baseline/clustream.h"
 #include "core/engine.h"
@@ -28,10 +31,37 @@
 
 namespace umicro::io {
 
+/// Hard caps on the dimension and cluster counts read from untrusted
+/// bytes, shared by every parser here and in io/snapshot_io.h: large
+/// enough for any real deployment, small enough that a corrupted count
+/// cannot drive an allocation into an OOM before the parse fails.
+inline constexpr std::size_t kMaxDims = std::size_t{1} << 16;
+inline constexpr std::size_t kMaxClusters = std::size_t{1} << 20;
+
+/// True when a snapshot frame header announcing `count` records of
+/// `dims` dimensions is within the caps and its values could fit in
+/// `text_bytes` of text (every value takes at least one byte). Parsers
+/// check this before reserving the frame's one block, which also keeps
+/// count * core::Snapshot::RecordSize(dims) from overflowing.
+bool FrameHeaderFits(std::size_t count, std::size_t dims,
+                     std::size_t text_bytes);
+
+/// Writes record `i` of `frame` as one text line, full precision:
+///   <id> <creation_time> <weight> <last_update> <cf1 x d> <cf2 x d> <ef2 x d>
+/// The record line of "usnap 1" bodies and of checkpoint store frames.
+void AppendRecordLine(std::ostringstream& out, const core::Snapshot& frame,
+                      std::size_t i);
+
+/// Parses one line written by AppendRecordLine and appends it to `frame`
+/// (built for `dims`). False on a malformed, non-finite or
+/// negative-weight record.
+bool ParseRecordLine(std::istream& in, std::size_t dims,
+                     core::Snapshot* frame);
+
 /// FNV-1a over `text` -- the integrity checksum every versioned format
 /// here embeds in its header (and the fleet manifest reuses per tenant
 /// record).
-std::uint64_t Fnv1a(const std::string& text);
+std::uint64_t Fnv1a(std::string_view text);
 
 /// Writes `text` to `path` atomically: temp file + fsync + rename, then
 /// a best-effort fsync of the containing directory so the rename itself

@@ -29,6 +29,7 @@
 #define UMICRO_KERNELS_CLUSTER_TABLE_H_
 
 #include <cstddef>
+#include <new>
 #include <vector>
 
 #include "kernels/dispatch.h"
@@ -132,14 +133,42 @@ class ClusterTable {
   std::size_t rows_ = 0;
   Backend backend_ = DetectBackend();
 
-  std::vector<double> cf1_;
-  std::vector<double> cf2_;
-  std::vector<double> ef2_;
-  std::vector<double> centroid_;
-  std::vector<double> ef2n2_;
-  std::vector<double> weight_;
-  std::vector<double> inv_weight_;
-  std::vector<double> ef2n2_sum_;
+  /// Allocator of the arrays below: 64-byte aligned blocks rounded up to
+  /// whole cache lines. Rows (a multiple of 8 doubles) then start on a
+  /// cache line and no other allocation shares a line with the table,
+  /// so kernel throughput does not depend on where the heap happens to
+  /// place the arrays.
+  template <typename T>
+  struct CacheLineAllocator {
+    using value_type = T;
+    static constexpr std::size_t kLine = 64;
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U>&) {}
+
+    T* allocate(std::size_t n) {
+      const std::size_t bytes = (n * sizeof(T) + kLine - 1) / kLine * kLine;
+      return static_cast<T*>(::operator new(bytes, std::align_val_t{kLine}));
+    }
+    void deallocate(T* p, std::size_t) {
+      ::operator delete(p, std::align_val_t{kLine});
+    }
+    friend bool operator==(const CacheLineAllocator&,
+                           const CacheLineAllocator&) {
+      return true;
+    }
+  };
+  using Doubles = std::vector<double, CacheLineAllocator<double>>;
+
+  Doubles cf1_;
+  Doubles cf2_;
+  Doubles ef2_;
+  Doubles centroid_;
+  Doubles ef2n2_;
+  Doubles weight_;
+  Doubles inv_weight_;
+  Doubles ef2n2_sum_;
 
   // Padded staging buffers for AddPoint (point values and pre-weighted
   // squared errors), reused across calls to avoid allocation.

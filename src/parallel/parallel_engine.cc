@@ -32,14 +32,7 @@ void ParallelUMicroEngine::Process(const stream::UncertainPoint& point) {
   // no merge_every merge on this point already made the view current.
   timeline_.TakeSnapshot([this](double time) {
     sharded_.Flush();
-    core::Snapshot merged = sharded_.GlobalSnapshot(time);
-    if (timeline_.sink() == nullptr) return merged;
-    // The shared frame is a back-to-back copy of the merged view, not
-    // GlobalSnapshot's own allocation: that one reuses the chunks the
-    // merge just freed, and query threads read it 15-20% slower
-    // (syndrift_sharded query_p50_us, 4-core host). One copy per merge
-    // is noise next to the merge itself.
-    return core::Snapshot(merged);
+    return sharded_.GlobalSnapshot(time);
   });
 }
 

@@ -428,15 +428,11 @@ std::vector<std::vector<double>> ShardedUMicro::ClusterCentroids() const {
 }
 
 core::Snapshot ShardedUMicro::GlobalSnapshot(double time) const {
-  core::Snapshot snapshot;
-  snapshot.time = time;
-  snapshot.clusters.reserve(global_clusters_.size());
+  core::Snapshot snapshot(time, dimensions_, global_clusters_.size());
   for (const auto& cluster : global_clusters_) {
-    core::MicroClusterState state;
-    state.id = cluster.id;
-    state.creation_time = cluster.creation_time;
-    state.ecf = cluster.ecf;
-    snapshot.clusters.push_back(std::move(state));
+    snapshot.Append(cluster.id, cluster.creation_time, cluster.ecf.weight(),
+                    cluster.ecf.last_update_time(), cluster.ecf.cf1().data(),
+                    cluster.ecf.cf2().data(), cluster.ecf.ef2().data());
   }
   return snapshot;
 }

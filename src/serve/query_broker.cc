@@ -2,12 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "obs/scoped_timer.h"
 #include "util/check.h"
 
 namespace umicro::serve {
+
+namespace {
+
+/// Squared Euclidean distance from `probe` to the centroid of record `i`
+/// (cf1[j] / n per coordinate, as ErrorClusterFeature::CentroidAt).
+double SquaredDistanceToCentroid(const std::vector<double>& probe,
+                                 const core::Snapshot& frame, std::size_t i) {
+  const double* cf1 = frame.cf1(i);
+  const double weight = frame.weight(i);
+  double dist2 = 0.0;
+  for (std::size_t j = 0; j < probe.size(); ++j) {
+    const double delta = probe[j] - cf1[j] / weight;
+    dist2 += delta * delta;
+  }
+  return dist2;
+}
+
+}  // namespace
 
 QueryBroker::QueryBroker(ReplicaResolver resolver, QueryBrokerOptions options,
                          obs::MetricsRegistry* metrics)
@@ -179,37 +198,31 @@ QueryResponse QueryBroker::ExecuteNearest(const QueryRequest& request,
                                           const ReplicaState& state) const {
   QueryResponse response;
   response.publish_seq = state.publish_seq;
-  if (state.current != nullptr && !state.current->clusters.empty() &&
-      request.values.size() != state.current->clusters[0].ecf.dimensions()) {
+  const core::Snapshot* current = state.current.get();
+  if (current != nullptr && !current->empty() &&
+      request.values.size() != current->dims()) {
     response.error = "probe dimensionality mismatch";
     return response;
   }
   response.ok = true;
-  if (state.current == nullptr) return response;
-  const NearestResult* found = nullptr;
+  if (current == nullptr) return response;
+  std::optional<std::size_t> found;
   NearestResult best;
-  for (const auto& cluster : state.current->clusters) {
-    if (cluster.ecf.empty()) continue;
-    double dist2 = 0.0;
-    for (std::size_t j = 0; j < request.values.size(); ++j) {
-      const double delta = request.values[j] - cluster.ecf.CentroidAt(j);
-      dist2 += delta * delta;
-    }
-    if (found == nullptr || dist2 < best.distance) {
-      best.cluster_id = cluster.id;
+  for (std::size_t i = 0; i < current->size(); ++i) {
+    const double weight = current->weight(i);
+    if (weight <= 0.0) continue;
+    const double dist2 = SquaredDistanceToCentroid(request.values, *current, i);
+    if (!found.has_value() || dist2 < best.distance) {
+      best.cluster_id = current->id(i);
       best.distance = dist2;
-      best.weight = cluster.ecf.weight();
-      found = &best;
+      best.weight = weight;
+      found = i;
     }
   }
-  if (found != nullptr) {
+  if (found.has_value()) {
     best.distance = std::sqrt(best.distance);
-    for (const auto& cluster : state.current->clusters) {
-      if (cluster.id == best.cluster_id) {
-        best.centroid = cluster.ecf.Centroid();
-        break;
-      }
-    }
+    best.centroid =
+        core::Centroid(current->cf1(*found), best.weight, current->dims());
     response.nearest = std::move(best);
   }
   return response;
@@ -228,16 +241,17 @@ QueryResponse QueryBroker::ExecuteAnomaly(const QueryRequest& request,
   // cold-start behaviour.
   response.anomalous = true;
   response.boundary = 0.0;
-  for (const auto& cluster : state.current->clusters) {
-    if (cluster.ecf.empty() || cluster.ecf.weight() < 2.0) continue;
-    double dist2 = 0.0;
-    for (std::size_t j = 0; j < request.values.size(); ++j) {
-      const double delta = request.values[j] - cluster.ecf.CentroidAt(j);
-      dist2 += delta * delta;
-    }
+  const core::Snapshot& current = *state.current;
+  for (std::size_t i = 0; i < current.size(); ++i) {
+    const double weight = current.weight(i);
+    if (weight < 2.0) continue;
+    const double dist2 = SquaredDistanceToCentroid(request.values, current, i);
     const double boundary =
-        options_.boundary_factor * cluster.ecf.UncertainRadius();
-    if (cluster.id == response.nearest->cluster_id ||
+        options_.boundary_factor *
+        std::sqrt(core::UncertainRadiusSquared(current.cf1(i), current.cf2(i),
+                                               current.ef2(i), weight,
+                                               current.dims()));
+    if (current.id(i) == response.nearest->cluster_id ||
         boundary > response.boundary) {
       response.boundary = boundary;
     }
@@ -259,7 +273,7 @@ QueryResponse QueryBroker::ExecuteStats(const ReplicaState& state) const {
   stats.published_time =
       state.current != nullptr ? state.current->time : 0.0;
   stats.live_clusters =
-      state.current != nullptr ? state.current->clusters.size() : 0;
+      state.current != nullptr ? state.current->size() : 0;
   stats.snapshots_retained = state.history.size();
   stats.queries_served = queries_served();
   stats.queue_depth = queue_depth();

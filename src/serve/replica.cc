@@ -20,6 +20,15 @@ std::size_t CapacityPerOrder(const core::SnapshotPolicy& policy) {
   return static_cast<std::size_t>(capacity) + 1;
 }
 
+/// (time, tick) order, as SnapshotStore: frames of equal time (coarse
+/// input timestamps) resolve to the newest tick.
+bool Before(const ReplicaFrame& a, const ReplicaFrame& b) {
+  if (a.snapshot->time != b.snapshot->time) {
+    return a.snapshot->time < b.snapshot->time;
+  }
+  return a.tick < b.tick;
+}
+
 }  // namespace
 
 SnapshotReadReplica::SnapshotReadReplica(const core::SnapshotPolicy& policy,
@@ -37,7 +46,16 @@ void SnapshotReadReplica::PublishSnapshot(
   if (order >= orders_.size()) orders_.resize(order + 1);
   auto& ring = orders_[order];
   ring.push_back({tick, snapshot});
-  if (ring.size() > capacity_per_order_) ring.pop_front();
+  // Cadence frames arrive in increasing (time, tick), so the new frame
+  // normally lands at the end; priming hands over ring by ring.
+  history_.insert(std::upper_bound(history_.begin(), history_.end(),
+                                   ring.back(), Before),
+                  ring.back());
+  if (ring.size() > capacity_per_order_) {
+    history_.erase(std::lower_bound(history_.begin(), history_.end(),
+                                    ring.front(), Before));
+    ring.pop_front();
+  }
   // A cadence snapshot is also the freshest view of the live state.
   current_ = std::move(snapshot);
   InstallState();
@@ -54,21 +72,7 @@ void SnapshotReadReplica::InstallState() {
   auto next = std::make_shared<ReplicaState>();
   next->publish_seq = ++publish_seq_;
   next->current = current_;
-  std::size_t total = 0;
-  for (const auto& ring : orders_) total += ring.size();
-  next->history.reserve(total);
-  for (const auto& ring : orders_) {
-    next->history.insert(next->history.end(), ring.begin(), ring.end());
-  }
-  // (time, tick) order, as SnapshotStore: frames of equal time (coarse
-  // input timestamps) resolve to the newest tick.
-  std::sort(next->history.begin(), next->history.end(),
-            [](const ReplicaFrame& a, const ReplicaFrame& b) {
-              if (a.snapshot->time != b.snapshot->time) {
-                return a.snapshot->time < b.snapshot->time;
-              }
-              return a.tick < b.tick;
-            });
+  next->history = history_;
   std::shared_ptr<const ReplicaState> installed(std::move(next));
   std::lock_guard<std::mutex> lock(state_mu_);
   state_.swap(installed);

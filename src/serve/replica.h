@@ -89,8 +89,8 @@ class SnapshotReadReplica : public core::SnapshotSink {
                                            double time);
 
  private:
-  /// Rebuilds and atomically installs a new ReplicaState from the
-  /// writer-side rings + current pointer.
+  /// Builds and atomically installs a new ReplicaState from the
+  /// writer-side history + current pointer.
   void InstallState();
 
   const std::size_t capacity_per_order_;
@@ -98,6 +98,9 @@ class SnapshotReadReplica : public core::SnapshotSink {
   /// Writer-side retention rings (engine thread only), mirroring
   /// SnapshotStore: orders_[i] holds order-i snapshots, oldest first.
   std::vector<std::deque<ReplicaFrame>> orders_;
+  /// Every frame of orders_, ascending by (time, tick): kept sorted as
+  /// frames enter and leave, and copied into each published state.
+  std::vector<ReplicaFrame> history_;
   std::shared_ptr<const core::Snapshot> current_;
   std::uint64_t publish_seq_ = 0;
   /// Guards only the `state_` pointer itself. Held for one shared_ptr

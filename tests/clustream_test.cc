@@ -183,11 +183,13 @@ TEST(CluStreamTest, SnapshotCarriesZeroErrorStatistics) {
   for (const auto& point : dataset.points()) algorithm.Process(point);
   const core::Snapshot snapshot = algorithm.TakeSnapshot(299.0);
   EXPECT_DOUBLE_EQ(snapshot.time, 299.0);
-  ASSERT_EQ(snapshot.clusters.size(), algorithm.clusters().size());
+  ASSERT_EQ(snapshot.size(), algorithm.clusters().size());
   double mass = 0.0;
-  for (const auto& state : snapshot.clusters) {
-    mass += state.ecf.weight();
-    for (double e : state.ecf.ef2()) EXPECT_DOUBLE_EQ(e, 0.0);
+  for (std::size_t i = 0; i < snapshot.size(); ++i) {
+    mass += snapshot.weight(i);
+    for (std::size_t j = 0; j < snapshot.dims(); ++j) {
+      EXPECT_DOUBLE_EQ(snapshot.ef2(i)[j], 0.0);
+    }
   }
   EXPECT_DOUBLE_EQ(mass, 300.0);
 }

@@ -149,10 +149,8 @@ TEST(SubtractSnapshotFuzzTest, ResidualMatchesBruteForceWindow) {
     const double t_e = t_s + rng.Uniform(10.0, 200.0);
     const std::size_t num_clusters = 1 + (trial % 7);
 
-    Snapshot older;
-    older.time = t_s;
-    Snapshot current;
-    current.time = t_e;
+    std::vector<MicroClusterState> older_states;
+    std::vector<MicroClusterState> current_states;
     std::vector<UncertainPoint> all_points;
 
     for (std::size_t c = 0; c < num_clusters; ++c) {
@@ -178,10 +176,12 @@ TEST(SubtractSnapshotFuzzTest, ResidualMatchesBruteForceWindow) {
         at_current.AddPoint(point, std::exp2(-lambda * (t_e - t)));
       }
       if (existed_before) {
-        older.clusters.push_back({c, 0.0, at_older});
+        older_states.push_back({c, 0.0, at_older});
       }
-      current.clusters.push_back({c, 0.0, at_current});
+      current_states.push_back({c, 0.0, at_current});
     }
+    const Snapshot older = Snapshot::FromStates(t_s, older_states);
+    const Snapshot current = Snapshot::FromStates(t_e, current_states);
 
     const std::vector<MicroClusterState> window =
         SubtractSnapshot(current, older, lambda);
@@ -203,16 +203,14 @@ TEST(SubtractSnapshotTest, QuiescentClusterCancelsUnderDecay) {
   ErrorClusterFeature at_older(dims);
   at_older.AddPoint(point);
 
-  Snapshot older;
-  older.time = 10.0;
-  older.clusters.push_back({1, 0.0, at_older});
+  const std::vector<MicroClusterState> older_states = {{1, 0.0, at_older}};
+  const Snapshot older = Snapshot::FromStates(10.0, older_states);
 
   // 40 time units later the live copy has decayed by 2^(-0.05*40) = 1/4.
-  Snapshot current;
-  current.time = 50.0;
   ErrorClusterFeature at_current(dims);
   at_current.AddPoint(point, std::exp2(-lambda * 40.0));
-  current.clusters.push_back({1, 0.0, at_current});
+  std::vector<MicroClusterState> current_states = {{1, 0.0, at_current}};
+  Snapshot current = Snapshot::FromStates(50.0, current_states);
 
   const auto window = SubtractSnapshot(current, older, lambda);
   EXPECT_TRUE(window.empty())
@@ -224,7 +222,8 @@ TEST(SubtractSnapshotTest, QuiescentClusterCancelsUnderDecay) {
   ErrorClusterFeature busier(dims);
   busier.AddPoint(point, std::exp2(-lambda * 40.0));
   busier.AddPoint(UncertainPoint({3.0, 4.0}, {0.1, 0.1}, 50.0));
-  current.clusters[0].ecf = busier;
+  current_states[0].ecf = busier;
+  current = Snapshot::FromStates(50.0, current_states);
   const auto corrected = SubtractSnapshot(current, older, lambda);
   ASSERT_EQ(corrected.size(), 1u);
   // Exactly the one new point remains.
@@ -247,17 +246,15 @@ TEST(SubtractSnapshotTest, CancellationNoiseIsDropped) {
         {rng.Uniform(0.0, 0.1), rng.Uniform(0.0, 0.1)}, 1.0 + i * 0.001));
   }
 
-  Snapshot older;
-  older.time = 2.0;
-  older.clusters.push_back({7, 0.0, heavy});
+  const std::vector<MicroClusterState> older_states = {{7, 0.0, heavy}};
+  const Snapshot older = Snapshot::FromStates(2.0, older_states);
 
   // The "current" copy differs only by an epsilon of weight -- the kind
   // of residue round-off leaves when a cluster was quiescent.
   ErrorClusterFeature nearly(heavy);
   nearly.Scale(1.0 + 1e-13);
-  Snapshot current;
-  current.time = 3.0;
-  current.clusters.push_back({7, 0.0, nearly});
+  const std::vector<MicroClusterState> current_states = {{7, 0.0, nearly}};
+  const Snapshot current = Snapshot::FromStates(3.0, current_states);
 
   const auto window = SubtractSnapshot(current, older, /*decay_lambda=*/0.0);
   EXPECT_TRUE(window.empty()) << "cancellation noise kept as a residual";
@@ -304,18 +301,17 @@ TEST(SubtractSnapshotTest, FullyDecayedGapYieldsEmptyWindowNotNoise) {
   const std::size_t dims = 2;
   ErrorClusterFeature old_mass(dims);
   old_mass.AddPoint(UncertainPoint({1.0, 2.0}, {0.1, 0.1}, 10.0));
-  Snapshot older;
-  older.time = 10.0;
-  older.clusters.push_back({1, 0.0, old_mass});
+  const std::vector<MicroClusterState> older_states = {{1, 0.0, old_mass}};
+  const Snapshot older = Snapshot::FromStates(10.0, older_states);
 
   // Gaps chosen so 2^(-lambda dt) is denormal (2^-1050) and exactly
   // zero (2^-2000): both count as fully decayed.
   for (const double gap : {1050.0 / 0.01, 2000.0 / 0.01}) {
-    Snapshot current;
-    current.time = older.time + gap;
     ErrorClusterFeature live(old_mass);
     live.Scale(std::exp2(-0.01 * gap));  // what global decay did live
-    current.clusters.push_back({1, 0.0, live});
+    const std::vector<MicroClusterState> current_states = {{1, 0.0, live}};
+    const Snapshot current =
+        Snapshot::FromStates(older.time + gap, current_states);
 
     const auto window = SubtractSnapshot(current, older, 0.01);
     EXPECT_TRUE(window.empty()) << "gap " << gap;

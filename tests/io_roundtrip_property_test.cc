@@ -75,9 +75,9 @@ class SnapshotRoundTripProperty
 TEST_P(SnapshotRoundTripProperty, ExactThroughText) {
   util::Rng rng(GetParam() + 1000);
   const std::size_t dims = 1 + rng.NextBounded(6);
-  core::Snapshot snapshot;
-  snapshot.time = ExtremeDouble(rng);
+  const double time = ExtremeDouble(rng);
   const std::size_t clusters = rng.NextBounded(20);
+  std::vector<core::MicroClusterState> states;
   for (std::size_t c = 0; c < clusters; ++c) {
     core::MicroClusterState state;
     state.id = rng.NextUint64();
@@ -92,20 +92,20 @@ TEST_P(SnapshotRoundTripProperty, ExactThroughText) {
       ecf.AddPoint(UncertainPoint(values, errors, ExtremeDouble(rng)));
     }
     state.ecf = std::move(ecf);
-    snapshot.clusters.push_back(std::move(state));
+    states.push_back(std::move(state));
   }
+  const core::Snapshot snapshot = core::Snapshot::FromStates(time, states);
 
   const auto parsed = ParseSnapshot(SnapshotToString(snapshot));
   ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->clusters.size(), snapshot.clusters.size());
-  for (std::size_t c = 0; c < snapshot.clusters.size(); ++c) {
-    EXPECT_EQ(parsed->clusters[c].id, snapshot.clusters[c].id);
-    EXPECT_EQ(parsed->clusters[c].ecf.cf1(),
-              snapshot.clusters[c].ecf.cf1());
-    EXPECT_EQ(parsed->clusters[c].ecf.cf2(),
-              snapshot.clusters[c].ecf.cf2());
-    EXPECT_EQ(parsed->clusters[c].ecf.ef2(),
-              snapshot.clusters[c].ecf.ef2());
+  ASSERT_EQ(parsed->size(), snapshot.size());
+  for (std::size_t c = 0; c < snapshot.size(); ++c) {
+    const core::MicroClusterState got = parsed->State(c);
+    const core::MicroClusterState want = snapshot.State(c);
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.ecf.cf1(), want.ecf.cf1());
+    EXPECT_EQ(got.ecf.cf2(), want.ecf.cf2());
+    EXPECT_EQ(got.ecf.ef2(), want.ecf.ef2());
   }
 }
 

@@ -147,6 +147,23 @@ TEST(KernelUpdateParity, MergeAndRemoveMirrorEcfOps) {
   }
 }
 
+TEST(KernelUpdateParity, RowsStartOnCacheLines) {
+  util::Rng rng(7);
+  ClusterTable table;
+  std::vector<core::ErrorClusterFeature> ecfs;
+  BuildRandomClusters(rng, 5, 9, TestableBackends().front(), &table, &ecfs);
+  auto line_offset = [](const double* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % 64;
+  };
+  for (std::size_t i = 0; i < table.rows(); ++i) {
+    EXPECT_EQ(line_offset(table.cf1_row(i)), 0u) << "row " << i;
+    EXPECT_EQ(line_offset(table.cf2_row(i)), 0u) << "row " << i;
+    EXPECT_EQ(line_offset(table.ef2_row(i)), 0u) << "row " << i;
+    EXPECT_EQ(line_offset(table.centroid_row(i)), 0u) << "row " << i;
+    EXPECT_EQ(line_offset(table.ef2n2_row(i)), 0u) << "row " << i;
+  }
+}
+
 TEST(KernelUpdateParity, DenormalAndZeroErrorEdgeCases) {
   const double denormal = std::numeric_limits<double>::denorm_min();
   for (const Backend backend : TestableBackends()) {

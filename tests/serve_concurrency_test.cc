@@ -219,12 +219,12 @@ TEST(ReplicaTest, AcquiredStateIsImmutableAcrossPublishes) {
   policy.snapshot_every = 10;
   SnapshotReadReplica replica(policy, 0.0);
 
-  auto first = std::make_shared<core::Snapshot>();
-  first->time = 10.0;
   core::ErrorClusterFeature ecf(1);
   ecf.AddPoint(UncertainPoint(std::vector<double>{1.0},
                               std::vector<double>{0.1}, 10.0));
-  first->clusters.push_back({1, 0.0, ecf});
+  const std::vector<core::MicroClusterState> states = {{1, 0.0, ecf}};
+  auto first = std::make_shared<core::Snapshot>(
+      core::Snapshot::FromStates(10.0, states));
   replica.PublishSnapshot(1, 1, first);
   replica.PublishCurrent(first);
 
@@ -234,9 +234,8 @@ TEST(ReplicaTest, AcquiredStateIsImmutableAcrossPublishes) {
   const double held_time = held->current->time;
 
   for (int i = 2; i <= 40; ++i) {
-    auto next = std::make_shared<core::Snapshot>();
-    next->time = 10.0 * i;
-    next->clusters.push_back({1, 0.0, ecf});
+    auto next = std::make_shared<core::Snapshot>(
+        core::Snapshot::FromStates(10.0 * i, states));
     replica.PublishSnapshot(static_cast<std::uint64_t>(i),
                             static_cast<std::size_t>(i % 3), next);
     replica.PublishCurrent(next);
@@ -259,10 +258,10 @@ TEST(ReplicaTest, RetentionMirrorsSnapshotStore) {
   core::ErrorClusterFeature ecf(1);
   ecf.AddPoint(UncertainPoint(std::vector<double>{0.5},
                               std::vector<double>{0.1}, 1.0));
+  const std::vector<core::MicroClusterState> states = {{1, 0.0, ecf}};
   for (std::uint64_t tick = 1; tick <= 500; ++tick) {
-    auto snapshot = std::make_shared<core::Snapshot>();
-    snapshot->time = static_cast<double>(tick);
-    snapshot->clusters.push_back({1, 0.0, ecf});
+    auto snapshot = std::make_shared<core::Snapshot>(
+        core::Snapshot::FromStates(static_cast<double>(tick), states));
     replica.PublishSnapshot(tick, store.OrderOf(tick), snapshot);
     store.Insert(tick, std::move(snapshot));
   }
@@ -334,9 +333,9 @@ TEST(ReplicaTest, HistorySharesTheStoresFullFrames) {
 }
 
 /// A frame handed to a sink is immutable: when the delta store re-encodes
-/// its own entry for that tick (moving clusters out of frames only it
-/// owns), the replica's object keeps every bit -- whether the frame was
-/// published on cadence or handed over by attach-time priming.
+/// its own entry for that tick (copying the changed records out), the
+/// replica's object keeps every bit -- whether the frame was published on
+/// cadence or handed over by attach-time priming.
 void ExpectPublishedFrameSurvivesDeltaReencode(bool prime) {
   core::EngineConfig options = SmallEngineOptions(0.0);
   options.snapshot.tiering.mode = core::SnapshotStoreMode::kDelta;
@@ -369,10 +368,16 @@ void ExpectPublishedFrameSurvivesDeltaReencode(bool prime) {
     }
   }
 
-  // A checkpoint copies store-owned frames and shares published ones.
+  // A checkpoint shares every full frame with the store: frames are
+  // never mutated, so none needs a private copy.
   const core::SnapshotStoreState exported = engine.store().ExportState();
-  for (const auto& ring : exported.orders) {
-    for (const auto& frame : ring) EXPECT_FALSE(frame.store_owned);
+  for (std::size_t order = 0; order < exported.orders.size(); ++order) {
+    for (std::size_t i = 0; i < exported.orders[order].size(); ++i) {
+      const core::EncodedFrame& frame = exported.orders[order][i];
+      if (frame.encoding != core::FrameEncoding::kFull) continue;
+      EXPECT_EQ(frame.full.get(),
+                engine.store().FrameAt(order, i).full.get());
+    }
   }
 }
 
@@ -469,8 +474,10 @@ TEST(ServeQuiescedEqualityTest, TiedSnapshotTimesPickTheSameTick) {
     if (!engine_answer.has_value()) continue;
     EXPECT_EQ(served.clustering->realized_horizon,
               engine_answer->realized_horizon);
-    core::Snapshot served_window{0.0, served.clustering->window};
-    core::Snapshot engine_window{0.0, engine_answer->window};
+    const core::Snapshot served_window =
+        core::Snapshot::FromStates(0.0, served.clustering->window);
+    const core::Snapshot engine_window =
+        core::Snapshot::FromStates(0.0, engine_answer->window);
     EXPECT_EQ(io::SnapshotToString(served_window),
               io::SnapshotToString(engine_window))
         << "horizon " << horizon;

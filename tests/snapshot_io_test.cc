@@ -3,9 +3,12 @@
 #include "io/snapshot_io.h"
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "io/state_io.h"
 #include "stream/point.h"
 #include "util/random.h"
 
@@ -15,12 +18,12 @@ namespace {
 core::Snapshot MakeSnapshot(std::uint64_t seed, std::size_t clusters,
                             std::size_t dims) {
   util::Rng rng(seed);
-  core::Snapshot snapshot;
-  snapshot.time = rng.Uniform(0.0, 1000.0);
+  const double time = rng.Uniform(0.0, 1000.0);
+  std::vector<core::MicroClusterState> states;
   for (std::size_t c = 0; c < clusters; ++c) {
     core::MicroClusterState state;
     state.id = rng.NextUint64();
-    state.creation_time = rng.Uniform(0.0, snapshot.time);
+    state.creation_time = rng.Uniform(0.0, time);
     core::ErrorClusterFeature ecf(dims);
     const int points = 1 + static_cast<int>(rng.NextBounded(10));
     for (int p = 0; p < points; ++p) {
@@ -31,12 +34,12 @@ core::Snapshot MakeSnapshot(std::uint64_t seed, std::size_t clusters,
         errors[j] = rng.Uniform(0.0, 5.0);
       }
       ecf.AddPoint(stream::UncertainPoint(values, errors,
-                                          rng.Uniform(0.0, snapshot.time)));
+                                          rng.Uniform(0.0, time)));
     }
     state.ecf = std::move(ecf);
-    snapshot.clusters.push_back(std::move(state));
+    states.push_back(std::move(state));
   }
-  return snapshot;
+  return core::Snapshot::FromStates(time, states);
 }
 
 TEST(SnapshotIoTest, RoundTripExact) {
@@ -45,10 +48,10 @@ TEST(SnapshotIoTest, RoundTripExact) {
   const auto parsed = ParseSnapshot(text);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_DOUBLE_EQ(parsed->time, original.time);
-  ASSERT_EQ(parsed->clusters.size(), original.clusters.size());
-  for (std::size_t c = 0; c < original.clusters.size(); ++c) {
-    const auto& a = original.clusters[c];
-    const auto& b = parsed->clusters[c];
+  ASSERT_EQ(parsed->size(), original.size());
+  for (std::size_t c = 0; c < original.size(); ++c) {
+    const core::MicroClusterState a = original.State(c);
+    const core::MicroClusterState b = parsed->State(c);
     EXPECT_EQ(a.id, b.id);
     EXPECT_DOUBLE_EQ(a.creation_time, b.creation_time);
     EXPECT_DOUBLE_EQ(a.ecf.weight(), b.ecf.weight());
@@ -65,7 +68,7 @@ TEST(SnapshotIoTest, EmptySnapshotRoundTrips) {
   const auto parsed = ParseSnapshot(SnapshotToString(empty));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_DOUBLE_EQ(parsed->time, 42.0);
-  EXPECT_TRUE(parsed->clusters.empty());
+  EXPECT_TRUE(parsed->empty());
 }
 
 TEST(SnapshotIoTest, RejectsGarbage) {
@@ -73,6 +76,47 @@ TEST(SnapshotIoTest, RejectsGarbage) {
   EXPECT_FALSE(ParseSnapshot("not a snapshot").has_value());
   EXPECT_FALSE(ParseSnapshot("usnap 99\ntime 0\ndims 1 clusters 0\n")
                    .has_value());
+}
+
+// A frame is one block sized by its header, so a header the text cannot
+// back is refused before anything is allocated (these used to die with
+// std::bad_alloc).
+TEST(SnapshotIoTest, RejectsOversizedHeader) {
+  EXPECT_FALSE(ParseSnapshot("usnap 1\ntime 0\ndims 1 clusters "
+                             "100000000000000\n1 0 1 0 0 0 0\n")
+                   .has_value());
+  EXPECT_FALSE(ParseSnapshot("usnap 1\ntime 0\ndims 100000000000 clusters "
+                             "1\n1 0 1 0 0 0 0\n")
+                   .has_value());
+  // Within the caps, but more records than the text could hold.
+  EXPECT_FALSE(ParseSnapshot("usnap 1\ntime 0\ndims 65536 clusters "
+                             "1048576\n1 0 1 0\n")
+                   .has_value());
+}
+
+TEST(SnapshotIoTest, ChecksummedSpillFrameWithOversizedHeaderIsRejected) {
+  // The checksum only proves the body is what was written; the parser
+  // behind it still refuses the header.
+  for (const std::string& body :
+       {std::string("usnap 1\ntime 0\ndims 1 clusters 100000000000000\n"),
+        std::string("usnap 1\ntime 0\ndims 100000000000 clusters 1\n")}) {
+    char header[64];
+    std::snprintf(header, sizeof(header), "usnapf 1 %016llx\n",
+                  static_cast<unsigned long long>(Fnv1a(body)));
+    const std::string text = std::string(header) + body;
+    EXPECT_FALSE(ParseSpillFrame(text).has_value());
+    const std::string path =
+        testing::TempDir() + "/snapshot_io_test_oversized.usnapf";
+    ASSERT_TRUE(WriteTextFileAtomic(text, path));
+    EXPECT_FALSE(ReadSpillFrameFile(path).has_value());
+    std::remove(path.c_str());
+  }
+}
+
+TEST(SnapshotIoTest, RejectsNegativeWeight) {
+  EXPECT_FALSE(
+      ParseSnapshot("usnap 1\ntime 0\ndims 1 clusters 1\n1 0 -1 0 0 0 0\n")
+          .has_value());
 }
 
 TEST(SnapshotIoTest, RejectsTruncatedClusterData) {
@@ -88,7 +132,7 @@ TEST(SnapshotIoTest, FileRoundTrip) {
   ASSERT_TRUE(WriteSnapshotFile(original, path));
   const auto loaded = ReadSnapshotFile(path);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->clusters.size(), original.clusters.size());
+  EXPECT_EQ(loaded->size(), original.size());
   std::remove(path.c_str());
 }
 

@@ -14,8 +14,7 @@ namespace {
 
 Snapshot MakeSnapshot(double time, std::vector<std::uint64_t> ids,
                       double weight_each = 1.0) {
-  Snapshot snapshot;
-  snapshot.time = time;
+  std::vector<MicroClusterState> states;
   for (std::uint64_t id : ids) {
     MicroClusterState state;
     state.id = id;
@@ -23,9 +22,9 @@ Snapshot MakeSnapshot(double time, std::vector<std::uint64_t> ids,
     state.ecf = ErrorClusterFeature::FromPoint(
         stream::UncertainPoint({static_cast<double>(id)}, time),
         weight_each);
-    snapshot.clusters.push_back(std::move(state));
+    states.push_back(std::move(state));
   }
-  return snapshot;
+  return Snapshot::FromStates(time, states);
 }
 
 TEST(SnapshotStoreTest, OrderClassification) {
@@ -224,12 +223,10 @@ TEST(SubtractSnapshotTest, RecoversExactWindowStatistics) {
     (i < 50 ? first_half : second_half).AddPoint(point);
   }
 
-  Snapshot mid;
-  mid.time = 49.0;
-  mid.clusters.push_back({42u, 0.0, first_half});
-  Snapshot end;
-  end.time = 99.0;
-  end.clusters.push_back({42u, 0.0, all});
+  const std::vector<MicroClusterState> mid_states = {{42u, 0.0, first_half}};
+  const Snapshot mid = Snapshot::FromStates(49.0, mid_states);
+  const std::vector<MicroClusterState> end_states = {{42u, 0.0, all}};
+  const Snapshot end = Snapshot::FromStates(99.0, end_states);
 
   const auto window = SubtractSnapshot(end, mid);
   ASSERT_EQ(window.size(), 1u);

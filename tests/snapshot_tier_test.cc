@@ -245,16 +245,17 @@ void FillStores(SnapshotStore& a, SnapshotStore& b, std::size_t dims,
                 std::uint64_t ticks) {
   const auto points = DriftStream(0x7ea, dims, 8);
   for (std::uint64_t tick = 1; tick <= ticks; ++tick) {
-    Snapshot snapshot;
-    snapshot.time = static_cast<double>(tick);
+    std::vector<MicroClusterState> states;
     for (std::uint64_t id = 0; id < 8; ++id) {
       MicroClusterState state;
       state.id = id;
       state.creation_time = 0.25;
       state.ecf = ErrorClusterFeature::FromPoint(
           points[id], 1.0 + 0.001 * static_cast<double>(tick * (id + 1)));
-      snapshot.clusters.push_back(std::move(state));
+      states.push_back(std::move(state));
     }
+    Snapshot snapshot =
+        Snapshot::FromStates(static_cast<double>(tick), states);
     a.Insert(tick, snapshot);
     b.Insert(tick, std::move(snapshot));
   }
@@ -290,13 +291,14 @@ TEST(SnapshotTierTest, TieredBudgetDemotesToQuantizedWithBoundedError) {
         EXPECT_EQ(io::SnapshotToString(*exact), io::SnapshotToString(*approx));
         continue;
       }
-      ASSERT_EQ(exact->clusters.size(), approx->clusters.size());
-      for (std::size_t c = 0; c < exact->clusters.size(); ++c) {
-        const auto& e = exact->clusters[c].ecf;
-        const auto& a = approx->clusters[c].ecf;
-        EXPECT_EQ(exact->clusters[c].id, approx->clusters[c].id);
-        EXPECT_EQ(exact->clusters[c].creation_time,
-                  approx->clusters[c].creation_time);
+      ASSERT_EQ(exact->size(), approx->size());
+      for (std::size_t c = 0; c < exact->size(); ++c) {
+        const MicroClusterState exact_state = exact->State(c);
+        const MicroClusterState approx_state = approx->State(c);
+        const auto& e = exact_state.ecf;
+        const auto& a = approx_state.ecf;
+        EXPECT_EQ(exact_state.id, approx_state.id);
+        EXPECT_EQ(exact_state.creation_time, approx_state.creation_time);
         // float32 has ~1.2e-7 relative precision; allow a little slack
         // for the double->float->double round trip of squared sums.
         const double tol = 1e-6;
@@ -346,17 +348,21 @@ TEST(SnapshotTierTest, TieredSpillRoundTripsExactly) {
 // cluster of every frame: 64 bytes of frame overhead, and per exact
 // cluster a 32-byte header plus cf1/cf2/ef2 at its own dimensionality.
 std::size_t PerClusterBytes(const EncodedFrame& frame) {
-  auto exact = [](const MicroClusterState& state) {
-    return 32 + 3 * state.ecf.dimensions() * sizeof(double);
+  auto exact = [](const Snapshot& records, std::size_t i) {
+    return 32 + 3 * records.State(i).ecf.dimensions() * sizeof(double);
   };
   std::size_t bytes = 64;
   switch (frame.encoding) {
     case FrameEncoding::kFull:
-      for (const auto& state : frame.full->clusters) bytes += exact(state);
+      for (std::size_t i = 0; i < frame.full->size(); ++i) {
+        bytes += exact(*frame.full, i);
+      }
       break;
     case FrameEncoding::kDelta:
       bytes += frame.ids.size() * sizeof(std::uint64_t);
-      for (const auto& state : frame.changed) bytes += exact(state);
+      for (std::size_t i = 0; i < frame.changed.size(); ++i) {
+        bytes += exact(frame.changed, i);
+      }
       break;
     case FrameEncoding::kQuantized:
       bytes += frame.quant.ids.size() * sizeof(std::uint64_t) +

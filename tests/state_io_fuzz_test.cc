@@ -205,8 +205,7 @@ TEST(StateIoFuzzTest, ChecksumRejectsCorruptionOfDeltaAndTieredStates) {
 }
 
 TEST(StateIoFuzzTest, SpillFrameRejectsEveryByteFlipAndHostileInput) {
-  core::Snapshot snapshot;
-  snapshot.time = 7.5;
+  std::vector<core::MicroClusterState> states;
   for (std::uint64_t id = 0; id < 4; ++id) {
     core::MicroClusterState state;
     state.id = id;
@@ -214,8 +213,9 @@ TEST(StateIoFuzzTest, SpillFrameRejectsEveryByteFlipAndHostileInput) {
     state.ecf = core::ErrorClusterFeature::FromPoint(
         stream::UncertainPoint({1.0 + id, 2.0, 3.0}, {0.1, 0.1, 0.1}, 7.0),
         2.0);
-    snapshot.clusters.push_back(std::move(state));
+    states.push_back(std::move(state));
   }
+  const core::Snapshot snapshot = core::Snapshot::FromStates(7.5, states);
   const std::string clean = SpillFrameToString(snapshot);
   ASSERT_TRUE(ParseSpillFrame(clean).has_value());
 

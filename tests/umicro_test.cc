@@ -284,9 +284,11 @@ TEST(UMicroTest, SnapshotCapturesClusters) {
   for (const auto& point : dataset.points()) algorithm.Process(point);
   const Snapshot snapshot = algorithm.TakeSnapshot(149.0);
   EXPECT_DOUBLE_EQ(snapshot.time, 149.0);
-  EXPECT_EQ(snapshot.clusters.size(), algorithm.clusters().size());
+  EXPECT_EQ(snapshot.size(), algorithm.clusters().size());
   double weight = 0.0;
-  for (const auto& state : snapshot.clusters) weight += state.ecf.weight();
+  for (std::size_t i = 0; i < snapshot.size(); ++i) {
+    weight += snapshot.weight(i);
+  }
   EXPECT_NEAR(weight, 150.0, 1e-9);
 }
 
@@ -296,8 +298,10 @@ TEST(UMicroTest, SnapshotIdsAreUnique) {
   for (const auto& point : dataset.points()) algorithm.Process(point);
   const Snapshot snapshot = algorithm.TakeSnapshot(0.0);
   std::set<std::uint64_t> ids;
-  for (const auto& state : snapshot.clusters) ids.insert(state.id);
-  EXPECT_EQ(ids.size(), snapshot.clusters.size());
+  for (std::size_t i = 0; i < snapshot.size(); ++i) {
+    ids.insert(snapshot.id(i));
+  }
+  EXPECT_EQ(ids.size(), snapshot.size());
 }
 
 TEST(UMicroTest, UncertaintyImprovesPurityOnNoisyData) {
