@@ -222,33 +222,6 @@ void CluStream::Process(const stream::UncertainPoint& point) {
   }
 }
 
-CluStreamState CluStream::ExportState() const {
-  CluStreamState state;
-  state.clusters = clusters_;
-  state.next_cluster_id = next_cluster_id_;
-  state.points_processed = points_processed_;
-  state.clusters_deleted = clusters_deleted_;
-  state.clusters_merged = clusters_merged_;
-  return state;
-}
-
-void CluStream::RestoreState(const CluStreamState& state) {
-  for (const auto& cluster : state.clusters) {
-    UMICRO_CHECK_MSG(cluster.cf1.size() == dimensions_,
-                     "state cluster has %zu dimensions, algorithm "
-                     "expects %zu",
-                     cluster.cf1.size(), dimensions_);
-    UMICRO_CHECK(cluster.cf2.size() == dimensions_);
-    UMICRO_CHECK(cluster.count > 0.0);
-    UMICRO_CHECK(!cluster.ids.empty());
-  }
-  clusters_ = state.clusters;
-  next_cluster_id_ = state.next_cluster_id;
-  points_processed_ = state.points_processed;
-  clusters_deleted_ = state.clusters_deleted;
-  clusters_merged_ = state.clusters_merged;
-}
-
 core::Snapshot CluStream::TakeSnapshot(double time) const {
   core::Snapshot snapshot(time, dimensions_, clusters_.size());
   // CluStream's points are deterministic: every EF2 row is zero.

@@ -72,15 +72,6 @@ struct CluStreamCluster {
   double TimeStddev() const;
 };
 
-/// Complete serializable state of a running CluStream instance.
-struct CluStreamState {
-  std::vector<CluStreamCluster> clusters;
-  std::uint64_t next_cluster_id = 0;
-  std::size_t points_processed = 0;
-  std::size_t clusters_deleted = 0;
-  std::size_t clusters_merged = 0;
-};
-
 /// The CluStream algorithm.
 class CluStream : public stream::StreamClusterer {
  public:
@@ -109,13 +100,6 @@ class CluStream : public stream::StreamClusterer {
   /// Maintenance counters (diagnostics).
   std::size_t clusters_deleted() const { return clusters_deleted_; }
   std::size_t clusters_merged() const { return clusters_merged_; }
-
-  /// Captures the complete mutable state (checkpointing); restoring it
-  /// into a same-configured instance resumes the stream exactly.
-  CluStreamState ExportState() const;
-
-  /// Restores a previously exported state; dimensionality must match.
-  void RestoreState(const CluStreamState& state);
 
  private:
   std::size_t FindClosest(const stream::UncertainPoint& point) const;

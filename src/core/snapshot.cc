@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <unordered_map>
+#include <utility>
 
 #include "util/check.h"
 
@@ -83,14 +83,32 @@ Snapshot Widen(const EncodedFrame& frame) {
   return out;
 }
 
-/// Record index of every id in `frame`.
-std::unordered_map<std::uint64_t, std::size_t> IndexById(
-    const Snapshot& frame) {
-  std::unordered_map<std::uint64_t, std::size_t> by_id;
-  by_id.reserve(frame.size());
-  for (std::size_t i = 0; i < frame.size(); ++i) by_id.emplace(frame.id(i), i);
-  return by_id;
-}
+/// Record index of every id in `frame`, as (id, index) pairs sorted in
+/// one block. A node-per-record hash map made lookup cost depend on
+/// where the allocator placed the nodes: horizon-query latency moved by
+/// a third between builds that differed only in an unrelated object's
+/// size.
+class IdIndex {
+ public:
+  explicit IdIndex(const Snapshot& frame) {
+    sorted_.reserve(frame.size());
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      sorted_.emplace_back(frame.id(i), i);
+    }
+    std::sort(sorted_.begin(), sorted_.end());
+  }
+
+  /// Index of the first record with `id`; nullopt when there is none.
+  std::optional<std::size_t> Find(std::uint64_t id) const {
+    const auto it = std::lower_bound(sorted_.begin(), sorted_.end(),
+                                     std::make_pair(id, std::size_t{0}));
+    if (it == sorted_.end() || it->first != id) return std::nullopt;
+    return it->second;
+  }
+
+ private:
+  std::vector<std::pair<std::uint64_t, std::size_t>> sorted_;
+};
 
 /// Reconstructs a delta frame on top of its materialized parent. nullopt
 /// on structural corruption (an id with no donor record anywhere, or a
@@ -103,21 +121,18 @@ std::optional<Snapshot> ApplyDelta(const EncodedFrame& frame,
       (!parent.empty() && !frame.ids.empty() && parent.dims() != frame.dims)) {
     return std::nullopt;
   }
-  const std::unordered_map<std::uint64_t, std::size_t> changed_by_id =
-      IndexById(frame.changed);
-  const std::unordered_map<std::uint64_t, std::size_t> parent_by_id =
-      IndexById(parent);
+  const IdIndex changed_by_id(frame.changed);
+  const IdIndex parent_by_id(parent);
 
   Snapshot out(frame.time, frame.dims, frame.ids.size());
   for (std::uint64_t id : frame.ids) {
-    auto it = changed_by_id.find(id);
-    if (it != changed_by_id.end()) {
-      out.AppendRecord(frame.changed.record(it->second));
+    if (const auto changed = changed_by_id.Find(id)) {
+      out.AppendRecord(frame.changed.record(*changed));
       continue;
     }
-    auto pit = parent_by_id.find(id);
-    if (pit == parent_by_id.end()) return std::nullopt;
-    out.AppendRecord(parent.record(pit->second));
+    const auto donor = parent_by_id.Find(id);
+    if (!donor.has_value()) return std::nullopt;
+    out.AppendRecord(parent.record(*donor));
   }
   return out;
 }
@@ -186,11 +201,11 @@ SnapshotStore::SnapshotStore(std::size_t alpha, std::size_t l,
   capacity_per_order_ = static_cast<std::size_t>(capacity) + 1;
 }
 
-std::size_t SnapshotStore::OrderOf(std::uint64_t tick) const {
+std::size_t PyramidOrder(std::uint64_t tick, std::size_t alpha) {
   UMICRO_CHECK(tick >= 1);
   std::size_t order = 0;
-  while (tick % alpha_ == 0) {
-    tick /= alpha_;
+  while (tick % alpha == 0) {
+    tick /= alpha;
     ++order;
   }
   return order;
@@ -199,8 +214,7 @@ std::size_t SnapshotStore::OrderOf(std::uint64_t tick) const {
 void SnapshotStore::EncodeDelta(EncodedFrame& frame, const Snapshot& parent) {
   UMICRO_CHECK(frame.encoding == FrameEncoding::kFull);
   const Snapshot& full = *frame.full;
-  const std::unordered_map<std::uint64_t, std::size_t> parent_by_id =
-      IndexById(parent);
+  const IdIndex parent_by_id(parent);
   // Bitwise record equality, not operator== on doubles: -0.0 vs 0.0 and
   // NaN payloads must count as changes for reconstruction to be
   // bit-identical. Records of another dimensionality never match.
@@ -211,10 +225,10 @@ void SnapshotStore::EncodeDelta(EncodedFrame& frame, const Snapshot& parent) {
   frame.ids.reserve(full.size());
   for (std::size_t i = 0; i < full.size(); ++i) {
     frame.ids.push_back(full.id(i));
-    auto it = parent_by_id.find(full.id(i));
-    if (it == parent_by_id.end() || !comparable ||
-        std::memcmp(full.record(i), parent.record(it->second),
-                    record_bytes) != 0) {
+    const auto donor = parent_by_id.Find(full.id(i));
+    if (!donor.has_value() || !comparable ||
+        std::memcmp(full.record(i), parent.record(*donor), record_bytes) !=
+            0) {
       changed.push_back(i);
     }
   }
@@ -668,20 +682,19 @@ std::vector<MicroClusterState> SubtractSnapshot(const Snapshot& current,
   // mass; flush it to zero so the scaled statistics below are exact
   // zeros rather than denormal noise.
   if (decay_factor < std::numeric_limits<double>::min()) decay_factor = 0.0;
-  const std::unordered_map<std::uint64_t, std::size_t> older_by_id =
-      IndexById(older);
+  const IdIndex older_by_id(older);
   const std::size_t d = current.dims();
 
   std::vector<MicroClusterState> result;
   result.reserve(current.size());
   for (std::size_t i = 0; i < current.size(); ++i) {
-    auto it = older_by_id.find(current.id(i));
-    if (it == older_by_id.end()) {
+    const auto found = older_by_id.Find(current.id(i));
+    if (!found.has_value()) {
       // Created inside the horizon: keep whole.
       result.push_back(current.State(i));
       continue;
     }
-    const std::size_t o = it->second;
+    const std::size_t o = *found;
     // The older record, read in place: ErrorClusterFeature::Scale then
     // ::Subtract, operation for operation, so the residual is what the
     // ECF arithmetic gives.

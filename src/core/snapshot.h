@@ -180,6 +180,11 @@ struct SnapshotPolicy {
   SnapshotTiering tiering;
 };
 
+/// Pyramidal classification of snapshot clock `tick` (>= 1): the
+/// largest order i with alpha^i dividing tick. A frame of order i
+/// enters retention ring i.
+std::size_t PyramidOrder(std::uint64_t tick, std::size_t alpha);
+
 /// On-disk / in-memory representation of one retained frame.
 enum class FrameEncoding : std::uint8_t {
   kFull = 0,       ///< verbatim flat frame
@@ -301,9 +306,10 @@ class SnapshotStore {
     Insert(tick, std::make_shared<const Snapshot>(std::move(snapshot)));
   }
 
-  /// Highest-order snapshot classification of `tick` (largest i with
-  /// alpha^i dividing tick); exposed for tests.
-  std::size_t OrderOf(std::uint64_t tick) const;
+  /// PyramidOrder(tick) under this store's alpha.
+  std::size_t OrderOf(std::uint64_t tick) const {
+    return PyramidOrder(tick, alpha_);
+  }
 
   /// Snapshot whose time is closest to `time` from below (<= time);
   /// among frames of equal time the newest tick wins. Frames whose spill
@@ -418,7 +424,6 @@ class SnapshotStore {
   std::size_t capacity_per_order_;
   SnapshotTiering tiering_;
   std::uint64_t last_tick_ = 0;
-  std::uint64_t spill_serial_ = 0;
   /// orders_[i] holds the most recent snapshots of order i, oldest first.
   std::vector<std::deque<EncodedFrame>> orders_;
   /// Cumulative tier counters (mutated on const query paths; the store

@@ -392,9 +392,10 @@ void Aggregator::RebuildMergedViewLocked() {
     leaves_gauge_->Set(static_cast<double>(leaves_.size()));
   }
 
-  // Publish to the replica the query broker reads. state_mu_ serializes
-  // every publication, honoring the SnapshotSink single-publisher
-  // contract.
+  // Publish to the replica the query broker reads, as one history frame
+  // per rebuild so horizon queries reach back across applied deltas.
+  // state_mu_ serializes every publication, honoring the SnapshotSink
+  // single-publisher contract.
   auto snapshot = std::make_shared<core::Snapshot>(
       merged_time_, merged_.empty() ? 0 : merged_.front().ecf.dimensions(),
       merged_.size());
@@ -403,7 +404,10 @@ void Aggregator::RebuildMergedViewLocked() {
                      cluster.ecf.last_update_time(), cluster.ecf.cf1().data(),
                      cluster.ecf.cf2().data(), cluster.ecf.ef2().data());
   }
-  replica_.PublishCurrent(std::move(snapshot));
+  const std::uint64_t tick = ++rebuilds_;
+  replica_.PublishSnapshot(
+      tick, core::PyramidOrder(tick, options_.snapshot.pyramid_alpha),
+      std::move(snapshot));
 }
 
 std::uint64_t Aggregator::total_points() const {

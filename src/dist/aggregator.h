@@ -14,7 +14,9 @@
 // state per leaf is kept, the merged global view is rebuilt through
 // parallel::MergeShardClusterSets -- the *same* routine the in-process
 // sharded engine uses -- and published to the SnapshotReadReplica the
-// query broker reads. Because the merge is stateless over the current
+// query broker reads as one history frame per rebuild, retained under
+// the pyramid of AggregatorOptions::snapshot (horizon queries subtract
+// two of them). Because the merge is stateless over the current
 // leaf states, re-applied or re-ordered deltas cannot corrupt anything:
 // a delta with seq <= the last applied one is acked and ignored, and
 // the final view depends only on each leaf's final state (which is what
@@ -76,7 +78,9 @@ struct AggregatorOptions {
   /// Micro-cluster budget of the merged view (must equal the reference
   /// sharded run's global budget).
   std::size_t global_budget = 100;
-  /// Replica retention mirror + decay rate for horizon queries.
+  /// Pyramid (alpha, l) retaining the replica's per-rebuild history
+  /// frames, and the decay rate for horizon queries. snapshot_every and
+  /// the tiering are not used: every rebuild is a history frame.
   core::SnapshotPolicy snapshot;
   double decay_lambda = 0.0;
   /// Query broker sizing.
@@ -239,6 +243,8 @@ class Aggregator {
   std::vector<core::MicroCluster> merged_;
   double merged_time_ = 0.0;
   std::uint64_t deltas_applied_ = 0;
+  /// Merged-view rebuilds so far: the replica history's snapshot clock.
+  std::uint64_t rebuilds_ = 0;
   std::size_t stale_count_ = 0;
 };
 

@@ -1,11 +1,6 @@
 #include "fleet/fleet_checkpoint.h"
 
-#include <dirent.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -13,7 +8,6 @@
 
 #include "io/state_io.h"
 #include "util/failpoints.h"
-#include "util/paths.h"
 
 namespace umicro::fleet {
 
@@ -21,76 +15,15 @@ namespace {
 
 constexpr char kManifestPrefix[] = "manifest-";
 constexpr char kManifestSuffix[] = ".ufm";
+constexpr char kTenantPrefix[] = "tenant-";
 constexpr char kTenantSuffix[] = ".uckpt";
-
-std::string ManifestName(std::uint64_t seq) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%s%08llu%s", kManifestPrefix,
-                static_cast<unsigned long long>(seq), kManifestSuffix);
-  return buffer;
-}
 
 std::string TenantFileName(std::uint64_t tenant, std::uint64_t seq) {
   char buffer[96];
-  std::snprintf(buffer, sizeof(buffer), "tenant-%llu-%08llu%s",
+  std::snprintf(buffer, sizeof(buffer), "%s%llu-%08llu%s", kTenantPrefix,
                 static_cast<unsigned long long>(tenant),
                 static_cast<unsigned long long>(seq), kTenantSuffix);
   return buffer;
-}
-
-/// Sequence of a manifest-<seq>.ufm name; std::nullopt otherwise.
-std::optional<std::uint64_t> ManifestSequenceOf(const std::string& name) {
-  const std::size_t prefix_len = sizeof(kManifestPrefix) - 1;
-  const std::size_t suffix_len = sizeof(kManifestSuffix) - 1;
-  if (name.size() <= prefix_len + suffix_len) return std::nullopt;
-  if (name.compare(0, prefix_len, kManifestPrefix) != 0) return std::nullopt;
-  if (name.compare(name.size() - suffix_len, suffix_len, kManifestSuffix) !=
-      0) {
-    return std::nullopt;
-  }
-  const std::string digits =
-      name.substr(prefix_len, name.size() - prefix_len - suffix_len);
-  if (digits.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long seq = std::strtoull(digits.c_str(), &end, 10);
-  if (errno != 0 || end != digits.c_str() + digits.size()) {
-    return std::nullopt;
-  }
-  return seq;
-}
-
-/// (sequence, filename) of every manifest in `dir`, unsorted.
-std::vector<std::pair<std::uint64_t, std::string>> ScanManifests(
-    const std::string& dir) {
-  std::vector<std::pair<std::uint64_t, std::string>> found;
-  DIR* handle = ::opendir(dir.c_str());
-  if (handle == nullptr) return found;
-  while (const dirent* entry = ::readdir(handle)) {
-    const std::string name = entry->d_name;
-    const std::optional<std::uint64_t> seq = ManifestSequenceOf(name);
-    if (seq.has_value()) found.emplace_back(*seq, name);
-  }
-  ::closedir(handle);
-  return found;
-}
-
-/// Every tenant-*.uckpt filename in `dir`.
-std::vector<std::string> ScanTenantFiles(const std::string& dir) {
-  std::vector<std::string> found;
-  DIR* handle = ::opendir(dir.c_str());
-  if (handle == nullptr) return found;
-  const std::size_t suffix_len = sizeof(kTenantSuffix) - 1;
-  while (const dirent* entry = ::readdir(handle)) {
-    const std::string name = entry->d_name;
-    if (name.size() > suffix_len + 7 && name.compare(0, 7, "tenant-") == 0 &&
-        name.compare(name.size() - suffix_len, suffix_len, kTenantSuffix) ==
-            0) {
-      found.push_back(name);
-    }
-  }
-  ::closedir(handle);
-  return found;
 }
 
 struct ManifestRecord {
@@ -179,10 +112,7 @@ std::optional<Manifest> ReadManifestFile(const std::string& path) {
 FleetCheckpointer::FleetCheckpointer(std::string dir,
                                      core::CheckpointConfig config,
                                      obs::MetricsRegistry* metrics)
-    : dir_(std::move(dir)),
-      config_(std::move(config)),
-      last_checkpoint_time_(std::chrono::steady_clock::now()) {
-  util::EnsureDirectory(dir_);
+    : series_(std::move(dir), kManifestPrefix, kManifestSuffix, config) {
   if (metrics != nullptr) {
     dirty_ratio_gauge_ = &metrics->GetGauge("fleet.checkpoint.dirty_ratio");
     passes_ = &metrics->GetCounter("fleet.checkpoint.passes");
@@ -190,19 +120,10 @@ FleetCheckpointer::FleetCheckpointer(std::string dir,
         &metrics->GetCounter("fleet.checkpoint.tenants_written");
     failures_ = &metrics->GetCounter("fleet.checkpoint.write_failures");
   }
-  // Continue the sequence past anything on disk, and seed the image
-  // from the newest valid manifest so the first pass after a restart
-  // rewrites only tenants that moved since it.
-  std::vector<std::pair<std::uint64_t, std::string>> manifests =
-      ScanManifests(dir_);
-  std::sort(manifests.begin(), manifests.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (const auto& [seq, name] : manifests) {
-    next_seq_ = std::max(next_seq_, seq + 1);
-  }
-  for (const auto& [seq, name] : manifests) {
-    const std::optional<Manifest> manifest =
-        ReadManifestFile(dir_ + "/" + name);
+  // Seed the image from the newest valid manifest so the first pass
+  // after a restart rewrites only tenants that moved since it.
+  for (const std::string& path : series_.List()) {
+    const std::optional<Manifest> manifest = ReadManifestFile(path);
     if (!manifest.has_value()) continue;
     for (const ManifestRecord& record : manifest->records) {
       latest_[record.tenant] = {record.file, record.points, record.checksum};
@@ -213,69 +134,51 @@ FleetCheckpointer::FleetCheckpointer(std::string dir,
 }
 
 bool FleetCheckpointer::MaybeCheckpoint(EngineFleet& fleet) {
-  bool due = false;
-  if (config_.every_points > 0) {
-    const std::uint64_t points = fleet.Stats().points_ingested;
-    due = points >= last_checkpoint_points_ + config_.every_points;
-  }
-  if (!due && config_.every_seconds > 0.0) {
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - last_checkpoint_time_;
-    due = elapsed.count() >= config_.every_seconds;
-  }
-  if (!due) return false;
+  if (!series_.Due(fleet.Stats().points_ingested)) return false;
   return CheckpointNow(fleet);
 }
 
 bool FleetCheckpointer::CheckpointNow(EngineFleet& fleet) {
   fleet.Flush();
-  const std::uint64_t total_points = fleet.Stats().points_ingested;
-  const auto fail = [this, total_points] {
-    ++write_failures_;
-    if (failures_ != nullptr) failures_->Increment();
-    // The cadence still advances -- a failed pass must not retry on
-    // every subsequent point.
-    last_checkpoint_points_ = total_points;
-    last_checkpoint_time_ = std::chrono::steady_clock::now();
-    return false;
-  };
-  const std::uint64_t seq = next_seq_;
   Manifest manifest;
-  manifest.seq = seq;
   manifest.dimensions = fleet.dimensions();
   std::map<std::uint64_t, TenantRecord> image;
   std::size_t dirty = 0;
-  for (const std::uint64_t tenant : fleet.TenantIds()) {
-    const std::uint64_t points = fleet.TenantPoints(tenant);
-    const auto it = latest_.find(tenant);
-    TenantRecord record;
-    if (it != latest_.end() && it->second.points == points) {
-      record = it->second;  // clean: reference the existing file
-    } else {
-      ++dirty;
-      const core::EngineState state = fleet.ExportTenantState(tenant);
-      const std::string text = io::EngineStateToString(state);
-      record.file = TenantFileName(tenant, seq);
-      record.points = points;
-      record.checksum = io::Fnv1a(text);
-      if (UMICRO_FAILPOINT("checkpoint.write_fail") ||
-          !io::WriteTextFileAtomic(text, dir_ + "/" + record.file)) {
-        return fail();
+  const auto write = [&](std::uint64_t seq, const std::string& path) {
+    manifest.seq = seq;
+    for (const std::uint64_t tenant : fleet.TenantIds()) {
+      const std::uint64_t points = fleet.TenantPoints(tenant);
+      const auto it = latest_.find(tenant);
+      TenantRecord record;
+      if (it != latest_.end() && it->second.points == points) {
+        record = it->second;  // clean: reference the existing file
+      } else {
+        ++dirty;
+        const core::EngineState state = fleet.ExportTenantState(tenant);
+        const std::string text = io::EngineStateToString(state);
+        record.file = TenantFileName(tenant, seq);
+        record.points = points;
+        record.checksum = io::Fnv1a(text);
+        if (!io::WriteCheckpointFile(text,
+                                     series_.dir() + "/" + record.file)) {
+          return false;
+        }
+        if (tenants_written_ != nullptr) tenants_written_->Increment();
       }
-      if (tenants_written_ != nullptr) tenants_written_->Increment();
+      image[tenant] = record;
+      manifest.records.push_back(
+          {tenant, record.file, record.points, record.checksum});
     }
-    image[tenant] = record;
-    manifest.records.push_back(
-        {tenant, record.file, record.points, record.checksum});
+    return !UMICRO_FAILPOINT("fleet.manifest.write_fail") &&
+           io::WriteTextFileAtomic(ManifestToString(manifest), path);
+  };
+  if (!series_.Write(fleet.Stats().points_ingested, write)) {
+    ++write_failures_;
+    if (failures_ != nullptr) failures_->Increment();
+    return false;
   }
-  if (UMICRO_FAILPOINT("fleet.manifest.write_fail") ||
-      !io::WriteTextFileAtomic(ManifestToString(manifest),
-                               dir_ + "/" + ManifestName(seq))) {
-    return fail();
-  }
-  ++next_seq_;
   ++checkpoints_written_;
-  last_seq_ = seq;
+  last_seq_ = manifest.seq;
   latest_ = std::move(image);
   last_dirty_count_ = dirty;
   last_dirty_ratio_ =
@@ -287,52 +190,32 @@ bool FleetCheckpointer::CheckpointNow(EngineFleet& fleet) {
     dirty_ratio_gauge_->Set(last_dirty_ratio_);
   }
   if (passes_ != nullptr) passes_->Increment();
-  last_checkpoint_points_ = total_points;
-  last_checkpoint_time_ = std::chrono::steady_clock::now();
-  PruneOld();
+  if (series_.keep_last() > 0) SweepTenantFiles();
   return true;
 }
 
-void FleetCheckpointer::PruneOld() {
-  if (config_.keep_last == 0) return;
-  std::vector<std::pair<std::uint64_t, std::string>> manifests =
-      ScanManifests(dir_);
-  std::sort(manifests.begin(), manifests.end());  // oldest first
-  if (manifests.size() > config_.keep_last) {
-    const std::size_t excess = manifests.size() - config_.keep_last;
-    for (std::size_t i = 0; i < excess; ++i) {
-      std::remove((dir_ + "/" + manifests[i].second).c_str());
-    }
-    manifests.erase(manifests.begin(),
-                    manifests.begin() + static_cast<std::ptrdiff_t>(excess));
-  }
+void FleetCheckpointer::SweepTenantFiles() {
   // Tenant files are shared between manifests (clean tenants); remove
   // only those no surviving manifest references.
   std::set<std::string> referenced;
-  for (const auto& [seq, name] : manifests) {
-    const std::optional<Manifest> manifest =
-        ReadManifestFile(dir_ + "/" + name);
+  for (const std::string& path : series_.List()) {
+    const std::optional<Manifest> manifest = ReadManifestFile(path);
     if (!manifest.has_value()) continue;
     for (const ManifestRecord& record : manifest->records) {
       referenced.insert(record.file);
     }
   }
-  for (const std::string& name : ScanTenantFiles(dir_)) {
-    if (referenced.find(name) == referenced.end()) {
-      std::remove((dir_ + "/" + name).c_str());
+  for (const std::string& name : io::DirectoryEntries(series_.dir())) {
+    if (name.starts_with(kTenantPrefix) && name.ends_with(kTenantSuffix) &&
+        name.size() > sizeof(kTenantPrefix) - 1 + sizeof(kTenantSuffix) - 1 &&
+        referenced.find(name) == referenced.end()) {
+      std::remove((series_.dir() + "/" + name).c_str());
     }
   }
 }
 
 std::vector<std::string> ListFleetManifestFiles(const std::string& dir) {
-  std::vector<std::pair<std::uint64_t, std::string>> found =
-      ScanManifests(dir);
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<std::string> paths;
-  paths.reserve(found.size());
-  for (const auto& [seq, name] : found) paths.push_back(dir + "/" + name);
-  return paths;
+  return io::ListSeries(dir, kManifestPrefix, kManifestSuffix);
 }
 
 RecoveredFleet RecoverOrCreateFleet(const std::string& checkpoint_dir,

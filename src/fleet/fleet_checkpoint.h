@@ -14,7 +14,10 @@
 //                             atomic temp+fsync+rename, checksummed
 //                             "ucheckpoint 2" format single engines
 //                             use);
-//   manifest-<seq>.ufm        the pass manifest ("ufleetmanifest 1"):
+//   manifest-<seq>.ufm        the pass manifest ("ufleetmanifest 1"),
+//                             an io::CheckpointSeries: sequence,
+//                             cadence and keep_last pruning follow the
+//                             engine checkpoints' protocol:
 //
 //     ufleetmanifest 1 <fnv1a-of-body>
 //     seq <seq>
@@ -40,7 +43,6 @@
 #ifndef UMICRO_FLEET_FLEET_CHECKPOINT_H_
 #define UMICRO_FLEET_FLEET_CHECKPOINT_H_
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -50,6 +52,7 @@
 
 #include "core/config.h"
 #include "fleet/engine_fleet.h"
+#include "io/checkpoint_series.h"
 #include "obs/metrics.h"
 
 namespace umicro::fleet {
@@ -91,7 +94,7 @@ class FleetCheckpointer {
   std::uint64_t last_seq() const { return last_seq_; }
 
   /// Checkpoint directory.
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return series_.dir(); }
 
  private:
   struct TenantRecord {
@@ -100,16 +103,16 @@ class FleetCheckpointer {
     std::uint64_t checksum = 0;
   };
 
-  void PruneOld();
+  /// Removes the tenant files no surviving manifest references.
+  void SweepTenantFiles();
 
-  const std::string dir_;
-  const core::CheckpointConfig config_;
+  /// The manifest series: names, sequence, cadence and retention.
+  io::CheckpointSeries series_;
   obs::Gauge* dirty_ratio_gauge_ = nullptr;
   obs::Counter* passes_ = nullptr;
   obs::Counter* tenants_written_ = nullptr;
   obs::Counter* failures_ = nullptr;
 
-  std::uint64_t next_seq_ = 1;
   /// The last manifest's image: tenant -> its current on-disk record.
   std::map<std::uint64_t, TenantRecord> latest_;
   std::size_t checkpoints_written_ = 0;
@@ -117,8 +120,6 @@ class FleetCheckpointer {
   double last_dirty_ratio_ = 0.0;
   std::size_t last_dirty_count_ = 0;
   std::uint64_t last_seq_ = 0;
-  std::uint64_t last_checkpoint_points_ = 0;
-  std::chrono::steady_clock::time_point last_checkpoint_time_;
 };
 
 /// Manifest files in `dir`, newest (highest sequence) first.

@@ -1,10 +1,8 @@
 #include "io/snapshot_io.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "io/state_io.h"
 
@@ -19,20 +17,26 @@ void AppendDouble(std::ostringstream& out, double value) {
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   out << buffer;
 }
-}  // namespace
 
-std::string SnapshotToString(const core::Snapshot& snapshot) {
-  std::ostringstream out;
+/// Writes the "usnap 1" text of `snapshot`.
+void AppendSnapshot(std::ostringstream& out, const core::Snapshot& snapshot) {
   out << "usnap " << kFormatVersion << "\n";
   out << "time ";
   AppendDouble(out, snapshot.time);
   out << "\n";
-  const std::size_t dims = snapshot.dims();
-  out << "dims " << dims << " clusters " << snapshot.size() << "\n";
+  out << "dims " << snapshot.dims() << " clusters " << snapshot.size()
+      << "\n";
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
     AppendRecordLine(out, snapshot, i);
   }
-  return out.str();
+}
+
+}  // namespace
+
+std::string SnapshotToString(const core::Snapshot& snapshot) {
+  std::ostringstream out;
+  AppendSnapshot(out, snapshot);
+  return std::move(out).str();
 }
 
 std::optional<core::Snapshot> ParseSnapshot(const std::string& text) {
@@ -69,50 +73,27 @@ std::optional<core::Snapshot> ParseSnapshot(const std::string& text) {
 
 bool WriteSnapshotFile(const core::Snapshot& snapshot,
                        const std::string& path) {
-  std::ofstream file(path);
-  if (!file.is_open()) return false;
-  file << SnapshotToString(snapshot);
-  return file.good();
+  return WriteTextFileAtomic(SnapshotToString(snapshot), path);
 }
 
 std::optional<core::Snapshot> ReadSnapshotFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file.is_open()) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return ParseSnapshot(buffer.str());
+  const std::optional<std::string> text = ReadWholeFile(path);
+  if (!text.has_value()) return std::nullopt;
+  return ParseSnapshot(*text);
 }
 
 std::string SpillFrameToString(const core::Snapshot& snapshot) {
-  const std::string body = SnapshotToString(snapshot);
-  char header[64];
-  std::snprintf(header, sizeof(header), "usnapf %d %016llx\n",
-                kSpillFormatVersion,
-                static_cast<unsigned long long>(Fnv1a(body)));
-  return std::string(header) + body;
+  return ChecksummedText("usnapf", kSpillFormatVersion,
+                         [&snapshot](std::ostringstream& out) {
+                           AppendSnapshot(out, snapshot);
+                         });
 }
 
 std::optional<core::Snapshot> ParseSpillFrame(const std::string& text) {
-  const std::size_t newline = text.find('\n');
-  if (newline == std::string::npos) return std::nullopt;
-  std::istringstream header(text.substr(0, newline));
-  std::string magic;
-  int version = 0;
-  std::string checksum_hex;
-  if (!(header >> magic >> version >> checksum_hex) || magic != "usnapf" ||
-      version != kSpillFormatVersion) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long checksum =
-      std::strtoull(checksum_hex.c_str(), &end, 16);
-  if (errno != 0 || end != checksum_hex.c_str() + checksum_hex.size()) {
-    return std::nullopt;
-  }
-  const std::string body = text.substr(newline + 1);
-  if (checksum != Fnv1a(body)) return std::nullopt;
-  return ParseSnapshot(body);
+  const std::optional<std::string_view> body =
+      ChecksummedBody(text, "usnapf", kSpillFormatVersion);
+  if (!body.has_value()) return std::nullopt;
+  return ParseSnapshot(std::string(*body));
 }
 
 bool WriteSpillFrameFile(const core::Snapshot& snapshot,

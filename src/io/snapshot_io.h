@@ -26,15 +26,16 @@ std::string SnapshotToString(const core::Snapshot& snapshot);
 /// structural or numeric error.
 std::optional<core::Snapshot> ParseSnapshot(const std::string& text);
 
-/// Writes a snapshot to `path`. Returns false on I/O failure.
+/// Writes a snapshot to `path` atomically (WriteTextFileAtomic).
+/// Returns false on I/O failure.
 bool WriteSnapshotFile(const core::Snapshot& snapshot,
                        const std::string& path);
 
 /// Reads a snapshot from `path`.
 std::optional<core::Snapshot> ReadSnapshotFile(const std::string& path);
 
-/// Serializes a cold-frame spill: a checksummed wrapper around the
-/// "usnap 1" body,
+/// Serializes a cold-frame spill: the "usnap 1" text in the checksummed
+/// envelope of io/state_io.h (ChecksummedText),
 ///   usnapf 1 <fnv1a-of-body-hex>
 ///   <usnap 1 body>
 /// so a truncated or bit-flipped spill file is detected at load time

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/failpoints.h"
 #include "util/paths.h"
 
 namespace umicro::io {
@@ -25,7 +24,6 @@ constexpr int kCheckpointVersion = 2;
 // Hard caps on the remaining counts read from untrusted bytes (kMaxDims
 // and kMaxClusters are in the header), same rationale.
 constexpr std::size_t kMaxLabels = std::size_t{1} << 20;
-constexpr std::size_t kMaxIds = std::size_t{1} << 20;
 constexpr std::size_t kMaxShards = std::size_t{1} << 10;
 constexpr std::size_t kMaxOrders = 64;
 constexpr std::size_t kMaxSnapshotsPerOrder = std::size_t{1} << 20;
@@ -145,6 +143,54 @@ std::optional<std::string> ReadWholeFile(const std::string& path) {
   std::ostringstream buffer;
   buffer << file.rdbuf();
   return buffer.str();
+}
+
+std::string ChecksummedText(
+    std::string_view magic, int version,
+    const std::function<void(std::ostringstream&)>& append_body) {
+  // The body is written after a fixed-width header whose checksum is
+  // filled in place afterwards, so the text of a multi-megabyte engine
+  // exists once in memory rather than as body, copy and concatenation.
+  const auto header = [magic, version](std::uint64_t checksum) {
+    char line[96];
+    std::snprintf(line, sizeof(line), "%.*s %d %016llx\n",
+                  static_cast<int>(magic.size()), magic.data(), version,
+                  static_cast<unsigned long long>(checksum));
+    return std::string(line);
+  };
+  const std::string blank = header(0);
+  std::ostringstream out;
+  out << blank;
+  append_body(out);
+  std::string text = std::move(out).str();
+  text.replace(0, blank.size(),
+               header(Fnv1a(std::string_view(text).substr(blank.size()))));
+  return text;
+}
+
+std::optional<std::string_view> ChecksummedBody(std::string_view text,
+                                                std::string_view magic,
+                                                int version) {
+  const std::size_t newline = text.find('\n');
+  if (newline == std::string_view::npos) return std::nullopt;
+  std::istringstream header{std::string(text.substr(0, newline))};
+  std::string found_magic;
+  int found_version = 0;
+  std::string checksum_hex;
+  if (!(header >> found_magic >> found_version >> checksum_hex) ||
+      found_magic != magic || found_version != version) {
+    return std::nullopt;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long checksum =
+      std::strtoull(checksum_hex.c_str(), &end, 16);
+  if (errno != 0 || end != checksum_hex.c_str() + checksum_hex.size()) {
+    return std::nullopt;
+  }
+  const std::string_view body = text.substr(newline + 1);
+  if (checksum != Fnv1a(body)) return std::nullopt;
+  return body;
 }
 
 namespace {
@@ -564,141 +610,6 @@ std::optional<core::UMicroState> ParseUMicroState(const std::string& text) {
   return state;
 }
 
-bool WriteUMicroStateFile(const core::UMicroState& state,
-                          const std::string& path) {
-  return WriteTextFileAtomic(UMicroStateToString(state), path);
-}
-
-std::optional<core::UMicroState> ReadUMicroStateFile(
-    const std::string& path) {
-  const std::optional<std::string> text = ReadWholeFile(path);
-  if (!text.has_value()) return std::nullopt;
-  return ParseUMicroState(*text);
-}
-
-std::string CluStreamStateToString(const baseline::CluStreamState& state) {
-  std::ostringstream out;
-  const std::size_t dims =
-      state.clusters.empty() ? 0 : state.clusters[0].cf1.size();
-  out << "csstate " << kFormatVersion << "\n";
-  out << "dims " << dims << "\n";
-  out << "counters " << state.next_cluster_id << ' '
-      << state.points_processed << ' ' << state.clusters_deleted << ' '
-      << state.clusters_merged << "\n";
-  out << "clusters " << state.clusters.size() << "\n";
-  for (const auto& cluster : state.clusters) {
-    out << "ids " << cluster.ids.size();
-    for (std::uint64_t id : cluster.ids) out << ' ' << id;
-    out << '\n';
-    AppendDouble(out, cluster.creation_time);
-    out << ' ';
-    AppendDouble(out, cluster.cf1_time);
-    out << ' ';
-    AppendDouble(out, cluster.cf2_time);
-    out << ' ';
-    AppendDouble(out, cluster.count);
-    out << ' ';
-    AppendDouble(out, cluster.last_update_time);
-    for (double v : cluster.cf1) {
-      out << ' ';
-      AppendDouble(out, v);
-    }
-    for (double v : cluster.cf2) {
-      out << ' ';
-      AppendDouble(out, v);
-    }
-    out << " labels " << cluster.labels.size();
-    for (const auto& [label, weight] : cluster.labels) {
-      out << ' ' << label << ' ';
-      AppendDouble(out, weight);
-    }
-    out << '\n';
-  }
-  return out.str();
-}
-
-std::optional<baseline::CluStreamState> ParseCluStreamState(
-    const std::string& text) {
-  std::istringstream in(text);
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != "csstate" ||
-      version != kFormatVersion) {
-    return std::nullopt;
-  }
-  baseline::CluStreamState state;
-  std::string key;
-  std::size_t dims = 0;
-  if (!(in >> key >> dims) || key != "dims" || dims > kMaxDims) {
-    return std::nullopt;
-  }
-  if (!(in >> key >> state.next_cluster_id >> state.points_processed >>
-        state.clusters_deleted >> state.clusters_merged) ||
-      key != "counters") {
-    return std::nullopt;
-  }
-  std::size_t cluster_count = 0;
-  if (!(in >> key >> cluster_count) || key != "clusters" ||
-      cluster_count > kMaxClusters) {
-    return std::nullopt;
-  }
-  if (cluster_count > 0 && dims == 0) return std::nullopt;
-  state.clusters.reserve(cluster_count);
-  for (std::size_t c = 0; c < cluster_count; ++c) {
-    baseline::CluStreamCluster cluster;
-    std::size_t id_count = 0;
-    if (!(in >> key >> id_count) || key != "ids" || id_count == 0 ||
-        id_count > kMaxIds) {
-      return std::nullopt;
-    }
-    cluster.ids.resize(id_count);
-    for (std::uint64_t& id : cluster.ids) {
-      if (!(in >> id)) return std::nullopt;
-    }
-    if (!ReadFinite(in, &cluster.creation_time) ||
-        !ReadFinite(in, &cluster.cf1_time) ||
-        !ReadFinite(in, &cluster.cf2_time) ||
-        !ReadFinite(in, &cluster.count) ||
-        !ReadFinite(in, &cluster.last_update_time)) {
-      return std::nullopt;
-    }
-    if (cluster.count <= 0.0) return std::nullopt;
-    cluster.cf1.resize(dims);
-    cluster.cf2.resize(dims);
-    for (double& v : cluster.cf1) {
-      if (!ReadFinite(in, &v)) return std::nullopt;
-    }
-    for (double& v : cluster.cf2) {
-      if (!ReadFinite(in, &v)) return std::nullopt;
-    }
-    std::size_t label_count = 0;
-    if (!(in >> key >> label_count) || key != "labels" ||
-        label_count > kMaxLabels) {
-      return std::nullopt;
-    }
-    for (std::size_t l = 0; l < label_count; ++l) {
-      int label = 0;
-      double weight = 0.0;
-      if (!(in >> label) || !ReadFinite(in, &weight)) return std::nullopt;
-      cluster.labels[label] = weight;
-    }
-    state.clusters.push_back(std::move(cluster));
-  }
-  return state;
-}
-
-bool WriteCluStreamStateFile(const baseline::CluStreamState& state,
-                             const std::string& path) {
-  return WriteTextFileAtomic(CluStreamStateToString(state), path);
-}
-
-std::optional<baseline::CluStreamState> ReadCluStreamStateFile(
-    const std::string& path) {
-  const std::optional<std::string> text = ReadWholeFile(path);
-  if (!text.has_value()) return std::nullopt;
-  return ParseCluStreamState(*text);
-}
-
 std::string MicroClustersToString(
     const std::vector<core::MicroCluster>& clusters, std::size_t dimensions) {
   std::ostringstream out;
@@ -716,52 +627,18 @@ bool WriteMicroClustersFile(const std::vector<core::MicroCluster>& clusters,
 }
 
 std::string EngineStateToString(const core::EngineState& state) {
-  // The body is written after a fixed-width header whose checksum is
-  // filled in place afterwards, so the text of a multi-megabyte engine
-  // exists once in memory rather than as body, copy and concatenation.
-  auto header = [](std::uint64_t checksum) {
-    char line[64];
-    std::snprintf(line, sizeof(line), "ucheckpoint %d %016llx\n",
-                  kCheckpointVersion,
-                  static_cast<unsigned long long>(checksum));
-    return std::string(line);
-  };
-  const std::size_t header_size = header(0).size();
-  std::ostringstream out;
-  out << header(0);
-  AppendEngineCheckpointBody(out, state);
-  std::string text = std::move(out).str();
-  const std::string line =
-      header(Fnv1a(std::string_view(text).substr(header_size)));
-  text.replace(0, header_size, line);
-  return text;
+  return ChecksummedText("ucheckpoint", kCheckpointVersion,
+                         [&state](std::ostringstream& out) {
+                           AppendEngineCheckpointBody(out, state);
+                         });
 }
 
 std::optional<core::EngineState> ParseEngineState(const std::string& text) {
-  const std::size_t newline = text.find('\n');
-  if (newline == std::string::npos) return std::nullopt;
-  {
-    std::istringstream header(text.substr(0, newline));
-    std::string magic;
-    int version = 0;
-    std::string checksum_hex;
-    if (!(header >> magic >> version >> checksum_hex) ||
-        magic != "ucheckpoint" || version != kCheckpointVersion) {
-      return std::nullopt;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long checksum =
-        std::strtoull(checksum_hex.c_str(), &end, 16);
-    if (errno != 0 || end != checksum_hex.c_str() + checksum_hex.size()) {
-      return std::nullopt;
-    }
-    if (checksum != Fnv1a(std::string_view(text).substr(newline + 1))) {
-      return std::nullopt;
-    }
-  }
+  const std::optional<std::string_view> body =
+      ChecksummedBody(text, "ucheckpoint", kCheckpointVersion);
+  if (!body.has_value()) return std::nullopt;
 
-  std::istringstream in(text.substr(newline + 1));
+  std::istringstream in{std::string(*body)};
   core::EngineState state;
   std::string key;
   if (!(in >> key >> state.engine_kind) || key != "kind" ||
@@ -816,12 +693,6 @@ std::optional<core::EngineState> ParseEngineState(const std::string& text) {
   if (!ParseMetricCells(in, "counters", &state.counters)) return std::nullopt;
   if (!ParseMetricCells(in, "gauges", &state.gauges)) return std::nullopt;
   return state;
-}
-
-bool WriteEngineStateFile(const core::EngineState& state,
-                          const std::string& path) {
-  if (UMICRO_FAILPOINT("checkpoint.write_fail")) return false;
-  return WriteTextFileAtomic(EngineStateToString(state), path);
 }
 
 std::optional<core::EngineState> ReadEngineStateFile(const std::string& path) {

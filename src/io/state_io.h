@@ -1,14 +1,14 @@
 // Text serialization of running algorithm/engine state
 // (checkpoint/restore across process restarts).
 //
-// Three formats, all versioned, line-oriented, full double precision:
-//   "ustate 1"       -- one UMicro instance (algorithm state only).
-//   "csstate 1"      -- one CluStream baseline instance.
+// Versioned, line-oriented formats with full double precision:
+//   "ustate 1"       -- one UMicro instance (algorithm state only; also
+//                       the shard section of a checkpoint).
 //   "ucheckpoint 2"  -- a full engine (core::EngineState): algorithm
 //                       state(s), merged global view, snapshot store,
 //                       stream clock, and counter/gauge metric cells,
-//                       protected by an FNV-1a body checksum in the
-//                       header line.
+//                       in the checksummed envelope (ChecksummedText).
+//   "uclusters 1"    -- a canonical micro-cluster dump.
 //
 // All parsers treat their input as hostile: truncation, bit flips,
 // huge counts, and non-numeric bytes yield std::nullopt -- never a
@@ -20,12 +20,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
 
-#include "baseline/clustream.h"
 #include "core/engine.h"
 #include "core/umicro.h"
 
@@ -72,6 +72,22 @@ bool WriteTextFileAtomic(const std::string& text, const std::string& path);
 /// Reads a whole file; std::nullopt when it cannot be opened.
 std::optional<std::string> ReadWholeFile(const std::string& path);
 
+/// The checksummed envelope of "ucheckpoint 2" and "usnapf 1": one
+/// header line, then the body,
+///   <magic> <version> <fnv1a-of-body as 16 hex digits>
+/// Returns the envelope of the body `append_body` writes. The text is
+/// built once: the checksum is filled into the fixed-width header in
+/// place.
+std::string ChecksummedText(
+    std::string_view magic, int version,
+    const std::function<void(std::ostringstream&)>& append_body);
+
+/// The body of an envelope whose header names `magic` and `version` and
+/// whose checksum matches the body; std::nullopt otherwise.
+std::optional<std::string_view> ChecksummedBody(std::string_view text,
+                                                std::string_view magic,
+                                                int version);
+
 /// Serializes a checkpoint (versioned, line-oriented, full double
 /// precision; round-trips exactly).
 std::string UMicroStateToString(const core::UMicroState& state);
@@ -79,27 +95,6 @@ std::string UMicroStateToString(const core::UMicroState& state);
 /// Parses text produced by UMicroStateToString. Returns std::nullopt on
 /// structural or numeric errors.
 std::optional<core::UMicroState> ParseUMicroState(const std::string& text);
-
-/// Writes a checkpoint file. Returns false on I/O failure.
-bool WriteUMicroStateFile(const core::UMicroState& state,
-                          const std::string& path);
-
-/// Reads a checkpoint file.
-std::optional<core::UMicroState> ReadUMicroStateFile(
-    const std::string& path);
-
-/// Serializes a CluStream checkpoint (same conventions).
-std::string CluStreamStateToString(const baseline::CluStreamState& state);
-
-/// Parses text produced by CluStreamStateToString.
-std::optional<baseline::CluStreamState> ParseCluStreamState(
-    const std::string& text);
-
-/// Writes / reads a CluStream checkpoint file.
-bool WriteCluStreamStateFile(const baseline::CluStreamState& state,
-                             const std::string& path);
-std::optional<baseline::CluStreamState> ReadCluStreamStateFile(
-    const std::string& path);
 
 /// Canonical text dump of a micro-cluster set ("uclusters 1"): one line
 /// per cluster in the codec's full-precision format. Two cluster sets
@@ -119,13 +114,6 @@ std::string EngineStateToString(const core::EngineState& state);
 /// checksum against the body first (any corruption is rejected up
 /// front).
 std::optional<core::EngineState> ParseEngineState(const std::string& text);
-
-/// Atomically writes an engine checkpoint: the text lands in `path`.tmp,
-/// is fsync'd, and renamed over `path`, so a crash mid-write can never
-/// leave a torn file at `path`. Returns false on I/O failure or when the
-/// "checkpoint.write_fail" failpoint triggers.
-bool WriteEngineStateFile(const core::EngineState& state,
-                          const std::string& path);
 
 /// Reads and parses an engine checkpoint file.
 std::optional<core::EngineState> ReadEngineStateFile(const std::string& path);

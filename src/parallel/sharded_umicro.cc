@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -18,18 +17,6 @@ namespace {
 
 /// Processed batches a shard keeps for the coordinator to refill.
 constexpr std::size_t kMaxSpareBatches = 4;
-
-/// FNV-1a over the coordinate bytes: a stable point->shard mapping.
-std::uint64_t HashPointValues(const stream::UncertainPoint& point) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (double v : point.values) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    h ^= bits;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -239,20 +226,6 @@ bool ShardedUMicro::ShouldShedBatch(std::size_t index) {
   return shed_rng_.NextDouble() < degrade.shed_probability;
 }
 
-std::size_t ShardedUMicro::PickShard(const stream::UncertainPoint& point) {
-  switch (options_.partition) {
-    case PartitionMode::kRoundRobin: {
-      const std::size_t shard = next_round_robin_;
-      next_round_robin_ = (next_round_robin_ + 1) % options_.num_shards;
-      return shard;
-    }
-    case PartitionMode::kHash:
-      return static_cast<std::size_t>(HashPointValues(point) %
-                                      options_.num_shards);
-  }
-  return 0;
-}
-
 void ShardedUMicro::EnqueueBatch(std::size_t index) {
   std::vector<stream::UncertainPoint>& batch = pending_batches_[index];
   const std::size_t n = pending_fill_[index];
@@ -313,7 +286,8 @@ void ShardedUMicro::Process(const stream::UncertainPoint& point) {
   UMICRO_CHECK_MSG(point.dimensions() == dimensions_,
                    "point has %zu dimensions, pipeline expects %zu",
                    point.dimensions(), dimensions_);
-  const std::size_t shard = PickShard(point);
+  const std::size_t shard = next_round_robin_;
+  next_round_robin_ = (next_round_robin_ + 1) % options_.num_shards;
   std::vector<stream::UncertainPoint>& batch = pending_batches_[shard];
   std::size_t& fill = pending_fill_[shard];
   // Copy-assign into a recycled element (reusing its vectors' storage)

@@ -8,7 +8,7 @@
 // distributed stream clustering -- turns the sequential algorithm into a
 // sharded pipeline:
 //
-//   Process() --partition--> per-shard bounded queue --> worker thread
+//   Process() --round-robin--> per-shard bounded queue --> worker thread
 //                                                         (private UMicro)
 //   every merge_every points / on Flush(): drain, collect shard clusters,
 //   merge them into the global view, reconciling near-duplicate clusters
@@ -42,15 +42,6 @@
 #include "util/random.h"
 
 namespace umicro::parallel {
-
-/// How incoming points are assigned to shards.
-enum class PartitionMode {
-  /// Cycle through the shards (best load balance).
-  kRoundRobin,
-  /// Hash of the point's coordinates (stable point->shard mapping, so
-  /// identical records always meet the same shard state).
-  kHash,
-};
 
 /// Graceful overload degradation (resilience pillar 4). When enabled,
 /// the coordinator watches queue occupancy at every enqueue; after
@@ -105,8 +96,6 @@ struct ShardedUMicroOptions {
   /// exactness guarantees assume it); the drop policies shed load, with
   /// whole batches dropped at a time and every shed point counted.
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Shard assignment of incoming points.
-  PartitionMode partition = PartitionMode::kRoundRobin;
   /// Global merge cadence in ingested points; 0 merges only on Flush()
   /// and on-demand reads (centroids / label histograms).
   std::size_t merge_every = 8192;
@@ -260,9 +249,6 @@ class ShardedUMicro : public stream::StreamClusterer {
   /// pressure streaks, flips degraded mode, and returns true when the
   /// batch should be shed before entering the queue (coordinator only).
   bool ShouldShedBatch(std::size_t index);
-
-  /// Shard assignment for one point.
-  std::size_t PickShard(const stream::UncertainPoint& point);
 
   /// Enqueues shard `index`'s pending producer batch (no-op if empty).
   void EnqueueBatch(std::size_t index);

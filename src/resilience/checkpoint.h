@@ -11,7 +11,8 @@
 //                         directory at a points/seconds cadence, each
 //                         atomically (temp + fsync + rename) with a
 //                         checksummed header, sequence numbers strictly
-//                         increasing across process restarts;
+//                         increasing across process restarts (the
+//                         io::CheckpointSeries protocol);
 //   RecoverOrCreateEngine -- builds a fresh engine via a caller factory,
 //                         then restores the newest checkpoint that is
 //                         both uncorrupted (checksum + parse) and
@@ -21,7 +22,6 @@
 #ifndef UMICRO_RESILIENCE_CHECKPOINT_H_
 #define UMICRO_RESILIENCE_CHECKPOINT_H_
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -32,14 +32,12 @@
 
 #include "core/config.h"
 #include "core/engine.h"
+#include "io/checkpoint_series.h"
 
 namespace umicro::resilience {
 
-/// Writes versioned engine checkpoints into one directory.
-///
-/// Sequence numbers continue from the highest checkpoint already in the
-/// directory, so filenames stay strictly increasing across restarts and
-/// recovery can always pick "the newest" lexicographically.
+/// Writes versioned engine checkpoints into one directory, as the
+/// io::CheckpointSeries "checkpoint-<seq>.uckpt".
 class CheckpointManager {
  public:
   /// Uses `dir` (created if missing) under `config`'s cadence; after
@@ -67,18 +65,12 @@ class CheckpointManager {
   const std::string& last_path() const { return last_path_; }
 
   /// Checkpoint directory.
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return series_.dir(); }
 
  private:
-  void PruneOld();
-
-  const std::string dir_;
-  const core::CheckpointConfig config_;
-  std::uint64_t next_seq_ = 1;
+  io::CheckpointSeries series_;
   std::size_t checkpoints_written_ = 0;
   std::size_t write_failures_ = 0;
-  std::size_t last_checkpoint_points_ = 0;
-  std::chrono::steady_clock::time_point last_checkpoint_time_;
   std::string last_path_;
 };
 

@@ -189,6 +189,34 @@ TEST(DistTopologyTest, TwoLeavesMatchShardedReferenceBitForBit) {
   aggregator.Stop();
 }
 
+TEST(DistTopologyTest, HorizonQueriesReachBackAcrossAppliedDeltas) {
+  const stream::Dataset dataset =
+      synth::MakeSynDriftWorkload(4000, 0.5, 31);
+  Aggregator aggregator(MatchingAggregatorOptions(dataset.dimensions()));
+  ASSERT_TRUE(aggregator.Start());
+  // Eight deltas per leaf: each applied delta adds a history frame.
+  std::thread leaf0([&] {
+    RunLeaf(dataset, 0, 2, aggregator.port(), 250);
+  });
+  std::thread leaf1([&] {
+    RunLeaf(dataset, 1, 2, aggregator.port(), 250);
+  });
+  leaf0.join();
+  leaf1.join();
+  ASSERT_TRUE(aggregator.WaitForPoints(dataset.points().size(), 10000));
+  EXPECT_EQ(aggregator.deltas_applied(), 16u);
+
+  std::istringstream in("CLUSTER 500 3\nCLUSTER 2500 5\nQUIT\n");
+  std::ostringstream out;
+  serve::ServeLineProtocol(aggregator.broker(), in, out);
+  EXPECT_EQ(out.str().find("empty=1"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find(" centroids=3\n"), std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find(" centroids=5\n"), std::string::npos)
+      << out.str();
+  aggregator.Stop();
+}
+
 TEST(DistTopologyTest, ReplayedDeltasAreAckedButNotReapplied) {
   const stream::Dataset dataset = synth::MakeSynDriftWorkload(600, 0.5, 5);
   Aggregator aggregator(MatchingAggregatorOptions(dataset.dimensions()));

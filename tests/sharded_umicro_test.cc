@@ -144,25 +144,6 @@ TEST(ShardedUMicroTest, FourShardTotalsMatchSequentialExactly) {
   EXPECT_LE(sharded.GlobalClusters().size(), 50u);
 }
 
-TEST(ShardedUMicroTest, HashPartitionConservesTotals) {
-  const stream::Dataset dataset =
-      synth::MakeSynDriftWorkload(4000, 0.5, 7);
-
-  ShardedUMicroOptions options;
-  options.umicro = MassConservingOptions(40);
-  options.num_shards = 2;
-  options.partition = PartitionMode::kHash;
-  options.merge_every = 0;  // only the final Flush merges
-  ShardedUMicro sharded(dataset.dimensions(), options);
-  for (const auto& point : dataset.points()) sharded.Process(point);
-  sharded.Flush();
-
-  const EcfTotals par =
-      TotalsOf(sharded.GlobalClusters(), dataset.dimensions());
-  EXPECT_EQ(par.n, 4000.0);
-  EXPECT_EQ(sharded.metrics().GetCounter("parallel.merges").value(), 1u);
-}
-
 TEST(ShardedUMicroTest, MetricsSurfaceIsConsistent) {
   const stream::Dataset dataset =
       synth::MakeSynDriftWorkload(5000, 0.5, 3);

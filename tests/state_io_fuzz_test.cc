@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/clustream.h"
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "core/umicro.h"
@@ -48,13 +47,6 @@ std::string UMicroText() {
   const stream::Dataset dataset = RandomStream(600, 11);
   for (const auto& point : dataset.points()) algorithm.Process(point);
   return UMicroStateToString(algorithm.ExportState());
-}
-
-std::string CluStreamText() {
-  baseline::CluStream algorithm(3, baseline::CluStreamOptions{});
-  const stream::Dataset dataset = RandomStream(600, 12);
-  for (const auto& point : dataset.points()) algorithm.Process(point);
-  return CluStreamStateToString(algorithm.ExportState());
 }
 
 std::string EngineText() {
@@ -100,21 +92,6 @@ TEST(StateIoFuzzTest, UMicroParserSurvivesRandomCorruption) {
   util::Rng rng(101);
   const auto parse = [](const std::string& t) {
     return ParseUMicroState(t);
-  };
-  for (int i = 0; i < 200; ++i) {
-    MustSurvive(parse, clean.substr(0, rng.NextBounded(clean.size())));
-    MustSurvive(parse, FlipOneByte(clean, rng.NextBounded(clean.size()),
-                                   rng));
-    MustSurvive(parse, SpliceJunk(clean, rng));
-  }
-}
-
-TEST(StateIoFuzzTest, CluStreamParserSurvivesRandomCorruption) {
-  const std::string clean = CluStreamText();
-  ASSERT_TRUE(ParseCluStreamState(clean).has_value());
-  util::Rng rng(102);
-  const auto parse = [](const std::string& t) {
-    return ParseCluStreamState(t);
   };
   for (int i = 0; i < 200; ++i) {
     MustSurvive(parse, clean.substr(0, rng.NextBounded(clean.size())));
@@ -247,7 +224,6 @@ TEST(StateIoFuzzTest, HostileHandcraftedInputsAreRejected) {
       "ustate 1\n",
       "ustate 1\ndims 0\n",
       "ustate 1\ndims -3\n",
-      "csstate 1\ndims nan\n",
       "ucheckpoint 2\n",
       "ucheckpoint 2 zzzz\n",
       "ucheckpoint 2 0000000000000000\n",
@@ -256,7 +232,6 @@ TEST(StateIoFuzzTest, HostileHandcraftedInputsAreRejected) {
   };
   for (const std::string& text : hostile) {
     EXPECT_FALSE(ParseUMicroState(text).has_value());
-    EXPECT_FALSE(ParseCluStreamState(text).has_value());
     EXPECT_FALSE(ParseEngineState(text).has_value());
   }
 }
@@ -270,12 +245,9 @@ TEST(StateIoFuzzTest, HugeCountsFailFastWithoutAllocating) {
       "ustate 1\ndims 3\ncounters 1 0 0 0\ndecay 0 0\n"
       "welford 0 0 0 0 0 0 0\nvariances 1 1 1\n"
       "clusters 18446744073709551615\n",
-      "csstate 1\ndims 3\ncounters 1 0 0\n"
-      "clusters 4611686018427387904\n",
   };
   for (const std::string& text : bombs) {
     EXPECT_FALSE(ParseUMicroState(text).has_value());
-    EXPECT_FALSE(ParseCluStreamState(text).has_value());
   }
 }
 

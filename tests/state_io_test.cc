@@ -2,8 +2,6 @@
 
 #include "io/state_io.h"
 
-#include <cstdio>
-
 #include <gtest/gtest.h>
 
 #include "stream/dataset.h"
@@ -124,80 +122,6 @@ TEST(StateIoTest, RejectsTruncated) {
   std::string text = UMicroStateToString(algorithm.ExportState());
   text.resize(text.size() / 2);
   EXPECT_FALSE(ParseUMicroState(text).has_value());
-}
-
-TEST(StateIoTest, FileRoundTrip) {
-  const auto dataset = RandomStream(300, 5);
-  UMicro algorithm(3, UMicroOptions{});
-  for (const auto& point : dataset.points()) algorithm.Process(point);
-
-  const std::string path = testing::TempDir() + "/state_io_test.ustate";
-  ASSERT_TRUE(WriteUMicroStateFile(algorithm.ExportState(), path));
-  const auto loaded = ReadUMicroStateFile(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->points_processed, 300u);
-  std::remove(path.c_str());
-}
-
-TEST(StateIoTest, MissingFileReturnsNullopt) {
-  EXPECT_FALSE(ReadUMicroStateFile("/nonexistent/x.ustate").has_value());
-}
-
-TEST(CluStreamStateIoTest, ResumedStreamMatchesUninterrupted) {
-  const auto dataset = RandomStream(2400, 6);
-  baseline::CluStreamOptions options;
-  options.num_micro_clusters = 15;
-
-  baseline::CluStream uninterrupted(3, options);
-  for (const auto& point : dataset.points()) uninterrupted.Process(point);
-
-  baseline::CluStream first(3, options);
-  for (std::size_t i = 0; i < 1200; ++i) first.Process(dataset[i]);
-  const auto parsed =
-      ParseCluStreamState(CluStreamStateToString(first.ExportState()));
-  ASSERT_TRUE(parsed.has_value());
-  baseline::CluStream resumed(3, options);
-  resumed.RestoreState(*parsed);
-  for (std::size_t i = 1200; i < dataset.size(); ++i) {
-    resumed.Process(dataset[i]);
-  }
-
-  ASSERT_EQ(resumed.clusters().size(), uninterrupted.clusters().size());
-  for (std::size_t c = 0; c < resumed.clusters().size(); ++c) {
-    EXPECT_EQ(resumed.clusters()[c].ids, uninterrupted.clusters()[c].ids);
-    EXPECT_DOUBLE_EQ(resumed.clusters()[c].count,
-                     uninterrupted.clusters()[c].count);
-    EXPECT_EQ(resumed.clusters()[c].cf1, uninterrupted.clusters()[c].cf1);
-    EXPECT_EQ(resumed.clusters()[c].labels,
-              uninterrupted.clusters()[c].labels);
-  }
-  EXPECT_EQ(resumed.clusters_merged(), uninterrupted.clusters_merged());
-  EXPECT_EQ(resumed.clusters_deleted(), uninterrupted.clusters_deleted());
-}
-
-TEST(CluStreamStateIoTest, RejectsGarbageAndTruncation) {
-  EXPECT_FALSE(ParseCluStreamState("").has_value());
-  EXPECT_FALSE(ParseCluStreamState("ustate 1\ndims 1\n").has_value());
-
-  baseline::CluStream algorithm(3, baseline::CluStreamOptions{});
-  const auto dataset = RandomStream(300, 7);
-  for (const auto& point : dataset.points()) algorithm.Process(point);
-  std::string text = CluStreamStateToString(algorithm.ExportState());
-  text.resize(text.size() / 3);
-  EXPECT_FALSE(ParseCluStreamState(text).has_value());
-}
-
-TEST(CluStreamStateIoTest, FileRoundTrip) {
-  baseline::CluStream algorithm(3, baseline::CluStreamOptions{});
-  const auto dataset = RandomStream(200, 8);
-  for (const auto& point : dataset.points()) algorithm.Process(point);
-  const std::string path = testing::TempDir() + "/state_io_test.csstate";
-  ASSERT_TRUE(WriteCluStreamStateFile(algorithm.ExportState(), path));
-  const auto loaded = ReadCluStreamStateFile(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->points_processed, 200u);
-  EXPECT_EQ(loaded->clusters.size(), algorithm.clusters().size());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 #   1. reference  -- sharded 2-way run in one process, canonical dump
 #   2. healthy    -- real agg process + 2 real leaf processes; the merged
 #                    dump must be BYTE-identical to the reference, and
-#                    remote line-protocol queries must answer
+#                    remote line-protocol queries must answer (a horizon
+#                    CLUSTER with its k centroids)
 #   3. crash      -- leaf 0's first incarnation stops after 12000 of the
 #                    20000 stream rows (a deterministic crash point: the
 #                    aggregator is left holding a mid-stream delta and a
@@ -132,6 +133,8 @@ printf 'STATS\nCLUSTER 50000 3\nQUIT\n' | \
     "$CLI" --role=query --connect=127.0.0.1:"$PORT" \
     >"$WORK_DIR/query.out" 2>&1 || fail "query client failed"
 grep -q '^OK STATS' "$WORK_DIR/query.out" || fail "no STATS answer"
+grep -q '^OK CLUSTER .* centroids=3$' "$WORK_DIR/query.out" \
+  || fail "CLUSTER over the retained history answered empty"
 grep -q '^OK BYE' "$WORK_DIR/query.out" || fail "no BYE answer"
 kill "$AGG_PID" 2>/dev/null
 cmp -s "$WORK_DIR/ref.state" "$WORK_DIR/agg.state" \
