@@ -55,6 +55,8 @@ void UMicro::AttachMetrics(obs::MetricsRegistry* registry) {
   metrics_.created = &registry->GetCounter("umicro.created");
   metrics_.evicted = &registry->GetCounter("umicro.evicted");
   metrics_.merged = &registry->GetCounter("umicro.merged");
+  metrics_.pair_rows_scanned =
+      &registry->GetCounter("umicro.pair_rows_scanned");
   metrics_.live_clusters = &registry->GetGauge("umicro.live_clusters");
   // Index metrics only exist for instances that can actually index
   // (expected-distance similarity + non-flat kind), so flat/counting
@@ -372,6 +374,10 @@ void UMicro::FlushCounters(const BatchCounters& counters,
   if (metrics_.live_clusters != nullptr && counters.created > 0) {
     metrics_.live_clusters->Set(static_cast<double>(table_.rows()));
   }
+  // The pair cache's scan count is monotone too: ship its growth.
+  add(metrics_.pair_rows_scanned,
+      pair_cache_.rows_scanned() - flushed_pair_rows_scanned_);
+  flushed_pair_rows_scanned_ = pair_cache_.rows_scanned();
   if (assign_index_ != nullptr && metrics_.index_queries != nullptr) {
     // Ship the monotone index counters' growth since the last flush.
     const index::IndexStats& stats = assign_index_->stats();

@@ -198,8 +198,8 @@ class UMicro : public stream::StreamClusterer {
 
   /// Attaches a metrics registry (nullptr detaches, the default). The
   /// algorithm then records, under the "umicro." prefix: per-point
-  /// process latency, similarity-kernel cluster scans, and
-  /// absorb/create/evict/merge outcome counters. The registry must
+  /// process latency, similarity-kernel cluster scans, closest-pair row
+  /// scans, and absorb/create/evict/merge outcome counters. The registry must
   /// outlive this instance; several instances (e.g. the shards of a
   /// sharded pipeline) may share one registry, the cells are atomic.
   void AttachMetrics(obs::MetricsRegistry* registry);
@@ -326,6 +326,8 @@ class UMicro : public stream::StreamClusterer {
   /// Index stats already pushed to the registry (FlushCounters ships
   /// the delta since this watermark).
   index::IndexStats flushed_index_stats_;
+  /// pair_cache_.rows_scanned() already pushed to the registry.
+  std::uint64_t flushed_pair_rows_scanned_ = 0;
 
   // Metric handles resolved once by AttachMetrics; all null when no
   // registry is attached (the hot path then costs one pointer test).
@@ -340,6 +342,7 @@ class UMicro : public stream::StreamClusterer {
     obs::Counter* created = nullptr;
     obs::Counter* evicted = nullptr;
     obs::Counter* merged = nullptr;
+    obs::Counter* pair_rows_scanned = nullptr;
     obs::Gauge* live_clusters = nullptr;
     obs::Counter* index_queries = nullptr;
     obs::Counter* index_candidates = nullptr;

@@ -1,8 +1,10 @@
 // Differential tests of kernels::ClosestPairCache: after every step of a
 // randomly driven ClusterTable (absorb, create, merge, evict, decay,
 // reset), the cached closest pair must be bitwise the pair the rebuild
-// kernel ClosestCentroidPair finds; and a UMicro that checkpoints and
-// restores mid-stream (dropping its cache) must end bit-identical to an
+// kernel ClosestCentroidPair finds and the cache's CheckInvariants must
+// hold; integer-lattice tables force rows bounded at exactly the best
+// distance to win ties; and a UMicro that checkpoints and restores
+// mid-stream (dropping its cache) must end bit-identical to an
 // uninterrupted run.
 
 #include "kernels/closest_pair_cache.h"
@@ -12,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -45,10 +48,12 @@ std::vector<Backend> TestableBackends() {
 /// them: every table change is followed by the matching cache hook.
 class PairCacheDriver {
  public:
+  /// With `lattice`, every point lies on the small integer grid and
+  /// none repeats on purpose: ties come from the grid alone.
   PairCacheDriver(std::size_t dims, std::size_t target_rows, Backend backend,
-                  std::uint64_t seed)
+                  std::uint64_t seed, bool lattice = false)
       : dims_(dims), target_rows_(target_rows), backend_(backend),
-        rng_(seed), table_(dims) {
+        lattice_(lattice), rng_(seed), table_(dims) {
     table_.set_backend(backend);
   }
 
@@ -70,6 +75,7 @@ class PairCacheDriver {
     ASSERT_EQ(got_b, want_b) << Where();
     ASSERT_EQ(std::memcmp(&got_d2, &want_d2, sizeof(double)), 0)
         << Where() << " d2 " << got_d2 << " vs " << want_d2;
+    ASSERT_EQ(cache_.CheckInvariants(table_, backend_), "") << Where();
     // More than the winning pair's two rows at the minimum distance
     // means another pair ties with it.
     nn_.resize(table_.rows());
@@ -110,7 +116,7 @@ class PairCacheDriver {
   /// duplicate centroids and zero-distance ties land in any tile), on a
   /// small integer grid (many bit-equal nonzero distances), or generic.
   std::vector<double> NextPoint() {
-    const double kind = rng_.Uniform(0.0, 1.0);
+    const double kind = lattice_ ? 0.5 : rng_.Uniform(0.0, 1.0);
     if (kind < 0.5 && !history_.empty()) {
       const auto k = static_cast<std::size_t>(
           rng_.Uniform(0.0, static_cast<double>(history_.size())));
@@ -180,6 +186,7 @@ class PairCacheDriver {
   std::size_t dims_;
   std::size_t target_rows_;
   Backend backend_;
+  bool lattice_;
   util::Rng rng_;
   ClusterTable table_;
   ClosestPairCache cache_;
@@ -232,6 +239,103 @@ TEST(ClosestPairParity, FirstFindBuildsAndHooksBeforeItAreFree) {
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 2u);
   EXPECT_EQ(d2, 1.0);
+}
+
+TEST(ClosestPairParity, LatticeTiesMatchRebuildAfterEveryStep) {
+  // Integer-grid centroids only: most distances tie with many others,
+  // so rows whose neighbour was removed or moved away are bounded at
+  // exactly the closest distance again and again.
+  std::uint64_t seed = 7001;
+  for (const Backend backend : TestableBackends()) {
+    for (const std::size_t dims : {1u, 2u, 3u}) {
+      for (const std::size_t q : {5u, 17u, 40u}) {
+        PairCacheDriver driver(dims, q, backend, seed++, /*lattice=*/true);
+        for (int step = 0; step < 400; ++step) {
+          driver.Step();
+          driver.Check();
+          if (HasFatalFailure()) return;
+        }
+        EXPECT_GT(driver.ties_seen(), 0u)
+            << "backend=" << BackendName(backend) << " d=" << dims
+            << " q=" << q;
+      }
+    }
+  }
+}
+
+/// A 1-d table of integer centroids with its cache, for hand-built
+/// sequences of hooks.
+class LatticeTable {
+ public:
+  LatticeTable(std::initializer_list<double> positions, Backend backend)
+      : backend_(backend), table_(1) {
+    table_.set_backend(backend);
+    for (const double x : positions) Append(x);
+  }
+
+  void Append(double x) {
+    table_.PushPointRow(&x, nullptr, 1.0);
+    cache_.NoteAppend();
+  }
+
+  void Remove(std::size_t i) {
+    table_.RemoveRow(i);
+    cache_.NoteRemove(i);
+  }
+
+  /// Asserts the cache's pair is the rebuild kernel's and `want`, and
+  /// that the cache's invariants hold.
+  void ExpectPair(std::size_t want_a, std::size_t want_b, double want_d2) {
+    std::size_t a = 0, b = 0, ref_a = 0, ref_b = 0;
+    double d2 = 0.0, ref_d2 = 0.0;
+    ClosestCentroidPair(table_, backend_, &ref_a, &ref_b, &ref_d2);
+    ASSERT_EQ(ref_a, want_a);
+    ASSERT_EQ(ref_b, want_b);
+    ASSERT_EQ(ref_d2, want_d2);
+    cache_.Find(table_, backend_, &a, &b, &d2);
+    EXPECT_EQ(a, want_a) << BackendName(backend_);
+    EXPECT_EQ(b, want_b) << BackendName(backend_);
+    EXPECT_EQ(d2, want_d2) << BackendName(backend_);
+    EXPECT_EQ(cache_.CheckInvariants(table_, backend_), "")
+        << BackendName(backend_);
+  }
+
+ private:
+  Backend backend_;
+  ClusterTable table_;
+  ClosestPairCache cache_;
+};
+
+// Rows 2 (at 0) and 3 (at 1) are each other's second neighbour at
+// distance 1: 2's first is row 1 (at -1), 3's first is row 0 (at 2).
+// Removing rows 0 and 1 bounds both at exactly 1 while the clean pair
+// of rows 4 and 5 (at 10 and 11) also sits at 1. The bounded rows hold
+// the lexicographically smaller pair, so both must be rescanned.
+TEST(ClosestPairParity, BoundedRowsAtTheBestDistanceWinTheTie) {
+  for (const Backend backend : TestableBackends()) {
+    LatticeTable t({2, -1, 0, 1, 10, 11}, backend);
+    t.ExpectPair(0, 3, 1.0);
+    t.Remove(0);
+    t.Remove(0);
+    t.ExpectPair(0, 1, 1.0);
+  }
+}
+
+// As above, but then rows at -1 and 2 come back (appended, so higher
+// indices): each is offered to one bounded row at exactly its bound.
+// An offer equal to the bound proves nothing -- the unoffered row at
+// the same distance has the smaller index -- so neither bounded row
+// may settle on its offer.
+TEST(ClosestPairParity, OfferAtTheBoundDoesNotSettleABoundedRow) {
+  for (const Backend backend : TestableBackends()) {
+    LatticeTable t({2, -1, 0, 1, 10, 11}, backend);
+    t.ExpectPair(0, 3, 1.0);
+    t.Remove(0);
+    t.Remove(0);
+    t.Append(-1);
+    t.Append(2);
+    t.ExpectPair(0, 1, 1.0);
+  }
 }
 
 // ---- UMicro: checkpoint round-trips mid-stream ------------------------

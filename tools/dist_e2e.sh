@@ -17,9 +17,12 @@
 #                    final merged dump must again be byte-identical
 #   4. failover   -- primary + standby aggregator; both leaves run with
 #                    seeded --net-chaos mangling their wire and ship
-#                    warm copies to the standby; the primary is SIGKILLed
-#                    mid-stream, the leaves promote the standby, and the
-#                    standby's final dump must STILL be byte-identical
+#                    warm copies to the standby; leaf 0's first
+#                    incarnation stops at leg 3's crash row, the primary is
+#                    SIGKILLed while it holds that mid-stream delta, then
+#                    the recovered leaf 0 and leaf 1 must each promote
+#                    the standby, and the standby's final dump must
+#                    STILL be byte-identical
 #
 # Exits 0 and prints DIST_E2E_PASS only if every leg holds. Safe under
 # sanitizers (generous timeouts, ephemeral ports).
@@ -73,13 +76,14 @@ wait_for_file() {
   return 1
 }
 
+# Echoes the aggregator's PID. It runs in a command substitution, so the
+# caller adds that PID to PIDS for the exit trap.
 start_agg() {  # start_agg STATE LOG [extra flags...]
   local state=$1 log=$2
   shift 2
   "$CLI" --role=agg --listen=127.0.0.1:0 --dims=$DIMS --nmicro=$NMICRO \
       --expect-points=$POINTS --expect-timeout=240 \
       --state-out="$state" --linger-seconds=120 "$@" >"$log" 2>&1 &
-  PIDS+=($!)
   echo $!
 }
 
@@ -121,6 +125,7 @@ echo "[1/4] single-process sharded reference"
 # ---- Leg 2: healthy 2-leaf topology + remote queries ----------------
 echo "[2/4] healthy topology: 2 leaf processes + 1 aggregator"
 AGG_PID=$(start_agg "$WORK_DIR/agg.state" "$WORK_DIR/agg.log")
+PIDS+=($AGG_PID)
 PORT=$(scrape_port "$WORK_DIR/agg.log") || fail "no aggregator port"
 run_leaf "$PORT" 0 "$WORK_DIR/leaf0.log" &
 L0=$!; PIDS+=($L0)
@@ -144,6 +149,7 @@ echo "      merged state byte-identical; remote queries answered"
 # ---- Leg 3: leaf crash at a checkpoint, recovery, replay ------------
 echo "[3/4] crash topology: leaf 0 dies at row $CRASH_ROWS, recovers"
 AGG2_PID=$(start_agg "$WORK_DIR/agg2.state" "$WORK_DIR/agg2.log")
+PIDS+=($AGG2_PID)
 PORT2=$(scrape_port "$WORK_DIR/agg2.log") || fail "no aggregator port (2)"
 run_leaf "$PORT2" 1 "$WORK_DIR/leaf1b.log" &
 L1B=$!; PIDS+=($L1B)
@@ -165,37 +171,46 @@ cmp -s "$WORK_DIR/ref.state" "$WORK_DIR/agg2.state" \
 echo "      recovered topology byte-identical to reference"
 
 # ---- Leg 4: primary SIGKILL under chaos, standby promotion ----------
-echo "[4/4] failover: primary killed under --net-chaos, standby takes over"
+echo "[4/4] failover: primary killed under --net-chaos once leaf 0 stops" \
+     "at row $CRASH_ROWS, standby takes over"
 CHAOS='drop=0.02,delay=0.05,delay-ms=5,truncate=0.02,bitflip=0.02'
 STANDBY_PID=$(start_agg "$WORK_DIR/standby.state" "$WORK_DIR/standby.log" \
     --start-as-standby)
+PIDS+=($STANDBY_PID)
 SPORT=$(scrape_port "$WORK_DIR/standby.log") || fail "no standby port"
 grep -q '^aggregator role: standby$' "$WORK_DIR/standby.log" \
   || fail "standby did not announce the standby role"
 PRIMARY_PID=$(start_agg "$WORK_DIR/primary.state" "$WORK_DIR/primary.log")
+PIDS+=($PRIMARY_PID)
 PPORT=$(scrape_port "$WORK_DIR/primary.log") || fail "no primary port"
-run_leaf "$PPORT" 0 "$WORK_DIR/leaf0-ha.log" \
-    --standby=127.0.0.1:"$SPORT" --delta-every=2000 \
-    --net-chaos="$CHAOS" --net-chaos-seed=11 &
-L0H=$!; PIDS+=($L0H)
-run_leaf "$PPORT" 1 "$WORK_DIR/leaf1-ha.log" \
-    --standby=127.0.0.1:"$SPORT" --delta-every=2000 \
-    --net-chaos="$CHAOS" --net-chaos-seed=22 &
-L1H=$!; PIDS+=($L1H)
-# Let the primary apply a few deltas (warm copies are reaching the
-# standby too), then kill it the hard way mid-stream.
-PRIMARY_DELTAS=0
-for _ in $(seq 1 240); do
-  PRIMARY_DELTAS=$(scrape_health_deltas "$PPORT")
-  [ "${PRIMARY_DELTAS:-0}" -ge 3 ] 2>/dev/null && break
-  sleep 0.25
-done
+HA_FLAGS=(--standby=127.0.0.1:"$SPORT" --delta-every=2000
+          --net-chaos="$CHAOS")
+CKPT0=(--checkpoint-dir="$WORK_DIR/ckpt0-ha" --checkpoint-every=2000)
+# Leaf 0 stops at a deterministic point with the primary holding its
+# mid-stream deltas (and the standby warm copies of them); only then is
+# the primary killed the hard way, so no leaf can finish against it.
+run_leaf "$PPORT" 0 "$WORK_DIR/leaf0-ha-crash.log" "${HA_FLAGS[@]}" \
+    "${CKPT0[@]}" --net-chaos-seed=11 --max-rows=$CRASH_ROWS \
+  || fail "leaf 0 (pre-kill) exited nonzero"
+PRIMARY_DELTAS=$(scrape_health_deltas "$PPORT")
 [ "${PRIMARY_DELTAS:-0}" -ge 3 ] 2>/dev/null \
-  || fail "primary never applied 3 deltas"
+  || fail "primary applied ${PRIMARY_DELTAS:-no} deltas before the kill"
 kill -9 "$PRIMARY_PID" 2>/dev/null
+# Both leaves now ship to a dead primary and must fail over.
+run_leaf "$PPORT" 0 "$WORK_DIR/leaf0-ha.log" "${HA_FLAGS[@]}" \
+    "${CKPT0[@]}" --net-chaos-seed=11 --recover &
+L0H=$!; PIDS+=($L0H)
+run_leaf "$PPORT" 1 "$WORK_DIR/leaf1-ha.log" "${HA_FLAGS[@]}" \
+    --net-chaos-seed=22 &
+L1H=$!; PIDS+=($L1H)
 wait_with_watchdog $L0H 240 || fail "leaf 0 (failover) exited nonzero"
 wait_with_watchdog $L1H 240 || fail "leaf 1 (failover) exited nonzero"
-grep -q 'promotions' "$WORK_DIR/leaf0-ha.log" || true
+grep -q 'recovered from' "$WORK_DIR/leaf0-ha.log" \
+  || fail "leaf 0 restart did not recover a checkpoint"
+for log in leaf0-ha leaf1-ha; do
+  grep -q ' [1-9][0-9]* promotions$' "$WORK_DIR/$log.log" \
+    || fail "$log never failed over to the standby"
+done
 wait_for_file "$WORK_DIR/standby.state" 240 \
   || fail "standby never completed the merge"
 printf 'ROLE\nQUIT\n' | \
