@@ -23,7 +23,7 @@
 #include <string>
 
 #include "eval/purity.h"
-#include "parallel/sharded_umicro.h"
+#include "parallel/parallel_engine.h"
 #include "util/failpoints.h"
 #include "util/stopwatch.h"
 
@@ -41,21 +41,22 @@ struct RunResult {
 RunResult RunOnce(const std::string& config,
                   const umicro::stream::Dataset& dataset,
                   std::size_t nmicro, bool stalled, bool degrade) {
-  umicro::parallel::ShardedUMicroOptions options;
-  options.umicro.num_micro_clusters = nmicro;
-  options.num_shards = 2;
-  options.queue_capacity = 4;
-  options.producer_batch = 64;
-  options.merge_every = 8192;
-  options.degrade.enabled = degrade;
-  options.degrade.occupancy_trigger = 0.5;
-  options.degrade.trigger_after = 4;
-  options.degrade.recover_after = 16;
+  umicro::parallel::ParallelEngineOptions options;
+  options.sharded.umicro.num_micro_clusters = nmicro;
+  options.sharded.num_shards = 2;
+  options.sharded.queue_capacity = 4;
+  options.sharded.producer_batch = 64;
+  options.sharded.merge_every = 8192;
+  options.sharded.degrade.enabled = degrade;
+  options.sharded.degrade.occupancy_trigger = 0.5;
+  options.sharded.degrade.trigger_after = 4;
+  options.sharded.degrade.recover_after = 16;
   // Probabilistic shedding: while pressured, drop roughly half the
   // batches rather than all of them, so the survivors stay a uniform
   // sample of the stream and the global view keeps tracking it.
-  options.degrade.shed_probability = 0.5;
-  umicro::parallel::ShardedUMicro sharded(dataset.dimensions(), options);
+  options.sharded.degrade.shed_probability = 0.5;
+  options.snapshot.snapshot_every = 0;
+  umicro::parallel::ParallelUMicroEngine sharded(dataset.dimensions(), options);
 
   if (stalled) {
     umicro::util::FailpointRegistry::Instance().Arm(

@@ -25,7 +25,7 @@
 #include "dist/aggregator.h"
 #include "dist/leaf.h"
 #include "io/state_io.h"
-#include "parallel/sharded_umicro.h"
+#include "parallel/parallel_engine.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -118,12 +118,13 @@ SweepResult RunTopology(const Dataset& dataset, std::size_t leaves,
 /// check): the sharded engine over the same round-robin partitioning.
 std::string ShardedReference(const Dataset& dataset, std::size_t shards,
                              std::size_t nmicro) {
-  umicro::parallel::ShardedUMicroOptions options;
-  options.umicro = LeafOptions(nmicro).umicro;
-  options.num_shards = shards;
-  options.producer_batch = 1;
-  options.merge_every = 0;
-  umicro::parallel::ShardedUMicro sharded(dataset.dimensions(), options);
+  umicro::parallel::ParallelEngineOptions options;
+  options.sharded.umicro = LeafOptions(nmicro).umicro;
+  options.sharded.num_shards = shards;
+  options.sharded.producer_batch = 1;
+  options.sharded.merge_every = 0;
+  options.snapshot.snapshot_every = 0;
+  umicro::parallel::ParallelUMicroEngine sharded(dataset.dimensions(), options);
   for (const auto& point : dataset.points()) sharded.Process(point);
   sharded.Flush();
   return umicro::io::MicroClustersToString(sharded.GlobalClusters(),

@@ -21,7 +21,7 @@
 #include <cmath>
 #include <thread>
 
-#include "parallel/sharded_umicro.h"
+#include "parallel/parallel_engine.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -98,11 +98,13 @@ void RunSweep(const std::string& workload,
               "dropped");
 
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    umicro::parallel::ShardedUMicroOptions options;
-    options.umicro = MassConservingOptions(nmicro);
-    options.num_shards = shards;
-    options.merge_every = merge_every;
-    umicro::parallel::ShardedUMicro sharded(dataset.dimensions(), options);
+    umicro::parallel::ParallelEngineOptions options;
+    options.sharded.umicro = MassConservingOptions(nmicro);
+    options.sharded.num_shards = shards;
+    options.sharded.merge_every = merge_every;
+    options.snapshot.snapshot_every = 0;
+    umicro::parallel::ParallelUMicroEngine sharded(dataset.dimensions(),
+                                                   options);
 
     umicro::util::Stopwatch watch;
     for (const auto& point : dataset.points()) sharded.Process(point);

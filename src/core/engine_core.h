@@ -66,8 +66,6 @@ struct EngineState {
   /// residuals -- the shard-private statistics as of the flushed
   /// checkpoint instant).
   std::vector<UMicroState> shard_states;
-  /// Sharded only: the merged global view at checkpoint time.
-  std::vector<MicroCluster> global_clusters;
   /// Sharded only: coordinator counters (ingest total, round-robin
   /// cursor) so partitioning resumes exactly where it stopped.
   std::uint64_t points_ingested = 0;

@@ -278,10 +278,12 @@ bool Aggregator::ApplyDelta(const DeltaMessage& delta) {
 
   // Parse outside the lock: the checkpoint codec re-verifies the state
   // body checksum, so line noise that survived the frame checksum still
-  // cannot reach the merge.
-  const std::optional<core::EngineState> state =
+  // cannot reach the merge. Leaves run the sequential engine: a delta is
+  // its single shard state, and any other state is a protocol error.
+  std::optional<core::EngineState> state =
       io::ParseEngineState(delta.state_text);
-  if (!state.has_value() || state->dimensions != options_.dimensions) {
+  if (!state.has_value() || state->dimensions != options_.dimensions ||
+      state->engine_kind != "umicro" || state->shard_states.size() != 1) {
     return false;
   }
   LeafEntry entry;
@@ -289,13 +291,7 @@ bool Aggregator::ApplyDelta(const DeltaMessage& delta) {
   entry.points = delta.points;
   entry.last_timestamp = state->last_timestamp;
   entry.last_delta = std::chrono::steady_clock::now();
-  // A sequential leaf's live set is its single shard state; a sharded
-  // leaf ships its merged view.
-  if (state->shard_states.size() == 1 && state->global_clusters.empty()) {
-    entry.clusters = state->shard_states[0].clusters;
-  } else {
-    entry.clusters = state->global_clusters;
-  }
+  entry.clusters = std::move(state->shard_states[0].clusters);
 
   std::lock_guard<std::mutex> lock(state_mu_);
   LeafEntry& slot = leaves_[delta.leaf_id];

@@ -10,6 +10,10 @@
 //                          in a net::SocketStream and handed to the
 //                          PR 5 serve::ServeLineProtocol loop unchanged.
 //
+// Leaves run the sequential engine, so a delta must be a single-shard
+// "umicro" checkpoint; any other state is refused and counted as a
+// protocol error.
+//
 // Delta application is state replacement keyed by leaf id: the newest
 // state per leaf is kept, the merged global view is rebuilt through
 // parallel::MergeShardClusterSets -- the *same* routine the in-process

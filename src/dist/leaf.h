@@ -1,6 +1,6 @@
 // LeafShipper: the leaf side of the merge tree's delta plane.
 //
-// A leaf ingester runs an ordinary engine on its substream and, every
+// A leaf ingester runs a sequential engine on its substream and, every
 // `--delta-every` points, hands the engine's exported state here.
 // ShipState() is synchronous and at-least-once: it (re)connects to an
 // aggregator with capped exponential backoff, sends HELLO + the framed

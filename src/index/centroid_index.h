@@ -12,8 +12,8 @@
 //     where D2_i is the geometric (centroid) term, s_i >= 0 is the
 //     cluster-error constant sum_j EF2_j/n^2 read live from the
 //     ClusterTable, and psi2 >= 0 is the same point constant for every
-//     row. The index lower-bounds D2_i from the snapshot (bounding-box
-//     or triangle-inequality geometry), deflated by a per-row *drift
+//     row. The index lower-bounds D2_i from the snapshot (kd-tree
+//     bounding boxes and snapshot distances), deflated by a per-row *drift
 //     bound* (the centroids move as points are absorbed; every move is
 //     reported through NoteDrift) and inflated floating-point margins,
 //     and prunes row i only when that bound exceeds a proven upper
@@ -75,31 +75,33 @@ struct IndexStats {
   std::uint64_t rebuilds = 0;
 };
 
-/// Pluggable candidate generator over the SoA centroid table
-/// (knncolle-style: backends share the builder/searcher contract and
-/// differ only in the structure behind Collect).
+/// Candidate generator over the SoA centroid table: a median-split
+/// kd-tree over the snapshot centroids. The build splits recursively on
+/// the widest dimension down to kLeafSize rows (a node whose bounding
+/// box has zero extent becomes a leaf, so identical centroids
+/// terminate). A query greedily descends to the nearest leaf to seed the
+/// winner's upper bound, then depth-first collects every row whose
+/// drift-deflated bounding-box / snapshot-distance lower bound stays
+/// within the effective upper bound.
 class CentroidIndex {
  public:
-  struct Options {
-    /// Collect() answers "full scan" below this row count.
-    std::size_t min_rows = 2;
-    /// kd-tree leaf capacity.
-    std::size_t leaf_size = 8;
-    /// Rebuild once appended rows exceed max(32, built/4).
-    std::size_t min_appended_rebuild = 32;
-    /// Rebuild once the accumulated drift bound exceeds this fraction
-    /// of the snapshot's bounding-box diagonal.
-    double drift_rebuild_fraction = 0.125;
-  };
+  /// kd-tree leaf capacity.
+  static constexpr std::size_t kLeafSize = 8;
+  /// Rebuild once appended rows exceed max(kMinAppendedRebuild,
+  /// built/4).
+  static constexpr std::size_t kMinAppendedRebuild = 32;
+  /// Rebuild once the accumulated drift bound exceeds this fraction of
+  /// the snapshot's bounding-box diagonal.
+  static constexpr double kDriftRebuildFraction = 0.125;
 
-  explicit CentroidIndex(Options options) : options_(options) {}
-  virtual ~CentroidIndex() = default;
+  /// Collect() answers "full scan" below `min_rows` rows.
+  explicit CentroidIndex(std::size_t min_rows) : min_rows_(min_rows) {}
 
   CentroidIndex(const CentroidIndex&) = delete;
   CentroidIndex& operator=(const CentroidIndex&) = delete;
 
-  /// Backend name ("kdtree").
-  virtual const char* name() const = 0;
+  /// Structure name ("kdtree").
+  const char* name() const { return "kdtree"; }
 
   // ---- O(1) owner hooks: every table mutation is reported -----------
 
@@ -133,9 +135,8 @@ class CentroidIndex {
                std::vector<std::uint32_t>* out);
 
   const IndexStats& stats() const { return stats_; }
-  const Options& options() const { return options_; }
 
- protected:
+ private:
   /// Relative safety margin on every index-side bound. Nine orders of
   /// magnitude above the worst-case kernel reduction error for d <= 64
   /// (~1.06 * (stride+4) * DBL_EPSILON ~ 1.6e-14), so index bounds
@@ -143,49 +144,43 @@ class CentroidIndex {
   /// orders, including the kernel's final +s_i +psi2 additions.
   static constexpr double kRelMargin = 1e-9;
 
-  /// Builds the backend structure over the freshly copied snapshot
-  /// (snap_centroid(i), i < built_rows()).
-  virtual void BuildStructure() = 0;
+  struct Node {
+    std::uint32_t begin = 0;  // range [begin, end) of perm_
+    std::uint32_t end = 0;
+    std::int32_t left = -1;  // -1 = leaf
+    std::int32_t right = -1;
+  };
 
-  /// Appends the backend's candidates among the built rows to `out`
-  /// (any order, no duplicates). `upper` is a proven upper bound on the
-  /// winner's kernel score minus psi2 (may be +inf when nothing seeded
-  /// it yet); implementations tighten it with their own seeds and prune
-  /// against EffectiveUpper(upper, point_error2).
-  virtual void CollectImpl(const kernels::ClusterTable& table,
-                           const double* x, bool include_cluster_error,
-                           double point_error2, double upper,
-                           std::vector<std::uint32_t>* out) = 0;
+  bool NeedsRebuild(const kernels::ClusterTable& table) const;
+  void Rebuild(const kernels::ClusterTable& table);
 
-  // ---- Snapshot + bound helpers shared by backends -------------------
+  /// Builds the tree over the freshly copied snapshot
+  /// (snap_centroid(i), i < built_rows_).
+  void BuildTree();
+  std::int32_t BuildNode(std::uint32_t begin, std::uint32_t end,
+                         std::int32_t parent);
 
-  /// Called after NoteDrift updates a built row's drift bound; backends
-  /// override to keep finer-grained (per-subtree / per-group) drift
-  /// maxima current in O(depth) or O(1).
-  virtual void DriftUpdated(std::size_t /*row*/) {}
-
-  std::size_t built_rows() const { return built_rows_; }
-  std::size_t dims() const { return dims_; }
-  /// Snapshot rows keep the table's zero-padded stride so the SIMD row
-  /// reduction applies unchanged.
-  std::size_t snap_stride() const { return snap_stride_; }
-  kernels::Backend snap_backend() const { return snap_backend_; }
   const double* snap_centroid(std::size_t row) const {
     return &snap_[row * snap_stride_];
   }
-  double row_drift(std::size_t row) const { return drift_[row]; }
-  double row_norm(std::size_t row) const { return snap_norm_[row]; }
-  double query_scale_ulp() const { return query_scale_ulp_; }
 
   /// Squared distance of the padded query to the snapshot centroid of
-  /// `row`, on the snapshot's SIMD tier. `x` must be the padded pointer
-  /// CollectImpl received.
+  /// `row`, on the snapshot's SIMD tier.
   double SnapDist2(std::size_t row, const double* x) const;
+
+  /// Squared distance of x to node `n`'s bounding box (0 inside).
+  double NodeDist2(std::size_t n, const double* x) const;
 
   /// Upper bound on how far row `row`'s live centroid can be from its
   /// snapshot position (drift + per-scale-event ulp slack).
   double QueryDrift(std::size_t row) const {
     return drift_[row] + query_scale_ulp_ * snap_norm_[row];
+  }
+
+  /// Worst drift-plus-ulp slack over the rows of node `n`'s subtree
+  /// (kept current by NoteDrift), mirroring QueryDrift per row.
+  double NodeQueryDrift(std::size_t n) const {
+    return node_drift_[n] + query_scale_ulp_ * node_norm_[n];
   }
 
   /// score_row >= RowLower: snapshot distance deflated by margins and
@@ -202,13 +197,12 @@ class CentroidIndex {
     return hi * hi * (1.0 + kRelMargin) + s;
   }
 
-  /// The pruning threshold: rows (and nodes/groups) whose lower bound
-  /// exceeds this cannot round to a kernel score at or below the
-  /// winner's. The absolute (upper + psi2) term keeps ties safe even
-  /// when psi2 dwarfs the distances (e.g. an exact duplicate of a
-  /// zero-error centroid: every score rounds to psi2 and the full scan
-  /// picks the first row).
-  double EffectiveUpper(double upper, double point_error2) const {
+  /// The pruning threshold: rows (and nodes) whose lower bound exceeds
+  /// this cannot round to a kernel score at or below the winner's. The
+  /// absolute (upper + psi2) term keeps ties safe even when psi2 dwarfs
+  /// the distances (e.g. an exact duplicate of a zero-error centroid:
+  /// every score rounds to psi2 and the full scan picks the first row).
+  static double EffectiveUpper(double upper, double point_error2) {
     return upper + (upper + point_error2) * kRelMargin;
   }
 
@@ -219,21 +213,32 @@ class CentroidIndex {
     return include_cluster_error ? table.ef2n2_sum(row) : 0.0;
   }
 
- private:
-  bool NeedsRebuild(const kernels::ClusterTable& table) const;
-  void Rebuild(const kernels::ClusterTable& table);
+  /// Tightens `upper` over the rows of the leaf nearest to x.
+  void SeedFromNearestLeaf(const kernels::ClusterTable& table,
+                           const double* x, bool include_cluster_error,
+                           double* upper) const;
 
-  const Options options_;
+  /// Appends the candidates of node `n`'s subtree to `out`, tightening
+  /// `upper` / `effective` as closer rows are found.
+  void CollectNode(std::size_t n, double node_dist2,
+                   const kernels::ClusterTable& table, const double* x,
+                   bool include_cluster_error, double point_error2,
+                   double* upper, double* effective,
+                   std::vector<std::uint32_t>* out) const;
+
+  const std::size_t min_rows_;
   IndexStats stats_;
 
-  // Snapshot (stride-padded copies of the centroid rows at build time).
+  // Snapshot (stride-padded copies of the centroid rows at build time;
+  // rows keep the table's zero-padded stride so the SIMD row reduction
+  // applies unchanged).
   std::size_t built_rows_ = 0;
   std::size_t dims_ = 0;
   std::size_t snap_stride_ = 0;
   kernels::Backend snap_backend_ = kernels::Backend::kScalar;
   std::vector<double> snap_;
-  /// Query staged to snap_stride_ with zero padding (so backends can run
-  /// the padded SIMD row reduction against snapshot rows).
+  /// Query staged to snap_stride_ with zero padding (so the padded SIMD
+  /// row reduction runs against snapshot rows).
   std::vector<double> padded_x_;
   /// Margin-inflated centroid norms (scale-event ulp slack is
   /// proportional to the coordinate magnitudes).
@@ -250,6 +255,19 @@ class CentroidIndex {
   bool dirty_ = true;
   /// 16 ulp of per-coordinate slack per scale event, frozen per query.
   double query_scale_ulp_ = 0.0;
+
+  // The kd-tree over the snapshot rows.
+  std::vector<Node> nodes_;
+  std::vector<std::uint32_t> perm_;
+  // Per-node bounding boxes, snap_stride_ doubles each.
+  std::vector<double> bbox_min_;
+  std::vector<double> bbox_max_;
+  // Subtree maxima for the node-level prune slack.
+  std::vector<std::int32_t> parent_;
+  std::vector<double> node_drift_;
+  std::vector<double> node_norm_;
+  // Row -> owning leaf (drift bubbles leaf-to-root).
+  std::vector<std::uint32_t> leaf_of_row_;
 };
 
 /// Builds the index for `kind`; nullptr for kFlat (callers treat a null

@@ -558,10 +558,9 @@ void AppendEngineCheckpointBody(std::ostringstream& out,
   for (const auto& shard : state.shard_states) {
     AppendUMicroState(out, shard);
   }
-  out << "global " << state.global_clusters.size() << "\n";
-  for (const auto& cluster : state.global_clusters) {
-    AppendMicroCluster(out, cluster);
-  }
+  // The sharded engine rebuilds its merged view from the shard states,
+  // so the section that once carried it is always written empty.
+  out << "global 0\n";
   AppendSnapshotStoreState(out, state.store);
   out << "counters " << state.counters.size() << "\n";
   for (const auto& [name, value] : state.counters) {
@@ -671,18 +670,18 @@ std::optional<core::EngineState> ParseEngineState(const std::string& text) {
     state.shard_states.push_back(std::move(shard));
   }
 
+  // Checkpoints written before the merged view stopped being persisted
+  // carry it here: parse it (the checksum covers it) and discard it.
   std::size_t global_count = 0;
   if (!(in >> key >> global_count) || key != "global" ||
       global_count > kMaxClusters) {
     return std::nullopt;
   }
-  state.global_clusters.reserve(global_count);
   for (std::size_t c = 0; c < global_count; ++c) {
     core::MicroCluster cluster;
     if (!ParseMicroCluster(in, state.dimensions, &cluster)) {
       return std::nullopt;
     }
-    state.global_clusters.push_back(std::move(cluster));
   }
 
   if (!ParseSnapshotStoreState(in, state.dimensions, text.size(),

@@ -5,9 +5,11 @@
 //   "ustate 1"       -- one UMicro instance (algorithm state only; also
 //                       the shard section of a checkpoint).
 //   "ucheckpoint 2"  -- a full engine (core::EngineState): algorithm
-//                       state(s), merged global view, snapshot store,
-//                       stream clock, and counter/gauge metric cells,
-//                       in the checksummed envelope (ChecksummedText).
+//                       state(s), snapshot store, stream clock, and
+//                       counter/gauge metric cells, in the checksummed
+//                       envelope (ChecksummedText). Its "global" section
+//                       is written empty; one from an older file is
+//                       parsed and discarded.
 //   "uclusters 1"    -- a canonical micro-cluster dump.
 //
 // All parsers treat their input as hostile: truncation, bit flips,

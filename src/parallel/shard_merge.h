@@ -6,7 +6,7 @@
 // statistics. This is the single merge routine behind both
 // consumers:
 //
-//   - ShardedUMicro::RebuildGlobalView (threads of one process), and
+//   - ParallelUMicroEngine::RebuildGlobalView (threads of one process), and
 //   - dist::Aggregator (leaf processes of a merge tree, shipping their
 //     summaries over sockets);
 //
@@ -39,7 +39,7 @@ namespace umicro::parallel {
 /// the sequential algorithm).
 inline constexpr unsigned kShardIdShift = 48;
 
-/// Merge configuration (mirrors the ShardedUMicro knobs that feed it).
+/// Merge configuration (mirrors the ShardedUMicroOptions knobs that feed it).
 struct ShardMergeOptions {
   /// Stream dimensionality.
   std::size_t dimensions = 0;

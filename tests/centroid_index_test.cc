@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "index/kdtree_index.h"
 #include "kernels/kernels.h"
 #include "util/random.h"
 
@@ -215,9 +214,7 @@ TEST(CentroidIndexTest, GatherMatchesBatchBitwise) {
 TEST(CentroidIndexTest, MinRowsGateFallsBack) {
   util::Rng rng(3);
   ClusterTable table = RandomTable(rng, 8, 3, 10.0, 0.2);
-  CentroidIndex::Options options;
-  options.min_rows = 16;
-  KdTreeIndex index(options);
+  CentroidIndex index(16);
   std::vector<std::uint32_t> shortlist;
   const double x[3] = {0.0, 1.0, 2.0};
   EXPECT_FALSE(index.Collect(table, x, true, 0.0, &shortlist));

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "parallel/sharded_umicro.h"
+#include "parallel/parallel_engine.h"
 #include "stream/point.h"
 #include "util/failpoints.h"
 #include "util/random.h"
@@ -21,6 +21,15 @@ stream::UncertainPoint MakePoint(util::Rng& rng, std::size_t i) {
   return stream::UncertainPoint(
       {cls * 5.0 + rng.Gaussian(0.0, 0.5), rng.Gaussian(0.0, 0.5)},
       {0.1, 0.1}, static_cast<double>(i), cls);
+}
+
+/// The sharded engine over `options` with the snapshot cadence off: the
+/// bare ingest pipeline.
+ParallelEngineOptions WithoutSnapshots(const ShardedUMicroOptions& options) {
+  ParallelEngineOptions engine;
+  engine.sharded = options;
+  engine.snapshot.snapshot_every = 0;
+  return engine;
 }
 
 class DegradationTest : public testing::Test {
@@ -42,7 +51,7 @@ TEST_F(DegradationTest, ShedsWholeBatchesUnderSustainedPressure) {
   options.degrade.trigger_after = 4;
   options.degrade.recover_after = 8;
   options.degrade.shed_probability = 1.0;  // deterministic while degraded
-  ShardedUMicro sharded(2, options);
+  ParallelUMicroEngine sharded(2, WithoutSnapshots(options));
 
   // A stalling worker makes the queue back up; the controller must go
   // degraded and shed instead of blocking ingest forever.
@@ -87,7 +96,7 @@ TEST_F(DegradationTest, RecoversOnceThePressureIsGone) {
   options.degrade.trigger_after = 4;
   options.degrade.recover_after = 4;
   options.degrade.shed_probability = 1.0;
-  ShardedUMicro sharded(2, options);
+  ParallelUMicroEngine sharded(2, WithoutSnapshots(options));
 
   util::FailpointRegistry::Instance().Arm("parallel.worker.stall",
                                           {.stall_millis = 10});
@@ -130,7 +139,7 @@ TEST_F(DegradationTest, DisabledControllerNeverSheds) {
   options.queue_capacity = 2;
   options.producer_batch = 8;
   options.merge_every = 0;
-  ShardedUMicro sharded(2, options);
+  ParallelUMicroEngine sharded(2, WithoutSnapshots(options));
 
   util::FailpointRegistry::Instance().Arm("parallel.worker.stall",
                                           {.stall_millis = 2});
@@ -157,7 +166,7 @@ TEST_F(DegradationTest, SupervisorRestartsDeadWorkerWithoutLosingPoints) {
   options.merge_every = 0;
   options.supervisor.enabled = true;
   options.supervisor.poll_millis = 1;
-  ShardedUMicro sharded(2, options);
+  ParallelUMicroEngine sharded(2, WithoutSnapshots(options));
 
   // Shard 0's worker dies on its first batch, with that batch popped
   // and in flight -- the worst moment.
@@ -191,7 +200,7 @@ TEST_F(DegradationTest, SupervisorSurvivesRepeatedDeaths) {
   options.merge_every = 0;
   options.supervisor.enabled = true;
   options.supervisor.poll_millis = 1;
-  ShardedUMicro sharded(2, options);
+  ParallelUMicroEngine sharded(2, WithoutSnapshots(options));
 
   // The worker dies on pops 3, 4, and 5 -- the second and third deaths
   // hit freshly restarted replacements on their very first batch, with

@@ -33,7 +33,7 @@
 #include "net/socket.h"
 #include "net/socket_stream.h"
 #include "obs/metrics.h"
-#include "parallel/sharded_umicro.h"
+#include "parallel/parallel_engine.h"
 #include "stream/dataset.h"
 #include "synth/workloads.h"
 
@@ -73,12 +73,13 @@ std::string Canonical(const std::vector<core::MicroCluster>& clusters,
 
 std::vector<core::MicroCluster> ShardedReference(
     const stream::Dataset& dataset, std::size_t shards) {
-  parallel::ShardedUMicroOptions options;
-  options.umicro = LeafEngineOptions().umicro;
-  options.num_shards = shards;
-  options.producer_batch = 1;
-  options.merge_every = 0;
-  parallel::ShardedUMicro sharded(dataset.dimensions(), options);
+  parallel::ParallelEngineOptions options;
+  options.sharded.umicro = LeafEngineOptions().umicro;
+  options.sharded.num_shards = shards;
+  options.sharded.producer_batch = 1;
+  options.sharded.merge_every = 0;
+  options.snapshot.snapshot_every = 0;
+  parallel::ParallelUMicroEngine sharded(dataset.dimensions(), options);
   for (const auto& point : dataset.points()) sharded.Process(point);
   sharded.Flush();
   return sharded.GlobalClusters();

@@ -34,7 +34,7 @@
 #include "net/socket.h"
 #include "net/socket_stream.h"
 #include "obs/metrics.h"
-#include "parallel/sharded_umicro.h"
+#include "parallel/parallel_engine.h"
 #include "serve/server.h"
 #include "stream/dataset.h"
 #include "synth/workloads.h"
@@ -151,12 +151,13 @@ void RunLeaf(const stream::Dataset& dataset, std::uint64_t leaf_id,
 /// same round-robin partitioning, same budgets.
 std::vector<core::MicroCluster> ShardedReference(
     const stream::Dataset& dataset, std::size_t shards) {
-  parallel::ShardedUMicroOptions options;
-  options.umicro = LeafEngineOptions().umicro;
-  options.num_shards = shards;
-  options.producer_batch = 1;  // per-point round robin, like the leaves
-  options.merge_every = 0;
-  parallel::ShardedUMicro sharded(dataset.dimensions(), options);
+  parallel::ParallelEngineOptions options;
+  options.sharded.umicro = LeafEngineOptions().umicro;
+  options.sharded.num_shards = shards;
+  options.sharded.producer_batch = 1;  // per-point round robin, like the leaves
+  options.sharded.merge_every = 0;
+  options.snapshot.snapshot_every = 0;
+  parallel::ParallelUMicroEngine sharded(dataset.dimensions(), options);
   for (const auto& point : dataset.points()) sharded.Process(point);
   sharded.Flush();
   return sharded.GlobalClusters();
@@ -246,6 +247,38 @@ TEST(DistTopologyTest, ReplayedDeltasAreAckedButNotReapplied) {
             merged_once);
   EXPECT_EQ(shipper.deltas_acked(), 3u);
   shipper.Finish();
+  aggregator.Stop();
+}
+
+TEST(DistTopologyTest, AggregatorRefusesShardedStates) {
+  // Leaves are sequential engines: a sharded engine's export is not a
+  // delta, even though it parses as a checkpoint.
+  const stream::Dataset dataset = synth::MakeSynDriftWorkload(600, 0.5, 9);
+  obs::MetricsRegistry metrics;
+  Aggregator aggregator(MatchingAggregatorOptions(dataset.dimensions()),
+                        &metrics);
+  ASSERT_TRUE(aggregator.Start());
+
+  parallel::ParallelEngineOptions engine_options;
+  engine_options.sharded.umicro = LeafEngineOptions().umicro;
+  engine_options.sharded.num_shards = 2;
+  engine_options.snapshot.snapshot_every = 0;
+  parallel::ParallelUMicroEngine engine(dataset.dimensions(),
+                                        engine_options);
+  for (const auto& point : dataset.points()) engine.Process(point);
+  const std::string state =
+      io::EngineStateToString(engine.ExportEngineState());
+
+  LeafShipperOptions options;
+  options.leaf_id = 0;
+  options.dimensions = dataset.dimensions();
+  options.max_attempts = 1;
+  LeafShipper shipper({"127.0.0.1", aggregator.port()}, options);
+  EXPECT_FALSE(shipper.ShipState(600, 600, state));
+  EXPECT_EQ(metrics.GetCounter("dist.agg.protocol_errors").value(), 1u);
+  EXPECT_TRUE(aggregator.MergedClusters().empty());
+  EXPECT_EQ(aggregator.deltas_applied(), 0u);
+  shipper.Stop();
   aggregator.Stop();
 }
 

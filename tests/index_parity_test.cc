@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/umicro.h"
-#include "parallel/sharded_umicro.h"
+#include "parallel/parallel_engine.h"
 #include "stream/point.h"
 #include "util/random.h"
 
@@ -282,12 +282,13 @@ TEST(IndexParityTest, ShardedPipelineParity) {
   const auto points = MakeStream(6000, dims, 0.5, 59, 80);
 
   auto run = [&](IndexKind kind) {
-    parallel::ShardedUMicroOptions options;
-    options.umicro = ExpectedDistanceOptions(64, 0.0, kind);
-    options.num_shards = 2;
-    options.producer_batch = 32;
-    options.merge_every = 512;
-    parallel::ShardedUMicro sharded(dims, options);
+    parallel::ParallelEngineOptions options;
+    options.sharded.umicro = ExpectedDistanceOptions(64, 0.0, kind);
+    options.sharded.num_shards = 2;
+    options.sharded.producer_batch = 32;
+    options.sharded.merge_every = 512;
+    options.snapshot.snapshot_every = 0;
+    parallel::ParallelUMicroEngine sharded(dims, options);
     for (const auto& point : points) sharded.Process(point);
     sharded.Flush();
     return sharded.GlobalClusters();

@@ -5,6 +5,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -161,6 +165,63 @@ TEST(ParallelEngineTest, RejectedRestoreLeavesTheEngineUntouched) {
   EXPECT_FALSE(victim.RestoreEngineState(state));
   EXPECT_EQ(victim.store().TotalStored(), stored);
   EXPECT_EQ(victim.points_processed(), 2000u);
+}
+
+/// `state`'s checkpoint text with its empty "global" section replaced by
+/// `section` (a count line plus cluster lines), re-enveloped: the layout
+/// sharded checkpoints had while the merged view was persisted.
+std::string WithGlobalSection(const core::EngineState& state,
+                              const std::string& section) {
+  const std::string text = io::EngineStateToString(state);
+  std::string body = text.substr(text.find('\n') + 1);
+  const std::string empty = "\nglobal 0\n";
+  const std::size_t at = body.find(empty);
+  EXPECT_NE(at, std::string::npos);
+  body.replace(at + 1, empty.size() - 1, section);
+  return io::ChecksummedText(
+      "ucheckpoint", 2, [&body](std::ostringstream& out) { out << body; });
+}
+
+TEST(ParallelEngineTest, CheckpointsCarryingTheMergedViewStillRecover) {
+  ParallelUMicroEngine exporter(2, TwoShardOptions());
+  const stream::Dataset dataset = PhasedBlobs(3000, 29);
+  for (const auto& point : dataset.points()) exporter.Process(point);
+  const core::EngineState state = exporter.ExportEngineState();
+  const std::vector<core::MicroCluster>& view = exporter.GlobalClusters();
+  ASSERT_FALSE(view.empty());
+  const std::string dump = io::MicroClustersToString(view, 2);
+  const std::string old_text = WithGlobalSection(
+      state, "global " + std::to_string(view.size()) + "\n" +
+                 dump.substr(dump.find('\n') + 1));
+
+  const std::optional<core::EngineState> parsed =
+      io::ParseEngineState(old_text);
+  ASSERT_TRUE(parsed.has_value());
+  ParallelUMicroEngine restored(2, TwoShardOptions());
+  ASSERT_TRUE(restored.RestoreEngineState(*parsed));
+  EXPECT_TRUE(restored.GlobalClusters().empty());  // rebuilt, not restored
+  restored.Flush();
+  EXPECT_EQ(io::MicroClustersToString(restored.GlobalClusters(), 2), dump);
+
+  // Re-exported, the checkpoint is the current format: no global rows.
+  core::EngineState original = state;
+  core::EngineState again = restored.ExportEngineState();
+  for (core::EngineState* s : {&original, &again}) {
+    s->counters.clear();
+    s->gauges.clear();
+  }
+  EXPECT_EQ(io::EngineStateToString(again),
+            io::EngineStateToString(original));
+}
+
+TEST(ParallelEngineTest, HostileGlobalCountIsRejected) {
+  ParallelUMicroEngine exporter(2, TwoShardOptions());
+  const stream::Dataset dataset = PhasedBlobs(600, 31);
+  for (const auto& point : dataset.points()) exporter.Process(point);
+  const std::string hostile = WithGlobalSection(
+      exporter.ExportEngineState(),
+      "global " + std::to_string(io::kMaxClusters) + "\n");
+  EXPECT_FALSE(io::ParseEngineState(hostile).has_value());
 }
 
 TEST(ParallelEngineTest, OneMergePerCadencePoint) {

@@ -1,7 +1,7 @@
 // Shard-merge equivalence tests: the sharded pipeline against the
 // sequential algorithm on the same stream.
 
-#include "parallel/sharded_umicro.h"
+#include "parallel/parallel_engine.h"
 
 #include <chrono>
 #include <cmath>
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine_core.h"
 #include "core/umicro.h"
 #include "obs/metrics.h"
 #include "stream/dataset.h"
@@ -32,6 +33,15 @@ core::UMicroOptions MassConservingOptions(std::size_t num_micro_clusters) {
   options.num_micro_clusters = num_micro_clusters;
   options.eviction_horizon = 1e18;
   return options;
+}
+
+/// The sharded engine over `options` with the snapshot cadence off: the
+/// bare ingest pipeline.
+ParallelEngineOptions WithoutSnapshots(const ShardedUMicroOptions& options) {
+  ParallelEngineOptions engine;
+  engine.sharded = options;
+  engine.snapshot.snapshot_every = 0;
+  return engine;
 }
 
 /// Sums of (n, CF1_j, EF2_j) over a set of clusters.
@@ -80,7 +90,7 @@ TEST(ShardedUMicroTest, OneShardIsBitIdenticalToSequential) {
   options.num_shards = 1;
   options.producer_batch = 64;
   options.merge_every = 2048;  // merges mid-stream must not disturb state
-  ShardedUMicro sharded(dataset.dimensions(), options);
+  ParallelUMicroEngine sharded(dataset.dimensions(), WithoutSnapshots(options));
   for (const auto& point : dataset.points()) sharded.Process(point);
   sharded.Flush();
 
@@ -114,7 +124,7 @@ TEST(ShardedUMicroTest, FourShardTotalsMatchSequentialExactly) {
   options.umicro = MassConservingOptions(50);
   options.num_shards = 4;
   options.merge_every = 2500;
-  ShardedUMicro sharded(dataset.dimensions(), options);
+  ParallelUMicroEngine sharded(dataset.dimensions(), WithoutSnapshots(options));
   for (const auto& point : dataset.points()) sharded.Process(point);
   sharded.Flush();
 
@@ -154,7 +164,7 @@ TEST(ShardedUMicroTest, MetricsSurfaceIsConsistent) {
   options.merge_every = 1000;
   options.producer_batch = 32;
   options.queue_capacity = 16;
-  ShardedUMicro sharded(dataset.dimensions(), options);
+  ParallelUMicroEngine sharded(dataset.dimensions(), WithoutSnapshots(options));
   for (const auto& point : dataset.points()) sharded.Process(point);
   sharded.Flush();
 
@@ -192,7 +202,7 @@ TEST(ShardedUMicroTest, FlushWithNothingNewDoesNotRebuild) {
   options.umicro = MassConservingOptions(30);
   options.num_shards = 2;
   options.merge_every = 0;
-  ShardedUMicro sharded(dataset.dimensions(), options);
+  ParallelUMicroEngine sharded(dataset.dimensions(), WithoutSnapshots(options));
   const obs::Counter& merges = sharded.metrics().GetCounter("parallel.merges");
   sharded.Flush();
   EXPECT_EQ(merges.value(), 0u);  // nothing ingested yet
@@ -207,9 +217,9 @@ TEST(ShardedUMicroTest, FlushWithNothingNewDoesNotRebuild) {
   EXPECT_EQ(merges.value(), 1u);
 
   // A restore rebuilds on the next flush, to the same view.
-  const ShardedPipelineState state = sharded.ExportPipelineState();
+  const core::EngineState state = sharded.ExportEngineState();
   EXPECT_EQ(merges.value(), 1u);
-  sharded.RestorePipelineState(state);
+  ASSERT_TRUE(sharded.RestoreEngineState(state));
   sharded.Flush();
   EXPECT_EQ(merges.value(), 2u);
   ASSERT_EQ(sharded.GlobalClusters().size(), view.size());
@@ -242,7 +252,8 @@ TEST(ShardedUMicroTest, DropPoliciesKeepAccountingExact) {
     options.producer_batch = 16;
     options.backpressure = policy;
     options.merge_every = 0;
-    ShardedUMicro sharded(dataset.dimensions(), options);
+    ParallelUMicroEngine sharded(dataset.dimensions(),
+                                 WithoutSnapshots(options));
     for (const auto& point : dataset.points()) sharded.Process(point);
     sharded.Flush();
 
@@ -272,7 +283,7 @@ TEST(ShardedUMicroTest, ClustererInterfaceMergesOnRead) {
   options.umicro = MassConservingOptions(30);
   options.num_shards = 2;
   options.merge_every = 0;
-  ShardedUMicro sharded(dataset.dimensions(), options);
+  ParallelUMicroEngine sharded(dataset.dimensions(), WithoutSnapshots(options));
   const stream::StreamClusterer& clusterer = sharded;
   for (const auto& point : dataset.points()) sharded.Process(point);
 
@@ -314,7 +325,7 @@ void ExpectSameClusters(const std::vector<core::MicroCluster>& expected,
 /// spare buffer whose old points are overwritten in place.
 class PacedOneShardFeed {
  public:
-  PacedOneShardFeed(ShardedUMicro* sharded, std::size_t producer_batch)
+  PacedOneShardFeed(ParallelUMicroEngine* sharded, std::size_t producer_batch)
       : sharded_(sharded), producer_batch_(producer_batch) {}
 
   void Process(const stream::UncertainPoint& point) {
@@ -344,7 +355,7 @@ class PacedOneShardFeed {
     }
   }
 
-  ShardedUMicro* sharded_;
+  ParallelUMicroEngine* sharded_;
   std::size_t producer_batch_;
   std::size_t pending_ = 0;
   std::uint64_t enqueued_ = 0;
@@ -360,7 +371,7 @@ TEST(ShardedUMicroTest, RecycledPartialBatchesStayBitIdentical) {
   options.num_shards = 1;
   options.producer_batch = 16;
   options.merge_every = 0;
-  ShardedUMicro sharded(dims, options);
+  ParallelUMicroEngine sharded(dims, WithoutSnapshots(options));
   PacedOneShardFeed feed(&sharded, options.producer_batch);
 
   for (std::size_t i = 0; i < dataset.size(); ++i) {
@@ -376,7 +387,7 @@ TEST(ShardedUMicroTest, RecycledPartialBatchesStayBitIdentical) {
                          dims);
     }
     if (i == 3333) {
-      const ShardedPipelineState state = sharded.ExportPipelineState();
+      const core::EngineState state = sharded.ExportEngineState();
       feed.NoteFlushed();
       ASSERT_EQ(state.shard_states.size(), 1u);
       ExpectSameClusters(sequential.clusters(),
@@ -398,7 +409,7 @@ TEST(ShardedUMicroTest, DropOldestDisplacesRecycledBatchesExactly) {
   options.producer_batch = 8;
   options.backpressure = BackpressurePolicy::kDropOldest;
   options.merge_every = 0;
-  ShardedUMicro sharded(dataset.dimensions(), options);
+  ParallelUMicroEngine sharded(dataset.dimensions(), WithoutSnapshots(options));
 
   // A slow worker keeps the one-slot queue full, so most enqueues
   // displace a queued (often recycled) batch.
@@ -435,7 +446,7 @@ TEST(ShardedUMicroTest, WorkerDeathWithRecycledBatchesInFlight) {
   options.merge_every = 0;
   options.supervisor.enabled = true;
   options.supervisor.poll_millis = 1;
-  ShardedUMicro sharded(dims, options);
+  ParallelUMicroEngine sharded(dims, WithoutSnapshots(options));
   PacedOneShardFeed feed(&sharded, options.producer_batch);
 
   // The worker dies on its 6th pop and again on the first pop after 40

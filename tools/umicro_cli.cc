@@ -78,7 +78,6 @@
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_engine.h"
-#include "parallel/sharded_umicro.h"
 #include "resilience/checkpoint.h"
 #include "resilience/fault_injection.h"
 #include "resilience/validating_stream.h"
@@ -1488,7 +1487,7 @@ int main(int argc, char** argv) {
     if (auto* parallel =
             dynamic_cast<umicro::parallel::ParallelUMicroEngine*>(
                 engine.get())) {
-      return parallel->sharded().GlobalClusters();
+      return parallel->GlobalClusters();
     }
     return dynamic_cast<umicro::core::UMicroEngine&>(*engine)
         .online()
