@@ -44,12 +44,10 @@ void SnapshotTimeline::PublishStoreMetrics() {
 
 void SnapshotTimeline::Commit(Snapshot frame) {
   const std::uint64_t tick = next_tick_++;
-  // One immutable frame: the store's ring head and the sink's ring hold
-  // the same object.
+  // One immutable frame: the store's ring head and the sink's history
+  // hold the same object.
   auto shared = std::make_shared<const Snapshot>(std::move(frame));
-  if (sink_ != nullptr) {
-    sink_->PublishSnapshot(tick, store_.OrderOf(tick), shared);
-  }
+  if (sink_ != nullptr) sink_->PublishSnapshot(tick, shared);
   store_.Insert(tick, std::move(shared));
   since_snapshot_ = 0;
   if (metrics_ == nullptr) return;

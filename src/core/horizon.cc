@@ -1,5 +1,7 @@
 #include "core/horizon.h"
 
+#include <cmath>
+
 #include "obs/scoped_timer.h"
 #include "util/check.h"
 
@@ -15,15 +17,36 @@ std::vector<double> RealizedRatioBounds() {
 
 }  // namespace
 
-std::optional<HorizonClustering> ClusterWindow(
-    const Snapshot& current, const Snapshot& older, double horizon,
-    double decay_lambda, const MacroClusteringOptions& options,
-    obs::MetricsRegistry* metrics) {
-  UMICRO_CHECK(horizon > 0.0);
-  UMICRO_CHECK(older.time <= current.time);
+bool ValidHorizon(double horizon) {
+  return std::isfinite(horizon) && horizon > 0.0;
+}
+
+std::optional<HorizonClustering> ClusterOverHorizon(
+    const FrameFinder& find, const Snapshot& current, double horizon,
+    const MacroClusteringOptions& options, obs::MetricsRegistry* metrics,
+    double decay_lambda) {
+  UMICRO_CHECK(ValidHorizon(horizon));
+  // Prefer the frame at or before t_c - h: its window covers at least
+  // the requested horizon. The nearest frame could be newer than t_c - h
+  // -- arbitrarily close to t_c -- silently collapsing the realized
+  // horizon; it remains only as the fallback when the horizon predates
+  // everything retained (where "nearest" is the earliest stored frame
+  // and the shortfall is unavoidable).
+  const double target = current.time - horizon;
+  std::shared_ptr<const Snapshot> older = find(target, FramePick::kAtOrBefore);
+  if (older == nullptr) {
+    // The answer is clamped to the oldest window we can realize.
+    // Degraded, and observable -- the caller sees realized_ratio < 1 and
+    // the counter flags it even when nobody inspects the ratio.
+    older = find(target, FramePick::kNearest);
+    if (older != nullptr && metrics != nullptr) {
+      metrics->GetCounter("snapshot.horizon_clamped").Increment();
+    }
+  }
+  if (older == nullptr || older->time > current.time) return std::nullopt;
 
   HorizonClustering result;
-  result.realized_horizon = current.time - older.time;
+  result.realized_horizon = current.time - older->time;
   result.realized_ratio = result.realized_horizon / horizon;
   if (metrics != nullptr) {
     metrics->GetHistogram("horizon.realized_ratio", RealizedRatioBounds())
@@ -34,7 +57,7 @@ std::optional<HorizonClustering> ClusterWindow(
         metrics != nullptr
             ? &metrics->GetHistogram("snapshot.subtract_micros")
             : nullptr);
-    result.window = SubtractSnapshot(current, older, decay_lambda);
+    result.window = SubtractSnapshot(current, *older, decay_lambda);
   }
   if (result.window.empty()) return std::nullopt;
   {
@@ -50,29 +73,12 @@ std::optional<HorizonClustering> ClusterOverHorizon(
     const SnapshotStore& store, const Snapshot& current, double horizon,
     const MacroClusteringOptions& options, obs::MetricsRegistry* metrics,
     double decay_lambda) {
-  UMICRO_CHECK(horizon > 0.0);
   if (metrics != nullptr) metrics->GetCounter("horizon.queries").Increment();
-  // Prefer the snapshot at or before t_c - h: its window covers at least
-  // the requested horizon. FindNearest could return a snapshot newer
-  // than t_c - h -- arbitrarily close to t_c -- silently collapsing the
-  // realized horizon; it remains only as the fallback when the horizon
-  // predates everything retained (where "nearest" is the earliest
-  // stored snapshot and the shortfall is unavoidable).
-  auto older = store.FindAtOrBefore(current.time - horizon);
-  if (!older.has_value()) {
-    // The horizon predates every retained frame: the answer is clamped
-    // to the oldest window we can realize. Degraded, and observable --
-    // the caller sees realized_ratio < 1 and the counter flags it even
-    // when nobody inspects the ratio.
-    older = store.FindNearest(current.time - horizon);
-    if (older.has_value() && metrics != nullptr) {
-      metrics->GetCounter("snapshot.horizon_clamped").Increment();
-    }
-  }
-  if (!older.has_value()) return std::nullopt;
-  if (older->time > current.time) return std::nullopt;
-  return ClusterWindow(current, *older, horizon, decay_lambda, options,
-                       metrics);
+  return ClusterOverHorizon(
+      [&store](double target, FramePick pick) {
+        return store.Find(target, pick);
+      },
+      current, horizon, options, metrics, decay_lambda);
 }
 
 }  // namespace umicro::core

@@ -4,6 +4,8 @@
 #ifndef UMICRO_CORE_HORIZON_H_
 #define UMICRO_CORE_HORIZON_H_
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -29,30 +31,35 @@ struct HorizonClustering {
   MacroClustering macro;
 };
 
-/// Subtracts `older` from `current` (decay-corrected by `decay_lambda`,
-/// see SubtractSnapshot) and macro-clusters the residual window. This is
-/// the snapshot-selection-free half of a horizon query, shared by
-/// ClusterOverHorizon and the serve layer's read replica (which selects
-/// the older snapshot from its own published history). Returns
-/// std::nullopt when the window is empty. With a registry attached,
-/// records "snapshot.subtract_micros", "horizon.macro_micros", and the
-/// "horizon.realized_ratio" histogram.
-std::optional<HorizonClustering> ClusterWindow(
-    const Snapshot& current, const Snapshot& older, double horizon,
-    double decay_lambda, const MacroClusteringOptions& options,
-    obs::MetricsRegistry* metrics = nullptr);
+/// True when `horizon` is a window length a query can answer: a finite
+/// positive number (NaN and infinity are not). Every horizon query
+/// requires it; the serve layer rejects other requests up front.
+bool ValidHorizon(double horizon);
 
-/// Answers "cluster the last `horizon` time units into `k` groups":
-/// finds the stored snapshot at or before `current.time - horizon`
-/// (falling back to the nearest stored snapshot only when none exists at
-/// or before that instant -- i.e. the horizon predates retention),
-/// subtracts it from `current` with decay correction, and macro-clusters
-/// the residual window. Returns std::nullopt when the store holds no
-/// usable snapshot or the window is empty. With a registry attached,
-/// records the query count plus subtract and macro-clustering latency
-/// histograms and the realized-horizon fidelity ("horizon.queries",
-/// "snapshot.subtract_micros", "horizon.macro_micros",
-/// "horizon.realized_ratio").
+/// Source of the frame a horizon query subtracts: the first retained
+/// frame in FrameRank{target, pick} order that materializes, or null
+/// (SnapshotStore::Find, or a ranking over a replica's history).
+using FrameFinder = std::function<std::shared_ptr<const Snapshot>(
+    double target, FramePick pick)>;
+
+/// Answers "cluster the last `horizon` time units into `k` groups", the
+/// one horizon query of the engines and the serve layer: takes the frame
+/// at or before `current.time - horizon` (falling back to the nearest
+/// frame only when none exists at or before that instant -- i.e. the
+/// horizon predates retention), subtracts it from `current` with decay
+/// correction (SubtractSnapshot), and macro-clusters the residual
+/// window. Returns std::nullopt when no usable frame answers, the frame
+/// is newer than `current`, or the window is empty. `horizon` must pass
+/// ValidHorizon (checked). With a registry attached, counts a fallback
+/// as a clamped answer and records "snapshot.subtract_micros",
+/// "horizon.macro_micros" and the "horizon.realized_ratio" histogram.
+std::optional<HorizonClustering> ClusterOverHorizon(
+    const FrameFinder& find, const Snapshot& current, double horizon,
+    const MacroClusteringOptions& options, obs::MetricsRegistry* metrics,
+    double decay_lambda);
+
+/// The horizon query over `store`, counting "horizon.queries" in
+/// `metrics` as well.
 std::optional<HorizonClustering> ClusterOverHorizon(
     const SnapshotStore& store, const Snapshot& current, double horizon,
     const MacroClusteringOptions& options,

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <tuple>
 #include <utility>
 
 #include "util/check.h"
@@ -201,14 +202,25 @@ SnapshotStore::SnapshotStore(std::size_t alpha, std::size_t l,
   capacity_per_order_ = static_cast<std::size_t>(capacity) + 1;
 }
 
-std::size_t PyramidOrder(std::uint64_t tick, std::size_t alpha) {
+std::size_t SnapshotStore::OrderOf(std::uint64_t tick) const {
   UMICRO_CHECK(tick >= 1);
   std::size_t order = 0;
-  while (tick % alpha == 0) {
-    tick /= alpha;
+  while (tick % alpha_ == 0) {
+    tick /= alpha_;
     ++order;
   }
   return order;
+}
+
+bool FrameRank::operator()(const FrameKey& a, const FrameKey& b) const {
+  if (pick == FramePick::kNearest) {
+    const double da = std::abs(a.time - target);
+    const double db = std::abs(b.time - target);
+    if (da != db) return da < db;
+  }
+  // The later time first; equal-time frames (coarse input timestamps)
+  // resolve to the newest tick.
+  return a.time != b.time ? a.time > b.time : a.tick > b.tick;
 }
 
 void SnapshotStore::EncodeDelta(EncodedFrame& frame, const Snapshot& parent) {
@@ -238,8 +250,8 @@ void SnapshotStore::EncodeDelta(EncodedFrame& frame, const Snapshot& parent) {
   frame.encoding = FrameEncoding::kDelta;
 }
 
-void SnapshotStore::Insert(std::uint64_t tick,
-                           std::shared_ptr<const Snapshot> snapshot) {
+std::optional<std::uint64_t> SnapshotStore::Insert(
+    std::uint64_t tick, std::shared_ptr<const Snapshot> snapshot) {
   UMICRO_CHECK(snapshot != nullptr);
   UMICRO_CHECK_MSG(tick > last_tick_, "ticks must be strictly increasing");
   last_tick_ = tick;
@@ -262,8 +274,13 @@ void SnapshotStore::Insert(std::uint64_t tick,
   frame.dims = snapshot->dims();
   frame.full = std::move(snapshot);
   ring.push_back(std::move(frame));
-  if (ring.size() > capacity_per_order_) EvictFront(ring);
+  std::optional<std::uint64_t> evicted;
+  if (ring.size() > capacity_per_order_) {
+    evicted = ring.front().tick;
+    EvictFront(ring);
+  }
   EnforceBudget();
+  return evicted;
 }
 
 void SnapshotStore::EvictFront(std::deque<EncodedFrame>& ring) {
@@ -328,82 +345,66 @@ std::optional<Snapshot> SnapshotStore::MaterializeFrame(
   return MaterializeIndex(orders_[order], index);
 }
 
-std::optional<Snapshot> SnapshotStore::FindAtOrBefore(double time) const {
+std::shared_ptr<const Snapshot> SnapshotStore::SharedFrame(
+    const std::deque<EncodedFrame>& ring, std::size_t index) const {
+  if (ring[index].encoding == FrameEncoding::kFull) return ring[index].full;
+  std::optional<Snapshot> snapshot = MaterializeIndex(ring, index);
+  if (!snapshot.has_value()) return nullptr;
+  return std::make_shared<const Snapshot>(std::move(*snapshot));
+}
+
+std::shared_ptr<const Snapshot> SnapshotStore::Find(double target,
+                                                    FramePick pick) const {
   struct Candidate {
-    double time;
-    std::uint64_t tick;
+    FrameKey key;
     std::size_t order;
     std::size_t index;
   };
+  const FrameRank rank{target, pick};
   std::vector<Candidate> candidates;
   for (std::size_t order = 0; order < orders_.size(); ++order) {
-    const auto& ring = orders_[order];
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      if (ring[i].time <= time) {
-        candidates.push_back({ring[i].time, ring[i].tick, order, i});
-      }
+    for (std::size_t i = 0; i < orders_[order].size(); ++i) {
+      const FrameKey key{orders_[order][i].time, orders_[order][i].tick};
+      if (rank.Admits(key)) candidates.push_back({key, order, i});
     }
   }
-  // Newest first, by (time, tick): equal-time frames (coarse input
-  // timestamps) resolve to the newest tick, as the read replica does.
   std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.time != b.time) return a.time > b.time;
-              return a.tick > b.tick;
+            [&rank](const Candidate& a, const Candidate& b) {
+              return rank(a.key, b.key);
             });
   // Skip-and-degrade: a frame whose spill file is gone is not an error,
   // the next-best retained frame answers instead.
   for (const Candidate& c : candidates) {
-    std::optional<Snapshot> snapshot = MaterializeIndex(orders_[c.order], c.index);
-    if (snapshot.has_value()) return snapshot;
+    auto frame = SharedFrame(orders_[c.order], c.index);
+    if (frame != nullptr) return frame;
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+std::optional<Snapshot> SnapshotStore::FindAtOrBefore(double time) const {
+  auto frame = Find(time, FramePick::kAtOrBefore);
+  if (frame == nullptr) return std::nullopt;
+  return *frame;
 }
 
 std::optional<Snapshot> SnapshotStore::FindNearest(double time) const {
-  struct Candidate {
-    double diff;
-    double time;
-    std::uint64_t tick;
-    std::size_t order;
-    std::size_t index;
-  };
-  std::vector<Candidate> candidates;
-  for (std::size_t order = 0; order < orders_.size(); ++order) {
-    const auto& ring = orders_[order];
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      candidates.push_back({std::abs(ring[i].time - time), ring[i].time,
-                            ring[i].tick, order, i});
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.diff != b.diff) return a.diff < b.diff;
-              if (a.time != b.time) return a.time > b.time;
-              return a.tick > b.tick;
-            });
-  for (const Candidate& c : candidates) {
-    std::optional<Snapshot> snapshot = MaterializeIndex(orders_[c.order], c.index);
-    if (snapshot.has_value()) return snapshot;
-  }
-  return std::nullopt;
+  auto frame = Find(time, FramePick::kNearest);
+  if (frame == nullptr) return std::nullopt;
+  return *frame;
 }
 
 void SnapshotStore::PrimeSink(SnapshotSink& sink) const {
+  // Rings interleave in time; a sink inserts ticks in increasing order.
+  std::vector<std::tuple<std::uint64_t, std::size_t, std::size_t>> by_tick;
   for (std::size_t order = 0; order < orders_.size(); ++order) {
-    const auto& ring = orders_[order];
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      const EncodedFrame& frame = ring[i];
-      std::shared_ptr<const Snapshot> shared;
-      if (frame.encoding == FrameEncoding::kFull) {
-        shared = frame.full;
-      } else {
-        std::optional<Snapshot> snapshot = MaterializeIndex(ring, i);
-        if (!snapshot.has_value()) continue;
-        shared = std::make_shared<const Snapshot>(std::move(*snapshot));
-      }
-      sink.PublishSnapshot(frame.tick, order, std::move(shared));
+    for (std::size_t i = 0; i < orders_[order].size(); ++i) {
+      by_tick.emplace_back(orders_[order][i].tick, order, i);
     }
+  }
+  std::sort(by_tick.begin(), by_tick.end());
+  for (const auto& [tick, order, index] : by_tick) {
+    auto frame = SharedFrame(orders_[order], index);
+    if (frame != nullptr) sink.PublishSnapshot(tick, std::move(frame));
   }
 }
 

@@ -180,10 +180,40 @@ struct SnapshotPolicy {
   SnapshotTiering tiering;
 };
 
-/// Pyramidal classification of snapshot clock `tick` (>= 1): the
-/// largest order i with alpha^i dividing tick. A frame of order i
-/// enters retention ring i.
-std::size_t PyramidOrder(std::uint64_t tick, std::size_t alpha);
+/// Selection key of one retained frame: its stream time and its clock
+/// tick (ticks are unique; they order frames of equal time).
+struct FrameKey {
+  double time = 0.0;
+  std::uint64_t tick = 0;
+};
+
+/// Which retained frames a horizon query may subtract for a target time
+/// t_c - h (Eq. 7), and in what order it tries them.
+enum class FramePick : std::uint8_t {
+  /// Frames at or before the target, newest (time, tick) first.
+  kAtOrBefore,
+  /// Every frame by nearness: smallest |time - target|, then the later
+  /// time, then the newer tick.
+  kNearest,
+};
+
+/// The one frame-selection rule of a horizon query for target time
+/// `target`: which frames `pick` admits, and in what order they are
+/// tried. The store's finders and the query broker's pick over a read
+/// replica's history both rank with it.
+struct FrameRank {
+  double target = 0.0;
+  FramePick pick = FramePick::kAtOrBefore;
+
+  /// Whether `pick` admits `frame`.
+  bool Admits(const FrameKey& frame) const {
+    return pick == FramePick::kNearest || frame.time <= target;
+  }
+
+  /// Whether `a` is tried before `b` (a strict total order over frames
+  /// with distinct ticks).
+  bool operator()(const FrameKey& a, const FrameKey& b) const;
+};
 
 /// On-disk / in-memory representation of one retained frame.
 enum class FrameEncoding : std::uint8_t {
@@ -273,11 +303,12 @@ class SnapshotSink {
  public:
   virtual ~SnapshotSink() = default;
 
-  /// A pyramidal-cadence snapshot taken at clock `tick` was just stored
-  /// at ring `order` (SnapshotStore::OrderOf(tick)). Entering the same
-  /// order with the same retention reproduces the store's ring contents
-  /// exactly; the tick breaks ties between frames of equal time.
-  virtual void PublishSnapshot(std::uint64_t tick, std::size_t order,
+  /// A pyramidal-cadence snapshot taken at clock `tick` was just stored.
+  /// Ticks arrive in increasing order, so inserting them into a
+  /// SnapshotStore of the same alpha and l reproduces the engine store's
+  /// retention exactly; the tick breaks ties between frames of equal
+  /// time.
+  virtual void PublishSnapshot(std::uint64_t tick,
                                std::shared_ptr<const Snapshot> snapshot) = 0;
 
   /// A fresh off-cadence view of the live state (attach / flush /
@@ -300,36 +331,38 @@ class SnapshotStore {
   /// Ticks must be inserted in increasing order. In delta/tiered modes
   /// the ring's previous head is re-encoded against the new frame (its
   /// changed records are copied; the frame itself is never mutated, so
-  /// it may be shared with a sink).
-  void Insert(std::uint64_t tick, std::shared_ptr<const Snapshot> snapshot);
-  void Insert(std::uint64_t tick, Snapshot snapshot) {
-    Insert(tick, std::make_shared<const Snapshot>(std::move(snapshot)));
+  /// it may be shared with a sink). Returns the tick of the frame the
+  /// insert evicted from its ring, if any.
+  std::optional<std::uint64_t> Insert(std::uint64_t tick,
+                                      std::shared_ptr<const Snapshot> snapshot);
+  std::optional<std::uint64_t> Insert(std::uint64_t tick, Snapshot snapshot) {
+    return Insert(tick, std::make_shared<const Snapshot>(std::move(snapshot)));
   }
 
-  /// PyramidOrder(tick) under this store's alpha.
-  std::size_t OrderOf(std::uint64_t tick) const {
-    return PyramidOrder(tick, alpha_);
-  }
+  /// Pyramidal classification of `tick` (>= 1): the largest order i with
+  /// alpha^i dividing tick. A frame of order i enters retention ring i.
+  std::size_t OrderOf(std::uint64_t tick) const;
 
-  /// Snapshot whose time is closest to `time` from below (<= time);
-  /// among frames of equal time the newest tick wins. Frames whose spill
-  /// file is missing/corrupt are skipped (the next best candidate
-  /// answers instead) and counted as spill_failures.
+  /// The first retained frame in FrameRank{target, pick} order that
+  /// materializes: a kFull frame is the store's own shared frame, other
+  /// encodings are materialized into a new one. Frames whose spill file
+  /// is missing/corrupt are skipped (the next candidate answers instead)
+  /// and counted as spill_failures. Null when no frame answers.
+  std::shared_ptr<const Snapshot> Find(double target, FramePick pick) const;
+
+  /// A copy of Find(time, FramePick::kAtOrBefore).
   std::optional<Snapshot> FindAtOrBefore(double time) const;
 
-  /// Snapshot whose time is nearest to `time` in absolute difference
-  /// (ties: the later time, then the newest tick), with the same
-  /// skip-and-degrade behaviour on spill failures.
+  /// A copy of Find(time, FramePick::kNearest).
   std::optional<Snapshot> FindNearest(double time) const;
 
   /// Total number of snapshots currently retained (storage-cost metric).
   std::size_t TotalStored() const;
 
   /// Primes `sink` with every retained frame as PublishSnapshot(tick,
-  /// order, frame), oldest first within each order ring (attach after
-  /// recovery). A kFull frame is handed over as the store's own shared
-  /// frame; other encodings are materialized into a new frame. Frames
-  /// that fail to materialize (lost spill files) are skipped.
+  /// frame), in increasing tick order (attach after recovery). Frames are
+  /// handed over as Find hands them out; frames that fail to materialize
+  /// (lost spill files) are skipped.
   void PrimeSink(SnapshotSink& sink) const;
 
   /// Number of order levels currently in use.
@@ -398,6 +431,11 @@ class SnapshotStore {
   /// rightwards (towards newer frames).
   std::optional<Snapshot> MaterializeIndex(const std::deque<EncodedFrame>& ring,
                                            std::size_t index) const;
+
+  /// Frame `index` of `ring` as a shared frame: a kFull frame is shared,
+  /// any other is materialized. Null when materialization fails.
+  std::shared_ptr<const Snapshot> SharedFrame(
+      const std::deque<EncodedFrame>& ring, std::size_t index) const;
 
   /// Demotes the globally oldest warm/hot (non-head) frame to the cold
   /// tier; returns false when no frame is eligible.

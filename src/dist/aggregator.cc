@@ -401,9 +401,7 @@ void Aggregator::RebuildMergedViewLocked() {
                      cluster.ecf.cf2().data(), cluster.ecf.ef2().data());
   }
   const std::uint64_t tick = ++rebuilds_;
-  replica_.PublishSnapshot(
-      tick, core::PyramidOrder(tick, options_.snapshot.pyramid_alpha),
-      std::move(snapshot));
+  replica_.PublishSnapshot(tick, std::move(snapshot));
 }
 
 std::uint64_t Aggregator::total_points() const {

@@ -166,31 +166,20 @@ QueryResponse QueryBroker::ExecuteClusterRecent(
     const ReplicaState& state) const {
   QueryResponse response;
   response.publish_seq = state.publish_seq;
-  if (request.horizon <= 0.0) {
+  if (!core::ValidHorizon(request.horizon)) {
     response.error = "horizon must be positive";
     return response;
   }
   response.ok = true;
   if (state.current == nullptr) return response;  // nothing published yet
-  // Mirror ClusterOverHorizon's selection over the replica history:
-  // at-or-before preferred, nearest as the predates-retention fallback.
-  const core::Snapshot* older = SnapshotReadReplica::FindAtOrBefore(
-      state, state.current->time - request.horizon);
-  if (older == nullptr) {
-    older = SnapshotReadReplica::FindNearest(
-        state, state.current->time - request.horizon);
-    // Horizon predates the replica's retention: flag the clamped answer
-    // (mirrors the engine-side snapshot.horizon_clamped counter).
-    if (older != nullptr && metrics_ != nullptr) {
-      metrics_->GetCounter("snapshot.horizon_clamped").Increment();
-    }
-  }
-  if (older == nullptr || older->time > state.current->time) return response;
+  const auto find = [&state](double target, core::FramePick pick) {
+    return state.Find(target, pick);
+  };
   core::MacroClusteringOptions macro = options_.macro;
   if (request.k > 0) macro.k = request.k;
   response.clustering =
-      core::ClusterWindow(*state.current, *older, request.horizon,
-                          replica.decay_lambda(), macro, metrics_);
+      core::ClusterOverHorizon(find, *state.current, request.horizon, macro,
+                               metrics_, replica.decay_lambda());
   return response;
 }
 

@@ -81,7 +81,7 @@ struct QueryRequest {
   /// Tenant the query targets; 0 is the implicit single-tenant default
   /// (the old single-replica constructor serves only tenant 0).
   std::uint64_t tenant = 0;
-  /// kClusterRecent: horizon h in stream time units (> 0).
+  /// kClusterRecent: horizon h in stream time units (finite, > 0).
   double horizon = 0.0;
   /// kClusterRecent: macro-cluster count; 0 = broker default.
   std::size_t k = 0;
@@ -108,7 +108,8 @@ struct ServeStats {
 };
 
 /// One answer. `ok` is false only for malformed requests (wrong arity,
-/// nonpositive horizon); an empty replica yields ok with empty payloads.
+/// a horizon that is not a finite positive number); an empty replica
+/// yields ok with empty payloads.
 struct QueryResponse {
   bool ok = false;
   std::string error;

@@ -12,19 +12,18 @@
 // held across a query or across snapshot construction; the only point
 // where ingest and readers can touch is the one-pointer swap/copy.
 //
-// The replica mirrors the engine store's pyramidal retention exactly
-// (same per-order rings, same capacity) and orders frames by (time,
-// tick) as the store does, so the snapshot a replica query selects is
-// the same one an in-process ClusterRecent would select, even among
-// frames of equal time -- the quiesced-equality guarantee the serve
-// tests assert.
+// Retention is a full-frame core::SnapshotStore of the engine's alpha
+// and l, fed the same ticks, so the replica retains exactly the engine
+// store's frames; a query ranks them with core::FrameRank, the rule the
+// engine's own ClusterRecent uses, so both pick the same frame even
+// among frames of equal time -- the quiesced-equality guarantee the
+// serve tests assert.
 
 #ifndef UMICRO_SERVE_REPLICA_H_
 #define UMICRO_SERVE_REPLICA_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -38,6 +37,9 @@ namespace umicro::serve {
 struct ReplicaFrame {
   std::uint64_t tick = 0;
   std::shared_ptr<const core::Snapshot> snapshot;
+
+  /// The frame's selection key (core::FrameRank).
+  core::FrameKey key() const { return {snapshot->time, tick}; }
 };
 
 /// One published, immutable view of the engine's snapshot state.
@@ -47,23 +49,28 @@ struct ReplicaState {
   /// The freshest view of the live micro-cluster set; null before any
   /// data has been published.
   std::shared_ptr<const core::Snapshot> current;
-  /// Pyramid-retained snapshot history, ascending by (time, tick).
+  /// Pyramid-retained snapshot history, ascending by tick.
   /// Snapshots are shared with earlier/later states and with the engine
   /// store; only the vector is per-state.
   std::vector<ReplicaFrame> history;
+
+  /// The history frame core::FrameRank{target, pick} tries first; null
+  /// when `pick` admits none (the query broker's frame finder).
+  std::shared_ptr<const core::Snapshot> Find(double target,
+                                             core::FramePick pick) const;
 };
 
 /// Copy-on-publish snapshot replica behind a guarded shared_ptr swap.
 class SnapshotReadReplica : public core::SnapshotSink {
  public:
-  /// `policy` must match the engine's snapshot policy (alpha / l drive
-  /// the mirrored retention); `decay_lambda` is the engine's decay rate,
-  /// threaded into horizon subtraction by the query broker.
+  /// `policy` must match the engine's snapshot policy (its alpha and l
+  /// configure the retention store); `decay_lambda` is the engine's
+  /// decay rate, threaded into horizon subtraction by the query broker.
   SnapshotReadReplica(const core::SnapshotPolicy& policy,
                       double decay_lambda);
 
   // core::SnapshotSink (engine thread only).
-  void PublishSnapshot(std::uint64_t tick, std::size_t order,
+  void PublishSnapshot(std::uint64_t tick,
                        std::shared_ptr<const core::Snapshot> snapshot) override;
   void PublishCurrent(std::shared_ptr<const core::Snapshot> snapshot) override;
 
@@ -78,28 +85,17 @@ class SnapshotReadReplica : public core::SnapshotSink {
   /// Publications so far.
   std::uint64_t publish_seq() const { return publish_seq_; }
 
-  /// Latest history snapshot at or before `time` (the newest tick among
-  /// equal times); nullptr if none.
-  static const core::Snapshot* FindAtOrBefore(const ReplicaState& state,
-                                              double time);
-
-  /// History snapshot nearest to `time` (ties: the later time, then the
-  /// newest tick); nullptr on empty history.
-  static const core::Snapshot* FindNearest(const ReplicaState& state,
-                                           double time);
-
  private:
   /// Builds and atomically installs a new ReplicaState from the
   /// writer-side history + current pointer.
   void InstallState();
 
-  const std::size_t capacity_per_order_;
   const double decay_lambda_;
-  /// Writer-side retention rings (engine thread only), mirroring
-  /// SnapshotStore: orders_[i] holds order-i snapshots, oldest first.
-  std::vector<std::deque<ReplicaFrame>> orders_;
-  /// Every frame of orders_, ascending by (time, tick): kept sorted as
-  /// frames enter and leave, and copied into each published state.
+  /// Writer-side retention (engine thread only): decides which frames
+  /// the history keeps.
+  core::SnapshotStore store_;
+  /// Every frame store_ retains, ascending by tick, copied into each
+  /// published state.
   std::vector<ReplicaFrame> history_;
   std::shared_ptr<const core::Snapshot> current_;
   std::uint64_t publish_seq_ = 0;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -211,14 +213,17 @@ bool ParseRequest(const std::vector<std::string>& tokens,
       ++arg;
     }
     if (!ParseDouble(tokens[arg], &request->horizon) ||
-        request->horizon <= 0.0) {
+        !core::ValidHorizon(request->horizon)) {
       *error = "horizon must be a positive number";
       return false;
     }
     ++arg;
     if (arg < tokens.size()) {
       double k = 0.0;
-      if (!ParseDouble(tokens[arg], &k) || k < 1.0) {
+      // Negated so NaN fails too; within size_t range the cast is defined.
+      constexpr double kBound =
+          static_cast<double>(std::numeric_limits<std::size_t>::max());
+      if (!ParseDouble(tokens[arg], &k) || !(k >= 1.0 && k < kBound)) {
         *error = "k must be a positive integer";
         return false;
       }
@@ -236,7 +241,7 @@ bool ParseRequest(const std::vector<std::string>& tokens,
     request->values.reserve(tokens.size() - 1);
     for (std::size_t i = 1; i < tokens.size(); ++i) {
       double value = 0.0;
-      if (!ParseDouble(tokens[i], &value)) {
+      if (!ParseDouble(tokens[i], &value) || !std::isfinite(value)) {
         *error = "malformed coordinate: " + SanitizeToken(tokens[i]);
         return false;
       }

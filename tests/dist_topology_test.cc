@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/snapshot.h"
 #include "dist/aggregator.h"
 #include "dist/leaf.h"
 #include "dist/protocol.h"
@@ -214,6 +215,47 @@ TEST(DistTopologyTest, HorizonQueriesReachBackAcrossAppliedDeltas) {
   EXPECT_NE(out.str().find(" centroids=3\n"), std::string::npos)
       << out.str();
   EXPECT_NE(out.str().find(" centroids=5\n"), std::string::npos)
+      << out.str();
+  aggregator.Stop();
+}
+
+/// The aggregator's history keeps what the pyramid keeps: with alpha = 2
+/// and l = 1 every order holds 3 frames, so 20-odd applied deltas evict,
+/// and STATS reports exactly the frames a SnapshotStore(2, 1) fed the
+/// same ticks (one per merged-view rebuild) retains.
+TEST(DistTopologyTest, AggregatorRetentionFollowsThePyramid) {
+  const stream::Dataset dataset =
+      synth::MakeSynDriftWorkload(2400, 0.5, 13);
+  AggregatorOptions options = MatchingAggregatorOptions(dataset.dimensions());
+  options.snapshot.pyramid_alpha = 2;
+  options.snapshot.pyramid_l = 1;
+  obs::MetricsRegistry metrics;
+  Aggregator aggregator(options, &metrics);
+  ASSERT_TRUE(aggregator.Start());
+  std::thread leaf0([&] {
+    RunLeaf(dataset, 0, 2, aggregator.port(), 100);
+  });
+  std::thread leaf1([&] {
+    RunLeaf(dataset, 1, 2, aggregator.port(), 100);
+  });
+  leaf0.join();
+  leaf1.join();
+  ASSERT_TRUE(aggregator.WaitForPoints(dataset.points().size(), 10000));
+  EXPECT_GE(aggregator.deltas_applied(), 20u);
+
+  const std::uint64_t ticks = metrics.GetCounter("dist.agg.merges").value();
+  core::SnapshotStore store(2, 1);
+  for (std::uint64_t tick = 1; tick <= ticks; ++tick) {
+    store.Insert(tick, core::Snapshot(static_cast<double>(tick), 0));
+  }
+  ASSERT_LT(store.TotalStored(), ticks);  // retention evicted
+
+  std::istringstream in("STATS\nQUIT\n");
+  std::ostringstream out;
+  serve::ServeLineProtocol(aggregator.broker(), in, out);
+  EXPECT_NE(out.str().find(" snapshots=" +
+                           std::to_string(store.TotalStored()) + " "),
+            std::string::npos)
       << out.str();
   aggregator.Stop();
 }

@@ -94,7 +94,7 @@ TEST(ServeQuiescedEqualityTest, BrokerMatchesEngineBitForBit) {
           << "decay " << decay << " horizon " << horizon;
       if (!engine_answer.has_value()) continue;
       // Bit-identical, not approximately equal: the broker runs the
-      // identical selection + ClusterWindow + seeded k-means.
+      // same ClusterOverHorizon (selection, subtraction, seeded k-means).
       EXPECT_EQ(served.clustering->realized_horizon,
                 engine_answer->realized_horizon);
       EXPECT_EQ(served.clustering->realized_ratio,
@@ -225,7 +225,7 @@ TEST(ReplicaTest, AcquiredStateIsImmutableAcrossPublishes) {
   const std::vector<core::MicroClusterState> states = {{1, 0.0, ecf}};
   auto first = std::make_shared<core::Snapshot>(
       core::Snapshot::FromStates(10.0, states));
-  replica.PublishSnapshot(1, 1, first);
+  replica.PublishSnapshot(1, first);
   replica.PublishCurrent(first);
 
   const auto held = replica.Acquire();
@@ -236,8 +236,7 @@ TEST(ReplicaTest, AcquiredStateIsImmutableAcrossPublishes) {
   for (int i = 2; i <= 40; ++i) {
     auto next = std::make_shared<core::Snapshot>(
         core::Snapshot::FromStates(10.0 * i, states));
-    replica.PublishSnapshot(static_cast<std::uint64_t>(i),
-                            static_cast<std::size_t>(i % 3), next);
+    replica.PublishSnapshot(static_cast<std::uint64_t>(i), next);
     replica.PublishCurrent(next);
   }
 
@@ -247,34 +246,43 @@ TEST(ReplicaTest, AcquiredStateIsImmutableAcrossPublishes) {
   EXPECT_GT(replica.Acquire()->publish_seq, held_seq);
 }
 
-/// Replica retention mirrors the engine store: same per-order capacity,
-/// so the at-or-before pick equals the store's for any time.
+/// Replica retention equals the engine store's: the replica's history
+/// holds the frames a store of the same alpha and l retains, so the
+/// at-or-before pick equals the store's for any time, under every
+/// pyramid geometry.
 TEST(ReplicaTest, RetentionMirrorsSnapshotStore) {
-  core::SnapshotPolicy policy;
-  policy.snapshot_every = 1;
-  core::SnapshotStore store(policy.pyramid_alpha, policy.pyramid_l);
-  SnapshotReadReplica replica(policy, 0.0);
+  for (const auto& [alpha, l] : {std::pair<std::size_t, std::size_t>{2, 3},
+                                 {3, 2},
+                                 {2, 1}}) {
+    SCOPED_TRACE("alpha " + std::to_string(alpha) + " l " + std::to_string(l));
+    core::SnapshotPolicy policy;
+    policy.snapshot_every = 1;
+    policy.pyramid_alpha = alpha;
+    policy.pyramid_l = l;
+    core::SnapshotStore store(policy.pyramid_alpha, policy.pyramid_l);
+    SnapshotReadReplica replica(policy, 0.0);
 
-  core::ErrorClusterFeature ecf(1);
-  ecf.AddPoint(UncertainPoint(std::vector<double>{0.5},
-                              std::vector<double>{0.1}, 1.0));
-  const std::vector<core::MicroClusterState> states = {{1, 0.0, ecf}};
-  for (std::uint64_t tick = 1; tick <= 500; ++tick) {
-    auto snapshot = std::make_shared<core::Snapshot>(
-        core::Snapshot::FromStates(static_cast<double>(tick), states));
-    replica.PublishSnapshot(tick, store.OrderOf(tick), snapshot);
-    store.Insert(tick, std::move(snapshot));
-  }
+    core::ErrorClusterFeature ecf(1);
+    ecf.AddPoint(UncertainPoint(std::vector<double>{0.5},
+                                std::vector<double>{0.1}, 1.0));
+    const std::vector<core::MicroClusterState> states = {{1, 0.0, ecf}};
+    for (std::uint64_t tick = 1; tick <= 500; ++tick) {
+      auto snapshot = std::make_shared<core::Snapshot>(
+          core::Snapshot::FromStates(static_cast<double>(tick), states));
+      replica.PublishSnapshot(tick, snapshot);
+      store.Insert(tick, std::move(snapshot));
+    }
 
-  const auto state = replica.Acquire();
-  EXPECT_EQ(state->history.size(), store.TotalStored());
-  for (const double t : {3.0, 77.5, 200.0, 444.0, 499.0}) {
-    const auto from_store = store.FindAtOrBefore(t);
-    const core::Snapshot* from_replica =
-        SnapshotReadReplica::FindAtOrBefore(*state, t);
-    ASSERT_EQ(from_store.has_value(), from_replica != nullptr) << t;
-    if (from_store.has_value()) {
-      EXPECT_EQ(from_store->time, from_replica->time) << t;
+    const auto state = replica.Acquire();
+    EXPECT_EQ(state->history.size(), store.TotalStored());
+    for (const double t : {3.0, 77.5, 200.0, 444.0, 499.0}) {
+      const auto from_store = store.FindAtOrBefore(t);
+      const core::Snapshot* from_replica =
+          state->Find(t, core::FramePick::kAtOrBefore).get();
+      ASSERT_EQ(from_store.has_value(), from_replica != nullptr) << t;
+      if (from_store.has_value()) {
+        EXPECT_EQ(from_store->time, from_replica->time) << t;
+      }
     }
   }
 }
@@ -446,8 +454,10 @@ TEST(ServeQuiescedEqualityTest, TiedSnapshotTimesPickTheSameTick) {
     }
     tied_picks += same_time > 1;
     const core::Snapshot* from_replica =
-        at_or_before ? SnapshotReadReplica::FindAtOrBefore(*state, target)
-                     : SnapshotReadReplica::FindNearest(*state, target);
+        state
+            ->Find(target, at_or_before ? core::FramePick::kAtOrBefore
+                                        : core::FramePick::kNearest)
+            .get();
     ASSERT_NE(from_replica, nullptr);
     const auto expected_entry = std::find_if(
         state->history.begin(), state->history.end(),

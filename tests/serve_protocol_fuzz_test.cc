@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -74,9 +75,16 @@ void ExpectWellFormed(const std::string& output) {
   }
 }
 
+/// Non-finite numbers parse as doubles but are no horizon, k or
+/// coordinate, so they get ERR lines too. The replica holds retained
+/// history, so a NaN horizon that got through would reach frame
+/// selection and horizon subtraction.
 TEST_F(ServeProtocolFuzzTest, TruncatedCommandsGetErrorLines) {
-  const std::string output =
-      Serve("CLUSTER\nNEAREST\nCLUSTER abc\nCLUSTER 100 0\nANOMALY\nQUIT\n");
+  ASSERT_FALSE(replica_->Acquire()->history.empty());
+  const std::string output = Serve(
+      "CLUSTER\nNEAREST\nCLUSTER abc\nCLUSTER 100 0\nANOMALY\n"
+      "CLUSTER nan 3\nCLUSTER inf 3\nCLUSTER 100 nan\nCLUSTER 100 1e300\n"
+      "NEAREST nan 0\nANOMALY 0 inf\nSTATS\nQUIT\n");
   ExpectWellFormed(output);
   std::istringstream lines(output);
   std::string line;
@@ -84,8 +92,24 @@ TEST_F(ServeProtocolFuzzTest, TruncatedCommandsGetErrorLines) {
   while (std::getline(lines, line)) {
     if (line.rfind("ERR ", 0) == 0) ++errors;
   }
-  EXPECT_EQ(errors, 5u);
+  EXPECT_EQ(errors, 11u) << output;
+  EXPECT_NE(output.find("OK STATS"), std::string::npos);
   EXPECT_NE(output.find("OK BYE"), std::string::npos);
+}
+
+/// QueryBroker::Execute callers bypass the parser; the broker itself
+/// refuses a horizon that is not a finite positive number.
+TEST_F(ServeProtocolFuzzTest, ExecuteRejectsNonFiniteHorizons) {
+  for (const double horizon : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    QueryRequest request;
+    request.kind = QueryRequest::Kind::kClusterRecent;
+    request.horizon = horizon;
+    const QueryResponse response = broker_->Execute(request);
+    EXPECT_FALSE(response.ok) << horizon;
+    EXPECT_EQ(response.error, "horizon must be positive");
+    EXPECT_FALSE(response.clustering.has_value());
+  }
 }
 
 TEST_F(ServeProtocolFuzzTest, NulAndControlBytesAreSanitized) {

@@ -3,7 +3,7 @@
 // The sequential UMicroEngine and the sharded ParallelUMicroEngine run
 // the same core::SnapshotTimeline; only the frame producer differs. Over
 // one stream and one SnapshotPolicy, a 1-shard sharded engine must
-// therefore publish exactly the sequential engine's (tick, order, time)
+// therefore publish exactly the sequential engine's (tick, time)
 // sequence to a snapshot sink -- attach-time priming, cadence snapshots
 // and Flush's current view alike -- and end on the same stream clock.
 
@@ -28,29 +28,28 @@ namespace {
 
 using stream::UncertainPoint;
 
-/// One sink publication; `current` marks PublishCurrent (tick and order
-/// are then 0).
+/// One sink publication; `current` marks PublishCurrent (tick is then
+/// 0).
 struct Publication {
   bool current = false;
   std::uint64_t tick = 0;
-  std::size_t order = 0;
   double time = 0.0;
   bool operator==(const Publication&) const = default;
 };
 
 std::ostream& operator<<(std::ostream& out, const Publication& p) {
   return out << (p.current ? "current" : "snapshot") << "(tick=" << p.tick
-             << ", order=" << p.order << ", time=" << p.time << ")";
+             << ", time=" << p.time << ")";
 }
 
 class RecordingSink : public core::SnapshotSink {
  public:
-  void PublishSnapshot(std::uint64_t tick, std::size_t order,
+  void PublishSnapshot(std::uint64_t tick,
                        std::shared_ptr<const core::Snapshot> frame) override {
-    log.push_back({false, tick, order, frame->time});
+    log.push_back({false, tick, frame->time});
   }
   void PublishCurrent(std::shared_ptr<const core::Snapshot> frame) override {
-    log.push_back({true, 0, 0, frame->time});
+    log.push_back({true, 0, frame->time});
   }
 
   std::vector<Publication> log;

@@ -1295,7 +1295,7 @@ int main(int argc, char** argv) {
 
   // ---- Query-serving replica ------------------------------------------
   // Attached before any point flows, so every cadence snapshot is
-  // mirrored into the read replica as it is taken (docs/serving.md).
+  // published to the read replica as it is taken (docs/serving.md).
   std::unique_ptr<umicro::serve::SnapshotReadReplica> replica;
   if (cli.serve) {
     replica = std::make_unique<umicro::serve::SnapshotReadReplica>(
