@@ -1,4 +1,4 @@
-// Kernel-tier speedup sweep: scalar vs sse2 vs avx2 at the paper's
+// Kernel-tier speedup sweep: scalar vs avx2 at the paper's
 // d=20 / q=100 configuration.
 //
 //   bench_kernel_speedup [--dims=D] [--nmicro=Q] [--trials=K]
@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,11 +110,7 @@ int main(int argc, char** argv) {
   ctx.Prepare(table, x.values.data(), x.errors.data(), inv_scaled.data());
   std::vector<double> out(q);
 
-  std::vector<Backend> tiers;
-  for (int t = 0;
-       t <= static_cast<int>(umicro::kernels::MaxSupportedBackend()); ++t) {
-    tiers.push_back(static_cast<Backend>(t));
-  }
+  const std::span<const Backend> tiers = umicro::kernels::SupportedBackends();
 
   struct KernelRow {
     const char* kernel;
@@ -154,22 +151,23 @@ int main(int argc, char** argv) {
       g_sink = d2;
     };
   });
-  // Update kernels mutate, so each tier gets its own working copy.
-  std::vector<ClusterTable> add_tables(tiers.size(), table);
+  // Update kernels mutate, so each tier's op owns a working copy.
+  auto working_copy = [&table](Backend tier) {
+    ClusterTable copy = table;
+    copy.set_backend(tier);
+    return copy;
+  };
   sweep("fused_add_point", [&](Backend tier) {
-    ClusterTable& mutable_table = add_tables[static_cast<int>(tier)];
-    mutable_table.set_backend(tier);
-    return [&mutable_table, &x, q] {
-      static std::size_t row = 0;
+    return [mutable_table = working_copy(tier), &x, q,
+            row = std::size_t{0}]() mutable {
       mutable_table.AddPoint(row, x.values.data(), x.errors.data(), 1.0);
       row = (row + 1) % q;
     };
   });
-  std::vector<ClusterTable> scale_tables(tiers.size(), table);
   sweep("decay_scale_all", [&](Backend tier) {
-    ClusterTable& mutable_table = scale_tables[static_cast<int>(tier)];
-    mutable_table.set_backend(tier);
-    return [&mutable_table] { mutable_table.ScaleAll(0.999999); };
+    return [mutable_table = working_copy(tier)]() mutable {
+      mutable_table.ScaleAll(0.999999);
+    };
   });
 
   std::printf("kernel-tier speedups at d=%zu, q=%zu (best of %zu trials; "

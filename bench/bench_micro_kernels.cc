@@ -228,14 +228,15 @@ BENCHMARK(BM_SnapshotSubtract);
 
 // ---------------------------------------------------------------------
 // Batch kernels over the SoA cluster table (src/kernels). The benchmark
-// argument selects the tier: 0 = scalar, 1 = sse2, 2 = avx2. Tiers the
-// host CPU cannot run are not registered.
+// argument selects the tier: 0 = scalar, 2 = avx2. Tiers the host CPU
+// cannot run are not registered.
 // ---------------------------------------------------------------------
 
 void SupportedBackendArgs(benchmark::internal::Benchmark* bench) {
-  const int max_tier =
-      static_cast<int>(umicro::kernels::MaxSupportedBackend());
-  for (int tier = 0; tier <= max_tier; ++tier) bench->Arg(tier);
+  for (const umicro::kernels::Backend tier :
+       umicro::kernels::SupportedBackends()) {
+    bench->Arg(static_cast<int>(tier));
+  }
 }
 
 /// A table of q random clusters (50 points each) at the given dims.

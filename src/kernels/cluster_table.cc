@@ -5,20 +5,17 @@
 
 #include "util/check.h"
 
-#if defined(__x86_64__) || defined(_M_X64)
+#if UMICRO_KERNELS_X64
 #include <immintrin.h>
-#define UMICRO_KERNELS_X64 1
-#else
-#define UMICRO_KERNELS_X64 0
 #endif
 
 namespace umicro::kernels {
 
 namespace {
 
-/// Rows are padded to a multiple of 8 doubles (one cache line) so both
-/// the 2-wide and 4-wide tiers run without scalar remainders and the
-/// padding lanes (all zeros) contribute nothing to any kernel.
+/// Rows are padded to a multiple of 8 doubles (one cache line) so the
+/// 4-wide tier runs without scalar remainders and the padding lanes
+/// (all zeros) contribute nothing to any kernel.
 constexpr std::size_t kStrideQuantum = 8;
 
 std::size_t PaddedStride(std::size_t dims) {
@@ -29,10 +26,12 @@ std::size_t PaddedStride(std::size_t dims) {
 // Each tier performs the identical per-element IEEE operation sequence
 // (multiply, then add -- deliberately no FMA), so results are
 // bit-identical across tiers and match ErrorClusterFeature's loops.
+// The scalar loops are the primary templates (see Dispatch in
+// dispatch.h).
 
-void AddPointRowScalar(double* cf1, double* cf2, double* ef2,
-                       const double* x, const double* psi2w,
-                       double weight, std::size_t stride) {
+template <Backend>
+void AddPointRow(double* cf1, double* cf2, double* ef2, const double* x,
+                 const double* psi2w, double weight, std::size_t stride) {
   for (std::size_t j = 0; j < stride; ++j) {
     const double wx = weight * x[j];
     cf1[j] += wx;
@@ -41,8 +40,9 @@ void AddPointRowScalar(double* cf1, double* cf2, double* ef2,
   }
 }
 
-void ScaleRowScalar(double* cf1, double* cf2, double* ef2, double factor,
-                    std::size_t stride) {
+template <Backend>
+void ScaleRow(double* cf1, double* cf2, double* ef2, double factor,
+              std::size_t stride) {
   for (std::size_t j = 0; j < stride; ++j) {
     cf1[j] *= factor;
     cf2[j] *= factor;
@@ -62,33 +62,8 @@ void MergeRowScalar(double* into_cf1, double* into_cf2, double* into_ef2,
 
 #if UMICRO_KERNELS_X64
 
-__attribute__((target("sse2"))) void AddPointRowSse2(
-    double* cf1, double* cf2, double* ef2, const double* x,
-    const double* psi2w, double weight, std::size_t stride) {
-  const __m128d w = _mm_set1_pd(weight);
-  for (std::size_t j = 0; j < stride; j += 2) {
-    const __m128d xv = _mm_loadu_pd(x + j);
-    const __m128d wx = _mm_mul_pd(w, xv);
-    _mm_storeu_pd(cf1 + j, _mm_add_pd(_mm_loadu_pd(cf1 + j), wx));
-    _mm_storeu_pd(cf2 + j,
-                  _mm_add_pd(_mm_loadu_pd(cf2 + j), _mm_mul_pd(wx, xv)));
-    _mm_storeu_pd(ef2 + j,
-                  _mm_add_pd(_mm_loadu_pd(ef2 + j), _mm_loadu_pd(psi2w + j)));
-  }
-}
-
-__attribute__((target("sse2"))) void ScaleRowSse2(double* cf1, double* cf2,
-                                                  double* ef2, double factor,
-                                                  std::size_t stride) {
-  const __m128d f = _mm_set1_pd(factor);
-  for (std::size_t j = 0; j < stride; j += 2) {
-    _mm_storeu_pd(cf1 + j, _mm_mul_pd(_mm_loadu_pd(cf1 + j), f));
-    _mm_storeu_pd(cf2 + j, _mm_mul_pd(_mm_loadu_pd(cf2 + j), f));
-    _mm_storeu_pd(ef2 + j, _mm_mul_pd(_mm_loadu_pd(ef2 + j), f));
-  }
-}
-
-__attribute__((target("avx2"))) void AddPointRowAvx2(
+template <>
+__attribute__((target("avx2"))) void AddPointRow<Backend::kAvx2>(
     double* cf1, double* cf2, double* ef2, const double* x,
     const double* psi2w, double weight, std::size_t stride) {
   const __m256d w = _mm256_set1_pd(weight);
@@ -103,9 +78,10 @@ __attribute__((target("avx2"))) void AddPointRowAvx2(
   }
 }
 
-__attribute__((target("avx2"))) void ScaleRowAvx2(double* cf1, double* cf2,
-                                                  double* ef2, double factor,
-                                                  std::size_t stride) {
+template <>
+__attribute__((target("avx2"))) void ScaleRow<Backend::kAvx2>(
+    double* cf1, double* cf2, double* ef2, double factor,
+    std::size_t stride) {
   const __m256d f = _mm256_set1_pd(factor);
   for (std::size_t j = 0; j < stride; j += 4) {
     _mm256_storeu_pd(cf1 + j, _mm256_mul_pd(_mm256_loadu_pd(cf1 + j), f));
@@ -227,48 +203,24 @@ void ClusterTable::AddPoint(std::size_t i, const double* values,
   double* c1 = &cf1_[i * stride_];
   double* c2 = &cf2_[i * stride_];
   double* e2 = &ef2_[i * stride_];
-  switch (backend_) {
-#if UMICRO_KERNELS_X64
-    case Backend::kAvx2:
-      AddPointRowAvx2(c1, c2, e2, x_stage_.data(), psi2w_stage_.data(),
+  Dispatch(backend_, [&](auto tier) {
+    AddPointRow<tier>(c1, c2, e2, x_stage_.data(), psi2w_stage_.data(),
                       weight, stride_);
-      break;
-    case Backend::kSse2:
-      AddPointRowSse2(c1, c2, e2, x_stage_.data(), psi2w_stage_.data(),
-                      weight, stride_);
-      break;
-#endif
-    default:
-      AddPointRowScalar(c1, c2, e2, x_stage_.data(), psi2w_stage_.data(),
-                        weight, stride_);
-      break;
-  }
+  });
   weight_[i] += weight;
   RefreshDerived(i);
 }
 
 void ClusterTable::ScaleAll(double factor) {
   UMICRO_CHECK(factor > 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double* c1 = &cf1_[i * stride_];
-    double* c2 = &cf2_[i * stride_];
-    double* e2 = &ef2_[i * stride_];
-    switch (backend_) {
-#if UMICRO_KERNELS_X64
-      case Backend::kAvx2:
-        ScaleRowAvx2(c1, c2, e2, factor, stride_);
-        break;
-      case Backend::kSse2:
-        ScaleRowSse2(c1, c2, e2, factor, stride_);
-        break;
-#endif
-      default:
-        ScaleRowScalar(c1, c2, e2, factor, stride_);
-        break;
+  Dispatch(backend_, [&](auto tier) {
+    for (std::size_t i = 0; i < rows_; ++i) {
+      ScaleRow<tier>(&cf1_[i * stride_], &cf2_[i * stride_],
+                     &ef2_[i * stride_], factor, stride_);
+      weight_[i] *= factor;
+      RefreshDerived(i);
     }
-    weight_[i] *= factor;
-    RefreshDerived(i);
-  }
+  });
 }
 
 void ClusterTable::MergeRows(std::size_t into, std::size_t from) {

@@ -1,5 +1,6 @@
 #include "kernels/dispatch.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -7,40 +8,30 @@ namespace umicro::kernels {
 
 namespace {
 
-#if defined(__x86_64__) || defined(_M_X64)
-constexpr bool kIsX64 = true;
-#else
-constexpr bool kIsX64 = false;
-#endif
-
 Backend ProbeHardware() {
-  if (!kIsX64) return Backend::kScalar;
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(_M_X64))
+#if UMICRO_KERNELS_X64 && defined(__GNUC__)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return Backend::kAvx2;
   }
-  return Backend::kSse2;  // SSE2 is the x86-64 baseline.
-#else
-  return Backend::kScalar;
 #endif
+  return Backend::kScalar;
 }
 
 Backend ResolveBackend() {
   const Backend hardware = ProbeHardware();
   const char* override_name = std::getenv("UMICRO_KERNEL");
   if (override_name == nullptr || override_name[0] == '\0') return hardware;
-  Backend requested = hardware;
-  if (std::strcmp(override_name, "scalar") == 0) {
-    requested = Backend::kScalar;
-  } else if (std::strcmp(override_name, "sse2") == 0) {
-    requested = Backend::kSse2;
-  } else if (std::strcmp(override_name, "avx2") == 0) {
-    requested = Backend::kAvx2;
+  if (std::strcmp(override_name, "scalar") == 0) return Backend::kScalar;
+  // "avx2" names the top tier, and the override can only clamp
+  // downward (requesting a tier the CPU cannot execute would trap on
+  // the first vector instruction), so it leaves the hardware tier.
+  if (std::strcmp(override_name, "avx2") != 0) {
+    std::fprintf(stderr,
+                 "UMICRO_KERNEL=%s is not one of scalar|avx2; using %s\n",
+                 override_name, BackendName(hardware));
   }
-  // The override can only clamp downward: requesting a tier the CPU
-  // cannot execute would trap on the first vector instruction.
-  return requested <= hardware ? requested : hardware;
+  return hardware;
 }
 
 }  // namespace
@@ -50,21 +41,15 @@ Backend DetectBackend() {
   return backend;
 }
 
-Backend MaxSupportedBackend() {
-  static const Backend backend = ProbeHardware();
-  return backend;
+std::span<const Backend> SupportedBackends() {
+  static constexpr Backend kTiers[] = {Backend::kScalar, Backend::kAvx2};
+  static const std::size_t count =
+      ProbeHardware() == Backend::kAvx2 ? 2 : 1;
+  return {kTiers, count};
 }
 
 const char* BackendName(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar:
-      return "scalar";
-    case Backend::kSse2:
-      return "sse2";
-    case Backend::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
+  return backend == Backend::kAvx2 ? "avx2" : "scalar";
 }
 
 }  // namespace umicro::kernels

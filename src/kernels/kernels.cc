@@ -5,11 +5,8 @@
 
 #include "util/check.h"
 
-#if defined(__x86_64__) || defined(_M_X64)
+#if UMICRO_KERNELS_X64
 #include <immintrin.h>
-#define UMICRO_KERNELS_X64 1
-#else
-#define UMICRO_KERNELS_X64 0
 #endif
 
 namespace umicro::kernels {
@@ -18,11 +15,13 @@ namespace {
 
 // ---- Row reductions, scalar tier ------------------------------------
 // Exact left-to-right accumulation: the semantics reference, and the
-// same numbers the pre-kernel loops in core::UMicro produced.
+// same numbers the pre-kernel loops in core::UMicro produced. Each is
+// the primary template of its kernel (see Dispatch in dispatch.h).
 
-double VotesRowScalar(const double* x, const double* base,
-                      const double* inv_scaled, const double* centroid,
-                      const double* ef2n2, std::size_t stride) {
+template <Backend>
+double VotesRow(const double* x, const double* base, const double* inv_scaled,
+                const double* centroid, const double* ef2n2,
+                std::size_t stride) {
   double s = 0.0;
   if (ef2n2 != nullptr) {
     for (std::size_t j = 0; j < stride; ++j) {
@@ -39,8 +38,9 @@ double VotesRowScalar(const double* x, const double* base,
   return s;
 }
 
-double BoxDist2RowScalar(const double* x, const double* lo, const double* hi,
-                         std::size_t stride) {
+template <Backend>
+double BoxDist2Row(const double* x, const double* lo, const double* hi,
+                   std::size_t stride) {
   double d2 = 0.0;
   for (std::size_t j = 0; j < stride; ++j) {
     double e = 0.0;
@@ -54,7 +54,8 @@ double BoxDist2RowScalar(const double* x, const double* lo, const double* hi,
   return d2;
 }
 
-double Dist2RowScalar(const double* a, const double* b, std::size_t stride) {
+template <Backend>
+double Dist2Row(const double* a, const double* b, std::size_t stride) {
   double d2 = 0.0;
   for (std::size_t j = 0; j < stride; ++j) {
     const double diff = a[j] - b[j];
@@ -64,70 +65,6 @@ double Dist2RowScalar(const double* a, const double* b, std::size_t stride) {
 }
 
 #if UMICRO_KERNELS_X64
-
-// ---- Row reductions, SSE2 tier (2 doubles/lane) ---------------------
-
-__attribute__((target("sse2"))) double HorizontalSum(__m128d v) {
-  const __m128d hi = _mm_unpackhi_pd(v, v);
-  return _mm_cvtsd_f64(_mm_add_sd(v, hi));
-}
-
-__attribute__((target("sse2"))) double VotesRowSse2(
-    const double* x, const double* base, const double* inv_scaled,
-    const double* centroid, const double* ef2n2, std::size_t stride) {
-  const __m128d zero = _mm_setzero_pd();
-  __m128d acc = zero;
-  if (ef2n2 != nullptr) {
-    for (std::size_t j = 0; j < stride; j += 2) {
-      const __m128d diff =
-          _mm_sub_pd(_mm_loadu_pd(x + j), _mm_loadu_pd(centroid + j));
-      const __m128d dist2 =
-          _mm_add_pd(_mm_mul_pd(diff, diff), _mm_loadu_pd(ef2n2 + j));
-      const __m128d vote =
-          _mm_sub_pd(_mm_loadu_pd(base + j),
-                     _mm_mul_pd(dist2, _mm_loadu_pd(inv_scaled + j)));
-      acc = _mm_add_pd(acc, _mm_max_pd(vote, zero));
-    }
-  } else {
-    for (std::size_t j = 0; j < stride; j += 2) {
-      const __m128d diff =
-          _mm_sub_pd(_mm_loadu_pd(x + j), _mm_loadu_pd(centroid + j));
-      const __m128d vote =
-          _mm_sub_pd(_mm_loadu_pd(base + j),
-                     _mm_mul_pd(_mm_mul_pd(diff, diff),
-                                _mm_loadu_pd(inv_scaled + j)));
-      acc = _mm_add_pd(acc, _mm_max_pd(vote, zero));
-    }
-  }
-  return HorizontalSum(acc);
-}
-
-__attribute__((target("sse2"))) double BoxDist2RowSse2(const double* x,
-                                                       const double* lo,
-                                                       const double* hi,
-                                                       std::size_t stride) {
-  const __m128d zero = _mm_setzero_pd();
-  __m128d acc = zero;
-  for (std::size_t j = 0; j < stride; j += 2) {
-    const __m128d xv = _mm_loadu_pd(x + j);
-    const __m128d below = _mm_sub_pd(_mm_loadu_pd(lo + j), xv);
-    const __m128d above = _mm_sub_pd(xv, _mm_loadu_pd(hi + j));
-    const __m128d e = _mm_max_pd(_mm_max_pd(below, above), zero);
-    acc = _mm_add_pd(acc, _mm_mul_pd(e, e));
-  }
-  return HorizontalSum(acc);
-}
-
-__attribute__((target("sse2"))) double Dist2RowSse2(const double* a,
-                                                    const double* b,
-                                                    std::size_t stride) {
-  __m128d acc = _mm_setzero_pd();
-  for (std::size_t j = 0; j < stride; j += 2) {
-    const __m128d diff = _mm_sub_pd(_mm_loadu_pd(a + j), _mm_loadu_pd(b + j));
-    acc = _mm_add_pd(acc, _mm_mul_pd(diff, diff));
-  }
-  return HorizontalSum(acc);
-}
 
 // ---- Row reductions, AVX2+FMA tier (4 doubles/lane) -----------------
 
@@ -139,7 +76,8 @@ __attribute__((target("avx2,fma"))) double HorizontalSum256(__m256d v) {
   return _mm_cvtsd_f64(_mm_add_sd(sum2, swapped));
 }
 
-__attribute__((target("avx2,fma"))) double VotesRowAvx2(
+template <>
+__attribute__((target("avx2,fma"))) double VotesRow<Backend::kAvx2>(
     const double* x, const double* base, const double* inv_scaled,
     const double* centroid, const double* ef2n2, std::size_t stride) {
   const __m256d zero = _mm256_setzero_pd();
@@ -167,7 +105,8 @@ __attribute__((target("avx2,fma"))) double VotesRowAvx2(
   return HorizontalSum256(acc);
 }
 
-__attribute__((target("avx2,fma"))) double BoxDist2RowAvx2(
+template <>
+__attribute__((target("avx2,fma"))) double BoxDist2Row<Backend::kAvx2>(
     const double* x, const double* lo, const double* hi, std::size_t stride) {
   const __m256d zero = _mm256_setzero_pd();
   __m256d acc = zero;
@@ -181,9 +120,9 @@ __attribute__((target("avx2,fma"))) double BoxDist2RowAvx2(
   return HorizontalSum256(acc);
 }
 
-__attribute__((target("avx2,fma"))) double Dist2RowAvx2(const double* a,
-                                                        const double* b,
-                                                        std::size_t stride) {
+template <>
+__attribute__((target("avx2,fma"))) double Dist2Row<Backend::kAvx2>(
+    const double* a, const double* b, std::size_t stride) {
   __m256d acc = _mm256_setzero_pd();
   for (std::size_t j = 0; j < stride; j += 4) {
     const __m256d diff =
@@ -194,35 +133,6 @@ __attribute__((target("avx2,fma"))) double Dist2RowAvx2(const double* a,
 }
 
 #endif  // UMICRO_KERNELS_X64
-
-double VotesRow(Backend backend, const double* x, const double* base,
-                const double* inv_scaled, const double* centroid,
-                const double* ef2n2, std::size_t stride) {
-  switch (backend) {
-#if UMICRO_KERNELS_X64
-    case Backend::kAvx2:
-      return VotesRowAvx2(x, base, inv_scaled, centroid, ef2n2, stride);
-    case Backend::kSse2:
-      return VotesRowSse2(x, base, inv_scaled, centroid, ef2n2, stride);
-#endif
-    default:
-      return VotesRowScalar(x, base, inv_scaled, centroid, ef2n2, stride);
-  }
-}
-
-double Dist2Row(Backend backend, const double* a, const double* b,
-                std::size_t stride) {
-  switch (backend) {
-#if UMICRO_KERNELS_X64
-    case Backend::kAvx2:
-      return Dist2RowAvx2(a, b, stride);
-    case Backend::kSse2:
-      return Dist2RowSse2(a, b, stride);
-#endif
-    default:
-      return Dist2RowScalar(a, b, stride);
-  }
-}
 
 // Blocks the q x q upper triangle so each pass keeps one tile of
 // centroid rows hot in L1/L2; 16 rows of up-to-64 padded dims are 8 KiB
@@ -308,25 +218,30 @@ void BatchDimensionVotes(const ClusterTable& table, const PointContext& ctx,
                          double* out) {
   UMICRO_DCHECK(ctx.stride == table.stride());
   const std::size_t rows = table.rows();
-  for (std::size_t i = 0; i < rows; ++i) {
-    out[i] = VotesRow(backend, ctx.x.data(), ctx.base.data(),
-                      ctx.inv_scaled.data(), table.centroid_row(i),
-                      include_cluster_error ? table.ef2n2_row(i) : nullptr,
-                      ctx.stride);
-  }
+  Dispatch(backend, [&](auto tier) {
+    for (std::size_t i = 0; i < rows; ++i) {
+      out[i] = VotesRow<tier>(
+          ctx.x.data(), ctx.base.data(), ctx.inv_scaled.data(),
+          table.centroid_row(i),
+          include_cluster_error ? table.ef2n2_row(i) : nullptr, ctx.stride);
+    }
+  });
 }
 
 void BatchSquaredDistances(const ClusterTable& table, const PointContext& ctx,
                            DistanceKind kind, Backend backend, double* out) {
   UMICRO_DCHECK(ctx.stride == table.stride());
   const std::size_t rows = table.rows();
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double geometric =
-        Dist2Row(backend, ctx.x.data(), table.centroid_row(i), ctx.stride);
-    out[i] = kind == DistanceKind::kExpected
-                 ? std::max(0.0, geometric + table.ef2n2_sum(i) + ctx.psi2_sum)
-                 : geometric;
-  }
+  Dispatch(backend, [&](auto tier) {
+    for (std::size_t i = 0; i < rows; ++i) {
+      const double geometric =
+          Dist2Row<tier>(ctx.x.data(), table.centroid_row(i), ctx.stride);
+      out[i] = kind == DistanceKind::kExpected
+                   ? std::max(0.0,
+                              geometric + table.ef2n2_sum(i) + ctx.psi2_sum)
+                   : geometric;
+    }
+  });
 }
 
 void GatherSquaredDistances(const ClusterTable& table, const PointContext& ctx,
@@ -334,34 +249,31 @@ void GatherSquaredDistances(const ClusterTable& table, const PointContext& ctx,
                             const std::uint32_t* rows, std::size_t count,
                             double* out) {
   UMICRO_DCHECK(ctx.stride == table.stride());
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t i = rows[k];
-    UMICRO_DCHECK(i < table.rows());
-    const double geometric =
-        Dist2Row(backend, ctx.x.data(), table.centroid_row(i), ctx.stride);
-    out[k] = kind == DistanceKind::kExpected
-                 ? std::max(0.0, geometric + table.ef2n2_sum(i) + ctx.psi2_sum)
-                 : geometric;
-  }
+  Dispatch(backend, [&](auto tier) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t i = rows[k];
+      UMICRO_DCHECK(i < table.rows());
+      const double geometric =
+          Dist2Row<tier>(ctx.x.data(), table.centroid_row(i), ctx.stride);
+      out[k] = kind == DistanceKind::kExpected
+                   ? std::max(0.0,
+                              geometric + table.ef2n2_sum(i) + ctx.psi2_sum)
+                   : geometric;
+    }
+  });
 }
 
 double RowSquaredDistance(Backend backend, const double* a, const double* b,
                           std::size_t stride) {
-  return Dist2Row(backend, a, b, stride);
+  return Dispatch(backend,
+                  [&](auto tier) { return Dist2Row<tier>(a, b, stride); });
 }
 
 double BoxSquaredDistance(Backend backend, const double* x, const double* lo,
                           const double* hi, std::size_t stride) {
-  switch (backend) {
-#if UMICRO_KERNELS_X64
-    case Backend::kAvx2:
-      return BoxDist2RowAvx2(x, lo, hi, stride);
-    case Backend::kSse2:
-      return BoxDist2RowSse2(x, lo, hi, stride);
-#endif
-    default:
-      return BoxDist2RowScalar(x, lo, hi, stride);
-  }
+  return Dispatch(backend, [&](auto tier) {
+    return BoxDist2Row<tier>(x, lo, hi, stride);
+  });
 }
 
 void ClosestCentroidNeighbors(const ClusterTable& table, Backend backend,
@@ -370,31 +282,16 @@ void ClosestCentroidNeighbors(const ClusterTable& table, Backend backend,
   UMICRO_CHECK(q >= 2);
   std::fill(nn, nn + q, static_cast<std::uint32_t>(q));
   std::fill(nn_d2, nn_d2 + q, std::numeric_limits<double>::infinity());
-  switch (backend) {
-#if UMICRO_KERNELS_X64
-    case Backend::kAvx2:
-      return BlockedNeighbors<Dist2RowAvx2>(table, nn, nn_d2);
-    case Backend::kSse2:
-      return BlockedNeighbors<Dist2RowSse2>(table, nn, nn_d2);
-#endif
-    default:
-      return BlockedNeighbors<Dist2RowScalar>(table, nn, nn_d2);
-  }
+  Dispatch(backend, [&](auto tier) {
+    BlockedNeighbors<Dist2Row<tier>>(table, nn, nn_d2);
+  });
 }
 
 void RowPairDistances(const ClusterTable& table, Backend backend,
                       std::size_t i, double* out) {
   UMICRO_DCHECK(i < table.rows());
-  switch (backend) {
-#if UMICRO_KERNELS_X64
-    case Backend::kAvx2:
-      return RowToRows<Dist2RowAvx2>(table, i, out);
-    case Backend::kSse2:
-      return RowToRows<Dist2RowSse2>(table, i, out);
-#endif
-    default:
-      return RowToRows<Dist2RowScalar>(table, i, out);
-  }
+  Dispatch(backend,
+           [&](auto tier) { RowToRows<Dist2Row<tier>>(table, i, out); });
 }
 
 void ClosestPairFromNeighbors(const std::uint32_t* nn, const double* nn_d2,

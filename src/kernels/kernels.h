@@ -3,8 +3,8 @@
 // These are the read-side kernels of the layer: each evaluates one point
 // (or the table against itself) across all q rows in a single pass.
 // They are reduction kernels under the exactness contract of
-// dispatch.h -- the SSE2/AVX2 tiers reassociate the per-dimension sums
-// (and use FMA), so tiers agree with the scalar reference only to
+// dispatch.h -- the AVX2 tier reassociates the per-dimension sums
+// (and uses FMA), so tiers agree with the scalar reference only to
 // floating-point tolerance. The scalar tier reproduces the exact
 // left-to-right accumulation of the pre-kernel loops in core::UMicro.
 //

@@ -4,11 +4,8 @@
 
 #include "util/check.h"
 
-#if defined(__x86_64__) || defined(_M_X64)
+#if UMICRO_KERNELS_X64
 #include <immintrin.h>
-#define UMICRO_PAIR_X64 1
-#else
-#define UMICRO_PAIR_X64 0
 #endif
 
 namespace umicro::kernels {
@@ -19,11 +16,12 @@ namespace {
 /// four independent accumulator chains.
 constexpr std::size_t kBlock = 8;
 
-// Scalar reference: for each dimension, every later row in turn. Each
-// pair's sums run over j in ascending order, as in
-// parallel::ClusterSimilarity.
-void PairRowScalar(const PairTermTable& terms, const double* inv_scaled,
-                   std::size_t a, double* vote, double* d2) {
+// Scalar reference (the primary template; see Dispatch in dispatch.h):
+// for each dimension, every later row in turn. Each pair's sums run over
+// j in ascending order, as in parallel::ClusterSimilarity.
+template <Backend>
+void PairRow(const PairTermTable& terms, const double* inv_scaled,
+             std::size_t a, double* vote, double* d2) {
   const std::size_t begin = a + 1;
   const std::size_t end = terms.rows();
   std::fill(vote + begin, vote + end, 0.0);
@@ -46,14 +44,14 @@ void PairRowScalar(const PairTermTable& terms, const double* inv_scaled,
   }
 }
 
-#if UMICRO_PAIR_X64
+#if UMICRO_KERNELS_X64
 
 // AVX2 tier: lanes are 8 consecutive rows b, the sums over j stay in
 // registers. Compiled without "fma" so no multiply-add can be fused.
-__attribute__((target("avx2"))) void PairRowAvx2(const PairTermTable& terms,
-                                                 const double* inv_scaled,
-                                                 std::size_t a, double* vote,
-                                                 double* d2) {
+template <>
+__attribute__((target("avx2"))) void PairRow<Backend::kAvx2>(
+    const PairTermTable& terms, const double* inv_scaled, std::size_t a,
+    double* vote, double* d2) {
   const __m256d zero = _mm256_setzero_pd();
   const __m256d one = _mm256_set1_pd(1.0);
   for (std::size_t b = (a + 1) / kBlock * kBlock; b < terms.rows();
@@ -93,7 +91,7 @@ __attribute__((target("avx2"))) void PairRowAvx2(const PairTermTable& terms,
   }
 }
 
-#endif  // UMICRO_PAIR_X64
+#endif  // UMICRO_KERNELS_X64
 
 }  // namespace
 
@@ -121,12 +119,9 @@ void PairSimilarityRow(const PairTermTable& terms, const double* inv_scaled,
                        std::size_t a, Backend backend, double* vote,
                        double* d2) {
   UMICRO_DCHECK(a < terms.rows());
-#if UMICRO_PAIR_X64
-  if (backend == Backend::kAvx2) {
-    return PairRowAvx2(terms, inv_scaled, a, vote, d2);
-  }
-#endif
-  PairRowScalar(terms, inv_scaled, a, vote, d2);
+  Dispatch(backend, [&](auto tier) {
+    PairRow<tier>(terms, inv_scaled, a, vote, d2);
+  });
 }
 
 }  // namespace umicro::kernels

@@ -69,7 +69,7 @@ class PairTermTable {
 /// the per-dimension votes, where `inv_scaled` (dims() entries) caches
 /// 1/(thresh·σ_j²) and is 0 on dead dimensions. `vote` and `d2` must
 /// hold stride() doubles; entries outside (a, rows()) are unspecified.
-/// Tiers: scalar and AVX2; SSE2 runs the scalar tier.
+/// Tiers: scalar and AVX2.
 void PairSimilarityRow(const PairTermTable& terms, const double* inv_scaled,
                        std::size_t a, Backend backend, double* vote,
                        double* d2);

@@ -196,8 +196,7 @@ TEST(CentroidIndexTest, GatherMatchesBatchBitwise) {
   std::vector<double> full(table.rows());
   std::vector<std::uint32_t> rows = {0, 7, 8, 23, 49};
   std::vector<double> gathered(rows.size());
-  for (const Backend backend :
-       {Backend::kScalar, Backend::kSse2, Backend::kAvx2}) {
+  for (const Backend backend : kernels::SupportedBackends()) {
     for (const DistanceKind kind :
          {DistanceKind::kExpected, DistanceKind::kGeometric}) {
       kernels::BatchSquaredDistances(table, ctx, kind, backend, full.data());

@@ -2,6 +2,8 @@
 // diagnostic line on stderr and exits non-zero BEFORE any clustering
 // work starts. Usage errors (bad flags, bad combinations) exit 2;
 // environment errors (missing input, unwritable destinations) exit 1.
+// The one misuse that is not fatal is an unrecognized UMICRO_KERNEL
+// value: it is named on one stderr line and the run goes on.
 //
 // These run the real binary (path injected by CMake as UMICRO_CLI_PATH)
 // so the exit status the shell sees is exactly what is asserted. One
@@ -32,14 +34,15 @@ std::string ReadAndRemove(const std::string& path) {
   return buffer.str();
 }
 
-/// Runs the CLI with `stdin_text` as its standard input.
-CliResult RunCli(const std::string& args,
-                 const std::string& stdin_text = "") {
+/// Runs the CLI with `stdin_text` as its standard input and `env`
+/// (`NAME=value` words) added to its environment.
+CliResult RunCli(const std::string& args, const std::string& stdin_text = "",
+                 const std::string& env = "") {
   const std::string stdin_path = testing::TempDir() + "/cli_stdin.txt";
   const std::string stdout_path = testing::TempDir() + "/cli_stdout.txt";
   const std::string stderr_path = testing::TempDir() + "/cli_stderr.txt";
   std::ofstream(stdin_path) << stdin_text;
-  const std::string command = std::string(UMICRO_CLI_PATH) + " " + args +
+  const std::string command = env + " " + UMICRO_CLI_PATH + " " + args +
                               " <" + stdin_path + " >" + stdout_path +
                               " 2>" + stderr_path;
   const int status = std::system(command.c_str());
@@ -320,6 +323,21 @@ TEST(CliErrorsTest, CoarseIndexKindIsUnknown) {
   ExpectUsageError("--synthetic=syndrift --points=100 --similarity=distance "
                    "--assign-index=coarse",
                    "unknown --assign-index");
+}
+
+// ---- Environment ----------------------------------------------------------
+
+TEST(CliErrorsTest, UnknownKernelTierWarnsAndKeepsHardwareTier) {
+  // sse2 named a tier once; now it is unrecognized like any other value.
+  const CliResult result =
+      RunCli("--synthetic=syndrift --points=500", "", "UMICRO_KERNEL=sse2");
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_NE(result.stderr_text.find(
+                "UMICRO_KERNEL=sse2 is not one of scalar|avx2"),
+            std::string::npos)
+      << "stderr was: " << result.stderr_text;
+  EXPECT_EQ(LineCount(result.stderr_text), 1u)
+      << "stderr was: " << result.stderr_text;
 }
 
 // ---- Flag wiring ----------------------------------------------------------

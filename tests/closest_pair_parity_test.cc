@@ -33,17 +33,6 @@
 namespace umicro::kernels {
 namespace {
 
-std::vector<Backend> TestableBackends() {
-  std::vector<Backend> backends = {Backend::kScalar};
-  if (MaxSupportedBackend() >= Backend::kSse2) {
-    backends.push_back(Backend::kSse2);
-  }
-  if (MaxSupportedBackend() >= Backend::kAvx2) {
-    backends.push_back(Backend::kAvx2);
-  }
-  return backends;
-}
-
 /// A ClusterTable plus its cache, mutated the way core::UMicro mutates
 /// them: every table change is followed by the matching cache hook.
 class PairCacheDriver {
@@ -198,7 +187,7 @@ class PairCacheDriver {
 
 TEST(ClosestPairParity, CacheMatchesRebuildAfterEveryStep) {
   std::uint64_t seed = 1;
-  for (const Backend backend : TestableBackends()) {
+  for (const Backend backend : SupportedBackends()) {
     for (const std::size_t dims : {1u, 7u, 20u, 64u}) {
       for (const std::size_t q : {2u, 17u, 100u}) {
         PairCacheDriver driver(dims, q, backend, seed++);
@@ -246,7 +235,7 @@ TEST(ClosestPairParity, LatticeTiesMatchRebuildAfterEveryStep) {
   // so rows whose neighbour was removed or moved away are bounded at
   // exactly the closest distance again and again.
   std::uint64_t seed = 7001;
-  for (const Backend backend : TestableBackends()) {
+  for (const Backend backend : SupportedBackends()) {
     for (const std::size_t dims : {1u, 2u, 3u}) {
       for (const std::size_t q : {5u, 17u, 40u}) {
         PairCacheDriver driver(dims, q, backend, seed++, /*lattice=*/true);
@@ -312,7 +301,7 @@ class LatticeTable {
 // of rows 4 and 5 (at 10 and 11) also sits at 1. The bounded rows hold
 // the lexicographically smaller pair, so both must be rescanned.
 TEST(ClosestPairParity, BoundedRowsAtTheBestDistanceWinTheTie) {
-  for (const Backend backend : TestableBackends()) {
+  for (const Backend backend : SupportedBackends()) {
     LatticeTable t({2, -1, 0, 1, 10, 11}, backend);
     t.ExpectPair(0, 3, 1.0);
     t.Remove(0);
@@ -327,7 +316,7 @@ TEST(ClosestPairParity, BoundedRowsAtTheBestDistanceWinTheTie) {
 // the same distance has the smaller index -- so neither bounded row
 // may settle on its offer.
 TEST(ClosestPairParity, OfferAtTheBoundDoesNotSettleABoundedRow) {
-  for (const Backend backend : TestableBackends()) {
+  for (const Backend backend : SupportedBackends()) {
     LatticeTable t({2, -1, 0, 1, 10, 11}, backend);
     t.ExpectPair(0, 3, 1.0);
     t.Remove(0);

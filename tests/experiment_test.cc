@@ -6,7 +6,6 @@
 
 #include "baseline/clustream.h"
 #include "core/umicro.h"
-#include "eval/ssq.h"
 #include "stream/dataset.h"
 #include "util/random.h"
 
@@ -85,33 +84,6 @@ TEST(ThroughputExperimentTest, ProducesMonotonicSamples) {
     EXPECT_GT(sample.points_per_second, 0.0);
   }
   EXPECT_GT(series.overall_points_per_second, 0.0);
-}
-
-TEST(SsqTest, ZeroWhenCentroidsCoverPoints) {
-  Dataset dataset(1);
-  dataset.Add(UncertainPoint({1.0}, 0.0));
-  dataset.Add(UncertainPoint({2.0}, 1.0));
-  const std::vector<std::vector<double>> centroids = {{1.0}, {2.0}};
-  EXPECT_DOUBLE_EQ(SumOfSquares(dataset, centroids), 0.0);
-}
-
-TEST(SsqTest, SumsNearestSquaredDistances) {
-  Dataset dataset(1);
-  dataset.Add(UncertainPoint({0.0}, 0.0));
-  dataset.Add(UncertainPoint({10.0}, 1.0));
-  const std::vector<std::vector<double>> centroids = {{1.0}, {8.0}};
-  // 1^2 + 2^2 = 5
-  EXPECT_DOUBLE_EQ(SumOfSquares(dataset, centroids), 5.0);
-}
-
-TEST(SsqTest, RangeRestriction) {
-  Dataset dataset(1);
-  for (int i = 0; i < 10; ++i) {
-    dataset.Add(UncertainPoint({static_cast<double>(i)}, i));
-  }
-  const std::vector<std::vector<double>> centroids = {{0.0}};
-  const double window = SumOfSquares(dataset, 2, 4, centroids);
-  EXPECT_DOUBLE_EQ(window, 4.0 + 9.0);
 }
 
 }  // namespace

@@ -30,17 +30,6 @@
 namespace umicro::kernels {
 namespace {
 
-std::vector<Backend> TestableBackends() {
-  std::vector<Backend> backends = {Backend::kScalar};
-  if (MaxSupportedBackend() >= Backend::kSse2) {
-    backends.push_back(Backend::kSse2);
-  }
-  if (MaxSupportedBackend() >= Backend::kAvx2) {
-    backends.push_back(Backend::kAvx2);
-  }
-  return backends;
-}
-
 stream::UncertainPoint RandomPoint(util::Rng& rng, std::size_t dims,
                                    bool with_errors, double scale = 10.0) {
   stream::UncertainPoint point;
@@ -85,7 +74,7 @@ void BuildRandomClusters(util::Rng& rng, std::size_t dims, std::size_t q,
 
 TEST(KernelUpdateParity, TableMatchesEcfBitExactly) {
   util::Rng rng(20260806);
-  for (const Backend backend : TestableBackends()) {
+  for (const Backend backend : SupportedBackends()) {
     for (const std::size_t dims : {1u, 2u, 3u, 7u, 8u, 20u, 33u, 64u}) {
       ClusterTable table;
       std::vector<core::ErrorClusterFeature> ecfs;
@@ -106,7 +95,7 @@ TEST(KernelUpdateParity, TableMatchesEcfBitExactly) {
 
 TEST(KernelUpdateParity, ScaleAllMatchesEcfScaleBitExactly) {
   util::Rng rng(7);
-  for (const Backend backend : TestableBackends()) {
+  for (const Backend backend : SupportedBackends()) {
     ClusterTable table;
     std::vector<core::ErrorClusterFeature> ecfs;
     BuildRandomClusters(rng, 20, 31, backend, &table, &ecfs);
@@ -127,7 +116,7 @@ TEST(KernelUpdateParity, ScaleAllMatchesEcfScaleBitExactly) {
 
 TEST(KernelUpdateParity, MergeAndRemoveMirrorEcfOps) {
   util::Rng rng(99);
-  for (const Backend backend : TestableBackends()) {
+  for (const Backend backend : SupportedBackends()) {
     ClusterTable table;
     std::vector<core::ErrorClusterFeature> ecfs;
     BuildRandomClusters(rng, 12, 8, backend, &table, &ecfs);
@@ -151,7 +140,7 @@ TEST(KernelUpdateParity, RowsStartOnCacheLines) {
   util::Rng rng(7);
   ClusterTable table;
   std::vector<core::ErrorClusterFeature> ecfs;
-  BuildRandomClusters(rng, 5, 9, TestableBackends().front(), &table, &ecfs);
+  BuildRandomClusters(rng, 5, 9, SupportedBackends().front(), &table, &ecfs);
   auto line_offset = [](const double* p) {
     return reinterpret_cast<std::uintptr_t>(p) % 64;
   };
@@ -166,7 +155,7 @@ TEST(KernelUpdateParity, RowsStartOnCacheLines) {
 
 TEST(KernelUpdateParity, DenormalAndZeroErrorEdgeCases) {
   const double denormal = std::numeric_limits<double>::denorm_min();
-  for (const Backend backend : TestableBackends()) {
+  for (const Backend backend : SupportedBackends()) {
     ClusterTable table(3);
     table.set_backend(backend);
     core::ErrorClusterFeature ecf(3);
@@ -202,7 +191,7 @@ void ExpectClose(double a, double b, double magnitude) {
 
 TEST(KernelReductionParity, BatchDistancesAcrossBackendsAndSizes) {
   util::Rng rng(1234);
-  const auto backends = TestableBackends();
+  const auto backends = SupportedBackends();
   for (const std::size_t dims : {1u, 5u, 8u, 20u, 64u}) {
     for (const std::size_t q : {1u, 3u, 16u, 100u, 256u}) {
       ClusterTable table;
@@ -241,7 +230,7 @@ TEST(KernelReductionParity, BatchDistancesAcrossBackendsAndSizes) {
 
 TEST(KernelReductionParity, DimensionVotesAcrossBackends) {
   util::Rng rng(4321);
-  const auto backends = TestableBackends();
+  const auto backends = SupportedBackends();
   for (const std::size_t dims : {1u, 4u, 8u, 20u, 33u, 64u}) {
     for (const std::size_t q : {1u, 7u, 64u, 256u}) {
       ClusterTable table;
@@ -289,7 +278,7 @@ TEST(KernelReductionParity, DimensionVotesAcrossBackends) {
 
 TEST(KernelReductionParity, ClosestPairMatchesBruteForce) {
   util::Rng rng(555);
-  for (const Backend backend : TestableBackends()) {
+  for (const Backend backend : SupportedBackends()) {
     for (const std::size_t q : {2u, 5u, 16u, 17u, 100u}) {
       ClusterTable table;
       std::vector<core::ErrorClusterFeature> ecfs;
@@ -342,7 +331,7 @@ TEST(KernelReductionParity, ClosestPairBreaksExactTiesLexicographically) {
     rows[40][3] += offset;
     rows[2] = rows[1];
     rows[2][7] -= offset;
-    for (const Backend backend : TestableBackends()) {
+    for (const Backend backend : SupportedBackends()) {
       ClusterTable table(kDims);
       table.set_backend(backend);
       for (const auto& row : rows) {
@@ -395,7 +384,7 @@ TEST(KernelPairParity, PairSimilarityRowMatchesClusterSimilarityBitExactly) {
         terms.SetRow(i, ecfs[i].cf1().data(), ecfs[i].ef2().data(),
                      ecfs[i].weight());
       }
-      for (const Backend backend : TestableBackends()) {
+      for (const Backend backend : SupportedBackends()) {
         std::vector<double> vote(terms.stride());
         std::vector<double> d2(terms.stride());
         for (std::size_t a = 0; a + 1 < q; ++a) {
