@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   regime.seed = 77;
   umicro::synth::RegimeShiftGenerator generator(regime);
   umicro::stream::Dataset dataset = generator.Generate(args.points);
-  PerturbWithEta(dataset, args.eta, 78);
+  umicro::synth::ApplyPaperNoise(dataset, args.eta, 78);
 
   const std::size_t interval = std::max<std::size_t>(1, args.points / 16);
   const std::vector<double> lambdas = {0.0, 1.0 / 20000.0, 1.0 / 5000.0,

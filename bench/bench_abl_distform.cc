@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   const std::size_t interval = std::max<std::size_t>(1, args.points / 10);
 
   for (double eta : etas) {
-    const umicro::stream::Dataset dataset = MakeSynDrift(args.points, eta);
+    const umicro::stream::Dataset dataset =
+        umicro::synth::MakeSynDriftWorkload(args.points, eta);
     std::vector<double> row = {eta};
     for (auto form : {umicro::core::DistanceForm::kComparable,
                       umicro::core::DistanceForm::kPaperExpected}) {
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
     drift.seed = 42;
     umicro::synth::DriftingGaussianGenerator generator(drift);
     umicro::stream::Dataset dataset = generator.Generate(args.points / 2);
-    PerturbWithEta(dataset, eta, 43);
+    umicro::synth::ApplyPaperNoise(dataset, eta, 43);
 
     std::vector<double> row = {eta};
     for (auto form : {umicro::core::DistanceForm::kComparable,

@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   using namespace umicro::bench;
   const BenchArgs args = BenchArgs::Parse(argc, argv, 60000);
   const umicro::stream::Dataset dataset =
-      MakeSynDrift(args.points, args.eta);
+      umicro::synth::MakeSynDriftWorkload(args.points, args.eta);
   const std::size_t interval = std::max<std::size_t>(1, args.points / 10);
 
   std::printf("Ablation A3: micro-cluster budget (SynDrift(%.2f), %zu "

@@ -15,7 +15,8 @@
 int main(int argc, char** argv) {
   using namespace umicro::bench;
   const BenchArgs args = BenchArgs::Parse(argc, argv, 40000);
-  const umicro::stream::Dataset dataset = MakeForest(args.points, args.eta);
+  const umicro::stream::Dataset dataset =
+      umicro::synth::MakeForestWorkload(args.points, args.eta);
   const std::size_t interval = std::max<std::size_t>(1, args.points / 10);
 
   std::printf("Ablation A10: prequential accuracy (ForestCover(%.2f), "

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace umicro::bench;
   const BenchArgs args = BenchArgs::Parse(argc, argv, 60000);
   const umicro::stream::Dataset dataset =
-      MakeSynDrift(args.points, args.eta);
+      umicro::synth::MakeSynDriftWorkload(args.points, args.eta);
 
   struct Config {
     std::size_t alpha;

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   std::printf("%8s %18s %18s\n", "eta", "dim-counting", "expected-dist");
   umicro::util::CsvWriter csv({"eta", "dim_counting", "expected_distance"});
   for (double eta : etas) {
-    const umicro::stream::Dataset dataset = MakeSynDrift(args.points, eta);
+    const umicro::stream::Dataset dataset =
+        umicro::synth::MakeSynDriftWorkload(args.points, eta);
     const std::size_t interval = std::max<std::size_t>(1, args.points / 10);
 
     umicro::core::UMicroOptions counting;

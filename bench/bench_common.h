@@ -93,30 +93,6 @@ inline void MaybeExportMetrics(const obs::MetricsRegistry& registry,
   }
 }
 
-/// Applies the paper's eta perturbation to a clean dataset in place.
-inline void PerturbWithEta(stream::Dataset& dataset, double eta,
-                           std::uint64_t seed) {
-  synth::ApplyPaperNoise(dataset, eta, seed);
-}
-
-/// SynDrift(eta): the paper's 20-d drifting synthetic stream.
-inline stream::Dataset MakeSynDrift(std::size_t points, double eta,
-                                    std::uint64_t seed = 42) {
-  return synth::MakeSynDriftWorkload(points, eta, seed);
-}
-
-/// Network(eta): the synthetic stand-in for the KDD'99 intrusion stream.
-inline stream::Dataset MakeNetwork(std::size_t points, double eta,
-                                   std::uint64_t seed = 1999) {
-  return synth::MakeNetworkWorkload(points, eta, seed);
-}
-
-/// ForestCover(eta): the synthetic stand-in for UCI CoverType.
-inline stream::Dataset MakeForest(std::size_t points, double eta,
-                                  std::uint64_t seed = 54) {
-  return synth::MakeForestWorkload(points, eta, seed);
-}
-
 /// Figures 2-4: purity vs stream progression, UMicro vs CluStream.
 inline void RunPurityProgressionFigure(const std::string& figure,
                                        const std::string& dataset_name,

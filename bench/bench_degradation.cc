@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   const std::string csv_path = flags.GetString("csv", "degradation.csv");
 
   umicro::stream::Dataset dataset =
-      umicro::bench::MakeSynDrift(args.points, args.eta);
+      umicro::synth::MakeSynDriftWorkload(args.points, args.eta);
 
   std::printf("degradation sweep: SynDrift, %zu points, eta=%.2f, "
               "%zu micro-clusters, 2 shards\n",

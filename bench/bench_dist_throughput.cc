@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   const std::size_t nmicro = flags.GetSize("nmicro", 100);
   const std::string csv_path = flags.GetString("csv", "dist_throughput.csv");
 
-  const Dataset dataset = MakeSynDrift(points, 0.5);
+  const Dataset dataset = umicro::synth::MakeSynDriftWorkload(points, 0.5);
   std::printf("dist-throughput bench: %zu points x %zud, delta every %zu "
               "points, 1..%zu leaves over 127.0.0.1 (%zu hardware "
               "threads)\n",

@@ -6,7 +6,7 @@ int main(int argc, char** argv) {
   using namespace umicro::bench;
   const BenchArgs args = BenchArgs::Parse(argc, argv, 200000);
   const umicro::stream::Dataset dataset =
-      MakeNetwork(args.points, args.eta);
+      umicro::synth::MakeNetworkWorkload(args.points, args.eta);
   RunPurityProgressionFigure("Figure 3", "Network(0.5)", dataset,
                              args.num_micro_clusters, "fig03.csv", args.metrics_out);
   return 0;

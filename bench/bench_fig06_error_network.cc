@@ -7,7 +7,9 @@ int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv, 60000);
   RunErrorLevelFigure(
       "Figure 6", "Network",
-      [](std::size_t n, double eta) { return MakeNetwork(n, eta); },
+      [](std::size_t n, double eta) {
+        return umicro::synth::MakeNetworkWorkload(n, eta);
+      },
       args.points, args.num_micro_clusters, "fig06.csv", args.metrics_out);
   return 0;
 }

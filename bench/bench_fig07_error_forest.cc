@@ -7,7 +7,9 @@ int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv, 60000);
   RunErrorLevelFigure(
       "Figure 7", "ForestCover",
-      [](std::size_t n, double eta) { return MakeForest(n, eta); },
+      [](std::size_t n, double eta) {
+        return umicro::synth::MakeForestWorkload(n, eta);
+      },
       args.points, args.num_micro_clusters, "fig07.csv", args.metrics_out);
   return 0;
 }

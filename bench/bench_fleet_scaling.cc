@@ -86,10 +86,12 @@ int main(int argc, char** argv) {
       {"workload", "tenants", "workers", "points", "points_per_second",
        "ingest_skew", "batch_p99_micros", "host_cores", "cpu_model"});
 
-  const umicro::stream::Dataset syndrift = MakeSynDrift(points, eta);
+  const umicro::stream::Dataset syndrift =
+      umicro::synth::MakeSynDriftWorkload(points, eta);
   RunSweep("SynDrift", syndrift, nmicro, workers, csv);
 
-  const umicro::stream::Dataset network = MakeNetwork(points, eta);
+  const umicro::stream::Dataset network =
+      umicro::synth::MakeNetworkWorkload(points, eta);
   RunSweep("Network", network, nmicro, workers, csv);
 
   csv.WriteFile(csv_path);

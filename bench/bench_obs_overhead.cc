@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
   const std::size_t reps = flags.GetSize("reps", 3);
   const std::string csv_path = flags.GetString("csv", "obs_overhead.csv");
 
-  const umicro::stream::Dataset dataset = MakeSynDrift(points, eta);
+  const umicro::stream::Dataset dataset =
+      umicro::synth::MakeSynDriftWorkload(points, eta);
   std::printf("observability overhead: SynDrift(%0.2f), %zu points x %zud, "
               "%zu micro-clusters, best of %zu reps\n",
               eta, dataset.size(), dataset.dimensions(), nmicro, reps);

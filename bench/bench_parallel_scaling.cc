@@ -157,10 +157,12 @@ int main(int argc, char** argv) {
        "speedup", "n_exact", "cf1_max_rel_dev", "ef2_max_rel_dev",
        "merges", "dropped_points", "host_cores", "cpu_model"});
 
-  const umicro::stream::Dataset syndrift = MakeSynDrift(points, eta);
+  const umicro::stream::Dataset syndrift =
+      umicro::synth::MakeSynDriftWorkload(points, eta);
   RunSweep("SynDrift", syndrift, nmicro, merge_every, csv);
 
-  const umicro::stream::Dataset network = MakeNetwork(points, eta);
+  const umicro::stream::Dataset network =
+      umicro::synth::MakeNetworkWorkload(points, eta);
   RunSweep("Network", network, nmicro, merge_every, csv);
 
   csv.WriteFile(csv_path);

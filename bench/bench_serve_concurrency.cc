@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
               "(1 query / %.0f ms each), horizon %.0f\n",
               points, queriers_max, query_interval_ms, horizon);
   const umicro::stream::Dataset dataset =
-      umicro::bench::MakeSynDrift(points, 0.5);
+      umicro::synth::MakeSynDriftWorkload(points, 0.5);
 
   umicro::util::CsvWriter csv({"queriers", "ingest_pps", "loss_pct",
                                "queries", "qps", "query_mean_micros",

@@ -110,15 +110,10 @@ void EngineFleet::RouteBatch(TenantSlot* slot) {
   item.batch = std::move(slot->pending);
   slot->pending.clear();
   slot->pending.reserve(config_.fleet.tenant_batch);
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  in_flight_.Add(1);
   Worker& worker = *workers_[WorkerOf(slot->handle.id())];
-  if (!worker.queue.Push(std::move(item))) {
-    // Queue closed (shutdown): the batch is dropped, undo the account.
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      done_cv_.notify_all();
-    }
-  }
+  // A closed queue (shutdown) drops the batch: undo the account.
+  if (!worker.queue.Push(std::move(item))) in_flight_.Done(1);
 }
 
 void EngineFleet::WorkerLoop(Worker* worker) {
@@ -131,18 +126,8 @@ void EngineFleet::WorkerLoop(Worker* worker) {
     }
     worker->points->Increment(item.batch.size());
     item.batch.clear();
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      done_cv_.notify_all();
-    }
+    in_flight_.Done(1);
   }
-}
-
-void EngineFleet::DrainAll() {
-  std::unique_lock<std::mutex> lock(done_mu_);
-  done_cv_.wait(lock, [this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  });
 }
 
 void EngineFleet::Ingest(std::uint64_t tenant,
@@ -162,7 +147,7 @@ void EngineFleet::Flush() {
     for (const auto& [id, slot] : tenants_) slots.push_back(slot.get());
   }
   for (TenantSlot* slot : slots) RouteBatch(slot);
-  DrainAll();
+  in_flight_.Wait();
   for (TenantSlot* slot : slots) {
     std::lock_guard<std::mutex> lock(slot->mu);
     slot->handle.core().Flush();
@@ -174,7 +159,7 @@ TenantHandle EngineFleet::ReleaseTenant(std::uint64_t tenant) {
   TenantSlot* slot = FindSlot(tenant);
   if (slot == nullptr) return TenantHandle();
   RouteBatch(slot);
-  DrainAll();
+  in_flight_.Wait();
   {
     std::lock_guard<std::mutex> lock(slot->mu);
     slot->handle.core().AttachSnapshotSink(nullptr);
@@ -209,7 +194,7 @@ std::optional<core::HorizonClustering> EngineFleet::ClusterRecent(
   TenantSlot* slot = FindSlot(tenant);
   if (slot == nullptr) return std::nullopt;
   RouteBatch(slot);
-  DrainAll();
+  in_flight_.Wait();
   std::lock_guard<std::mutex> lock(slot->mu);
   return slot->handle.core().ClusterRecent(horizon, options);
 }
@@ -225,7 +210,7 @@ core::EngineState EngineFleet::ExportTenantState(std::uint64_t tenant) {
   TenantSlot* slot = FindSlot(tenant);
   UMICRO_CHECK(slot != nullptr);
   RouteBatch(slot);
-  DrainAll();
+  in_flight_.Wait();
   std::lock_guard<std::mutex> lock(slot->mu);
   return slot->handle.core().ExportState();
 }

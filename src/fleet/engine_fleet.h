@@ -8,7 +8,8 @@
 // (tenant_id, point) ingest by tenant hash onto the same shard-worker
 // machinery the sharded engine uses: a parallel::BoundedQueue per
 // worker, per-tenant batches of `fleet.tenant_batch` points, each batch
-// drained through the batched kernel path (EngineCore::ProcessBatch).
+// drained through the batched kernel path (EngineCore::ProcessBatch),
+// and one parallel::InFlight batch count as the drain barrier.
 // Hashing a tenant to exactly one worker keeps every tenant's points in
 // ingest order, which is why a tenant's state stays bit-identical to an
 // isolated single-engine run (the fleet parity test's invariant).
@@ -39,8 +40,6 @@
 #ifndef UMICRO_FLEET_ENGINE_FLEET_H_
 #define UMICRO_FLEET_ENGINE_FLEET_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -217,9 +216,6 @@ class EngineFleet {
   /// Hands a tenant's pending batch to its worker (coordinator only).
   void RouteBatch(TenantSlot* slot);
 
-  /// Waits until every routed batch has been drained.
-  void DrainAll();
-
   /// Recomputes the ingest-skew gauge from the worker counters.
   double ComputeSkew() const;
 
@@ -238,9 +234,8 @@ class EngineFleet {
   std::map<std::uint64_t, std::unique_ptr<TenantSlot>> tenants_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<std::size_t> in_flight_{0};
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
+  /// Routed batches not yet drained.
+  parallel::InFlight in_flight_;
 
   /// Coordinator-only ingest tally.
   std::uint64_t points_ingested_ = 0;

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
+
+#include "util/parse.h"
 
 namespace umicro::io {
 
@@ -57,16 +57,6 @@ std::vector<std::string> SplitCommas(const std::string& line) {
   }
   cells.push_back(Trim(cell));
   return cells;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = value;
-  return true;
 }
 
 struct AttributeSpec {
@@ -178,7 +168,7 @@ std::optional<LoadedArff> ParseArffDataset(const std::string& text) {
           continue;
         }
         double value = 0.0;
-        if (!ParseDouble(cells[a], &value)) {
+        if (!util::ParseDouble(cells[a], &value)) {
           row_ok = false;
           break;
         }

@@ -1,12 +1,11 @@
 #include "io/csv_dataset.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 
 #include "util/check.h"
+#include "util/parse.h"
 
 namespace umicro::io {
 
@@ -27,16 +26,6 @@ std::vector<std::string> SplitLine(const std::string& line) {
   }
   cells.push_back(cell);
   return cells;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = value;
-  return true;
 }
 
 /// Column roles derived from the header.
@@ -118,20 +107,21 @@ std::optional<LoadedDataset> ParseCsvDataset(const std::string& text,
     bool numeric_ok = true;
     for (std::size_t v = 0; numeric_ok && v < plan.value_columns.size();
          ++v) {
-      numeric_ok = ParseDouble(cells[plan.value_columns[v]], &point.values[v]);
+      numeric_ok =
+          util::ParseDouble(cells[plan.value_columns[v]], &point.values[v]);
     }
     if (numeric_ok && !plan.error_columns.empty()) {
       point.errors.resize(plan.error_columns.size());
       for (std::size_t e = 0; numeric_ok && e < plan.error_columns.size();
            ++e) {
         numeric_ok =
-            ParseDouble(cells[plan.error_columns[e]], &point.errors[e]);
+            util::ParseDouble(cells[plan.error_columns[e]], &point.errors[e]);
       }
     }
     if (numeric_ok && plan.timestamp_column >= 0) {
-      numeric_ok =
-          ParseDouble(cells[static_cast<std::size_t>(plan.timestamp_column)],
-                      &point.timestamp);
+      numeric_ok = util::ParseDouble(
+          cells[static_cast<std::size_t>(plan.timestamp_column)],
+          &point.timestamp);
     } else if (plan.timestamp_column < 0) {
       point.timestamp = static_cast<double>(row_index);
     }

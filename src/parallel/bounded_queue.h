@@ -1,20 +1,22 @@
-// Bounded ring-buffer queue for the sharded ingest pipeline.
+// The queue and the drain barrier of every worker pool: the sharded
+// ingest pipeline, the tenant fleet and the query broker.
 //
-// A fixed-capacity FIFO with a configurable reaction to overflow
-// (backpressure policy): block the producer until space frees up, shed
-// the oldest queued item, or reject the incoming one. Drops are counted
-// so load-shedding is observable, and on drop-oldest the displaced item
-// is handed back to the producer so upstream accounting (in-flight point
-// counts) stays exact.
+// BoundedQueue is a fixed-capacity FIFO with a configurable reaction to
+// overflow (backpressure policy): block the producer until space frees
+// up, shed the oldest queued item, or reject the incoming one. Drops are
+// counted through the metric hooks so load-shedding is observable, and
+// on drop-oldest the displaced item is handed back to the producer so
+// upstream accounting (in-flight point counts) stays exact.
 //
-// Safe for multiple producers and multiple consumers (mutex + condition
-// variables); the sharded engine uses it SPSC — one coordinator thread
-// feeding one worker per shard.
+// InFlight counts work handed to a pool and not yet finished; Wait() is
+// the barrier a coordinator takes before a merge or a read.
+//
+// Both are safe for multiple producers and multiple consumers.
 
 #ifndef UMICRO_PARALLEL_BOUNDED_QUEUE_H_
 #define UMICRO_PARALLEL_BOUNDED_QUEUE_H_
 
-#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -34,38 +36,22 @@ namespace umicro::parallel {
 using BackpressurePolicy = core::BackpressurePolicy;
 
 /// Optional registry-backed observability hooks of one queue. All
-/// pointers may be null (that probe is then skipped); the queue keeps its
-/// internal counters either way.
+/// pointers may be null (that probe is then skipped).
 struct QueueMetricsHooks {
   /// Incremented per accepted Push.
   obs::Counter* enqueued = nullptr;
-  /// Incremented per shed item (both drop policies).
+  /// Incremented per shed item: evicted under kDropOldest, rejected
+  /// under kDropNewest, or rejected because the queue was (or became)
+  /// closed -- including kBlock producers woken mid-wait by Close().
+  /// Each shed item is counted exactly once.
   obs::Counter* dropped = nullptr;
   /// Raised to the highest occupancy observed (in queued items).
   obs::Gauge* high_water = nullptr;
+  /// Set to the occupancy after every Push and Pop, under the queue lock.
+  obs::Gauge* depth = nullptr;
   /// Full Push latency, including any kBlock backpressure stall --
   /// the queue-pressure signal.
   obs::Histogram* enqueue_micros = nullptr;
-};
-
-/// Point-in-time counters of one queue.
-struct QueueStats {
-  /// Items accepted into the queue so far.
-  std::size_t pushed = 0;
-  /// Items handed to consumers so far.
-  std::size_t popped = 0;
-  /// Items evicted under kDropOldest.
-  std::size_t dropped_oldest = 0;
-  /// Items rejected under kDropNewest.
-  std::size_t dropped_newest = 0;
-  /// Items rejected because the queue was (or became) closed -- including
-  /// kBlock producers woken mid-wait by Close(). Each rejected Push is
-  /// counted exactly once, here and in the `dropped` metric hook.
-  std::size_t rejected_closed = 0;
-  /// Maximum occupancy ever observed.
-  std::size_t high_water = 0;
-  /// Current occupancy.
-  std::size_t size = 0;
 };
 
 /// Bounded FIFO over a pre-allocated ring buffer.
@@ -82,44 +68,41 @@ class BoundedQueue {
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
   /// Enqueues `value`. Returns false when the item was not accepted
-  /// (kDropNewest overflow, or the queue is closed). When `displaced` is
-  /// non-null and kDropOldest evicted an item, the evicted item is moved
-  /// into it; otherwise it is reset.
-  bool Push(T value, std::optional<T>* displaced = nullptr) {
+  /// (kDropNewest overflow, or the queue is closed); `value` is then
+  /// left untouched. When `displaced` is non-null and kDropOldest
+  /// evicted an item, the evicted item is moved into it; otherwise it is
+  /// reset.
+  bool Push(T&& value, std::optional<T>* displaced = nullptr) {
     const obs::ScopedTimer timer(hooks_.enqueue_micros);
     std::unique_lock<std::mutex> lock(mu_);
     if (displaced != nullptr) displaced->reset();
-    if (closed_) return RejectClosedLocked();
+    if (closed_) return DropLocked();
     if (count_ == capacity_) {
       switch (policy_) {
         case BackpressurePolicy::kBlock:
           not_full_.wait(lock,
                          [this] { return count_ < capacity_ || closed_; });
-          if (closed_) return RejectClosedLocked();
+          if (closed_) return DropLocked();
           break;
         case BackpressurePolicy::kDropOldest: {
           T oldest = std::move(slots_[head_]);
           head_ = (head_ + 1) % capacity_;
           --count_;
-          ++dropped_oldest_;
-          if (hooks_.dropped != nullptr) hooks_.dropped->Increment();
+          DropLocked();
           if (displaced != nullptr) *displaced = std::move(oldest);
           break;
         }
         case BackpressurePolicy::kDropNewest:
-          ++dropped_newest_;
-          if (hooks_.dropped != nullptr) hooks_.dropped->Increment();
-          return false;
+          return DropLocked();
       }
     }
     slots_[(head_ + count_) % capacity_] = std::move(value);
     ++count_;
-    ++pushed_;
-    high_water_ = std::max(high_water_, count_);
     if (hooks_.enqueued != nullptr) hooks_.enqueued->Increment();
     if (hooks_.high_water != nullptr) {
       hooks_.high_water->SetMax(static_cast<double>(count_));
     }
+    SetDepthLocked();
     not_empty_.notify_one();
     return true;
   }
@@ -130,15 +113,11 @@ class BoundedQueue {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return count_ > 0 || closed_; });
     if (count_ == 0) return false;
-    PopLocked(out);
-    return true;
-  }
-
-  /// Non-blocking dequeue; false when the queue is currently empty.
-  bool TryPop(T* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (count_ == 0) return false;
-    PopLocked(out);
+    *out = std::move(slots_[head_]);
+    head_ = (head_ + 1) % capacity_;
+    --count_;
+    SetDepthLocked();
+    not_full_.notify_one();
     return true;
   }
 
@@ -151,12 +130,6 @@ class BoundedQueue {
     not_empty_.notify_all();
   }
 
-  /// True once Close() has been called.
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
   /// Current occupancy.
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -166,44 +139,22 @@ class BoundedQueue {
   /// Fixed capacity.
   std::size_t capacity() const { return capacity_; }
 
-  /// Configured overflow policy.
-  BackpressurePolicy policy() const { return policy_; }
-
   /// Attaches registry-backed probes. Call before any concurrent use
   /// (the hooks are copied without synchronization); pass {} to detach.
   void SetMetricsHooks(const QueueMetricsHooks& hooks) { hooks_ = hooks; }
 
-  /// Consistent snapshot of the counters.
-  QueueStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    QueueStats stats;
-    stats.pushed = pushed_;
-    stats.popped = popped_;
-    stats.dropped_oldest = dropped_oldest_;
-    stats.dropped_newest = dropped_newest_;
-    stats.rejected_closed = rejected_closed_;
-    stats.high_water = high_water_;
-    stats.size = count_;
-    return stats;
-  }
-
  private:
-  /// Accounts one Push rejected by a closed queue (mu_ held). A producer
-  /// that was blocked when Close() arrived and one that pushed after the
-  /// close both land here -- and only here -- so every rejected item is
-  /// counted exactly once.
-  bool RejectClosedLocked() {
-    ++rejected_closed_;
+  /// Counts one shed item (mu_ held) and returns false, Push's answer
+  /// for a rejected item.
+  bool DropLocked() {
     if (hooks_.dropped != nullptr) hooks_.dropped->Increment();
     return false;
   }
 
-  void PopLocked(T* out) {
-    *out = std::move(slots_[head_]);
-    head_ = (head_ + 1) % capacity_;
-    --count_;
-    ++popped_;
-    not_full_.notify_one();
+  void SetDepthLocked() {
+    if (hooks_.depth != nullptr) {
+      hooks_.depth->Set(static_cast<double>(count_));
+    }
   }
 
   const std::size_t capacity_;
@@ -217,12 +168,35 @@ class BoundedQueue {
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   bool closed_ = false;
-  std::size_t pushed_ = 0;
-  std::size_t popped_ = 0;
-  std::size_t dropped_oldest_ = 0;
-  std::size_t dropped_newest_ = 0;
-  std::size_t rejected_closed_ = 0;
-  std::size_t high_water_ = 0;
+};
+
+/// Work handed to a worker pool and not yet finished, in whatever unit
+/// the pool counts (points, batches). Add before handing work over,
+/// Done when it is finished or dropped; Wait blocks until the count is
+/// zero. The count is one atomic; only the Done that reaches zero takes
+/// the lock, to wake the waiters.
+class InFlight {
+ public:
+  void Add(std::size_t n) { count_.fetch_add(n, std::memory_order_acq_rel); }
+
+  void Done(std::size_t n) {
+    if (count_.fetch_sub(n, std::memory_order_acq_rel) == n) {
+      std::lock_guard<std::mutex> lock(mu_);
+      zero_.notify_all();
+    }
+  }
+
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    zero_.wait(lock, [this] {
+      return count_.load(std::memory_order_acquire) == 0;
+    });
+  }
+
+ private:
+  std::atomic<std::size_t> count_{0};
+  std::mutex mu_;
+  std::condition_variable zero_;
 };
 
 }  // namespace umicro::parallel

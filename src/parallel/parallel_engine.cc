@@ -66,7 +66,6 @@ ParallelUMicroEngine::ParallelUMicroEngine(std::size_t dimensions,
   shards_.reserve(options_.num_shards);
   pending_batches_.resize(options_.num_shards);
   pending_fill_.assign(options_.num_shards, 0);
-  in_flight_.assign(options_.num_shards, 0);
   // One shared enqueue-pressure histogram: only the coordinator pushes,
   // so shard attribution adds nothing the per-shard counters don't give.
   obs::Histogram& enqueue_micros =
@@ -159,11 +158,7 @@ void ParallelUMicroEngine::WorkerLoop(std::size_t index) {
     shard.in_progress_batch.clear();
     shard.points_processed->Increment(n);
     shard.batches_processed->Increment();
-    {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      in_flight_[index] -= n;
-      if (in_flight_[index] == 0) done_cv_.notify_all();
-    }
+    in_flight_.Done(n);
   }
   shard.worker_alive.store(false, std::memory_order_release);
 }
@@ -210,9 +205,7 @@ void ParallelUMicroEngine::RestartShard(std::size_t index) {
     }
     shard.points_processed->Increment(n);
     shard.batches_processed->Increment();
-    std::lock_guard<std::mutex> lock(done_mu_);
-    in_flight_[index] -= n;
-    if (in_flight_[index] == 0) done_cv_.notify_all();
+    in_flight_.Done(n);
   }
   shard.worker_alive.store(true, std::memory_order_release);
   shard.worker = std::thread([this, index] { WorkerLoop(index); });
@@ -258,10 +251,7 @@ void ParallelUMicroEngine::EnqueueBatch(std::size_t index) {
     pending_fill_[index] = 0;
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(done_mu_);
-    in_flight_[index] += n;
-  }
+  in_flight_.Add(n);
   batch.erase(batch.begin() + static_cast<std::ptrdiff_t>(n), batch.end());
   std::optional<std::vector<stream::UncertainPoint>> displaced;
   const bool accepted = shards_[index]->queue.Push(std::move(batch),
@@ -278,9 +268,7 @@ void ParallelUMicroEngine::EnqueueBatch(std::size_t index) {
   if (dropped > 0) {
     shards_[index]->points_dropped->Increment(dropped);
     points_dropped_metric_->Increment(dropped);
-    std::lock_guard<std::mutex> lock(done_mu_);
-    in_flight_[index] -= dropped;
-    if (in_flight_[index] == 0) done_cv_.notify_all();
+    in_flight_.Done(dropped);
   }
 }
 
@@ -345,14 +333,6 @@ void ParallelUMicroEngine::ProcessBatch(
   for (const auto& point : points) Process(point);
 }
 
-void ParallelUMicroEngine::WaitDrained() {
-  std::unique_lock<std::mutex> lock(done_mu_);
-  done_cv_.wait(lock, [this] {
-    return std::all_of(in_flight_.begin(), in_flight_.end(),
-                       [](std::size_t n) { return n == 0; });
-  });
-}
-
 void ParallelUMicroEngine::RebuildGlobalView() {
   std::vector<std::vector<core::MicroCluster>> shard_sets(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -385,7 +365,7 @@ void ParallelUMicroEngine::MergeNow() {
       std::this_thread::sleep_for(std::chrono::milliseconds(stall));
     }
   }
-  WaitDrained();
+  in_flight_.Wait();
   // Free the leftover spares here, on the thread that allocated them,
   // instead of carrying them across the merge.
   for (auto& shard : shards_) {

@@ -31,7 +31,6 @@
 #define UMICRO_PARALLEL_PARALLEL_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -87,8 +86,8 @@ struct DegradationOptions {
 /// worker liveness; a worker that died (only possible via the
 /// "parallel.worker*.death" failpoints -- the code has no exceptions) is
 /// joined, its in-flight batch applied by the supervisor itself, and a
-/// replacement spawned, so a dead shard can no longer wedge
-/// WaitDrained() forever.
+/// replacement spawned, so a dead shard can no longer wedge the drain
+/// barrier forever.
 struct SupervisorOptions {
   /// Master switch; off means no extra thread.
   bool enabled = false;
@@ -165,7 +164,8 @@ class ParallelUMicroEngine : public core::ClusteringEngine {
   /// `dimensions`-d streams.
   ParallelUMicroEngine(std::size_t dimensions, ParallelEngineOptions options);
 
-  /// Stops and joins the workers; queued points are dropped.
+  /// Closes the queues and joins the workers, which first process every
+  /// batch still queued.
   ~ParallelUMicroEngine() override;
 
   ParallelUMicroEngine(const ParallelUMicroEngine&) = delete;
@@ -279,9 +279,6 @@ class ParallelUMicroEngine : public core::ClusteringEngine {
   /// when there is none, and resets the fill to zero.
   void TakeSpareBatch(std::size_t index);
 
-  /// Blocks until every shard's queue is empty and its worker idle.
-  void WaitDrained();
-
   /// Collects shard clusters and rebuilds the merged global view; must
   /// only run with all queues drained.
   void RebuildGlobalView();
@@ -324,11 +321,9 @@ class ParallelUMicroEngine : public core::ClusteringEngine {
   std::vector<std::vector<stream::UncertainPoint>> pending_batches_;
   std::vector<std::size_t> pending_fill_;
 
-  /// In-flight points per shard (enqueued, not yet processed); guarded by
-  /// done_mu_, signalled via done_cv_ when a shard reaches zero.
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  std::vector<std::size_t> in_flight_;
+  /// Points enqueued on any shard and not yet processed or dropped; a
+  /// merge waits for zero (every queue empty, every worker idle).
+  InFlight in_flight_;
 
   // Coordinator-thread state.
   std::size_t points_ingested_ = 0;

@@ -1,9 +1,9 @@
 #include "report/figure_report.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "util/parse.h"
 
 namespace umicro::report {
 
@@ -22,16 +22,6 @@ std::vector<std::string> SplitLine(const std::string& line) {
   }
   cells.push_back(cell);
   return cells;
-}
-
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = value;
-  return true;
 }
 
 std::string EscapeHtml(const std::string& text) {
@@ -67,10 +57,10 @@ std::optional<std::vector<Series>> SeriesFromCsvFile(
     const std::vector<std::string> cells = SplitLine(line);
     if (cells.size() != header.size()) return std::nullopt;
     double x = 0.0;
-    if (!ParseDouble(cells[0], &x)) return std::nullopt;
+    if (!util::ParseDouble(cells[0], &x)) return std::nullopt;
     for (std::size_t c = 1; c < cells.size(); ++c) {
       double y = 0.0;
-      if (!ParseDouble(cells[c], &y)) return std::nullopt;
+      if (!util::ParseDouble(cells[c], &y)) return std::nullopt;
       series[c - 1].points.emplace_back(x, y);
     }
   }

@@ -30,13 +30,6 @@ void AppendCsvDouble(std::string* out, double value) {
 
 }  // namespace
 
-std::optional<BadRecordPolicy> ParseBadRecordPolicy(const std::string& text) {
-  if (text == "repair") return BadRecordPolicy::kRepair;
-  if (text == "quarantine") return BadRecordPolicy::kQuarantine;
-  if (text == "drop") return BadRecordPolicy::kDrop;
-  return std::nullopt;
-}
-
 ValidationPolicies ValidationPolicies::Uniform(BadRecordPolicy policy) {
   ValidationPolicies policies;
   policies.non_finite_value = policy;

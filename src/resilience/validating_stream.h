@@ -42,9 +42,6 @@ enum class BadRecordPolicy {
   kDrop,
 };
 
-/// Parses "repair" / "quarantine" / "drop"; std::nullopt otherwise.
-std::optional<BadRecordPolicy> ParseBadRecordPolicy(const std::string& text);
-
 /// Per-defect-class policies (one record can exhibit several defects;
 /// the most severe applicable policy wins: drop > quarantine > repair).
 struct ValidationPolicies {

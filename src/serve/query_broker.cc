@@ -30,16 +30,20 @@ double SquaredDistanceToCentroid(const std::vector<double>& probe,
 
 QueryBroker::QueryBroker(ReplicaResolver resolver, QueryBrokerOptions options,
                          obs::MetricsRegistry* metrics)
-    : resolver_(std::move(resolver)), options_(options), metrics_(metrics) {
+    : resolver_(std::move(resolver)),
+      options_(options),
+      metrics_(metrics),
+      queue_(options_.max_queue, parallel::BackpressurePolicy::kBlock) {
   UMICRO_CHECK(resolver_ != nullptr);
   UMICRO_CHECK(options_.num_threads >= 1);
-  UMICRO_CHECK(options_.max_queue >= 1);
   if (metrics_ != nullptr) {
     queries_ = &metrics_->GetCounter("serve.queries");
     errors_ = &metrics_->GetCounter("serve.errors");
     query_micros_ = &metrics_->GetHistogram("serve.query_micros");
-    queue_depth_gauge_ = &metrics_->GetGauge("serve.queue_depth");
-    queue_depth_peak_ = &metrics_->GetGauge("serve.queue_depth_peak");
+    parallel::QueueMetricsHooks hooks;
+    hooks.depth = &metrics_->GetGauge("serve.queue_depth");
+    hooks.high_water = &metrics_->GetGauge("serve.queue_depth_peak");
+    queue_.SetMetricsHooks(hooks);
   }
   workers_.reserve(options_.num_threads);
   for (std::size_t i = 0; i < options_.num_threads; ++i) {
@@ -66,65 +70,28 @@ QueryBroker::QueryBroker(const SnapshotReadReplica* replica,
 }
 
 QueryBroker::~QueryBroker() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  queue_nonempty_.notify_all();
-  queue_nonfull_.notify_all();
+  queue_.Close();
   for (auto& worker : workers_) worker.join();
 }
 
 std::future<QueryResponse> QueryBroker::Submit(QueryRequest request) {
-  PendingQuery pending;
-  pending.request = std::move(request);
-  std::future<QueryResponse> future = pending.promise.get_future();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_nonfull_.wait(lock, [this] {
-      return queue_.size() < options_.max_queue || shutdown_;
-    });
-    if (shutdown_) {
-      pending.promise.set_value(
-          {false, "broker shutting down", 0, {}, {}, false, 0.0, {}});
-      return future;
-    }
-    queue_.push_back(std::move(pending));
-    if (queue_depth_gauge_ != nullptr) {
-      queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-      queue_depth_peak_->SetMax(static_cast<double>(queue_.size()));
-    }
+  PendingQuery pending{std::move(request), std::promise<QueryResponse>()};
+  std::future<QueryResponse> future = pending.promise->get_future();
+  if (!queue_.Push(std::move(pending))) {
+    pending.promise->set_value(
+        {false, "broker shutting down", 0, {}, {}, false, 0.0, {}});
   }
-  queue_nonempty_.notify_one();
   return future;
 }
 
 void QueryBroker::WorkerLoop() {
-  for (;;) {
-    PendingQuery pending;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_nonempty_.wait(lock,
-                           [this] { return !queue_.empty() || shutdown_; });
-      if (queue_.empty()) {
-        if (shutdown_) return;
-        continue;
-      }
-      pending = std::move(queue_.front());
-      queue_.pop_front();
-      if (queue_depth_gauge_ != nullptr) {
-        queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-      }
-    }
-    queue_nonfull_.notify_one();
-    pending.promise.set_value(Execute(pending.request));
+  PendingQuery pending;
+  while (queue_.Pop(&pending)) {
+    pending.promise->set_value(Execute(pending.request));
   }
 }
 
-std::size_t QueryBroker::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
+std::size_t QueryBroker::queue_depth() const { return queue_.size(); }
 
 QueryResponse QueryBroker::Execute(const QueryRequest& request) const {
   const obs::ScopedTimer timer(query_micros_);

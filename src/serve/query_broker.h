@@ -1,10 +1,11 @@
 // QueryBroker: concurrent query answering over a SnapshotReadReplica.
 //
-// N worker threads drain a bounded queue of queries; every query runs
-// against an Acquire()d immutable ReplicaState, so nothing a query does
-// can stall Process/ProcessBatch on the engine thread. Submit() hands
-// back a future; Execute() answers synchronously on the caller's thread
-// through the identical code path (the quiesced-equality tests use it).
+// N worker threads drain a kBlock parallel::BoundedQueue of queries;
+// every query runs against an Acquire()d immutable ReplicaState, so
+// nothing a query does can stall Process/ProcessBatch on the engine
+// thread. Submit() hands back a future; Execute() answers synchronously
+// on the caller's thread through the identical code path (the
+// quiesced-equality tests use it).
 //
 // Query kinds (the paper's interactive analysis, Section II-D, served):
 //   kClusterRecent -- "cluster the last h time units into k groups"
@@ -22,14 +23,12 @@
 #ifndef UMICRO_SERVE_QUERY_BROKER_H_
 #define UMICRO_SERVE_QUERY_BROKER_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -39,6 +38,7 @@
 #include "core/horizon.h"
 #include "core/macro_cluster.h"
 #include "obs/metrics.h"
+#include "parallel/bounded_queue.h"
 #include "serve/replica.h"
 
 namespace umicro::serve {
@@ -171,9 +171,12 @@ class QueryBroker {
   }
 
  private:
+  /// A queue slot. The promise is optional because a default-built
+  /// std::promise allocates its shared state, and the queue default-builds
+  /// every slot up front.
   struct PendingQuery {
     QueryRequest request;
-    std::promise<QueryResponse> promise;
+    std::optional<std::promise<QueryResponse>> promise;
   };
 
   void WorkerLoop();
@@ -194,16 +197,10 @@ class QueryBroker {
   obs::Counter* queries_ = nullptr;
   obs::Counter* errors_ = nullptr;
   obs::Histogram* query_micros_ = nullptr;
-  obs::Gauge* queue_depth_gauge_ = nullptr;
-  obs::Gauge* queue_depth_peak_ = nullptr;
   /// Served tally when no registry is attached.
   mutable std::atomic<std::uint64_t> served_fallback_{0};
 
-  mutable std::mutex mu_;
-  std::condition_variable queue_nonempty_;
-  std::condition_variable queue_nonfull_;
-  std::deque<PendingQuery> queue_;
-  bool shutdown_ = false;
+  parallel::BoundedQueue<PendingQuery> queue_;
   std::vector<std::thread> workers_;
 };
 

@@ -13,12 +13,6 @@ void FailpointRegistry::Arm(const std::string& name, FailpointSpec spec) {
   any_armed_.store(true, std::memory_order_relaxed);
 }
 
-void FailpointRegistry::Disarm(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  points_.erase(name);
-  any_armed_.store(!points_.empty(), std::memory_order_relaxed);
-}
-
 void FailpointRegistry::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   points_.clear();
@@ -48,18 +42,6 @@ std::size_t FailpointRegistry::StallMillis(const std::string& name) {
     stall = it->second.spec.stall_millis;
   }
   return ShouldTrigger(name) ? stall : 0;
-}
-
-std::size_t FailpointRegistry::HitCount(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = points_.find(name);
-  return it == points_.end() ? 0 : it->second.hits;
-}
-
-std::size_t FailpointRegistry::TriggerCount(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = points_.find(name);
-  return it == points_.end() ? 0 : it->second.triggers;
 }
 
 }  // namespace umicro::util

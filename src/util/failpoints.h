@@ -49,9 +49,6 @@ class FailpointRegistry {
   /// Arms `name` with the given behavior (re-arming resets its counts).
   void Arm(const std::string& name, FailpointSpec spec = {});
 
-  /// Disarms `name`; its site then never triggers.
-  void Disarm(const std::string& name);
-
   /// Disarms everything (test teardown).
   void DisarmAll();
 
@@ -62,12 +59,6 @@ class FailpointRegistry {
   /// Site hook for stall sites: the stall duration of a triggering hit,
   /// 0 when the hit does not trigger. Counts a hit like ShouldTrigger.
   std::size_t StallMillis(const std::string& name);
-
-  /// Total hits on `name` since it was (re-)armed.
-  std::size_t HitCount(const std::string& name) const;
-
-  /// Triggering hits on `name` since it was (re-)armed.
-  std::size_t TriggerCount(const std::string& name) const;
 
   /// True when any failpoint is currently armed (sites use this to skip
   /// the locked lookup; exposed for tests).
@@ -84,7 +75,7 @@ class FailpointRegistry {
 
   FailpointRegistry() = default;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::atomic<bool> any_armed_{false};
   std::map<std::string, PointState> points_;
 };

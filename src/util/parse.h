@@ -1,0 +1,27 @@
+// Strict text-to-number parsing shared by the dataset and report readers.
+
+#ifndef UMICRO_UTIL_PARSE_H_
+#define UMICRO_UTIL_PARSE_H_
+
+#include <cerrno>
+#include <cstdlib>
+#include <string>
+
+namespace umicro::util {
+
+/// Parses all of `text` as a double (strtod syntax). False when `text` is
+/// empty, has trailing characters, or is out of range (errno set); `*out`
+/// is written only on success.
+inline bool ParseDouble(const std::string& text, double* out) {
+  if (text.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (errno != 0 || end != text.c_str() + text.size()) return false;
+  *out = value;
+  return true;
+}
+
+}  // namespace umicro::util
+
+#endif  // UMICRO_UTIL_PARSE_H_
