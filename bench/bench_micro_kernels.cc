@@ -392,8 +392,7 @@ void BM_ShardMerge(benchmark::State& state) {
   // shard count, each shard holding 100 SynDrift clusters at d=20 (the
   // syndrift_sharded configuration at 2 shards). The merge reconciles
   // the concatenated clusters back to a budget of 100 on the
-  // DetectBackend() tier; the timed loop includes the by-value copy of
-  // the shard sets the merge consumes.
+  // DetectBackend() tier, reading the shard frames in place.
   const std::size_t shards = static_cast<std::size_t>(state.range(0));
   const umicro::stream::Dataset dataset =
       umicro::synth::MakeSynDriftWorkload(20000 * shards, 0.5, 17);
@@ -407,10 +406,13 @@ void BM_ShardMerge(benchmark::State& state) {
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     algorithms[i % shards]->Process(dataset.points()[i]);
   }
-  std::vector<std::vector<umicro::core::MicroCluster>> shard_sets;
+  std::vector<umicro::core::LabeledFrame> shard_views;
   for (const auto& algorithm : algorithms) {
-    shard_sets.push_back(algorithm->clusters());
+    shard_views.push_back({algorithm->TakeSnapshot(0.0),
+                           algorithm->ClusterLabelHistograms()});
   }
+  std::vector<const umicro::core::LabeledFrame*> shard_sets;
+  for (const auto& view : shard_views) shard_sets.push_back(&view);
   umicro::parallel::ShardMergeOptions merge_options;
   merge_options.dimensions = dataset.dimensions();
   merge_options.dimension_threshold = options.dimension_threshold;
@@ -419,7 +421,7 @@ void BM_ShardMerge(benchmark::State& state) {
     std::size_t reconciliations = 0;
     auto merged = umicro::parallel::MergeShardClusterSets(
         shard_sets, merge_options, &reconciliations);
-    benchmark::DoNotOptimize(merged.data());
+    benchmark::DoNotOptimize(merged.frame.record(0));
     benchmark::DoNotOptimize(reconciliations);
   }
 }

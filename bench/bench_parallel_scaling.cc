@@ -26,8 +26,6 @@
 
 namespace {
 
-using umicro::core::MicroCluster;
-
 umicro::core::UMicroOptions MassConservingOptions(std::size_t nmicro) {
   umicro::core::UMicroOptions options;
   options.num_micro_clusters = nmicro;
@@ -41,16 +39,16 @@ struct EcfTotals {
   std::vector<double> ef2;
 };
 
-EcfTotals TotalsOf(const std::vector<MicroCluster>& clusters,
+EcfTotals TotalsOf(const umicro::core::Snapshot& clusters,
                    std::size_t dimensions) {
   EcfTotals totals;
   totals.cf1.assign(dimensions, 0.0);
   totals.ef2.assign(dimensions, 0.0);
-  for (const auto& cluster : clusters) {
-    totals.n += cluster.ecf.weight();
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    totals.n += clusters.weight(i);
     for (std::size_t j = 0; j < dimensions; ++j) {
-      totals.cf1[j] += cluster.ecf.cf1()[j];
-      totals.ef2[j] += cluster.ecf.ef2()[j];
+      totals.cf1[j] += clusters.cf1(i)[j];
+      totals.ef2[j] += clusters.ef2(i)[j];
     }
   }
   return totals;
@@ -85,7 +83,7 @@ void RunSweep(const std::string& workload,
   const double sequential_seconds = sequential_watch.ElapsedSeconds();
   const double sequential_pps = dataset.size() / sequential_seconds;
   const EcfTotals sequential_totals =
-      TotalsOf(sequential.clusters(), dataset.dimensions());
+      TotalsOf(sequential.TakeSnapshot(0.0), dataset.dimensions());
 
   std::printf("%s: %zu points x %zud, sequential %.0f pts/s "
               "(%zu hardware threads)\n",
@@ -114,7 +112,7 @@ void RunSweep(const std::string& workload,
     const double speedup = pps / sequential_pps;
 
     const EcfTotals totals =
-        TotalsOf(sharded.GlobalClusters(), dataset.dimensions());
+        TotalsOf(sharded.GlobalClusters().frame, dataset.dimensions());
     const bool n_exact = totals.n == sequential_totals.n;
     const double cf1_dev =
         MaxRelativeDeviation(totals.cf1, sequential_totals.cf1);

@@ -5,7 +5,7 @@
 // cadence, the optional snapshot sink and the "snapshot." instruments.
 // The sequential engine and the sharded engine each own one; they
 // differ only in how a frame of their live state is produced (UMicro's
-// TakeSnapshot against a forced drain + merge + GlobalSnapshot).
+// TakeSnapshot against a forced drain + merge and the merged frame).
 //
 // EngineCore is UMicro plus a timeline -- one engine's complete
 // algorithm state behind one compact object (the umappp Status

@@ -1,14 +1,17 @@
-// A micro-cluster as a value: ECF statistics plus the bookkeeping the
-// algorithm needs (identity, creation time) and evaluation-only label
-// histograms. core::UMicro keeps its live clusters in a SoA table and
-// materializes these at its edges (export, inspection, shard merges).
+// Micro-clusters outside UMicro's SoA table. LabeledFrame is the one form
+// of every cluster set past the table (shard and merged views, aggregator
+// leaf states, checkpoint state): snapshot records plus label histograms.
+// MicroCluster is one cluster as a value, built by UMicro::clusters().
 
 #ifndef UMICRO_CORE_MICROCLUSTER_H_
 #define UMICRO_CORE_MICROCLUSTER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/cluster_feature.h"
+#include "core/snapshot.h"
 #include "stream/clusterer.h"
 #include "stream/point.h"
 
@@ -41,6 +44,17 @@ struct MicroCluster {
         ecf(ErrorClusterFeature::FromPoint(point, weight)) {
     if (point.label != stream::kUnlabeled) labels[point.label] += weight;
   }
+};
+
+/// A micro-cluster set in record form: one flat frame plus one
+/// evaluation-only label histogram per record (`labels[i]` belongs to
+/// `frame` record i, so the two always have the same length).
+struct LabeledFrame {
+  Snapshot frame;
+  std::vector<stream::LabelHistogram> labels;
+
+  std::size_t size() const { return frame.size(); }
+  bool empty() const { return frame.empty(); }
 };
 
 }  // namespace umicro::core

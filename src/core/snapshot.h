@@ -94,6 +94,11 @@ class Snapshot {
   const double* record(std::size_t i) const {
     return records_.data() + i * RecordSize(dims_);
   }
+  /// Writable record `i`, for the producer folding into records it
+  /// appended (before the frame is published).
+  double* mutable_record(std::size_t i) {
+    return records_.data() + i * RecordSize(dims_);
+  }
 
   std::uint64_t id(std::size_t i) const {
     return std::bit_cast<std::uint64_t>(record(i)[0]);

@@ -4,18 +4,23 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 namespace umicro::core {
 
-std::string SummarizeClusters(const std::vector<MicroCluster>& clusters,
+std::string SummarizeClusters(const LabeledFrame& clusters,
                               const SummaryOptions& options) {
-  // Sort indices by weight, heaviest first.
-  std::vector<std::size_t> order(clusters.size());
+  // Sort indices by weight, heaviest first; equal weights (the norm
+  // without decay, where weights are point counts) by ascending id.
+  const Snapshot& frame = clusters.frame;
+  std::vector<std::size_t> order(frame.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) {
-              return clusters[a].ecf.weight() > clusters[b].ecf.weight();
-            });
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (frame.weight(a) != frame.weight(b)) {
+      return frame.weight(a) > frame.weight(b);
+    }
+    return frame.id(a) < frame.id(b);
+  });
   const std::size_t shown =
       options.top == 0 ? order.size()
                        : std::min(options.top, order.size());
@@ -25,19 +30,20 @@ std::string SummarizeClusters(const std::vector<MicroCluster>& clusters,
   std::snprintf(line, sizeof(line), "%6s %10s %10s %10s %8s  %s\n", "id",
                 "weight", "radius", "mean-err", "label", "centroid");
   out << line;
+  const std::size_t d = frame.dims();
   for (std::size_t rank = 0; rank < shown; ++rank) {
-    const MicroCluster& cluster = clusters[order[rank]];
-    if (cluster.ecf.empty()) continue;
-    const std::size_t d = cluster.ecf.dimensions();
+    const std::size_t i = order[rank];
+    const double n = frame.weight(i);
+    if (n <= 0.0) continue;
     // Mean per-dimension error stddev from EF2: sqrt(mean EF2_j / n).
     double ef2_sum = 0.0;
-    for (double e : cluster.ecf.ef2()) ef2_sum += e;
-    const double mean_error = std::sqrt(
-        ef2_sum / (static_cast<double>(d) * cluster.ecf.weight()));
+    for (std::size_t j = 0; j < d; ++j) ef2_sum += frame.ef2(i)[j];
+    const double mean_error =
+        std::sqrt(ef2_sum / (static_cast<double>(d) * n));
 
     int dominant = stream::kUnlabeled;
     double best = 0.0;
-    for (const auto& [label, weight] : cluster.labels) {
+    for (const auto& [label, weight] : clusters.labels[i]) {
       if (weight > best) {
         best = weight;
         dominant = label;
@@ -46,17 +52,17 @@ std::string SummarizeClusters(const std::vector<MicroCluster>& clusters,
     std::string label_text =
         dominant == stream::kUnlabeled ? "-" : std::to_string(dominant);
 
+    const double radius = std::sqrt(UncertainRadiusSquared(
+        frame.cf1(i), frame.cf2(i), frame.ef2(i), n, d));
     std::snprintf(line, sizeof(line), "%6llu %10.1f %10.3f %10.3f %8s  ",
-                  static_cast<unsigned long long>(cluster.id),
-                  cluster.ecf.weight(), cluster.ecf.UncertainRadius(),
+                  static_cast<unsigned long long>(frame.id(i)), n, radius,
                   mean_error, label_text.c_str());
     out << line;
     out << '(';
     const std::size_t dims_shown = std::min(options.max_dims, d);
     for (std::size_t j = 0; j < dims_shown; ++j) {
       if (j > 0) out << ", ";
-      std::snprintf(line, sizeof(line), "%.3g",
-                    cluster.ecf.CentroidAt(j));
+      std::snprintf(line, sizeof(line), "%.3g", frame.cf1(i)[j] / n);
       out << line;
     }
     if (dims_shown < d) out << ", ...";

@@ -3,8 +3,8 @@
 #ifndef UMICRO_CORE_SUMMARY_H_
 #define UMICRO_CORE_SUMMARY_H_
 
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "core/microcluster.h"
 
@@ -18,10 +18,11 @@ struct SummaryOptions {
   std::size_t max_dims = 6;
 };
 
-/// Renders a fixed-width table of the clusters: id, weight, uncertain
-/// radius, mean per-dimension error, dominant label (when histograms
-/// are populated), and the leading centroid coordinates.
-std::string SummarizeClusters(const std::vector<MicroCluster>& clusters,
+/// Renders a fixed-width table of the clusters, heaviest first and ties
+/// by ascending id: id, weight, uncertain radius, mean per-dimension
+/// error, dominant label (when histograms are populated), and the
+/// leading centroid coordinates.
+std::string SummarizeClusters(const LabeledFrame& clusters,
                               const SummaryOptions& options = {});
 
 }  // namespace umicro::core

@@ -442,21 +442,17 @@ void UMicro::RetireOneCluster(double now) {
   if (metrics_.merged != nullptr) metrics_.merged->Increment();
 }
 
-ErrorClusterFeature UMicro::RowFeature(std::size_t i) const {
-  const std::size_t d = dimensions_;
-  return ErrorClusterFeature::FromRaw(
-      {table_.cf1_row(i), table_.cf1_row(i) + d},
-      {table_.cf2_row(i), table_.cf2_row(i) + d},
-      {table_.ef2_row(i), table_.ef2_row(i) + d}, table_.weight(i),
-      meta_[i].last_update_time);
-}
-
 std::vector<MicroCluster> UMicro::clusters() const {
+  const std::size_t d = dimensions_;
   std::vector<MicroCluster> clusters(meta_.size());
   for (std::size_t i = 0; i < meta_.size(); ++i) {
     clusters[i].id = meta_[i].id;
     clusters[i].creation_time = meta_[i].creation_time;
-    clusters[i].ecf = RowFeature(i);
+    clusters[i].ecf = ErrorClusterFeature::FromRaw(
+        {table_.cf1_row(i), table_.cf1_row(i) + d},
+        {table_.cf2_row(i), table_.cf2_row(i) + d},
+        {table_.ef2_row(i), table_.ef2_row(i) + d}, table_.weight(i),
+        meta_[i].last_update_time);
     clusters[i].labels = meta_[i].labels;
   }
   return clusters;
@@ -464,7 +460,7 @@ std::vector<MicroCluster> UMicro::clusters() const {
 
 UMicroState UMicro::ExportState() const {
   UMicroState state;
-  state.clusters = clusters();
+  state.clusters = {TakeSnapshot(0.0), ClusterLabelHistograms()};
   state.welford.reserve(welford_.size());
   for (const auto& acc : welford_) {
     state.welford.push_back({acc.count(), acc.Mean(), acc.m2()});
@@ -485,18 +481,19 @@ void UMicro::RestoreState(const UMicroState& state) {
                    "state has %zu dimensions, algorithm expects %zu",
                    state.welford.size(), dimensions_);
   UMICRO_CHECK(state.global_variances.size() == dimensions_);
-  // Raw copies of the statistics, so the restored rows are the exported
+  // Raw copies of the records, so the restored rows are the exported
   // ones bit for bit.
+  const Snapshot& frame = state.clusters.frame;
+  UMICRO_CHECK(frame.empty() || frame.dims() == dimensions_);
+  UMICRO_CHECK(state.clusters.labels.size() == frame.size());
   table_.Reset(dimensions_);
-  table_.Reserve(state.clusters.size());
+  table_.Reserve(frame.size());
   meta_.clear();
-  meta_.reserve(state.clusters.size());
-  for (const auto& cluster : state.clusters) {
-    UMICRO_CHECK(cluster.ecf.dimensions() == dimensions_);
-    table_.PushRow(cluster.ecf.cf1().data(), cluster.ecf.cf2().data(),
-                   cluster.ecf.ef2().data(), cluster.ecf.weight());
-    meta_.push_back({cluster.id, cluster.creation_time,
-                     cluster.ecf.last_update_time(), cluster.labels});
+  meta_.reserve(frame.size());
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    table_.PushRow(frame.cf1(i), frame.cf2(i), frame.ef2(i), frame.weight(i));
+    meta_.push_back({frame.id(i), frame.creation_time(i),
+                     frame.last_update_time(i), state.clusters.labels[i]});
   }
   // Whatever the index and the pair cache mirrored is gone with the old
   // table.

@@ -112,7 +112,8 @@ struct UMicroState {
     double m2 = 0.0;
   };
 
-  std::vector<MicroCluster> clusters;
+  /// The live clusters in table order (the frame's time is unused).
+  LabeledFrame clusters;
   std::vector<WelfordRaw> welford;
   std::vector<double> global_variances;
   std::uint64_t next_cluster_id = 0;
@@ -263,9 +264,6 @@ class UMicro : public stream::StreamClusterer {
   /// RemoveRow, counted as an eviction.
   void EvictRow(std::size_t i);
 
-  /// Row `i` as a value (the snapshot/export edge).
-  ErrorClusterFeature RowFeature(std::size_t i) const;
-
   /// Makes room after a creation pushed the set past the budget: evicts
   /// the least-recently-updated cluster if stale, else merges the two
   /// closest clusters.
@@ -298,7 +296,7 @@ class UMicro : public stream::StreamClusterer {
   /// The live micro-clusters: the table holds each cluster's ECF
   /// statistics as a contiguous row (all batch scans read it), meta_
   /// holds the rest (row i <-> meta_[i]). This is the only copy of the
-  /// state; MicroCluster values are built from it at the edges.
+  /// state; frames and MicroCluster values are built from it at the edges.
   kernels::ClusterTable table_;
   std::vector<RowMeta> meta_;
   std::vector<util::WelfordAccumulator> welford_;

@@ -361,7 +361,7 @@ void Aggregator::RebuildMergedViewLocked() {
   for (const auto& [leaf_id, entry] : leaves_) {
     max_id = std::max(max_id, leaf_id);
   }
-  std::vector<std::vector<core::MicroCluster>> shard_sets(max_id + 1);
+  std::vector<const core::LabeledFrame*> shard_sets(max_id + 1, nullptr);
   double newest = 0.0;
   std::uint64_t min_points = 0, max_points = 0;
   bool first = true;
@@ -370,16 +370,15 @@ void Aggregator::RebuildMergedViewLocked() {
     max_points = std::max(max_points, entry.points);
     first = false;
     if (entry.stale) continue;
-    shard_sets[leaf_id] = entry.clusters;
+    shard_sets[leaf_id] = &entry.clusters;
     newest = std::max(newest, entry.last_timestamp);
   }
   parallel::ShardMergeOptions merge_options;
   merge_options.dimensions = options_.dimensions;
   merge_options.dimension_threshold = options_.dimension_threshold;
   merge_options.global_budget = options_.global_budget;
-  merged_ = parallel::MergeShardClusterSets(std::move(shard_sets),
-                                            merge_options);
-  merged_time_ = newest;
+  merged_ = parallel::MergeShardClusterSets(shard_sets, merge_options);
+  merged_.frame.time = newest;
   if (merges_metric_ != nullptr) merges_metric_->Increment();
   if (merge_lag_gauge_ != nullptr) {
     merge_lag_gauge_->Set(static_cast<double>(max_points - min_points));
@@ -392,16 +391,9 @@ void Aggregator::RebuildMergedViewLocked() {
   // per rebuild so horizon queries reach back across applied deltas.
   // state_mu_ serializes every publication, honoring the SnapshotSink
   // single-publisher contract.
-  auto snapshot = std::make_shared<core::Snapshot>(
-      merged_time_, merged_.empty() ? 0 : merged_.front().ecf.dimensions(),
-      merged_.size());
-  for (const core::MicroCluster& cluster : merged_) {
-    snapshot->Append(cluster.id, cluster.creation_time, cluster.ecf.weight(),
-                     cluster.ecf.last_update_time(), cluster.ecf.cf1().data(),
-                     cluster.ecf.cf2().data(), cluster.ecf.ef2().data());
-  }
   const std::uint64_t tick = ++rebuilds_;
-  replica_.PublishSnapshot(tick, std::move(snapshot));
+  replica_.PublishSnapshot(tick,
+                           std::make_shared<const core::Snapshot>(merged_.frame));
 }
 
 std::uint64_t Aggregator::total_points() const {
@@ -425,14 +417,9 @@ bool Aggregator::WaitForPoints(std::uint64_t n, int timeout_ms) {
          !stop_.load();
 }
 
-std::vector<core::MicroCluster> Aggregator::MergedClusters() const {
+core::LabeledFrame Aggregator::MergedClusters() const {
   std::lock_guard<std::mutex> lock(state_mu_);
   return merged_;
-}
-
-double Aggregator::merged_time() const {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  return merged_time_;
 }
 
 std::size_t Aggregator::leaves_known() const {

@@ -8,17 +8,18 @@
 //                          each answered with an ACK;
 //   anything else       -> text query session: the connection is wrapped
 //                          in a net::SocketStream and handed to the
-//                          PR 5 serve::ServeLineProtocol loop unchanged.
+//                          serve::ServeLineProtocol loop unchanged.
 //
 // Leaves run the sequential engine, so a delta must be a single-shard
 // "umicro" checkpoint; any other state is refused and counted as a
 // protocol error.
 //
 // Delta application is state replacement keyed by leaf id: the newest
-// state per leaf is kept, the merged global view is rebuilt through
-// parallel::MergeShardClusterSets -- the *same* routine the in-process
-// sharded engine uses -- and published to the SnapshotReadReplica the
-// query broker reads as one history frame per rebuild, retained under
+// state per leaf is kept as a core::LabeledFrame, the merged global view
+// is rebuilt through parallel::MergeShardClusterSets -- the *same*
+// routine the in-process sharded engine uses -- and its frame is
+// published to the SnapshotReadReplica the query broker reads as one
+// history frame per rebuild, retained under
 // the pyramid of AggregatorOptions::snapshot (horizon queries subtract
 // two of them). Because the merge is stateless over the current
 // leaf states, re-applied or re-ordered deltas cannot corrupt anything:
@@ -129,12 +130,9 @@ class Aggregator {
   /// Blocks until total_points() >= n; false on timeout or Stop().
   bool WaitForPoints(std::uint64_t n, int timeout_ms);
 
-  /// Copy of the current merged global view.
-  std::vector<core::MicroCluster> MergedClusters() const;
-
-  /// Newest stream timestamp across leaf states (the merged view's
-  /// publication time).
-  double merged_time() const;
+  /// Copy of the current merged global view; its frame's time is the
+  /// newest stream timestamp across the merged leaf states.
+  core::LabeledFrame MergedClusters() const;
 
   /// Leaves that have applied at least one delta.
   std::size_t leaves_known() const;
@@ -227,7 +225,7 @@ class Aggregator {
     std::uint64_t seq = 0;
     std::uint64_t points = 0;
     double last_timestamp = 0.0;
-    std::vector<core::MicroCluster> clusters;
+    core::LabeledFrame clusters;
     /// When the newest delta arrived (drives staleness).
     std::chrono::steady_clock::time_point last_delta{};
     /// Leaf sent BYE: its stream is complete, never stale.
@@ -244,8 +242,7 @@ class Aggregator {
   mutable std::mutex state_mu_;
   std::condition_variable points_cv_;
   std::map<std::uint64_t, LeafEntry> leaves_;
-  std::vector<core::MicroCluster> merged_;
-  double merged_time_ = 0.0;
+  core::LabeledFrame merged_;
   std::uint64_t deltas_applied_ = 0;
   /// Merged-view rebuilds so far: the replica history's snapshot clock.
   std::uint64_t rebuilds_ = 0;

@@ -53,7 +53,7 @@ bool FrameHeaderFits(std::size_t count, std::size_t dims,
 }
 
 void AppendRecordLine(std::ostringstream& out, const core::Snapshot& frame,
-                      std::size_t i) {
+                      std::size_t i, const stream::LabelHistogram* labels) {
   out << frame.id(i);
   for (const double v : {frame.creation_time(i), frame.weight(i),
                          frame.last_update_time(i)}) {
@@ -66,11 +66,18 @@ void AppendRecordLine(std::ostringstream& out, const core::Snapshot& frame,
       AppendDouble(out, row[j]);
     }
   }
+  if (labels != nullptr) {
+    out << " labels " << labels->size();
+    for (const auto& [label, weight] : *labels) {
+      out << ' ' << label << ' ';
+      AppendDouble(out, weight);
+    }
+  }
   out << "\n";
 }
 
 bool ParseRecordLine(std::istream& in, std::size_t dims,
-                     core::Snapshot* frame) {
+                     core::Snapshot* frame, stream::LabelHistogram* labels) {
   std::uint64_t id = 0;
   double creation_time = 0.0;
   double weight = 0.0;
@@ -83,6 +90,20 @@ bool ParseRecordLine(std::istream& in, std::size_t dims,
   std::vector<double> rows(3 * dims);
   for (double& v : rows) {
     if (!ReadFinite(in, &v)) return false;
+  }
+  if (labels != nullptr) {
+    std::string key;
+    std::size_t label_count = 0;
+    if (!(in >> key >> label_count) || key != "labels" ||
+        label_count > kMaxLabels) {
+      return false;
+    }
+    for (std::size_t l = 0; l < label_count; ++l) {
+      int label = 0;
+      double label_weight = 0.0;
+      if (!(in >> label) || !ReadFinite(in, &label_weight)) return false;
+      (*labels)[label] = label_weight;
+    }
   }
   frame->Append(id, creation_time, weight, last_update, rows.data(),
                 rows.data() + dims, rows.data() + 2 * dims);
@@ -195,69 +216,29 @@ std::optional<std::string_view> ChecksummedBody(std::string_view text,
 
 namespace {
 
-void AppendMicroCluster(std::ostringstream& out,
-                        const core::MicroCluster& cluster) {
-  out << cluster.id << ' ';
-  AppendDouble(out, cluster.creation_time);
-  out << ' ';
-  AppendDouble(out, cluster.ecf.weight());
-  out << ' ';
-  AppendDouble(out, cluster.ecf.last_update_time());
-  for (double v : cluster.ecf.cf1()) {
-    out << ' ';
-    AppendDouble(out, v);
+/// Writes `clusters` as labeled record lines, one per record.
+void AppendLabeledRecords(std::ostringstream& out,
+                          const core::LabeledFrame& clusters) {
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    AppendRecordLine(out, clusters.frame, i, &clusters.labels[i]);
   }
-  for (double v : cluster.ecf.cf2()) {
-    out << ' ';
-    AppendDouble(out, v);
-  }
-  for (double v : cluster.ecf.ef2()) {
-    out << ' ';
-    AppendDouble(out, v);
-  }
-  out << " labels " << cluster.labels.size();
-  for (const auto& [label, weight] : cluster.labels) {
-    out << ' ' << label << ' ';
-    AppendDouble(out, weight);
-  }
-  out << "\n";
 }
 
-bool ParseMicroCluster(std::istream& in, std::size_t dims,
-                       core::MicroCluster* out) {
-  core::MicroCluster cluster;
-  double weight = 0.0;
-  double last_update = 0.0;
-  if (!(in >> cluster.id) || !ReadFinite(in, &cluster.creation_time) ||
-      !ReadFinite(in, &weight) || !ReadFinite(in, &last_update)) {
-    return false;
+/// Parses `count` labeled record lines of `dims` dimensions into a fresh
+/// `clusters`, checking the header (FrameHeaderFits) before reserving.
+bool ParseLabeledRecords(std::istream& in, std::size_t count,
+                         std::size_t dims, std::size_t text_bytes,
+                         core::LabeledFrame* clusters) {
+  if (!FrameHeaderFits(count, dims, text_bytes)) return false;
+  clusters->frame = core::Snapshot(0.0, dims, count);
+  clusters->labels.reserve(count);
+  for (std::size_t c = 0; c < count; ++c) {
+    clusters->labels.emplace_back();
+    if (!ParseRecordLine(in, dims, &clusters->frame,
+                         &clusters->labels.back())) {
+      return false;
+    }
   }
-  if (weight < 0.0) return false;
-  std::vector<double> cf1(dims), cf2(dims), ef2(dims);
-  for (double& v : cf1) {
-    if (!ReadFinite(in, &v)) return false;
-  }
-  for (double& v : cf2) {
-    if (!ReadFinite(in, &v)) return false;
-  }
-  for (double& v : ef2) {
-    if (!ReadFinite(in, &v)) return false;
-  }
-  cluster.ecf = core::ErrorClusterFeature::FromRaw(
-      std::move(cf1), std::move(cf2), std::move(ef2), weight, last_update);
-  std::string key;
-  std::size_t label_count = 0;
-  if (!(in >> key >> label_count) || key != "labels" ||
-      label_count > kMaxLabels) {
-    return false;
-  }
-  for (std::size_t l = 0; l < label_count; ++l) {
-    int label = 0;
-    double label_weight = 0.0;
-    if (!(in >> label) || !ReadFinite(in, &label_weight)) return false;
-    cluster.labels[label] = label_weight;
-  }
-  *out = std::move(cluster);
   return true;
 }
 
@@ -286,12 +267,12 @@ void AppendUMicroState(std::ostringstream& out,
   }
   out << "\n";
   out << "clusters " << state.clusters.size() << "\n";
-  for (const auto& cluster : state.clusters) {
-    AppendMicroCluster(out, cluster);
-  }
+  AppendLabeledRecords(out, state.clusters);
 }
 
-bool ParseUMicroStateBody(std::istream& in, core::UMicroState* out) {
+/// `text_bytes` bounds the records the input can hold.
+bool ParseUMicroStateBody(std::istream& in, std::size_t text_bytes,
+                          core::UMicroState* out) {
   std::string magic;
   int version = 0;
   if (!(in >> magic >> version) || magic != "ustate" ||
@@ -335,14 +316,9 @@ bool ParseUMicroStateBody(std::istream& in, core::UMicroState* out) {
 
   std::size_t cluster_count = 0;
   if (!(in >> key >> cluster_count) || key != "clusters" ||
-      cluster_count > kMaxClusters) {
+      !ParseLabeledRecords(in, cluster_count, dims, text_bytes,
+                           &state.clusters)) {
     return false;
-  }
-  state.clusters.reserve(cluster_count);
-  for (std::size_t c = 0; c < cluster_count; ++c) {
-    core::MicroCluster cluster;
-    if (!ParseMicroCluster(in, dims, &cluster)) return false;
-    state.clusters.push_back(std::move(cluster));
   }
   *out = std::move(state);
   return true;
@@ -605,21 +581,19 @@ std::string UMicroStateToString(const core::UMicroState& state) {
 std::optional<core::UMicroState> ParseUMicroState(const std::string& text) {
   std::istringstream in(text);
   core::UMicroState state;
-  if (!ParseUMicroStateBody(in, &state)) return std::nullopt;
+  if (!ParseUMicroStateBody(in, text.size(), &state)) return std::nullopt;
   return state;
 }
 
-std::string MicroClustersToString(
-    const std::vector<core::MicroCluster>& clusters, std::size_t dimensions) {
+std::string MicroClustersToString(const core::LabeledFrame& clusters,
+                                  std::size_t dimensions) {
   std::ostringstream out;
   out << "uclusters 1 " << dimensions << ' ' << clusters.size() << "\n";
-  for (const core::MicroCluster& cluster : clusters) {
-    AppendMicroCluster(out, cluster);
-  }
+  AppendLabeledRecords(out, clusters);
   return out.str();
 }
 
-bool WriteMicroClustersFile(const std::vector<core::MicroCluster>& clusters,
+bool WriteMicroClustersFile(const core::LabeledFrame& clusters,
                             std::size_t dimensions, const std::string& path) {
   return WriteTextFileAtomic(MicroClustersToString(clusters, dimensions),
                              path);
@@ -665,7 +639,7 @@ std::optional<core::EngineState> ParseEngineState(const std::string& text) {
   state.shard_states.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     core::UMicroState shard;
-    if (!ParseUMicroStateBody(in, &shard)) return std::nullopt;
+    if (!ParseUMicroStateBody(in, text.size(), &shard)) return std::nullopt;
     if (shard.welford.size() != state.dimensions) return std::nullopt;
     state.shard_states.push_back(std::move(shard));
   }
@@ -673,15 +647,11 @@ std::optional<core::EngineState> ParseEngineState(const std::string& text) {
   // Checkpoints written before the merged view stopped being persisted
   // carry it here: parse it (the checksum covers it) and discard it.
   std::size_t global_count = 0;
+  core::LabeledFrame discarded;
   if (!(in >> key >> global_count) || key != "global" ||
-      global_count > kMaxClusters) {
+      !ParseLabeledRecords(in, global_count, state.dimensions, text.size(),
+                           &discarded)) {
     return std::nullopt;
-  }
-  for (std::size_t c = 0; c < global_count; ++c) {
-    core::MicroCluster cluster;
-    if (!ParseMicroCluster(in, state.dimensions, &cluster)) {
-      return std::nullopt;
-    }
   }
 
   if (!ParseSnapshotStoreState(in, state.dimensions, text.size(),

@@ -50,15 +50,20 @@ bool FrameHeaderFits(std::size_t count, std::size_t dims,
 
 /// Writes record `i` of `frame` as one text line, full precision:
 ///   <id> <creation_time> <weight> <last_update> <cf1 x d> <cf2 x d> <ef2 x d>
-/// The record line of "usnap 1" bodies and of checkpoint store frames.
+/// then, when `labels` is given, the suffix `labels <n> [<label> <w>]...`.
+/// The record line of "usnap 1" bodies and of checkpoint store frames;
+/// with the suffix, the cluster line of "ustate 1" and "uclusters 1".
 void AppendRecordLine(std::ostringstream& out, const core::Snapshot& frame,
-                      std::size_t i);
+                      std::size_t i,
+                      const stream::LabelHistogram* labels = nullptr);
 
 /// Parses one line written by AppendRecordLine and appends it to `frame`
-/// (built for `dims`). False on a malformed, non-finite or
-/// negative-weight record.
+/// (built for `dims`); with `labels` given, the label suffix is required
+/// and parsed into it. False on a malformed, non-finite or
+/// negative-weight record or an over-cap label count.
 bool ParseRecordLine(std::istream& in, std::size_t dims,
-                     core::Snapshot* frame);
+                     core::Snapshot* frame,
+                     stream::LabelHistogram* labels = nullptr);
 
 /// FNV-1a over `text` -- the integrity checksum every versioned format
 /// here embeds in its header (and the fleet manifest reuses per tenant
@@ -102,11 +107,11 @@ std::optional<core::UMicroState> ParseUMicroState(const std::string& text);
 /// per cluster in the codec's full-precision format. Two cluster sets
 /// are bitwise equal iff their dumps are byte-equal, which is how the
 /// distributed tier proves its merged view matches a single-process run.
-std::string MicroClustersToString(
-    const std::vector<core::MicroCluster>& clusters, std::size_t dimensions);
+std::string MicroClustersToString(const core::LabeledFrame& clusters,
+                                  std::size_t dimensions);
 
 /// Atomically writes the canonical dump to `path` (tmp + fsync + rename).
-bool WriteMicroClustersFile(const std::vector<core::MicroCluster>& clusters,
+bool WriteMicroClustersFile(const core::LabeledFrame& clusters,
                             std::size_t dimensions, const std::string& path);
 
 /// Serializes a full-engine checkpoint ("ucheckpoint 2").

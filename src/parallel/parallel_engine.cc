@@ -324,7 +324,8 @@ void ParallelUMicroEngine::Process(const stream::UncertainPoint& point) {
   // no merge_every merge on this point already made the view current.
   timeline_.TakeSnapshot([this](double time) {
     MergeNow();
-    return GlobalSnapshot(time);
+    global_clusters_.frame.time = time;
+    return global_clusters_.frame;
   });
 }
 
@@ -334,21 +335,24 @@ void ParallelUMicroEngine::ProcessBatch(
 }
 
 void ParallelUMicroEngine::RebuildGlobalView() {
-  std::vector<std::vector<core::MicroCluster>> shard_sets(shards_.size());
+  std::vector<core::LabeledFrame> shard_views(shards_.size());
+  std::vector<const core::LabeledFrame*> shard_sets(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     std::lock_guard<std::mutex> lock(shard.state_mu);
     shard.clusters_at_merge->Set(
         static_cast<double>(shard.algo.num_clusters()));
-    shard_sets[i] = shard.algo.clusters();
+    shard_views[i] = {shard.algo.TakeSnapshot(0.0),
+                      shard.algo.ClusterLabelHistograms()};
+    shard_sets[i] = &shard_views[i];
   }
   ShardMergeOptions merge_options;
   merge_options.dimensions = dimensions_;
   merge_options.dimension_threshold = options_.umicro.dimension_threshold;
   merge_options.global_budget = global_budget_;
   std::size_t reconciliations = 0;
-  global_clusters_ = MergeShardClusterSets(std::move(shard_sets),
-                                           merge_options, &reconciliations);
+  global_clusters_ =
+      MergeShardClusterSets(shard_sets, merge_options, &reconciliations);
   reconcile_metric_->Increment(reconciliations);
 }
 
@@ -387,8 +391,10 @@ void ParallelUMicroEngine::MergeNow() {
 void ParallelUMicroEngine::Flush() {
   MergeNow();
   if (points_ingested_ == 0) return;
-  timeline_.PublishCurrent(
-      [this](double time) { return GlobalSnapshot(time); });
+  timeline_.PublishCurrent([this](double time) {
+    global_clusters_.frame.time = time;
+    return global_clusters_.frame;
+  });
 }
 
 void ParallelUMicroEngine::AttachSnapshotSink(core::SnapshotSink* sink) {
@@ -399,8 +405,8 @@ std::optional<core::HorizonClustering> ParallelUMicroEngine::ClusterRecent(
     double horizon, const core::MacroClusteringOptions& options) {
   if (points_ingested_ == 0) return std::nullopt;
   MergeNow();
-  return timeline_.ClusterRecent(GlobalSnapshot(timeline_.last_timestamp()),
-                                 horizon, options,
+  global_clusters_.frame.time = timeline_.last_timestamp();
+  return timeline_.ClusterRecent(global_clusters_.frame, horizon, options,
                                  options_.umicro.decay_lambda);
 }
 
@@ -410,33 +416,20 @@ ParallelUMicroEngine::ClusterLabelHistograms() const {
   // view must be refreshed; the coordinator-thread contract makes the
   // cast safe.
   const_cast<ParallelUMicroEngine*>(this)->MergeNow();
-  std::vector<stream::LabelHistogram> histograms;
-  histograms.reserve(global_clusters_.size());
-  for (const auto& cluster : global_clusters_) {
-    histograms.push_back(cluster.labels);
-  }
-  return histograms;
+  return global_clusters_.labels;
 }
 
 std::vector<std::vector<double>> ParallelUMicroEngine::ClusterCentroids()
     const {
   const_cast<ParallelUMicroEngine*>(this)->MergeNow();
-  std::vector<std::vector<double>> centroids;
-  centroids.reserve(global_clusters_.size());
-  for (const auto& cluster : global_clusters_) {
-    if (!cluster.ecf.empty()) centroids.push_back(cluster.ecf.Centroid());
+  // One centroid per record: a merged weight sums live shard weights,
+  // which are always positive.
+  const core::Snapshot& frame = global_clusters_.frame;
+  std::vector<std::vector<double>> centroids(frame.size());
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    centroids[i] = core::Centroid(frame.cf1(i), frame.weight(i), dimensions_);
   }
   return centroids;
-}
-
-core::Snapshot ParallelUMicroEngine::GlobalSnapshot(double time) const {
-  core::Snapshot snapshot(time, dimensions_, global_clusters_.size());
-  for (const auto& cluster : global_clusters_) {
-    snapshot.Append(cluster.id, cluster.creation_time, cluster.ecf.weight(),
-                    cluster.ecf.last_update_time(), cluster.ecf.cf1().data(),
-                    cluster.ecf.cf2().data(), cluster.ecf.ef2().data());
-  }
-  return snapshot;
 }
 
 core::EngineState ParallelUMicroEngine::ExportEngineState() {
@@ -469,8 +462,9 @@ bool ParallelUMicroEngine::RestoreEngineState(const core::EngineState& state) {
   if (state.shard_states.size() != shards_.size()) return false;
   for (const auto& shard_state : state.shard_states) {
     if (shard_state.welford.size() != dimensions_) return false;
-    for (const auto& cluster : shard_state.clusters) {
-      if (cluster.ecf.dimensions() != dimensions_) return false;
+    if (!shard_state.clusters.empty() &&
+        shard_state.clusters.frame.dims() != dimensions_) {
+      return false;
     }
   }
   if (!timeline_.RestoreState(state)) return false;
@@ -481,7 +475,7 @@ bool ParallelUMicroEngine::RestoreEngineState(const core::EngineState& state) {
   }
   // The merged view is a function of the shard states: the next merge
   // rebuilds it.
-  global_clusters_.clear();
+  global_clusters_ = {};
   view_current_ = false;
   points_ingested_ = static_cast<std::size_t>(state.points_ingested);
   next_round_robin_ =

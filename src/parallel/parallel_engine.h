@@ -11,16 +11,16 @@
 //
 //   Process() --round-robin--> per-shard bounded queue --> worker thread
 //                                                         (private UMicro)
-//   every merge_every points / on Flush(): drain, collect shard clusters,
+//   every merge_every points / on Flush(): drain, collect shard views,
 //   merge them into the global view, reconciling near-duplicate clusters
 //   with the paper's dimension-counting similarity.
 //
-// The merged view is a pure function of the flushed shard states, so it
-// is never persisted: a checkpoint carries the shard states, and the
-// first merge after a restore rebuilds the view. Snapshots are taken on
-// the merged view (a snapshot cadence point forces a merge first), so
-// the one timeline -- cadence, store, sink, clock -- works exactly as in
-// the sequential engine.
+// The merged view, a core::LabeledFrame, is a pure function of the
+// flushed shard states, so it is never persisted: a checkpoint carries
+// the shard states, and the first merge after a restore rebuilds the
+// view. Snapshots copy the merged frame (a snapshot cadence point forces
+// a merge first), so the one timeline -- cadence, store, sink, clock --
+// works exactly as in the sequential engine.
 //
 // Threading contract: the public API is single-coordinator -- all calls
 // must come from one thread (the stream driver). Concurrency lives in the
@@ -210,8 +210,9 @@ class ParallelUMicroEngine : public core::ClusteringEngine {
   obs::MetricsRegistry& metrics() override { return metrics_; }
 
   /// Merged global micro-clusters as of the last merge (call Flush()
-  /// first for an up-to-date view).
-  const std::vector<core::MicroCluster>& GlobalClusters() const {
+  /// first for an up-to-date view). The frame's time is the stream time
+  /// of the last frame taken from the view.
+  const core::LabeledFrame& GlobalClusters() const {
     return global_clusters_;
   }
 
@@ -279,16 +280,13 @@ class ParallelUMicroEngine : public core::ClusteringEngine {
   /// when there is none, and resets the fill to zero.
   void TakeSpareBatch(std::size_t index);
 
-  /// Collects shard clusters and rebuilds the merged global view; must
+  /// Collects the shard views and rebuilds the merged global view; must
   /// only run with all queues drained.
   void RebuildGlobalView();
 
   /// Enqueue of pending batches, then drain + rebuild + merge-stat
   /// bookkeeping unless the view is current.
   void MergeNow();
-
-  /// The merged view as a Snapshot at `time` (the timeline's frame).
-  core::Snapshot GlobalSnapshot(double time) const;
 
   const std::size_t dimensions_;
   const ShardedUMicroOptions options_;
@@ -329,7 +327,7 @@ class ParallelUMicroEngine : public core::ClusteringEngine {
   std::size_t points_ingested_ = 0;
   std::size_t points_since_merge_ = 0;
   std::size_t next_round_robin_ = 0;
-  std::vector<core::MicroCluster> global_clusters_;
+  core::LabeledFrame global_clusters_;
   /// False once a batch was pushed to a shard queue or a state restored
   /// since the last rebuild; MergeNow skips the rebuild while true.
   bool view_current_ = true;

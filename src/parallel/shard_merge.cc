@@ -71,17 +71,24 @@ double ClusterSimilarity(const core::ErrorClusterFeature& a,
   return vote;
 }
 
-std::vector<core::MicroCluster> MergeShardClusterSets(
-    std::vector<std::vector<core::MicroCluster>> shard_sets,
+core::LabeledFrame MergeShardClusterSets(
+    std::span<const core::LabeledFrame* const> shard_sets,
     const ShardMergeOptions& options, std::size_t* reconciliations) {
   if (reconciliations != nullptr) *reconciliations = 0;
-  std::vector<core::MicroCluster> merged;
+  const std::size_t dims = options.dimensions;
+  core::LabeledFrame merged{core::Snapshot(0.0, dims), {}};
   for (std::size_t i = 0; i < shard_sets.size(); ++i) {
-    for (core::MicroCluster& cluster : shard_sets[i]) {
-      merged.push_back(std::move(cluster));
-      UMICRO_DCHECK(merged.back().id < (1ull << kShardIdShift));
-      merged.back().id =
-          (static_cast<std::uint64_t>(i) << kShardIdShift) | merged.back().id;
+    if (shard_sets[i] == nullptr) continue;
+    const core::Snapshot& shard = shard_sets[i]->frame;
+    UMICRO_CHECK(shard.empty() || shard.dims() == dims);
+    UMICRO_CHECK(shard_sets[i]->labels.size() == shard.size());
+    for (std::size_t k = 0; k < shard.size(); ++k) {
+      UMICRO_DCHECK(shard.id(k) < (1ull << kShardIdShift));
+      merged.frame.Append(
+          (static_cast<std::uint64_t>(i) << kShardIdShift) | shard.id(k),
+          shard.creation_time(k), shard.weight(k), shard.last_update_time(k),
+          shard.cf1(k), shard.cf2(k), shard.ef2(k));
+      merged.labels.push_back(shard_sets[i]->labels[k]);
     }
   }
 
@@ -98,21 +105,30 @@ std::vector<core::MicroCluster> MergeShardClusterSets(
   // centroid distance as tie-break) until the budget holds. The ECF
   // additions below are exact, so reconciliation changes granularity,
   // never statistics.
-  core::ErrorClusterFeature aggregate(options.dimensions);
-  for (const auto& cluster : merged) aggregate.Merge(cluster.ecf);
-  std::vector<double> inv_scaled(options.dimensions, 0.0);
-  for (std::size_t j = 0; j < options.dimensions; ++j) {
+  const core::Snapshot& frame = merged.frame;
+  std::vector<double> cf1(dims, 0.0);
+  std::vector<double> cf2(dims, 0.0);
+  double weight = 0.0;
+  for (std::size_t i = 0; i < q; ++i) {
+    for (std::size_t j = 0; j < dims; ++j) {
+      cf1[j] += frame.cf1(i)[j];
+      cf2[j] += frame.cf2(i)[j];
+    }
+    weight += frame.weight(i);
+  }
+  std::vector<double> inv_scaled(dims, 0.0);
+  for (std::size_t j = 0; j < dims; ++j) {
     const double scaled =
-        options.dimension_threshold * aggregate.VarianceAt(j);
+        options.dimension_threshold * core::VarianceAt(cf1[j], cf2[j], weight);
     inv_scaled[j] = scaled > 0.0 ? 1.0 / scaled : 0.0;
   }
 
   // Score every pair on the kernel tier from per-row terms staged once
-  // (bit-identical to ClusterSimilarity on every tier).
-  kernels::PairTermTable terms(options.dimensions, q);
+  // straight from the records (bit-identical to ClusterSimilarity on
+  // every tier).
+  kernels::PairTermTable terms(dims, q);
   for (std::size_t i = 0; i < q; ++i) {
-    const core::ErrorClusterFeature& ecf = merged[i].ecf;
-    terms.SetRow(i, ecf.cf1().data(), ecf.ef2().data(), ecf.weight());
+    terms.SetRow(i, frame.cf1(i), frame.ef2(i), frame.weight(i));
   }
   const kernels::Backend backend = kernels::DetectBackend();
   std::vector<double> votes(terms.stride());
@@ -159,28 +175,33 @@ std::vector<core::MicroCluster> MergeShardClusterSets(
   }
   if (reconciliations != nullptr) *reconciliations = unions;
 
-  // Materialize one cluster per union-find component; the heaviest
-  // member donates identity and the earliest member the creation time
-  // (mirroring the sequential closest-pair merge rule).
-  std::vector<core::MicroCluster> reconciled;
-  reconciled.reserve(components);
+  // Materialize one record (slots: id, creation time, weight, t(C), then
+  // the statistic rows) per union-find component; a member heavier than
+  // the record so far donates identity, the earliest member the creation
+  // time (mirroring the sequential closest-pair merge rule).
+  core::LabeledFrame reconciled{core::Snapshot(0.0, dims, components), {}};
+  reconciled.labels.reserve(components);
   std::vector<std::size_t> root_slot(q, q);
   for (std::size_t i = 0; i < q; ++i) {
     const std::size_t root = FindRoot(parent, i);
     if (root_slot[root] == q) {
       root_slot[root] = reconciled.size();
-      reconciled.push_back(std::move(merged[i]));
+      reconciled.frame.AppendRecord(frame.record(i));
+      reconciled.labels.push_back(std::move(merged.labels[i]));
       continue;
     }
-    core::MicroCluster& into = reconciled[root_slot[root]];
-    core::MicroCluster& from = merged[i];
-    if (from.ecf.weight() > into.ecf.weight()) {
-      std::swap(into.id, from.id);
+    double* into = reconciled.frame.mutable_record(root_slot[root]);
+    const double* from = frame.record(i);
+    if (from[2] > into[2]) into[0] = from[0];
+    into[1] = std::min(into[1], from[1]);
+    into[2] += from[2];
+    into[3] = std::max(into[3], from[3]);
+    for (std::size_t v = core::Snapshot::kHeaderSlots;
+         v < core::Snapshot::RecordSize(dims); ++v) {
+      into[v] += from[v];
     }
-    into.creation_time = std::min(into.creation_time, from.creation_time);
-    into.ecf.Merge(from.ecf);
-    for (const auto& [label, weight] : from.labels) {
-      into.labels[label] += weight;
+    for (const auto& [label, mass] : merged.labels[i]) {
+      reconciled.labels[root_slot[root]][label] += mass;
     }
   }
   return reconciled;

@@ -3,8 +3,8 @@
 // The error-based cluster features are additive (Property 2.1), so any
 // partition of a stream across shard-local UMicro instances can be
 // combined into one global clustering without approximating the
-// statistics. This is the single merge routine behind both
-// consumers:
+// statistics. It reads and returns core::LabeledFrames, record by
+// record. This is the single merge routine behind both consumers:
 //
 //   - ParallelUMicroEngine::RebuildGlobalView (threads of one process), and
 //   - dist::Aggregator (leaf processes of a merge tree, shipping their
@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/cluster_feature.h"
@@ -65,16 +66,17 @@ double ClusterSimilarity(const core::ErrorClusterFeature& a,
                          const std::vector<double>& inv_scaled,
                          double* centroid_dist2);
 
-/// Merges `shard_sets` (one cluster list per shard, shard order) into a
-/// single global view: tags ids by shard index, then reconciles
-/// near-duplicates down to `options.global_budget` when over budget.
-/// Pairs are united in a strict total order -- similarity descending,
-/// then squared centroid distance ascending, then (a, b) ascending over
-/// the concatenated positions -- so exact score ties resolve the same
-/// way everywhere. `reconciliations` (optional) receives the number of
-/// pairwise unions performed.
-std::vector<core::MicroCluster> MergeShardClusterSets(
-    std::vector<std::vector<core::MicroCluster>> shard_sets,
+/// Merges `shard_sets` (one frame per shard, shard order; null for a
+/// shard that contributes nothing) into a single global view of
+/// `options.dimensions`-d records at time 0: tags ids by shard index,
+/// then reconciles near-duplicates down to `options.global_budget` when
+/// over budget. Pairs are united in a strict total order -- similarity
+/// descending, then squared centroid distance ascending, then (a, b)
+/// ascending over the concatenated positions -- so exact score ties
+/// resolve the same way everywhere. `reconciliations` (optional)
+/// receives the number of pairwise unions performed.
+core::LabeledFrame MergeShardClusterSets(
+    std::span<const core::LabeledFrame* const> shard_sets,
     const ShardMergeOptions& options,
     std::size_t* reconciliations = nullptr);
 

@@ -66,12 +66,12 @@ AggregatorOptions MatchingAggregatorOptions(std::size_t dimensions) {
   return options;
 }
 
-std::string Canonical(const std::vector<core::MicroCluster>& clusters,
+std::string Canonical(const core::LabeledFrame& clusters,
                       std::size_t dimensions) {
   return io::MicroClustersToString(clusters, dimensions);
 }
 
-std::vector<core::MicroCluster> ShardedReference(
+core::LabeledFrame ShardedReference(
     const stream::Dataset& dataset, std::size_t shards) {
   parallel::ParallelEngineOptions options;
   options.sharded.umicro = LeafEngineOptions().umicro;

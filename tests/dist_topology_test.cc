@@ -116,7 +116,7 @@ AggregatorOptions MatchingAggregatorOptions(std::size_t dimensions) {
 }
 
 /// Canonical dump used for every bit-identity comparison.
-std::string Canonical(const std::vector<core::MicroCluster>& clusters,
+std::string Canonical(const core::LabeledFrame& clusters,
                       std::size_t dimensions) {
   return io::MicroClustersToString(clusters, dimensions);
 }
@@ -150,7 +150,7 @@ void RunLeaf(const stream::Dataset& dataset, std::uint64_t leaf_id,
 
 /// The in-process reference: the sharded engine over the same stream,
 /// same round-robin partitioning, same budgets.
-std::vector<core::MicroCluster> ShardedReference(
+core::LabeledFrame ShardedReference(
     const stream::Dataset& dataset, std::size_t shards) {
   parallel::ParallelEngineOptions options;
   options.sharded.umicro = LeafEngineOptions().umicro;

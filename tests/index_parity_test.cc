@@ -78,19 +78,24 @@ std::vector<stream::UncertainPoint> MakeStream(std::size_t count,
   return points;
 }
 
+/// One statistic row of a frame record as a vector.
+std::vector<double> Row(const Snapshot& frame, const double* row) {
+  return {row, row + frame.dims()};
+}
+
 void ExpectStatesBitIdentical(const UMicroState& a, const UMicroState& b) {
-  ASSERT_EQ(a.clusters.size(), b.clusters.size());
-  for (std::size_t i = 0; i < a.clusters.size(); ++i) {
+  const Snapshot& fa = a.clusters.frame;
+  const Snapshot& fb = b.clusters.frame;
+  ASSERT_EQ(fa.size(), fb.size());
+  for (std::size_t i = 0; i < fa.size(); ++i) {
     SCOPED_TRACE("cluster " + std::to_string(i));
-    const MicroCluster& ca = a.clusters[i];
-    const MicroCluster& cb = b.clusters[i];
-    EXPECT_EQ(ca.id, cb.id);
-    EXPECT_EQ(ca.creation_time, cb.creation_time);
-    EXPECT_EQ(ca.ecf.weight(), cb.ecf.weight());
-    EXPECT_EQ(ca.ecf.last_update_time(), cb.ecf.last_update_time());
-    EXPECT_EQ(ca.ecf.cf1(), cb.ecf.cf1());
-    EXPECT_EQ(ca.ecf.cf2(), cb.ecf.cf2());
-    EXPECT_EQ(ca.ecf.ef2(), cb.ecf.ef2());
+    EXPECT_EQ(fa.id(i), fb.id(i));
+    EXPECT_EQ(fa.creation_time(i), fb.creation_time(i));
+    EXPECT_EQ(fa.weight(i), fb.weight(i));
+    EXPECT_EQ(fa.last_update_time(i), fb.last_update_time(i));
+    EXPECT_EQ(Row(fa, fa.cf1(i)), Row(fb, fb.cf1(i)));
+    EXPECT_EQ(Row(fa, fa.cf2(i)), Row(fb, fb.cf2(i)));
+    EXPECT_EQ(Row(fa, fa.ef2(i)), Row(fb, fb.ef2(i)));
   }
   EXPECT_EQ(a.next_cluster_id, b.next_cluster_id);
   EXPECT_EQ(a.points_processed, b.points_processed);
@@ -294,15 +299,15 @@ TEST(IndexParityTest, ShardedPipelineParity) {
     return sharded.GlobalClusters();
   };
 
-  const auto flat = run(IndexKind::kFlat);
-  const auto indexed = run(IndexKind::kKdTree);
+  const Snapshot flat = run(IndexKind::kFlat).frame;
+  const Snapshot indexed = run(IndexKind::kKdTree).frame;
   ASSERT_EQ(flat.size(), indexed.size());
   for (std::size_t i = 0; i < flat.size(); ++i) {
     SCOPED_TRACE("cluster " + std::to_string(i));
-    EXPECT_EQ(flat[i].id, indexed[i].id);
-    EXPECT_EQ(flat[i].ecf.weight(), indexed[i].ecf.weight());
-    EXPECT_EQ(flat[i].ecf.cf1(), indexed[i].ecf.cf1());
-    EXPECT_EQ(flat[i].ecf.ef2(), indexed[i].ecf.ef2());
+    EXPECT_EQ(flat.id(i), indexed.id(i));
+    EXPECT_EQ(flat.weight(i), indexed.weight(i));
+    EXPECT_EQ(Row(flat, flat.cf1(i)), Row(indexed, indexed.cf1(i)));
+    EXPECT_EQ(Row(flat, flat.ef2(i)), Row(indexed, indexed.ef2(i)));
   }
 }
 

@@ -187,7 +187,7 @@ TEST(ParallelEngineTest, CheckpointsCarryingTheMergedViewStillRecover) {
   const stream::Dataset dataset = PhasedBlobs(3000, 29);
   for (const auto& point : dataset.points()) exporter.Process(point);
   const core::EngineState state = exporter.ExportEngineState();
-  const std::vector<core::MicroCluster>& view = exporter.GlobalClusters();
+  const core::LabeledFrame& view = exporter.GlobalClusters();
   ASSERT_FALSE(view.empty());
   const std::string dump = io::MicroClustersToString(view, 2);
   const std::string old_text = WithGlobalSection(

@@ -1,7 +1,8 @@
 // Exactness of the sharded merge (parallel::MergeShardClusterSets)
 // against the full-sort reference it replaced: the pair scores come from
-// the tiered pair kernel and the union order is selected lazily, yet
-// every merged view must be byte for byte the reference's, with the same
+// the tiered pair kernel, the union order is selected lazily and the
+// cluster sets are record frames, yet every merged view must be byte for
+// byte the reference's (over MicroCluster vectors), with the same
 // reconciliation count.
 
 #include "parallel/shard_merge.h"
@@ -19,6 +20,7 @@
 
 #include "core/cluster_feature.h"
 #include "core/microcluster.h"
+#include "core/snapshot.h"
 #include "stream/point.h"
 #include "util/random.h"
 
@@ -192,6 +194,33 @@ void DuplicateAcrossShards(
   }
 }
 
+/// `clusters` in record form.
+core::LabeledFrame ToFrame(const std::vector<core::MicroCluster>& clusters,
+                           std::size_t dims) {
+  core::LabeledFrame frame{core::Snapshot(0.0, dims, clusters.size()), {}};
+  for (const core::MicroCluster& cluster : clusters) {
+    frame.frame.Append(cluster.id, cluster.creation_time,
+                       cluster.ecf.weight(), cluster.ecf.last_update_time(),
+                       cluster.ecf.cf1().data(), cluster.ecf.cf2().data(),
+                       cluster.ecf.ef2().data());
+    frame.labels.push_back(cluster.labels);
+  }
+  return frame;
+}
+
+/// MergeShardClusterSets over the record forms of `shards`.
+core::LabeledFrame Merge(
+    const std::vector<std::vector<core::MicroCluster>>& shards,
+    const ShardMergeOptions& options, std::size_t* reconciliations) {
+  std::vector<core::LabeledFrame> frames;
+  for (const auto& shard : shards) {
+    frames.push_back(ToFrame(shard, options.dimensions));
+  }
+  std::vector<const core::LabeledFrame*> shard_sets;
+  for (const auto& frame : frames) shard_sets.push_back(&frame);
+  return MergeShardClusterSets(shard_sets, options, reconciliations);
+}
+
 /// The raw bytes of every field of every cluster, in order: two merged
 /// views are bit-identical exactly when these are equal.
 std::string Bytes(const std::vector<core::MicroCluster>& clusters) {
@@ -218,6 +247,24 @@ std::string Bytes(const std::vector<core::MicroCluster>& clusters) {
   return out;
 }
 
+/// The same bytes for a record-form view: each record (id, creation
+/// time, weight, last update, cf1, cf2, ef2 -- the field order above),
+/// then its labels.
+std::string Bytes(const core::LabeledFrame& clusters) {
+  std::string out;
+  const std::size_t record_bytes =
+      core::Snapshot::RecordSize(clusters.frame.dims()) * sizeof(double);
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    out.append(reinterpret_cast<const char*>(clusters.frame.record(i)),
+               record_bytes);
+    for (const auto& [label, mass] : clusters.labels[i]) {
+      out.append(reinterpret_cast<const char*>(&label), sizeof label);
+      out.append(reinterpret_cast<const char*>(&mass), sizeof mass);
+    }
+  }
+  return out;
+}
+
 /// Merges `shards` at every budget from one under the total down to 1
 /// and checks each merged view and reconciliation count against the
 /// reference.
@@ -234,7 +281,7 @@ void ExpectMatchesReferenceAtEveryBudget(
     options.global_budget = total - over;
     std::size_t got_unions = 0;
     std::size_t want_unions = 0;
-    const auto got = MergeShardClusterSets(shards, options, &got_unions);
+    const auto got = Merge(shards, options, &got_unions);
     const auto want =
         ReferenceMergeShardClusterSets(shards, options, &want_unions,
                                        tie_break);
@@ -296,11 +343,29 @@ TEST(ShardMergeTest, UnderBudgetOnlyTagsIds) {
   options.dimensions = 4;
   options.global_budget = 5;
   std::size_t unions = 7;
-  const auto merged = MergeShardClusterSets(shards, options, &unions);
+  const auto merged = Merge(shards, options, &unions);
   EXPECT_EQ(unions, 0u);
   ASSERT_EQ(merged.size(), 5u);
-  EXPECT_EQ(merged[0].id, shards[0][0].id);
-  EXPECT_EQ(merged[3].id, (1ull << kShardIdShift) | shards[1][0].id);
+  EXPECT_EQ(merged.frame.id(0), shards[0][0].id);
+  EXPECT_EQ(merged.frame.id(3), (1ull << kShardIdShift) | shards[1][0].id);
+}
+
+TEST(ShardMergeTest, NullShardKeepsItsSlotInTheIdTags) {
+  // A shard with nothing to contribute (an aggregator's missing or stale
+  // leaf) is a null entry: later shards keep their own index in the tag.
+  util::Rng rng(9);
+  const core::LabeledFrame a = ToFrame(RandomShardClusters(rng, 3, 2, false), 3);
+  const core::LabeledFrame c = ToFrame(RandomShardClusters(rng, 3, 2, false), 3);
+  const std::vector<const core::LabeledFrame*> shard_sets = {&a, nullptr, &c};
+  ShardMergeOptions options;
+  options.dimensions = 3;
+  options.global_budget = 4;
+  const core::LabeledFrame merged = MergeShardClusterSets(shard_sets, options);
+  ASSERT_EQ(merged.size(), 4u);
+  ASSERT_EQ(merged.labels.size(), 4u);
+  EXPECT_EQ(merged.frame.id(1), a.frame.id(1));
+  EXPECT_EQ(merged.frame.id(2), (2ull << kShardIdShift) | c.frame.id(0));
+  EXPECT_EQ(merged.labels[3], c.labels[1]);
 }
 
 // ---- The union order is total -----------------------------------------
@@ -390,7 +455,7 @@ TEST(ShardMergeTest, ExactTiesUniteTheLexicographicallySmallestPair) {
     options.dimension_threshold = 3.0;
     options.global_budget = q - 1;
     std::size_t unions = 0;
-    const auto merged = MergeShardClusterSets(shards, options, &unions);
+    const auto merged = Merge(shards, options, &unions);
     ASSERT_EQ(unions, 1u);
     // Cluster 0 of shard 0 absorbs its copy from shard 1 (equal weights:
     // shard 0's id stays); every other cluster keeps its position.

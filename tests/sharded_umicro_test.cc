@@ -51,31 +51,51 @@ struct EcfTotals {
   std::vector<double> ef2;
 };
 
-EcfTotals TotalsOf(const std::vector<core::MicroCluster>& clusters,
-                   std::size_t dimensions) {
+EcfTotals TotalsOf(const core::Snapshot& clusters, std::size_t dimensions) {
   EcfTotals totals;
   totals.cf1.assign(dimensions, 0.0);
   totals.ef2.assign(dimensions, 0.0);
-  for (const auto& cluster : clusters) {
-    totals.n += cluster.ecf.weight();
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    totals.n += clusters.weight(i);
     for (std::size_t j = 0; j < dimensions; ++j) {
-      totals.cf1[j] += cluster.ecf.cf1()[j];
-      totals.ef2[j] += cluster.ecf.ef2()[j];
+      totals.cf1[j] += clusters.cf1(i)[j];
+      totals.ef2[j] += clusters.ef2(i)[j];
     }
   }
   return totals;
 }
 
-/// Mass-weighted purity over the label histograms of `clusters`.
-double WeightedPurity(const std::vector<core::MicroCluster>& clusters) {
+/// Mass-weighted purity over label histograms.
+double WeightedPurity(const std::vector<stream::LabelHistogram>& histograms) {
   double dominant = 0.0;
   double total = 0.0;
-  for (const auto& cluster : clusters) {
-    dominant += stream::DominantLabelFraction(cluster.labels) *
-                stream::HistogramWeight(cluster.labels);
-    total += stream::HistogramWeight(cluster.labels);
+  for (const auto& labels : histograms) {
+    dominant += stream::DominantLabelFraction(labels) *
+                stream::HistogramWeight(labels);
+    total += stream::HistogramWeight(labels);
   }
   return total > 0.0 ? dominant / total : 0.0;
+}
+
+/// Asserts that two cluster sets are bit-identical (ids, creation
+/// times and every ECF statistic): `expected` as values, `actual` in
+/// record form.
+void ExpectSameClusters(const std::vector<core::MicroCluster>& expected,
+                        const core::LabeledFrame& actual,
+                        std::size_t dimensions) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& a = expected[i];
+    const core::Snapshot& b = actual.frame;
+    EXPECT_EQ(a.id, b.id(i));
+    EXPECT_EQ(a.creation_time, b.creation_time(i));
+    EXPECT_EQ(a.ecf.weight(), b.weight(i));
+    for (std::size_t j = 0; j < dimensions; ++j) {
+      EXPECT_EQ(a.ecf.cf1()[j], b.cf1(i)[j]);
+      EXPECT_EQ(a.ecf.cf2()[j], b.cf2(i)[j]);
+      EXPECT_EQ(a.ecf.ef2()[j], b.ef2(i)[j]);
+    }
+  }
 }
 
 TEST(ShardedUMicroTest, OneShardIsBitIdenticalToSequential) {
@@ -94,21 +114,8 @@ TEST(ShardedUMicroTest, OneShardIsBitIdenticalToSequential) {
   for (const auto& point : dataset.points()) sharded.Process(point);
   sharded.Flush();
 
-  const auto& sequential_clusters = sequential.clusters();
-  const auto& global = sharded.GlobalClusters();
-  ASSERT_EQ(global.size(), sequential_clusters.size());
-  for (std::size_t i = 0; i < global.size(); ++i) {
-    const auto& a = sequential_clusters[i];
-    const auto& b = global[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.creation_time, b.creation_time);
-    EXPECT_EQ(a.ecf.weight(), b.ecf.weight());
-    for (std::size_t j = 0; j < dataset.dimensions(); ++j) {
-      EXPECT_EQ(a.ecf.cf1()[j], b.ecf.cf1()[j]);
-      EXPECT_EQ(a.ecf.cf2()[j], b.ecf.cf2()[j]);
-      EXPECT_EQ(a.ecf.ef2()[j], b.ecf.ef2()[j]);
-    }
-  }
+  ExpectSameClusters(sequential.clusters(), sharded.GlobalClusters(),
+                     dataset.dimensions());
   EXPECT_EQ(sharded.metrics().GetCounter("parallel.points_dropped").value(),
             0u);
 }
@@ -129,9 +136,9 @@ TEST(ShardedUMicroTest, FourShardTotalsMatchSequentialExactly) {
   sharded.Flush();
 
   const EcfTotals seq =
-      TotalsOf(sequential.clusters(), dataset.dimensions());
+      TotalsOf(sequential.TakeSnapshot(0.0), dataset.dimensions());
   const EcfTotals par =
-      TotalsOf(sharded.GlobalClusters(), dataset.dimensions());
+      TotalsOf(sharded.GlobalClusters().frame, dataset.dimensions());
 
   // n is a sum of unit weights: exact in floating point at this size.
   EXPECT_EQ(par.n, seq.n);
@@ -146,8 +153,8 @@ TEST(ShardedUMicroTest, FourShardTotalsMatchSequentialExactly) {
   }
 
   // Clustering quality must be in the same regime as the sequential run.
-  const double seq_purity = WeightedPurity(sequential.clusters());
-  const double par_purity = WeightedPurity(sharded.GlobalClusters());
+  const double seq_purity = WeightedPurity(sequential.ClusterLabelHistograms());
+  const double par_purity = WeightedPurity(sharded.GlobalClusters().labels);
   EXPECT_NEAR(par_purity, seq_purity, 0.1);
 
   // The merged view respects the global budget.
@@ -210,7 +217,7 @@ TEST(ShardedUMicroTest, FlushWithNothingNewDoesNotRebuild) {
   for (const auto& point : dataset.points()) sharded.Process(point);
   sharded.Flush();
   EXPECT_EQ(merges.value(), 1u);
-  const std::vector<core::MicroCluster> view = sharded.GlobalClusters();
+  const core::LabeledFrame view = sharded.GlobalClusters();
   sharded.Flush();
   EXPECT_EQ(sharded.ClusterCentroids().size(), view.size());
   EXPECT_EQ(sharded.ClusterLabelHistograms().size(), view.size());
@@ -223,9 +230,12 @@ TEST(ShardedUMicroTest, FlushWithNothingNewDoesNotRebuild) {
   sharded.Flush();
   EXPECT_EQ(merges.value(), 2u);
   ASSERT_EQ(sharded.GlobalClusters().size(), view.size());
+  const core::Snapshot& rebuilt = sharded.GlobalClusters().frame;
+  const std::size_t dims = dataset.dimensions();
   for (std::size_t i = 0; i < view.size(); ++i) {
-    EXPECT_EQ(sharded.GlobalClusters()[i].id, view[i].id);
-    EXPECT_EQ(sharded.GlobalClusters()[i].ecf.cf1(), view[i].ecf.cf1());
+    EXPECT_EQ(rebuilt.id(i), view.frame.id(i));
+    EXPECT_EQ(std::vector<double>(rebuilt.cf1(i), rebuilt.cf1(i) + dims),
+              std::vector<double>(view.frame.cf1(i), view.frame.cf1(i) + dims));
   }
 
   // One new point makes the view stale again.
@@ -271,7 +281,7 @@ TEST(ShardedUMicroTest, DropPoliciesKeepAccountingExact) {
     EXPECT_EQ(ingested, 3000u);
 
     const EcfTotals totals =
-        TotalsOf(sharded.GlobalClusters(), dataset.dimensions());
+        TotalsOf(sharded.GlobalClusters().frame, dataset.dimensions());
     EXPECT_EQ(totals.n, static_cast<double>(processed));
   }
 }
@@ -297,26 +307,6 @@ TEST(ShardedUMicroTest, ClustererInterfaceMergesOnRead) {
   EXPECT_FALSE(clusterer.ClusterCentroids().empty());
   EXPECT_EQ(clusterer.points_processed(), 2000u);
   EXPECT_EQ(clusterer.name(), "ShardedUMicro(2)");
-}
-
-/// Asserts that two cluster sets are bit-identical (ids, creation
-/// times and every ECF statistic).
-void ExpectSameClusters(const std::vector<core::MicroCluster>& expected,
-                        const std::vector<core::MicroCluster>& actual,
-                        std::size_t dimensions) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    const auto& a = expected[i];
-    const auto& b = actual[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.creation_time, b.creation_time);
-    EXPECT_EQ(a.ecf.weight(), b.ecf.weight());
-    for (std::size_t j = 0; j < dimensions; ++j) {
-      EXPECT_EQ(a.ecf.cf1()[j], b.ecf.cf1()[j]);
-      EXPECT_EQ(a.ecf.cf2()[j], b.ecf.cf2()[j]);
-      EXPECT_EQ(a.ecf.ef2()[j], b.ecf.ef2()[j]);
-    }
-  }
 }
 
 /// Drives a one-shard pipeline so that its batches are recycled: after
@@ -428,7 +418,7 @@ TEST(ShardedUMicroTest, DropOldestDisplacesRecycledBatchesExactly) {
   EXPECT_EQ(processed + dropped, 3000u);
   EXPECT_EQ(metrics.GetCounter("parallel.points_ingested").value(), 3000u);
   const EcfTotals totals =
-      TotalsOf(sharded.GlobalClusters(), dataset.dimensions());
+      TotalsOf(sharded.GlobalClusters().frame, dataset.dimensions());
   EXPECT_EQ(totals.n, static_cast<double>(processed));
 }
 

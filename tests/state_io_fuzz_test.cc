@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -249,6 +250,22 @@ TEST(StateIoFuzzTest, HugeCountsFailFastWithoutAllocating) {
   for (const std::string& text : bombs) {
     EXPECT_FALSE(ParseUMicroState(text).has_value());
   }
+
+  // A well-formed state announcing exactly kMaxClusters clusters passes
+  // the cap; the count must still be checked against the text that
+  // could hold the records before the cluster block is reserved. The
+  // same state inside a checkpoint is what a leaf DELTA carries.
+  const std::string at_cap =
+      "ustate 1\ndims 3\ncounters 1 0 0 0 0\ndecay 0 0\n"
+      "welford 0 0 0\nwelford 0 0 0\nwelford 0 0 0\nvariances 1 1 1\n"
+      "clusters " + std::to_string(kMaxClusters) + "\n";
+  EXPECT_FALSE(ParseUMicroState(at_cap).has_value());
+  const std::string checkpoint = ChecksummedText(
+      "ucheckpoint", 2, [&at_cap](std::ostringstream& out) {
+        out << "kind umicro\ndims 3\ningest 0 0\nclock 0 0 0\nshards 1\n"
+            << at_cap;
+      });
+  EXPECT_FALSE(ParseEngineState(checkpoint).has_value());
 }
 
 }  // namespace

@@ -103,9 +103,13 @@ TEST(StateIoTest, TextRoundTripExact) {
     EXPECT_DOUBLE_EQ(parsed->welford[j].m2, state.welford[j].m2);
   }
   ASSERT_EQ(parsed->clusters.size(), state.clusters.size());
+  ASSERT_EQ(parsed->clusters.labels.size(), state.clusters.size());
+  const core::Snapshot& got = parsed->clusters.frame;
+  const core::Snapshot& want = state.clusters.frame;
   for (std::size_t c = 0; c < state.clusters.size(); ++c) {
-    EXPECT_EQ(parsed->clusters[c].ecf.cf1(), state.clusters[c].ecf.cf1());
-    EXPECT_EQ(parsed->clusters[c].labels, state.clusters[c].labels);
+    EXPECT_EQ(std::vector<double>(got.cf1(c), got.cf1(c) + got.dims()),
+              std::vector<double>(want.cf1(c), want.cf1(c) + want.dims()));
+    EXPECT_EQ(parsed->clusters.labels[c], state.clusters.labels[c]);
   }
 }
 

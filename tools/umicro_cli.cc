@@ -1483,15 +1483,15 @@ int main(int argc, char** argv) {
   // The merged (sharded) or live (sequential) micro-cluster set in the
   // codec's full-precision text form: the byte-comparable artifact the
   // distributed e2e check diffs against an aggregator's dump.
-  const auto final_clusters = [&engine] {
+  const auto final_clusters = [&engine]() -> umicro::core::LabeledFrame {
     if (auto* parallel =
             dynamic_cast<umicro::parallel::ParallelUMicroEngine*>(
                 engine.get())) {
       return parallel->GlobalClusters();
     }
-    return dynamic_cast<umicro::core::UMicroEngine&>(*engine)
-        .online()
-        .clusters();
+    const umicro::core::UMicro& online =
+        dynamic_cast<umicro::core::UMicroEngine&>(*engine).online();
+    return {online.TakeSnapshot(0.0), online.ClusterLabelHistograms()};
   };
   if (!cli.state_out.empty() && !leaf_role && engine != nullptr) {
     if (!umicro::io::WriteMicroClustersFile(
