@@ -3,18 +3,23 @@
 // The paper stresses that the expected distance costs O(d) -- the same
 // asymptotic cost as the deterministic distance -- because it is the most
 // repeated operation of the algorithm. These kernels measure exactly
-// that, plus ECF maintenance and the end-to-end per-point cost.
+// that, plus ECF maintenance and the end-to-end per-point cost, and the
+// checkpoint text codec (write and parse of a warmed engine).
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "baseline/clustream.h"
 #include "core/cluster_feature.h"
+#include "core/engine.h"
 #include "core/expected_distance.h"
 #include "core/umicro.h"
+#include "io/state_io.h"
 #include "kernels/cluster_table.h"
 #include "kernels/dispatch.h"
 #include "kernels/kernels.h"
@@ -426,5 +431,52 @@ void BM_ShardMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShardMerge)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
+
+/// The state of a UMicroEngine with the default config warmed on 20k
+/// SynDrift points: the shape of e2ebench's syndrift_seq checkpoint
+/// (about 6 MB of text, mostly the pyramidal store's full frames).
+const umicro::core::EngineState& WarmedEngineState() {
+  static const umicro::core::EngineState state = [] {
+    const umicro::stream::Dataset dataset =
+        umicro::synth::MakeSynDriftWorkload(20000, 0.5, 1);
+    umicro::core::UMicroEngine engine(dataset.dimensions(),
+                                      umicro::core::EngineConfig{});
+    engine.ProcessBatch(dataset.points());
+    engine.Flush();
+    return engine.ExportEngineState();
+  }();
+  return state;
+}
+
+void BM_EngineStateToString(benchmark::State& state) {
+  const umicro::core::EngineState& engine_state = WarmedEngineState();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = umicro::io::EngineStateToString(engine_state);
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_EngineStateToString)->Unit(benchmark::kMillisecond);
+
+void BM_ParseEngineState(benchmark::State& state) {
+  const std::string text =
+      umicro::io::EngineStateToString(WarmedEngineState());
+  for (auto _ : state) {
+    std::optional<umicro::core::EngineState> parsed =
+        umicro::io::ParseEngineState(text);
+    if (!parsed.has_value()) {
+      state.SkipWithError("checkpoint does not parse");
+      break;
+    }
+    benchmark::DoNotOptimize(parsed->store.orders.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseEngineState)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -4,9 +4,11 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "io/state_io.h"
+#include "io/text_cursor.h"
 #include "util/failpoints.h"
 
 namespace umicro::fleet {
@@ -57,44 +59,42 @@ std::string ManifestToString(const Manifest& manifest) {
 
 /// Parses manifest text, verifying the header checksum over the body.
 /// Hostile input (truncation, flips, bogus counts) yields std::nullopt.
-std::optional<Manifest> ParseManifest(const std::string& text) {
+std::optional<Manifest> ParseManifest(std::string_view text) {
   constexpr std::size_t kMaxTenants = std::size_t{1} << 24;
+  // The shortest record, "T 0 f 0 0" with the whitespace before it.
+  constexpr std::size_t kMinRecordBytes = 10;
   const std::size_t newline = text.find('\n');
-  if (newline == std::string::npos) return std::nullopt;
-  {
-    std::istringstream header(text.substr(0, newline));
-    std::string magic;
-    int version = 0;
-    std::uint64_t checksum = 0;
-    if (!(header >> magic >> version >> checksum)) return std::nullopt;
-    if (magic != "ufleetmanifest" || version != 1) return std::nullopt;
-    if (checksum != io::Fnv1a(text.substr(newline + 1))) return std::nullopt;
-  }
-  std::istringstream in(text.substr(newline + 1));
-  std::string key;
-  Manifest manifest;
-  std::size_t count = 0;
-  if (!(in >> key >> manifest.seq) || key != "seq") return std::nullopt;
-  if (!(in >> key >> manifest.dimensions) || key != "dimensions") {
+  if (newline == std::string_view::npos) return std::nullopt;
+  const std::string_view body = text.substr(newline + 1);
+  io::TextCursor header(text.substr(0, newline));
+  int version = 0;
+  std::uint64_t checksum = 0;
+  if (!header.Keyword("ufleetmanifest") || !header.Number(&version) ||
+      version != 1 || !header.Number(&checksum) ||
+      checksum != io::Fnv1a(body)) {
     return std::nullopt;
   }
-  if (!(in >> key >> count) || key != "tenants" || count > kMaxTenants) {
+  io::TextCursor in(body);
+  Manifest manifest;
+  std::size_t count = 0;
+  if (!in.Keyword("seq") || !in.Number(&manifest.seq) ||
+      !in.Keyword("dimensions") || !in.Number(&manifest.dimensions) ||
+      !in.Keyword("tenants") || !in.Number(&count) || count > kMaxTenants ||
+      count > in.remaining() / kMinRecordBytes) {
     return std::nullopt;
   }
   manifest.records.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     ManifestRecord record;
-    if (!(in >> key >> record.tenant >> record.file >> record.points >>
-          record.checksum) ||
-        key != "T") {
+    std::string_view file;
+    if (!in.Keyword("T") || !in.Number(&record.tenant) || !in.Word(&file) ||
+        !in.Number(&record.points) || !in.Number(&record.checksum)) {
       return std::nullopt;
     }
     // Defense against path traversal through a corrupted manifest: the
     // file must be a plain name inside the checkpoint directory.
-    if (record.file.empty() ||
-        record.file.find('/') != std::string::npos) {
-      return std::nullopt;
-    }
+    if (file.find('/') != std::string_view::npos) return std::nullopt;
+    record.file = std::string(file);
     manifest.records.push_back(std::move(record));
   }
   return manifest;

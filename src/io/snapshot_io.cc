@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "io/state_io.h"
+#include "io/text_cursor.h"
 
 namespace umicro::io {
 
@@ -39,24 +40,21 @@ std::string SnapshotToString(const core::Snapshot& snapshot) {
   return std::move(out).str();
 }
 
-std::optional<core::Snapshot> ParseSnapshot(const std::string& text) {
-  std::istringstream in(text);
-  std::string magic;
+std::optional<core::Snapshot> ParseSnapshot(std::string_view text) {
+  TextCursor in(text);
   int version = 0;
-  if (!(in >> magic >> version) || magic != "usnap" ||
+  if (!in.Keyword("usnap") || !in.Number(&version) ||
       version != kFormatVersion) {
     return std::nullopt;
   }
 
   double time = 0.0;
-  std::string key;
-  if (!(in >> key >> time) || key != "time") return std::nullopt;
+  if (!in.Keyword("time") || !in.Number(&time)) return std::nullopt;
 
   std::size_t dims = 0;
   std::size_t count = 0;
-  std::string clusters_key;
-  if (!(in >> key >> dims >> clusters_key >> count) || key != "dims" ||
-      clusters_key != "clusters") {
+  if (!in.Keyword("dims") || !in.Number(&dims) || !in.Keyword("clusters") ||
+      !in.Number(&count)) {
     return std::nullopt;
   }
   if (count > 0 && dims == 0) return std::nullopt;
@@ -65,9 +63,7 @@ std::optional<core::Snapshot> ParseSnapshot(const std::string& text) {
   if (!FrameHeaderFits(count, dims, text.size())) return std::nullopt;
 
   core::Snapshot snapshot(time, dims, count);
-  for (std::size_t c = 0; c < count; ++c) {
-    if (!ParseRecordLine(in, dims, &snapshot)) return std::nullopt;
-  }
+  if (!ParseRecordLines(in, count, dims, &snapshot)) return std::nullopt;
   return snapshot;
 }
 
@@ -89,11 +85,11 @@ std::string SpillFrameToString(const core::Snapshot& snapshot) {
                          });
 }
 
-std::optional<core::Snapshot> ParseSpillFrame(const std::string& text) {
+std::optional<core::Snapshot> ParseSpillFrame(std::string_view text) {
   const std::optional<std::string_view> body =
       ChecksummedBody(text, "usnapf", kSpillFormatVersion);
   if (!body.has_value()) return std::nullopt;
-  return ParseSnapshot(std::string(*body));
+  return ParseSnapshot(*body);
 }
 
 bool WriteSpillFrameFile(const core::Snapshot& snapshot,

@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/snapshot.h"
 
@@ -24,7 +25,7 @@ std::string SnapshotToString(const core::Snapshot& snapshot);
 
 /// Parses text produced by SnapshotToString. Returns std::nullopt on any
 /// structural or numeric error.
-std::optional<core::Snapshot> ParseSnapshot(const std::string& text);
+std::optional<core::Snapshot> ParseSnapshot(std::string_view text);
 
 /// Writes a snapshot to `path` atomically (WriteTextFileAtomic).
 /// Returns false on I/O failure.
@@ -44,7 +45,7 @@ std::string SpillFrameToString(const core::Snapshot& snapshot);
 
 /// Parses text produced by SpillFrameToString; nullopt on any structural
 /// error or checksum mismatch.
-std::optional<core::Snapshot> ParseSpillFrame(const std::string& text);
+std::optional<core::Snapshot> ParseSpillFrame(std::string_view text);
 
 /// Writes a spill frame atomically (temp + fsync + rename, the
 /// checkpoint discipline: a crash mid-spill leaves no torn file).

@@ -3,16 +3,15 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cmath>
+#include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "io/text_cursor.h"
 #include "util/paths.h"
 
 namespace umicro::io {
@@ -33,15 +32,6 @@ void AppendDouble(std::ostringstream& out, double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   out << buffer;
-}
-
-/// Extracts one double, rejecting NaN/Inf (no serialized state
-/// legitimately contains them, and downstream math assumes finiteness).
-bool ReadFinite(std::istream& in, double* out) {
-  double value = 0.0;
-  if (!(in >> value) || !std::isfinite(value)) return false;
-  *out = value;
-  return true;
 }
 
 }  // namespace
@@ -76,37 +66,37 @@ void AppendRecordLine(std::ostringstream& out, const core::Snapshot& frame,
   out << "\n";
 }
 
-bool ParseRecordLine(std::istream& in, std::size_t dims,
-                     core::Snapshot* frame, stream::LabelHistogram* labels) {
-  std::uint64_t id = 0;
-  double creation_time = 0.0;
-  double weight = 0.0;
-  double last_update = 0.0;
-  if (!(in >> id) || !ReadFinite(in, &creation_time) ||
-      !ReadFinite(in, &weight) || !ReadFinite(in, &last_update)) {
-    return false;
-  }
-  if (weight < 0.0) return false;
-  std::vector<double> rows(3 * dims);
-  for (double& v : rows) {
-    if (!ReadFinite(in, &v)) return false;
-  }
-  if (labels != nullptr) {
-    std::string key;
-    std::size_t label_count = 0;
-    if (!(in >> key >> label_count) || key != "labels" ||
-        label_count > kMaxLabels) {
-      return false;
+bool ParseRecordLines(TextCursor& in, std::size_t count, std::size_t dims,
+                      core::Snapshot* frame,
+                      std::vector<stream::LabelHistogram>* labels) {
+  if (count == 0) return true;
+  // Each line is read into one record-layout buffer, reused across the
+  // frame, and appended with one copy.
+  std::vector<double> record(core::Snapshot::RecordSize(dims));
+  for (std::size_t c = 0; c < count; ++c) {
+    std::uint64_t id = 0;
+    if (!in.Number(&id)) return false;
+    record[0] = std::bit_cast<double>(id);
+    for (std::size_t v = 1; v < record.size(); ++v) {
+      if (!in.Number(&record[v])) return false;
     }
-    for (std::size_t l = 0; l < label_count; ++l) {
-      int label = 0;
-      double label_weight = 0.0;
-      if (!(in >> label) || !ReadFinite(in, &label_weight)) return false;
-      (*labels)[label] = label_weight;
+    if (record[2] < 0.0) return false;  // the weight
+    if (labels != nullptr) {
+      std::size_t label_count = 0;
+      if (!in.Keyword("labels") || !in.Number(&label_count) ||
+          label_count > kMaxLabels) {
+        return false;
+      }
+      stream::LabelHistogram& histogram = labels->emplace_back();
+      for (std::size_t l = 0; l < label_count; ++l) {
+        int label = 0;
+        double label_weight = 0.0;
+        if (!in.Number(&label) || !in.Number(&label_weight)) return false;
+        histogram[label] = label_weight;
+      }
     }
+    frame->AppendRecord(record.data());
   }
-  frame->Append(id, creation_time, weight, last_update, rows.data(),
-                rows.data() + dims, rows.data() + 2 * dims);
   return true;
 }
 
@@ -194,19 +184,11 @@ std::optional<std::string_view> ChecksummedBody(std::string_view text,
                                                 int version) {
   const std::size_t newline = text.find('\n');
   if (newline == std::string_view::npos) return std::nullopt;
-  std::istringstream header{std::string(text.substr(0, newline))};
-  std::string found_magic;
+  TextCursor header(text.substr(0, newline));
   int found_version = 0;
-  std::string checksum_hex;
-  if (!(header >> found_magic >> found_version >> checksum_hex) ||
-      found_magic != magic || found_version != version) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long checksum =
-      std::strtoull(checksum_hex.c_str(), &end, 16);
-  if (errno != 0 || end != checksum_hex.c_str() + checksum_hex.size()) {
+  std::uint64_t checksum = 0;
+  if (!header.Keyword(magic) || !header.Number(&found_version) ||
+      found_version != version || !header.Number(&checksum, 16)) {
     return std::nullopt;
   }
   const std::string_view body = text.substr(newline + 1);
@@ -226,20 +208,14 @@ void AppendLabeledRecords(std::ostringstream& out,
 
 /// Parses `count` labeled record lines of `dims` dimensions into a fresh
 /// `clusters`, checking the header (FrameHeaderFits) before reserving.
-bool ParseLabeledRecords(std::istream& in, std::size_t count,
+bool ParseLabeledRecords(TextCursor& in, std::size_t count,
                          std::size_t dims, std::size_t text_bytes,
                          core::LabeledFrame* clusters) {
   if (!FrameHeaderFits(count, dims, text_bytes)) return false;
   clusters->frame = core::Snapshot(0.0, dims, count);
   clusters->labels.reserve(count);
-  for (std::size_t c = 0; c < count; ++c) {
-    clusters->labels.emplace_back();
-    if (!ParseRecordLine(in, dims, &clusters->frame,
-                         &clusters->labels.back())) {
-      return false;
-    }
-  }
-  return true;
+  return ParseRecordLines(in, count, dims, &clusters->frame,
+                          &clusters->labels);
 }
 
 void AppendUMicroState(std::ostringstream& out,
@@ -271,51 +247,49 @@ void AppendUMicroState(std::ostringstream& out,
 }
 
 /// `text_bytes` bounds the records the input can hold.
-bool ParseUMicroStateBody(std::istream& in, std::size_t text_bytes,
+bool ParseUMicroStateBody(TextCursor& in, std::size_t text_bytes,
                           core::UMicroState* out) {
-  std::string magic;
   int version = 0;
-  if (!(in >> magic >> version) || magic != "ustate" ||
+  if (!in.Keyword("ustate") || !in.Number(&version) ||
       version != kFormatVersion) {
     return false;
   }
 
   core::UMicroState state;
-  std::string key;
   std::size_t dims = 0;
-  if (!(in >> key >> dims) || key != "dims" || dims == 0 ||
+  if (!in.Keyword("dims") || !in.Number(&dims) || dims == 0 ||
       dims > kMaxDims) {
     return false;
   }
-  if (!(in >> key >> state.next_cluster_id >> state.points_processed >>
-        state.clusters_created >> state.clusters_evicted >>
-        state.clusters_merged) ||
-      key != "counters") {
+  if (!in.Keyword("counters") || !in.Number(&state.next_cluster_id) ||
+      !in.Number(&state.points_processed) ||
+      !in.Number(&state.clusters_created) ||
+      !in.Number(&state.clusters_evicted) ||
+      !in.Number(&state.clusters_merged)) {
     return false;
   }
   int started = 0;
-  if (!(in >> key) || key != "decay" ||
-      !ReadFinite(in, &state.last_decay_time) || !(in >> started)) {
+  if (!in.Keyword("decay") || !in.Number(&state.last_decay_time) ||
+      !in.Number(&started)) {
     return false;
   }
   state.decay_clock_started = started != 0;
 
   state.welford.resize(dims);
   for (auto& w : state.welford) {
-    if (!(in >> key >> w.count) || key != "welford" ||
-        !ReadFinite(in, &w.mean) || !ReadFinite(in, &w.m2)) {
+    if (!in.Keyword("welford") || !in.Number(&w.count) ||
+        !in.Number(&w.mean) || !in.Number(&w.m2) || w.m2 < 0.0) {
       return false;
     }
-    if (w.m2 < 0.0) return false;
   }
-  if (!(in >> key) || key != "variances") return false;
+  if (!in.Keyword("variances")) return false;
   state.global_variances.resize(dims);
   for (double& v : state.global_variances) {
-    if (!ReadFinite(in, &v) || v < 0.0) return false;
+    if (!in.Number(&v) || v < 0.0) return false;
   }
 
   std::size_t cluster_count = 0;
-  if (!(in >> key >> cluster_count) || key != "clusters" ||
+  if (!in.Keyword("clusters") || !in.Number(&cluster_count) ||
       !ParseLabeledRecords(in, cluster_count, dims, text_bytes,
                            &state.clusters)) {
     return false;
@@ -400,14 +374,15 @@ void AppendSnapshotStoreState(std::ostringstream& out,
 
 /// Parses one encoded frame (after the "frame" keyword was consumed);
 /// `text_bytes` bounds the records the rest of the input can hold.
-bool ParseEncodedFrame(std::istream& in, std::size_t engine_dims,
+bool ParseEncodedFrame(TextCursor& in, std::size_t engine_dims,
                        std::size_t text_bytes, core::EncodedFrame* out) {
   core::EncodedFrame frame;
-  std::string tag;
-  if (!(in >> frame.tick) || frame.tick == 0 ||
-      !ReadFinite(in, &frame.time) || !(in >> tag) ||
-      !(in >> frame.cluster_count) || frame.cluster_count > kMaxClusters ||
-      !(in >> frame.dims) || frame.dims > kMaxDims) {
+  std::string_view tag;
+  if (!in.Number(&frame.tick) || frame.tick == 0 ||
+      !in.Number(&frame.time) || !in.Word(&tag) ||
+      !in.Number(&frame.cluster_count) ||
+      frame.cluster_count > kMaxClusters || !in.Number(&frame.dims) ||
+      frame.dims > kMaxDims) {
     return false;
   }
   // A frame's clusters share the engine's dimensionality (empty frames
@@ -424,27 +399,26 @@ bool ParseEncodedFrame(std::istream& in, std::size_t engine_dims,
     }
     auto full = std::make_shared<core::Snapshot>(frame.time, frame.dims,
                                                  frame.cluster_count);
-    for (std::size_t c = 0; c < frame.cluster_count; ++c) {
-      if (!ParseRecordLine(in, frame.dims, full.get())) return false;
+    if (!ParseRecordLines(in, frame.cluster_count, frame.dims, full.get())) {
+      return false;
     }
     frame.full = std::move(full);
   } else if (tag == "delta") {
     frame.encoding = core::FrameEncoding::kDelta;
-    std::string key;
-    if (!(in >> key) || key != "ids") return false;
+    if (!in.Keyword("ids")) return false;
     frame.ids.resize(frame.cluster_count);
     for (std::uint64_t& id : frame.ids) {
-      if (!(in >> id)) return false;
+      if (!in.Number(&id)) return false;
     }
     std::size_t changed_count = 0;
-    if (!(in >> key >> changed_count) || key != "changed" ||
+    if (!in.Keyword("changed") || !in.Number(&changed_count) ||
         changed_count > frame.cluster_count ||
         !FrameHeaderFits(changed_count, frame.dims, text_bytes)) {
       return false;
     }
     frame.changed = core::Snapshot(frame.time, frame.dims, changed_count);
-    for (std::size_t c = 0; c < changed_count; ++c) {
-      if (!ParseRecordLine(in, frame.dims, &frame.changed)) return false;
+    if (!ParseRecordLines(in, changed_count, frame.dims, &frame.changed)) {
+      return false;
     }
   } else if (tag == "quant") {
     frame.encoding = core::FrameEncoding::kQuantized;
@@ -461,28 +435,25 @@ bool ParseEncodedFrame(std::istream& in, std::size_t engine_dims,
     for (std::size_t i = 0; i < frame.cluster_count; ++i) {
       double weight = 0.0;
       double last_update = 0.0;
-      if (!(in >> q.ids[i]) || !ReadFinite(in, &q.creation_times[i]) ||
-          !ReadFinite(in, &weight) || weight < 0.0 ||
-          !ReadFinite(in, &last_update)) {
+      if (!in.Number(&q.ids[i]) || !in.Number(&q.creation_times[i]) ||
+          !in.Number(&weight) || weight < 0.0 || !in.Number(&last_update)) {
         return false;
       }
       q.weights[i] = static_cast<float>(weight);
       q.last_updates[i] = static_cast<float>(last_update);
       for (std::size_t v = 0; v < 3 * q.dims; ++v) {
         double value = 0.0;
-        if (!ReadFinite(in, &value)) return false;
+        if (!in.Number(&value)) return false;
         q.values[i * 3 * q.dims + v] = static_cast<float>(value);
       }
     }
   } else if (tag == "spill") {
     frame.encoding = core::FrameEncoding::kSpilled;
-    std::string key;
-    if (!(in >> key) || key != "path") return false;
-    std::string path;
-    std::getline(in, path);
-    if (!path.empty() && path.front() == ' ') path.erase(0, 1);
+    std::string_view path;
+    if (!in.Keyword("path") || !in.Line(&path)) return false;
+    if (!path.empty() && path.front() == ' ') path.remove_prefix(1);
     if (path.empty()) return false;
-    frame.spill_path = std::move(path);
+    frame.spill_path = std::string(path);
   } else {
     return false;
   }
@@ -491,25 +462,28 @@ bool ParseEncodedFrame(std::istream& in, std::size_t engine_dims,
 }
 
 /// Parses the store section written by AppendSnapshotStoreState.
-bool ParseSnapshotStoreState(std::istream& in, std::size_t engine_dims,
+bool ParseSnapshotStoreState(TextCursor& in, std::size_t engine_dims,
                              std::size_t text_bytes,
                              core::SnapshotStoreState* out) {
-  std::string key;
   std::size_t order_count = 0;
-  if (!(in >> key >> out->last_tick >> out->alpha >> out->l >> order_count) ||
-      key != "store" || order_count > kMaxOrders) {
+  if (!in.Keyword("store") || !in.Number(&out->last_tick) ||
+      !in.Number(&out->alpha) || !in.Number(&out->l) ||
+      !in.Number(&order_count) || order_count > kMaxOrders) {
     return false;
   }
+  // "frame" and the whitespace before it: the least text a frame takes.
+  constexpr std::size_t kMinFrameBytes = 6;
   out->orders.resize(order_count);
   for (auto& order : out->orders) {
     std::size_t frame_count = 0;
-    if (!(in >> key >> frame_count) || key != "order" ||
-        frame_count > kMaxSnapshotsPerOrder) {
+    if (!in.Keyword("order") || !in.Number(&frame_count) ||
+        frame_count > kMaxSnapshotsPerOrder ||
+        frame_count > in.remaining() / kMinFrameBytes) {
       return false;
     }
     order.reserve(frame_count);
     for (std::size_t f = 0; f < frame_count; ++f) {
-      if (!(in >> key) || key != "frame") return false;
+      if (!in.Keyword("frame")) return false;
       core::EncodedFrame frame;
       if (!ParseEncodedFrame(in, engine_dims, text_bytes, &frame)) {
         return false;
@@ -552,20 +526,19 @@ void AppendEngineCheckpointBody(std::ostringstream& out,
   }
 }
 
-bool ParseMetricCells(std::istream& in, const std::string& expected_key,
+bool ParseMetricCells(TextCursor& in, std::string_view expected_key,
                       std::vector<std::pair<std::string, double>>* out) {
-  std::string key;
   std::size_t count = 0;
-  if (!(in >> key >> count) || key != expected_key ||
+  if (!in.Keyword(expected_key) || !in.Number(&count) ||
       count > kMaxMetricCells) {
     return false;
   }
   out->reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    std::string name;
+    std::string_view name;
     double value = 0.0;
-    if (!(in >> name) || !ReadFinite(in, &value)) return false;
-    out->emplace_back(std::move(name), value);
+    if (!in.Word(&name) || !in.Number(&value)) return false;
+    out->emplace_back(std::string(name), value);
   }
   return true;
 }
@@ -578,8 +551,8 @@ std::string UMicroStateToString(const core::UMicroState& state) {
   return out.str();
 }
 
-std::optional<core::UMicroState> ParseUMicroState(const std::string& text) {
-  std::istringstream in(text);
+std::optional<core::UMicroState> ParseUMicroState(std::string_view text) {
+  TextCursor in(text);
   core::UMicroState state;
   if (!ParseUMicroStateBody(in, text.size(), &state)) return std::nullopt;
   return state;
@@ -606,34 +579,33 @@ std::string EngineStateToString(const core::EngineState& state) {
                          });
 }
 
-std::optional<core::EngineState> ParseEngineState(const std::string& text) {
+std::optional<core::EngineState> ParseEngineState(std::string_view text) {
   const std::optional<std::string_view> body =
       ChecksummedBody(text, "ucheckpoint", kCheckpointVersion);
   if (!body.has_value()) return std::nullopt;
 
-  std::istringstream in{std::string(*body)};
+  TextCursor in(*body);
   core::EngineState state;
-  std::string key;
-  if (!(in >> key >> state.engine_kind) || key != "kind" ||
-      state.engine_kind.empty()) {
-    return std::nullopt;
-  }
-  if (!(in >> key >> state.dimensions) || key != "dims" ||
+  std::string_view kind;
+  if (!in.Keyword("kind") || !in.Word(&kind)) return std::nullopt;
+  state.engine_kind = std::string(kind);
+  if (!in.Keyword("dims") || !in.Number(&state.dimensions) ||
       state.dimensions == 0 || state.dimensions > kMaxDims) {
     return std::nullopt;
   }
-  if (!(in >> key >> state.points_ingested >> state.next_round_robin) ||
-      key != "ingest") {
+  if (!in.Keyword("ingest") || !in.Number(&state.points_ingested) ||
+      !in.Number(&state.next_round_robin)) {
     return std::nullopt;
   }
-  if (!(in >> key >> state.next_tick >> state.since_snapshot) ||
-      key != "clock" || !ReadFinite(in, &state.last_timestamp)) {
+  if (!in.Keyword("clock") || !in.Number(&state.next_tick) ||
+      !in.Number(&state.since_snapshot) ||
+      !in.Number(&state.last_timestamp)) {
     return std::nullopt;
   }
 
   std::size_t shard_count = 0;
-  if (!(in >> key >> shard_count) || key != "shards" || shard_count == 0 ||
-      shard_count > kMaxShards) {
+  if (!in.Keyword("shards") || !in.Number(&shard_count) ||
+      shard_count == 0 || shard_count > kMaxShards) {
     return std::nullopt;
   }
   state.shard_states.reserve(shard_count);
@@ -648,7 +620,7 @@ std::optional<core::EngineState> ParseEngineState(const std::string& text) {
   // carry it here: parse it (the checksum covers it) and discard it.
   std::size_t global_count = 0;
   core::LabeledFrame discarded;
-  if (!(in >> key >> global_count) || key != "global" ||
+  if (!in.Keyword("global") || !in.Number(&global_count) ||
       !ParseLabeledRecords(in, global_count, state.dimensions, text.size(),
                            &discarded)) {
     return std::nullopt;

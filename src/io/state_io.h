@@ -16,6 +16,12 @@
 // huge counts, and non-numeric bytes yield std::nullopt -- never a
 // crash, CHECK failure, or unbounded allocation (untrusted counts are
 // capped before any reserve/resize).
+//
+// Parsing reads the text in place through one io::TextCursor (no
+// stream, no copy of the body), under its token rule: decimal numbers
+// with no '+', no sign on a count or id, finite doubles in range, and a
+// number ends at whitespace or at the end of the input. The writers
+// print doubles with %.17g, which that rule reads back bit for bit.
 
 #ifndef UMICRO_IO_STATE_IO_H_
 #define UMICRO_IO_STATE_IO_H_
@@ -27,11 +33,14 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/umicro.h"
 
 namespace umicro::io {
+
+class TextCursor;
 
 /// Hard caps on the dimension and cluster counts read from untrusted
 /// bytes, shared by every parser here and in io/snapshot_io.h: large
@@ -57,13 +66,14 @@ void AppendRecordLine(std::ostringstream& out, const core::Snapshot& frame,
                       std::size_t i,
                       const stream::LabelHistogram* labels = nullptr);
 
-/// Parses one line written by AppendRecordLine and appends it to `frame`
-/// (built for `dims`); with `labels` given, the label suffix is required
-/// and parsed into it. False on a malformed, non-finite or
+/// Parses `count` lines written by AppendRecordLine and appends them to
+/// `frame` (built for `dims`; the caller checks FrameHeaderFits before
+/// reserving it); with `labels` given, every line's label suffix is
+/// required and appended to it. False on a malformed, non-finite or
 /// negative-weight record or an over-cap label count.
-bool ParseRecordLine(std::istream& in, std::size_t dims,
-                     core::Snapshot* frame,
-                     stream::LabelHistogram* labels = nullptr);
+bool ParseRecordLines(TextCursor& in, std::size_t count, std::size_t dims,
+                      core::Snapshot* frame,
+                      std::vector<stream::LabelHistogram>* labels = nullptr);
 
 /// FNV-1a over `text` -- the integrity checksum every versioned format
 /// here embeds in its header (and the fleet manifest reuses per tenant
@@ -101,7 +111,7 @@ std::string UMicroStateToString(const core::UMicroState& state);
 
 /// Parses text produced by UMicroStateToString. Returns std::nullopt on
 /// structural or numeric errors.
-std::optional<core::UMicroState> ParseUMicroState(const std::string& text);
+std::optional<core::UMicroState> ParseUMicroState(std::string_view text);
 
 /// Canonical text dump of a micro-cluster set ("uclusters 1"): one line
 /// per cluster in the codec's full-precision format. Two cluster sets
@@ -120,7 +130,7 @@ std::string EngineStateToString(const core::EngineState& state);
 /// Parses text produced by EngineStateToString, verifying the header
 /// checksum against the body first (any corruption is rejected up
 /// front).
-std::optional<core::EngineState> ParseEngineState(const std::string& text);
+std::optional<core::EngineState> ParseEngineState(std::string_view text);
 
 /// Reads and parses an engine checkpoint file.
 std::optional<core::EngineState> ReadEngineStateFile(const std::string& path);

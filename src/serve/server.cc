@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/parse.h"
+
 namespace umicro::serve {
 
 namespace {
@@ -67,13 +69,6 @@ std::vector<std::string> Tokenize(const std::string& line) {
   std::string token;
   while (stream >> token) tokens.push_back(std::move(token));
   return tokens;
-}
-
-/// Parses a strict double; false on trailing garbage.
-bool ParseDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size() && !text.empty();
 }
 
 /// Parses a strict decimal tenant id; false on sign, trailing garbage,
@@ -212,7 +207,7 @@ bool ParseRequest(const std::vector<std::string>& tokens,
       }
       ++arg;
     }
-    if (!ParseDouble(tokens[arg], &request->horizon) ||
+    if (!util::ParseDouble(tokens[arg], &request->horizon) ||
         !core::ValidHorizon(request->horizon)) {
       *error = "horizon must be a positive number";
       return false;
@@ -223,7 +218,7 @@ bool ParseRequest(const std::vector<std::string>& tokens,
       // Negated so NaN fails too; within size_t range the cast is defined.
       constexpr double kBound =
           static_cast<double>(std::numeric_limits<std::size_t>::max());
-      if (!ParseDouble(tokens[arg], &k) || !(k >= 1.0 && k < kBound)) {
+      if (!util::ParseDouble(tokens[arg], &k) || !(k >= 1.0 && k < kBound)) {
         *error = "k must be a positive integer";
         return false;
       }
@@ -241,7 +236,7 @@ bool ParseRequest(const std::vector<std::string>& tokens,
     request->values.reserve(tokens.size() - 1);
     for (std::size_t i = 1; i < tokens.size(); ++i) {
       double value = 0.0;
-      if (!ParseDouble(tokens[i], &value) || !std::isfinite(value)) {
+      if (!util::ParseDouble(tokens[i], &value) || !std::isfinite(value)) {
         *error = "malformed coordinate: " + SanitizeToken(tokens[i]);
         return false;
       }

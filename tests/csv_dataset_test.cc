@@ -2,7 +2,10 @@
 
 #include "io/csv_dataset.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +157,29 @@ TEST(CsvFileTest, WriteAndReadBack) {
   EXPECT_EQ(loaded->dataset.size(), 1u);
   EXPECT_EQ(loaded->dataset[0].values, dataset[0].values);
   std::remove(path.c_str());
+}
+
+/// The writer prints subnormals with %.17g; strtod flags them with
+/// ERANGE, and the reader must still load them, bit for bit.
+TEST(CsvFileTest, SubnormalCellsRoundTripBitForBit) {
+  const double smallest = std::numeric_limits<double>::denorm_min();
+  const double largest_subnormal =
+      std::numeric_limits<double>::min() - smallest;
+  Dataset dataset(2);
+  dataset.Add(UncertainPoint({smallest, -largest_subnormal},
+                             {largest_subnormal, smallest}, 1.0, 0));
+  const std::string path = testing::TempDir() + "/csv_subnormal_test.csv";
+  ASSERT_TRUE(WriteCsvDataset(dataset, path));
+  const auto loaded = ReadCsvDataset(path, CsvReadOptions{});
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->dataset.size(), 1u);
+  for (std::size_t j = 0; j < 2; ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->dataset[0].values[j]),
+              std::bit_cast<std::uint64_t>(dataset[0].values[j]));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->dataset[0].errors[j]),
+              std::bit_cast<std::uint64_t>(dataset[0].errors[j]));
+  }
 }
 
 TEST(CsvFileTest, MissingFileReturnsNullopt) {

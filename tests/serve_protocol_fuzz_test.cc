@@ -97,6 +97,26 @@ TEST_F(ServeProtocolFuzzTest, TruncatedCommandsGetErrorLines) {
   EXPECT_NE(output.find("OK BYE"), std::string::npos);
 }
 
+/// A token out of double range is no number: an overflowing or
+/// zero-underflowing horizon gets the horizon error, and so does a
+/// coordinate. A subnormal coordinate is a number and is answered.
+TEST_F(ServeProtocolFuzzTest, OutOfRangeNumbersAreRejectedSubnormalsServed) {
+  const std::string output = Serve(
+      "CLUSTER 1e400 3\nCLUSTER 1e-400 3\nNEAREST 1e-400 0\n"
+      "NEAREST 4.9406564584124654e-324 2.2250738585072009e-308\nQUIT\n");
+  ExpectWellFormed(output);
+  std::istringstream lines(output);
+  std::string line;
+  std::vector<std::string> answers;
+  while (std::getline(lines, line)) answers.push_back(line);
+  ASSERT_EQ(answers.size(), 5u) << output;
+  EXPECT_EQ(answers[0], "ERR horizon must be a positive number");
+  EXPECT_EQ(answers[1], "ERR horizon must be a positive number");
+  EXPECT_EQ(answers[2], "ERR malformed coordinate: 1e-400");
+  EXPECT_EQ(answers[3].rfind("OK NEAREST ", 0), 0u) << answers[3];
+  EXPECT_EQ(answers[4], "OK BYE");
+}
+
 /// QueryBroker::Execute callers bypass the parser; the broker itself
 /// refuses a horizon that is not a finite positive number.
 TEST_F(ServeProtocolFuzzTest, ExecuteRejectsNonFiniteHorizons) {

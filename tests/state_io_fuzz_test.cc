@@ -4,14 +4,23 @@
 // bit flips, random splices, and absurd counts yield std::nullopt, never
 // a crash, CHECK failure, or unbounded allocation. For the checksummed
 // "ucheckpoint 2" format the bar is higher: ANY single corrupted byte is
-// detected and rejected.
+// detected and rejected. A second pass re-seals mutated bodies with a
+// valid checksum, so the body parsers themselves see the damage.
 
 #include "io/state_io.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,9 +28,35 @@
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "core/umicro.h"
+#include "fleet/engine_fleet.h"
+#include "fleet/fleet_checkpoint.h"
+#include "io/checkpoint_series.h"
 #include "io/snapshot_io.h"
 #include "stream/dataset.h"
 #include "util/random.h"
+
+namespace {
+/// The largest single operator-new request since the last reset, so a
+/// fuzz pass can assert that no mutated count drove an allocation past
+/// what the parsers' caps allow.
+std::atomic<std::size_t> largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  std::size_t seen = largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen && !largest_allocation.compare_exchange_weak(
+                            seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+// GCC pairs the free() here with the malloc() of the replacement above
+// only at run time, so it flags the pair as mismatched.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+#pragma GCC diagnostic pop
 
 namespace umicro::io {
 namespace {
@@ -216,6 +251,15 @@ TEST(StateIoFuzzTest, SpillFrameRejectsEveryByteFlipAndHostileInput) {
   }
 }
 
+/// Seals `ustate` text as the one shard of a "ucheckpoint 2" envelope
+/// whose other sections are valid and empty.
+std::string SealedCheckpoint(const std::string& ustate) {
+  return ChecksummedText("ucheckpoint", 2, [&ustate](std::ostringstream& out) {
+    out << "kind umicro\ndims 1\ningest 0 0\nclock 1 0 0\nshards 1\n"
+        << ustate << "global 0\nstore 0 2 2 0\ncounters 0\ngauges 0\n";
+  });
+}
+
 TEST(StateIoFuzzTest, HostileHandcraftedInputsAreRejected) {
   const std::vector<std::string> hostile = {
       "",
@@ -234,6 +278,49 @@ TEST(StateIoFuzzTest, HostileHandcraftedInputsAreRejected) {
   for (const std::string& text : hostile) {
     EXPECT_FALSE(ParseUMicroState(text).has_value());
     EXPECT_FALSE(ParseEngineState(text).has_value());
+  }
+
+  // Numeric tokens outside the token rule (io/text_cursor.h), each one
+  // edit away from a valid state. Bare, and sealed in a valid envelope
+  // so the checksum passes and the body parser must refuse the token.
+  const std::string valid =
+      "ustate 1\ndims 1\ncounters 1 7 0 0 0\ndecay 0 0\nwelford 0 0 0\n"
+      "variances 1\nclusters 1\n5 0 1 0 0.5 0.25 0 labels 1 3 1.5\n";
+  ASSERT_TRUE(ParseUMicroState(valid).has_value());
+  ASSERT_TRUE(ParseEngineState(SealedCheckpoint(valid)).has_value());
+  const auto edit = [&valid](const std::string& from, const std::string& to) {
+    std::string text = valid;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  const std::vector<std::string> bad_numbers = {
+      // A sign on an unsigned field used to wrap to 2^64 - n.
+      edit("counters 1 7", "counters -1 -7"),
+      edit("dims 1", "dims -0"),
+      edit("labels 1", "labels -1"),
+      edit("welford 0", "welford -0"),
+      // A leading '+'.
+      edit("counters 1", "counters +1"),
+      edit("decay 0", "decay +0"),
+      edit("labels 1 3", "labels 1 +3"),
+      // Glued tokens: a number must end at whitespace.
+      edit(" 0 labels", " 1.5labels"),
+      edit("counters 1 7", "counters 1 7x"),
+      edit("dims 1", "dims 1.0"),
+      edit("decay 0 0", "decay 0 0x1"),
+      // Non-finite and out-of-range doubles.
+      edit("decay 0", "decay inf"),
+      edit("welford 0 0", "welford 0 nan"),
+      edit("variances 1", "variances 1e400"),
+      edit("variances 1", "variances 1e-400"),
+      edit("5 0 1", "5 0 1e400"),
+      edit("5 0 1", "5 1e-400 1"),
+  };
+  for (const std::string& text : bad_numbers) {
+    EXPECT_FALSE(ParseUMicroState(text).has_value()) << text;
+    EXPECT_FALSE(ParseEngineState(SealedCheckpoint(text)).has_value())
+        << text;
   }
 }
 
@@ -266,6 +353,155 @@ TEST(StateIoFuzzTest, HugeCountsFailFastWithoutAllocating) {
             << at_cap;
       });
   EXPECT_FALSE(ParseEngineState(checkpoint).has_value());
+
+  // A store order announcing more frames than the rest of the text can
+  // hold is refused before its frames are reserved (a million of them,
+  // under kMaxSnapshotsPerOrder, would reserve ~288 MB).
+  const std::string order_bomb = ChecksummedText(
+      "ucheckpoint", 2, [](std::ostringstream& out) {
+        out << "kind umicro\ndims 1\ningest 0 0\nclock 1 0 0\nshards 1\n"
+               "ustate 1\ndims 1\ncounters 1 7 0 0 0\ndecay 0 0\n"
+               "welford 0 0 0\nvariances 1\nclusters 0\nglobal 0\n"
+               "store 0 2 2 1\norder 1000000\n";
+      });
+  largest_allocation.store(0);
+  EXPECT_FALSE(ParseEngineState(order_bomb).has_value());
+  EXPECT_LT(largest_allocation.load(), std::size_t{1} << 20);
+}
+
+// ---- Past the checksum ------------------------------------------------
+
+/// Replaces a random span with a run of digits, so counts grow into the
+/// caps instead of just turning into junk.
+std::string SpliceDigits(std::string text, util::Rng& rng) {
+  const std::size_t offset = rng.NextBounded(text.size());
+  const std::size_t length = 1 + rng.NextBounded(12);
+  std::string digits;
+  for (std::size_t i = 0; i < length; ++i) {
+    digits.push_back(static_cast<char>('0' + rng.NextBounded(10)));
+  }
+  text.replace(offset, std::min(length, text.size() - offset), digits);
+  return text;
+}
+
+/// One random truncation, flip or splice of `body`.
+std::string MutateBody(const std::string& body, util::Rng& rng) {
+  switch (rng.NextBounded(4)) {
+    case 0: return body.substr(0, rng.NextBounded(body.size()));
+    case 1: return FlipOneByte(body, rng.NextBounded(body.size()), rng);
+    case 2: return SpliceJunk(body, rng);
+    default: return SpliceDigits(body, rng);
+  }
+}
+
+/// No single allocation while parsing a mutated text of a few dozen KB
+/// may exceed this: the largest block the caps admit is the metric-cell
+/// reserve (kMaxMetricCells pairs, about 40 MB).
+constexpr std::size_t kAllocationCap = std::size_t{64} << 20;
+
+/// Mutates the body of the `magic` envelope `clean` `rounds` times,
+/// re-seals it with a valid checksum and parses it with `parse`.
+template <typename Parser>
+void FuzzSealedBody(const std::string& clean, std::string_view magic,
+                    int version, const Parser& parse, int rounds,
+                    std::uint64_t seed) {
+  const std::optional<std::string_view> body =
+      ChecksummedBody(clean, magic, version);
+  ASSERT_TRUE(body.has_value());
+  const std::string clean_body(*body);
+  util::Rng rng(seed);
+  for (int i = 0; i < rounds; ++i) {
+    const std::string mutated = MutateBody(clean_body, rng);
+    const std::string sealed = ChecksummedText(
+        magic, version,
+        [&mutated](std::ostringstream& out) { out << mutated; });
+    largest_allocation.store(0);
+    (void)parse(sealed);
+    EXPECT_LE(largest_allocation.load(), kAllocationCap)
+        << "round " << i << " allocated past the caps";
+  }
+}
+
+TEST(StateIoFuzzTest, BodyParsersSurviveMutationsPastTheChecksum) {
+  const auto parse_engine = [](const std::string& t) {
+    return ParseEngineState(t);
+  };
+  FuzzSealedBody(EngineText(), "ucheckpoint", 2, parse_engine, 400, 201);
+  FuzzSealedBody(TieredEngineText(core::SnapshotStoreMode::kDelta),
+                 "ucheckpoint", 2, parse_engine, 400, 202);
+  FuzzSealedBody(TieredEngineText(core::SnapshotStoreMode::kTiered),
+                 "ucheckpoint", 2, parse_engine, 400, 203);
+
+  std::vector<core::MicroClusterState> states;
+  for (std::uint64_t id = 0; id < 4; ++id) {
+    core::MicroClusterState state;
+    state.id = id;
+    state.creation_time = 1.0;
+    state.ecf = core::ErrorClusterFeature::FromPoint(
+        stream::UncertainPoint({1.0 + id, 2.0, 3.0}, {0.1, 0.1, 0.1}, 7.0),
+        2.0);
+    states.push_back(std::move(state));
+  }
+  FuzzSealedBody(SpillFrameToString(core::Snapshot::FromStates(7.5, states)),
+                 "usnapf", 1,
+                 [](const std::string& t) { return ParseSpillFrame(t); },
+                 400, 204);
+}
+
+/// The fleet manifest carries its own checksum (decimal FNV-1a of the
+/// body); recovery parses it and then the tenant files it names.
+TEST(StateIoFuzzTest, FleetManifestSurvivesMutationsPastTheChecksum) {
+  const std::string dir = ::testing::TempDir() + "state_io_fuzz_manifest_" +
+                          std::to_string(::getpid());
+  core::EngineConfig config;
+  config.umicro.num_micro_clusters = 5;
+  config.fleet.workers = 1;
+  {
+    fleet::EngineFleet fleet(3, config);
+    const stream::Dataset dataset = RandomStream(120, 15);
+    for (std::size_t i = 0; i < dataset.size(); ++i) {
+      fleet.Ingest(i % 3, dataset[i]);
+    }
+    fleet::FleetCheckpointer checkpointer(dir, config.checkpoint);
+    ASSERT_TRUE(checkpointer.CheckpointNow(fleet));
+  }
+  const std::vector<std::string> manifests =
+      fleet::ListFleetManifestFiles(dir);
+  ASSERT_EQ(manifests.size(), 1u);
+  const std::string path = manifests.front();
+  const std::optional<std::string> clean = ReadWholeFile(path);
+  ASSERT_TRUE(clean.has_value());
+  const std::string body = clean->substr(clean->find('\n') + 1);
+  ASSERT_EQ(fleet::RecoverOrCreateFleet(dir, 3, config).tenants_restored,
+            3u);
+
+  // A tenant count the body cannot hold is refused before the records
+  // are reserved (16 million would reserve ~900 MB).
+  const std::string count_bomb = "seq 1\ndimensions 3\ntenants 16000000\n";
+  ASSERT_TRUE(WriteTextFileAtomic("ufleetmanifest 1 " +
+                                      std::to_string(Fnv1a(count_bomb)) +
+                                      "\n" + count_bomb,
+                                  path));
+  largest_allocation.store(0);
+  EXPECT_FALSE(fleet::RecoverOrCreateFleet(dir, 3, config).recovered);
+  EXPECT_LT(largest_allocation.load(), std::size_t{1} << 20);
+
+  util::Rng rng(205);
+  for (int i = 0; i < 200; ++i) {
+    const std::string mutated = MutateBody(body, rng);
+    ASSERT_TRUE(WriteTextFileAtomic(
+        "ufleetmanifest 1 " + std::to_string(Fnv1a(mutated)) + "\n" +
+            mutated,
+        path));
+    largest_allocation.store(0);
+    (void)fleet::RecoverOrCreateFleet(dir, 3, config);
+    EXPECT_LE(largest_allocation.load(), kAllocationCap)
+        << "round " << i << " allocated past the caps";
+  }
+  for (const std::string& name : DirectoryEntries(dir)) {
+    std::remove((dir + "/" + name).c_str());
+  }
+  std::remove(dir.c_str());
 }
 
 }  // namespace
