@@ -1,9 +1,8 @@
 // Snapshot-store memory sweep: fleet-wide store bytes and process RSS
-// for the full / delta / tiered store encodings at 1k/10k/100k tenants.
+// for the full / delta store encodings at 1k/10k/100k tenants.
 //
 //   bench_snapshot_memory [--tenants=N(max)] [--points-per-tenant=P]
-//                         [--nmicro=Q] [--dims=D] [--budget-bytes=B]
-//                         [--csv=PATH]
+//                         [--nmicro=Q] [--dims=D] [--csv=PATH]
 //
 // The workload is the delta-friendly shape: many well-separated centers
 // visited in temporal blocks, so consecutive snapshot windows touch only
@@ -15,10 +14,7 @@
 // Reported per (mode, tenants) cell: summed per-tenant store bytes,
 // frame counts, bytes/frame, the ratio vs the full store at the same
 // tenant count (the acceptance bar: >= 2x reduction at 10k tenants),
-// and the RSS the fleet added while alive. A final section quantifies
-// the tiered store's lossy cold tier: max relative centroid error of
-// horizon queries against a bit-exact full-store twin, alongside the
-// query's realized_ratio.
+// and the RSS the fleet added while alive.
 
 #include "bench/bench_common.h"
 
@@ -26,11 +22,7 @@
 #include <malloc.h>
 #endif
 
-#include <cmath>
-#include <memory>
-
 #include "core/config.h"
-#include "core/engine.h"
 #include "core/snapshot.h"
 #include "fleet/engine_fleet.h"
 
@@ -87,7 +79,6 @@ const char* ModeName(SnapshotStoreMode mode) {
   switch (mode) {
     case SnapshotStoreMode::kFull: return "full";
     case SnapshotStoreMode::kDelta: return "delta";
-    case SnapshotStoreMode::kTiered: return "tiered";
   }
   return "?";
 }
@@ -95,14 +86,12 @@ const char* ModeName(SnapshotStoreMode mode) {
 struct FleetCell {
   std::size_t store_bytes = 0;
   std::size_t frames = 0;
-  std::size_t delta_frames = 0;
-  std::size_t quantized_frames = 0;
   std::size_t rss_delta_kb = 0;
 };
 
 FleetCell RunFleet(SnapshotStoreMode mode, std::size_t tenants,
                    const umicro::stream::Dataset& per_tenant,
-                   std::size_t nmicro, std::size_t budget_bytes) {
+                   std::size_t nmicro) {
   const std::size_t rss_before = RssKb();
   FleetCell cell;
   {
@@ -114,11 +103,7 @@ FleetCell RunFleet(SnapshotStoreMode mode, std::size_t tenants,
     config.fleet.snapshot.snapshot_every = 16;
     config.fleet.snapshot.pyramid_alpha = 2;
     config.fleet.snapshot.pyramid_l = 2;
-    config.fleet.snapshot.tiering = {};  // drop the fleet's delta default
     config.fleet.snapshot.tiering.mode = mode;
-    if (mode == SnapshotStoreMode::kTiered) {
-      config.fleet.snapshot.tiering.budget_bytes = budget_bytes;
-    }
     umicro::fleet::EngineFleet fleet(per_tenant.dimensions(), config);
 
     // Tenant-major ingest: each tenant replays the same template stream
@@ -138,8 +123,6 @@ FleetCell RunFleet(SnapshotStoreMode mode, std::size_t tenants,
           fleet.EnsureTenant(t).core().store().TierStats();
       cell.store_bytes += stats.approx_bytes;
       cell.frames += stats.frames;
-      cell.delta_frames += stats.delta_frames;
-      cell.quantized_frames += stats.quantized_frames;
     }
   }
   return cell;
@@ -154,25 +137,19 @@ int main(int argc, char** argv) {
       flags.GetSize("points-per-tenant", 384);
   const std::size_t nmicro = flags.GetSize("nmicro", 32);
   const std::size_t dims = flags.GetSize("dims", 8);
-  // Sized to demote only the oldest few frames: in-memory quantization
-  // stores the frame's FULL cluster set in float32, so demoting a short
-  // delta frame grows it -- the budget is a tail cap, not a target the
-  // store can always reach (docs/snapshots.md).
-  const std::size_t budget_bytes = flags.GetSize("budget-bytes", 49152);
   const std::string csv_path =
       flags.GetString("csv", "snapshot_memory.csv");
 
   umicro::util::CsvWriter csv(
-      {"scope", "mode", "tenants", "points_per_tenant", "store_bytes",
-       "frames", "bytes_per_frame", "vs_full_ratio", "rss_delta_kb",
-       "horizon", "max_rel_error", "realized_ratio"});
+      {"mode", "tenants", "points_per_tenant", "store_bytes", "frames",
+       "bytes_per_frame", "vs_full_ratio", "rss_delta_kb"});
 
   const umicro::stream::Dataset per_tenant =
       BlockedStream(points_per_tenant, dims, 42);
 
   std::printf("snapshot-store memory sweep: %zu pts/tenant x %zud, q=%zu, "
-              "every=16, alpha=2 l=2, tiered budget %zu B/tenant\n\n",
-              points_per_tenant, dims, nmicro, budget_bytes);
+              "every=16, alpha=2 l=2\n\n",
+              points_per_tenant, dims, nmicro);
   std::printf("%8s %8s %14s %8s %12s %10s %12s\n", "tenants", "mode",
               "store-bytes", "frames", "bytes/frame", "vs-full",
               "rss-delta-kb");
@@ -181,10 +158,8 @@ int main(int argc, char** argv) {
     if (tenants > max_tenants) continue;
     std::size_t full_bytes = 0;
     for (const SnapshotStoreMode mode :
-         {SnapshotStoreMode::kFull, SnapshotStoreMode::kDelta,
-          SnapshotStoreMode::kTiered}) {
-      const FleetCell cell =
-          RunFleet(mode, tenants, per_tenant, nmicro, budget_bytes);
+         {SnapshotStoreMode::kFull, SnapshotStoreMode::kDelta}) {
+      const FleetCell cell = RunFleet(mode, tenants, per_tenant, nmicro);
       if (mode == SnapshotStoreMode::kFull) full_bytes = cell.store_bytes;
       const double bytes_per_frame =
           cell.frames > 0
@@ -197,64 +172,15 @@ int main(int argc, char** argv) {
       std::printf("%8zu %8s %14zu %8zu %12.1f %10.3f %12zu\n", tenants,
                   ModeName(mode), cell.store_bytes, cell.frames,
                   bytes_per_frame, vs_full, cell.rss_delta_kb);
-      csv.AddRow({"fleet", ModeName(mode), std::to_string(tenants),
+      csv.AddRow({ModeName(mode), std::to_string(tenants),
                   std::to_string(points_per_tenant),
                   std::to_string(cell.store_bytes),
                   std::to_string(cell.frames),
                   std::to_string(bytes_per_frame),
                   std::to_string(vs_full),
-                  std::to_string(cell.rss_delta_kb), "0", "0", "0"});
+                  std::to_string(cell.rss_delta_kb)});
     }
     std::printf("\n");
-  }
-
-  // ---- Cold-tier accuracy: tiered (quantized) vs bit-exact twin ----
-  // Two standalone engines over a longer blocked stream; the tiered one
-  // runs under a budget small enough to quantize most warm frames, and
-  // every horizon query is compared centroid-by-centroid.
-  const umicro::stream::Dataset long_stream =
-      BlockedStream(4000, dims, 77);
-  umicro::core::EngineConfig full_opt;
-  full_opt.umicro.num_micro_clusters = nmicro;
-  full_opt.snapshot.snapshot_every = 16;
-  full_opt.snapshot.pyramid_alpha = 2;
-  full_opt.snapshot.pyramid_l = 2;
-  umicro::core::EngineConfig tier_opt = full_opt;
-  tier_opt.snapshot.tiering.mode = SnapshotStoreMode::kTiered;
-  tier_opt.snapshot.tiering.budget_bytes = 8192;
-  umicro::core::UMicroEngine exact(dims, full_opt);
-  umicro::core::UMicroEngine tiered(dims, tier_opt);
-  for (const auto& point : long_stream.points()) {
-    exact.Process(point);
-    tiered.Process(point);
-  }
-
-  std::printf("%10s %14s %14s\n", "horizon", "max-rel-error",
-              "realized-ratio");
-  umicro::core::MacroClusteringOptions mopt;
-  mopt.k = kCenters;
-  for (const double horizon : {100.0, 500.0, 2000.0}) {
-    const auto want = exact.ClusterRecent(horizon, mopt);
-    const auto got = tiered.ClusterRecent(horizon, mopt);
-    if (!want.has_value() || !got.has_value()) continue;
-    double max_rel = 0.0;
-    const std::size_t k =
-        std::min(want->macro.centroids.size(), got->macro.centroids.size());
-    for (std::size_t c = 0; c < k; ++c) {
-      for (std::size_t d = 0; d < dims; ++d) {
-        const double w = want->macro.centroids[c][d];
-        const double g = got->macro.centroids[c][d];
-        const double rel = std::fabs(g - w) / (std::fabs(w) + 1e-9);
-        max_rel = std::max(max_rel, rel);
-      }
-    }
-    std::printf("%10.0f %14.3e %14.3f\n", horizon, max_rel,
-                got->realized_ratio);
-    char rel[32];  // scientific: to_string's %f would flush ~1e-7 to 0
-    std::snprintf(rel, sizeof(rel), "%.3e", max_rel);
-    csv.AddRow({"horizon_error", "tiered", "1", "4000", "0", "0", "0",
-                "0", "0", std::to_string(horizon), rel,
-                std::to_string(got->realized_ratio)});
   }
 
   csv.WriteFile(csv_path);

@@ -22,7 +22,6 @@ void SnapshotTimeline::AttachMetrics(obs::MetricsRegistry* registry) {
   delta_ratio_ = on ? &registry->GetGauge("snapshot.delta_ratio") : nullptr;
   reconstructions_ =
       on ? &registry->GetCounter("snapshot.reconstructions") : nullptr;
-  spills_ = on ? &registry->GetCounter("snapshot.spills") : nullptr;
 }
 
 void SnapshotTimeline::PublishStoreMetrics() {
@@ -35,10 +34,6 @@ void SnapshotTimeline::PublishStoreMetrics() {
     reconstructions_->Increment(stats.reconstructions -
                                 published_reconstructions_);
     published_reconstructions_ = stats.reconstructions;
-  }
-  if (stats.spills > published_spills_) {
-    spills_->Increment(stats.spills - published_spills_);
-    published_spills_ = stats.spills;
   }
 }
 
@@ -69,8 +64,8 @@ std::optional<HorizonClustering> SnapshotTimeline::ClusterRecent(
     const MacroClusteringOptions& options, double decay_lambda) {
   auto result = ClusterOverHorizon(store_, current, horizon, options,
                                    metrics_, decay_lambda);
-  // Horizon queries materialize frames (delta walks, spill loads);
-  // surface the store counters they advanced.
+  // Horizon queries materialize frames (delta walks); surface the
+  // reconstructions they counted.
   PublishStoreMetrics();
   return result;
 }

@@ -166,8 +166,8 @@ class SnapshotTimeline {
   void Commit(Snapshot frame);
 
   /// Refreshes the snapshot.{bytes,frames,delta_ratio} gauges and feeds
-  /// the cumulative store counters (reconstructions, spills) into the
-  /// registry as deltas since the last publication.
+  /// the cumulative reconstruction counter into the registry as a delta
+  /// since the last publication.
   void PublishStoreMetrics();
 
   std::size_t snapshot_every_;
@@ -181,9 +181,7 @@ class SnapshotTimeline {
   obs::Gauge* frames_ = nullptr;
   obs::Gauge* delta_ratio_ = nullptr;
   obs::Counter* reconstructions_ = nullptr;
-  obs::Counter* spills_ = nullptr;
   std::uint64_t published_reconstructions_ = 0;
-  std::uint64_t published_spills_ = 0;
   std::uint64_t next_tick_ = 1;
   std::size_t since_snapshot_ = 0;
   double last_timestamp_ = 0.0;

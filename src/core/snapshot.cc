@@ -1,9 +1,7 @@
 #include "core/snapshot.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <tuple>
@@ -29,59 +27,8 @@ constexpr std::size_t kFrameOverheadBytes = 64;
 /// record's id, creation_time, weight and last_update_time slots.
 constexpr std::size_t kClusterHeaderBytes = 32;
 
-/// Process-wide serial for spill file names: stores sharing one spill
-/// directory (a tenant fleet) must not collide.
-std::atomic<std::uint64_t> g_spill_serial{0};
-
-bool IsCold(const EncodedFrame& frame) {
-  return frame.encoding == FrameEncoding::kQuantized ||
-         frame.encoding == FrameEncoding::kSpilled;
-}
-
 std::size_t ExactClusterBytes(std::size_t dims) {
   return kClusterHeaderBytes + 3 * dims * sizeof(double);
-}
-
-QuantizedClusters Quantize(const Snapshot& snapshot) {
-  QuantizedClusters q;
-  const std::size_t n = snapshot.size();
-  const std::size_t d = snapshot.dims();
-  q.dims = d;
-  q.ids.reserve(n);
-  q.creation_times.reserve(n);
-  q.weights.reserve(n);
-  q.last_updates.reserve(n);
-  q.values.reserve(n * 3 * d);
-  for (std::size_t i = 0; i < n; ++i) {
-    q.ids.push_back(snapshot.id(i));
-    q.creation_times.push_back(snapshot.creation_time(i));
-    q.weights.push_back(static_cast<float>(snapshot.weight(i)));
-    q.last_updates.push_back(static_cast<float>(snapshot.last_update_time(i)));
-    // cf1, cf2 and ef2 are adjacent in the record.
-    const double* stats = snapshot.cf1(i);
-    for (std::size_t j = 0; j < 3 * d; ++j) {
-      q.values.push_back(static_cast<float>(stats[j]));
-    }
-  }
-  return q;
-}
-
-Snapshot Widen(const EncodedFrame& frame) {
-  const QuantizedClusters& q = frame.quant;
-  const std::size_t d = q.dims;
-  Snapshot out(frame.time, d, q.ids.size());
-  std::vector<double> stats(3 * d);
-  for (std::size_t i = 0; i < q.ids.size(); ++i) {
-    const float* base = q.values.data() + i * 3 * d;
-    for (std::size_t j = 0; j < 3 * d; ++j) {
-      stats[j] = static_cast<double>(base[j]);
-    }
-    out.Append(q.ids[i], q.creation_times[i],
-               static_cast<double>(q.weights[i]),
-               static_cast<double>(q.last_updates[i]), stats.data(),
-               stats.data() + d, stats.data() + 2 * d);
-  }
-  return out;
 }
 
 /// Record index of every id in `frame`, as (id, index) pairs sorted in
@@ -259,8 +206,8 @@ std::optional<std::uint64_t> SnapshotStore::Insert(
   if (order >= orders_.size()) orders_.resize(order + 1);
   auto& ring = orders_[order];
 
-  // The new frame becomes the ring head; in delta/tiered modes the
-  // previous head turns warm and keeps only what differs from it.
+  // The new frame becomes the ring head; in delta mode the previous
+  // head turns warm and keeps only what differs from it.
   if (tiering_.mode != SnapshotStoreMode::kFull && !ring.empty() &&
       ring.back().encoding == FrameEncoding::kFull) {
     EncodeDelta(ring.back(), *snapshot);
@@ -277,61 +224,23 @@ std::optional<std::uint64_t> SnapshotStore::Insert(
   std::optional<std::uint64_t> evicted;
   if (ring.size() > capacity_per_order_) {
     evicted = ring.front().tick;
-    EvictFront(ring);
+    ring.pop_front();
   }
-  EnforceBudget();
   return evicted;
-}
-
-void SnapshotStore::EvictFront(std::deque<EncodedFrame>& ring) {
-  if (ring.front().encoding == FrameEncoding::kSpilled) {
-    std::remove(ring.front().spill_path.c_str());
-  }
-  ring.pop_front();
-}
-
-std::optional<Snapshot> SnapshotStore::MaterializeSelfContained(
-    const EncodedFrame& frame) const {
-  switch (frame.encoding) {
-    case FrameEncoding::kFull:
-      return *frame.full;
-    case FrameEncoding::kQuantized:
-      ++reconstructions_;
-      return Widen(frame);
-    case FrameEncoding::kSpilled: {
-      if (!tiering_.codec.valid()) {
-        ++spill_failures_;
-        return std::nullopt;
-      }
-      std::optional<Snapshot> loaded = tiering_.codec.read(frame.spill_path);
-      if (!loaded.has_value()) {
-        ++spill_failures_;
-        return std::nullopt;
-      }
-      ++spill_loads_;
-      ++reconstructions_;
-      loaded->time = frame.time;
-      return loaded;
-    }
-    case FrameEncoding::kDelta:
-      break;
-  }
-  return std::nullopt;
 }
 
 std::optional<Snapshot> SnapshotStore::MaterializeIndex(
     const std::deque<EncodedFrame>& ring, std::size_t index) const {
   // Delta chains resolve rightwards: each warm frame's parent is the
-  // next-newer frame in the same ring, and the chain ends at the ring's
-  // self-contained head.
+  // next-newer frame in the same ring, and the chain ends at the first
+  // kFull frame (the ring head at the latest).
   std::size_t base_index = index;
   while (base_index < ring.size() &&
          ring[base_index].encoding == FrameEncoding::kDelta) {
     ++base_index;
   }
   if (base_index >= ring.size()) return std::nullopt;
-  std::optional<Snapshot> snapshot =
-      MaterializeSelfContained(ring[base_index]);
+  std::optional<Snapshot> snapshot = *ring[base_index].full;
   while (snapshot.has_value() && base_index > index) {
     --base_index;
     snapshot = ApplyDelta(ring[base_index], *snapshot);
@@ -372,8 +281,8 @@ std::shared_ptr<const Snapshot> SnapshotStore::Find(double target,
             [&rank](const Candidate& a, const Candidate& b) {
               return rank(a.key, b.key);
             });
-  // Skip-and-degrade: a frame whose spill file is gone is not an error,
-  // the next-best retained frame answers instead.
+  // Skip-and-degrade: a frame that fails to materialize is not an
+  // error, the next-best retained frame answers instead.
   for (const Candidate& c : candidates) {
     auto frame = SharedFrame(orders_[c.order], c.index);
     if (frame != nullptr) return frame;
@@ -408,68 +317,6 @@ void SnapshotStore::PrimeSink(SnapshotSink& sink) const {
   }
 }
 
-bool SnapshotStore::DemoteOldestToCold() {
-  // The first non-cold frame of each ring (excluding the head) is the
-  // only candidate: demoting it keeps the cold tier a contiguous prefix,
-  // so no delta chain ever has to resolve through a lossy frame.
-  const EncodedFrame* best = nullptr;
-  std::size_t best_order = 0;
-  std::size_t best_index = 0;
-  for (std::size_t order = 0; order < orders_.size(); ++order) {
-    const auto& ring = orders_[order];
-    if (ring.size() < 2) continue;  // never demote a ring head
-    for (std::size_t i = 0; i + 1 < ring.size(); ++i) {
-      if (IsCold(ring[i])) continue;
-      if (best == nullptr || ring[i].tick < best->tick) {
-        best = &ring[i];
-        best_order = order;
-        best_index = i;
-      }
-      break;
-    }
-  }
-  if (best == nullptr) return false;
-
-  std::optional<Snapshot> exact = MaterializeIndex(orders_[best_order], best_index);
-  // Warm chains resolve through warm/hot frames only, which always
-  // materialize; a failure here means internal corruption.
-  if (!exact.has_value()) return false;
-
-  EncodedFrame cold;
-  cold.tick = best->tick;
-  cold.time = best->time;
-  cold.cluster_count = exact->size();
-  cold.dims = exact->dims();
-  bool spilled = false;
-  if (!tiering_.spill_dir.empty() && tiering_.codec.valid()) {
-    std::string path = tiering_.spill_dir + "/frame-" +
-                       std::to_string(++g_spill_serial) + "-t" +
-                       std::to_string(cold.tick) + ".usnapf";
-    if (tiering_.codec.write(*exact, path)) {
-      cold.encoding = FrameEncoding::kSpilled;
-      cold.spill_path = std::move(path);
-      ++spills_;
-      spilled = true;
-    }
-  }
-  if (!spilled) {
-    cold.encoding = FrameEncoding::kQuantized;
-    cold.quant = Quantize(*exact);
-  }
-  orders_[best_order][best_index] = std::move(cold);
-  return true;
-}
-
-void SnapshotStore::EnforceBudget() {
-  if (tiering_.mode != SnapshotStoreMode::kTiered ||
-      tiering_.budget_bytes == 0) {
-    return;
-  }
-  while (ApproxBytes() > tiering_.budget_bytes) {
-    if (!DemoteOldestToCold()) break;
-  }
-}
-
 std::size_t SnapshotStore::FrameBytes(const EncodedFrame& frame) {
   std::size_t bytes = kFrameOverheadBytes;
   switch (frame.encoding) {
@@ -480,16 +327,6 @@ std::size_t SnapshotStore::FrameBytes(const EncodedFrame& frame) {
       bytes += frame.ids.size() * sizeof(std::uint64_t) +
                frame.changed.size() * ExactClusterBytes(frame.dims);
       break;
-    case FrameEncoding::kQuantized:
-      bytes += frame.quant.ids.size() * sizeof(std::uint64_t);
-      bytes += frame.quant.creation_times.size() * sizeof(double);
-      bytes += frame.quant.weights.size() * sizeof(float);
-      bytes += frame.quant.last_updates.size() * sizeof(float);
-      bytes += frame.quant.values.size() * sizeof(float);
-      break;
-    case FrameEncoding::kSpilled:
-      bytes += frame.spill_path.size();
-      break;
   }
   return bytes;
 }
@@ -499,25 +336,12 @@ std::size_t SnapshotStore::FullEquivalentBytes(const EncodedFrame& frame) {
          frame.cluster_count * ExactClusterBytes(frame.dims);
 }
 
-std::size_t SnapshotStore::ApproxBytes() const {
-  std::size_t bytes = 0;
-  for (const auto& ring : orders_) {
-    for (const auto& frame : ring) bytes += FrameBytes(frame);
-  }
-  return bytes;
-}
-
 SnapshotTierStats SnapshotStore::TierStats() const {
   SnapshotTierStats stats;
   for (const auto& ring : orders_) {
     for (const auto& frame : ring) {
       ++stats.frames;
-      switch (frame.encoding) {
-        case FrameEncoding::kFull: ++stats.full_frames; break;
-        case FrameEncoding::kDelta: ++stats.delta_frames; break;
-        case FrameEncoding::kQuantized: ++stats.quantized_frames; break;
-        case FrameEncoding::kSpilled: ++stats.spilled_frames; break;
-      }
+      stats.delta_frames += frame.encoding == FrameEncoding::kDelta;
       stats.approx_bytes += FrameBytes(frame);
       stats.full_equivalent_bytes += FullEquivalentBytes(frame);
     }
@@ -528,9 +352,6 @@ SnapshotTierStats SnapshotStore::TierStats() const {
           : static_cast<double>(stats.approx_bytes) /
                 static_cast<double>(stats.full_equivalent_bytes);
   stats.reconstructions = reconstructions_;
-  stats.spills = spills_;
-  stats.spill_loads = spill_loads_;
-  stats.spill_failures = spill_failures_;
   return stats;
 }
 
@@ -568,7 +389,6 @@ bool SnapshotStore::RestoreState(const SnapshotStoreState& state,
                   std::to_string(capacity_per_order_));
     }
     std::uint64_t prev_tick = 0;
-    bool saw_warm = false;
     for (const auto& frame : ring) {
       if (frame.tick == 0 || frame.tick <= prev_tick) {
         return fail("order " + std::to_string(order) +
@@ -586,15 +406,6 @@ bool SnapshotStore::RestoreState(const SnapshotStoreState& state,
                     std::to_string(OrderOf(frame.tick)) +
                     " but was stored in ring " + std::to_string(order));
       }
-      if (IsCold(frame)) {
-        if (saw_warm) {
-          return fail("cold frame after a warm frame in order " +
-                      std::to_string(order) +
-                      " (the cold tier must be a ring prefix)");
-        }
-      } else {
-        saw_warm = true;
-      }
       switch (frame.encoding) {
         case FrameEncoding::kFull:
           if (frame.full == nullptr ||
@@ -610,26 +421,6 @@ bool SnapshotStore::RestoreState(const SnapshotStoreState& state,
               (!frame.changed.empty() && frame.changed.dims() != frame.dims)) {
             return fail("delta frame at tick " + std::to_string(frame.tick) +
                         " has inconsistent id/changed counts");
-          }
-          break;
-        case FrameEncoding::kQuantized: {
-          const auto& q = frame.quant;
-          if (q.ids.size() != frame.cluster_count ||
-              q.creation_times.size() != frame.cluster_count ||
-              q.weights.size() != frame.cluster_count ||
-              q.last_updates.size() != frame.cluster_count ||
-              q.values.size() != frame.cluster_count * 3 * q.dims ||
-              q.dims != frame.dims) {
-            return fail("quantized frame at tick " +
-                        std::to_string(frame.tick) +
-                        " has inconsistent array sizes");
-          }
-          break;
-        }
-        case FrameEncoding::kSpilled:
-          if (frame.spill_path.empty()) {
-            return fail("spilled frame at tick " + std::to_string(frame.tick) +
-                        " has no spill path");
           }
           break;
       }

@@ -12,15 +12,13 @@
 // additive/subtractive ECF properties recover the statistics of exactly
 // the window (t_c - h', t_c].
 //
-// Storage tiers (docs/snapshots.md): each order ring holds its newest
-// frame ("hot") as the verbatim flat frame. In delta/tiered modes older
-// frames in the ring ("warm") keep only the records whose bits differ
-// from the next-newer frame -- reconstruction re-reads unchanged records
-// from the parent, so a materialized warm frame is bit-identical to what
-// the full store would have returned. In tiered mode the oldest
-// frames ("cold") beyond a byte budget are either spilled to disk through
-// an injected codec (exact) or quantized to float32 in memory (bounded
-// error, measured by bench_snapshot_memory).
+// Frame encodings (docs/snapshots.md): each order ring holds its newest
+// frame ("hot") as the verbatim flat frame. In delta mode older frames
+// in the ring ("warm") keep only the records whose bits differ from the
+// next-newer frame -- reconstruction re-reads unchanged records from the
+// parent, so a materialized warm frame is bit-identical to what the full
+// store would have returned. Both encodings are lossless; the pyramid's
+// retention rule alone bounds what the store holds.
 
 #ifndef UMICRO_CORE_SNAPSHOT_H_
 #define UMICRO_CORE_SNAPSHOT_H_
@@ -29,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -139,35 +136,11 @@ enum class SnapshotStoreMode : std::uint8_t {
   /// Ring heads stay verbatim; older frames are delta-encoded against
   /// their pyramid parent. Lossless: materialization is bit-identical.
   kDelta = 1,
-  /// Delta encoding plus a byte budget: the oldest frames beyond the
-  /// budget are spilled to disk (exact) or quantized (bounded error).
-  kTiered = 2,
 };
 
-/// Disk codec for cold-frame spills, injected by the io layer (core must
-/// not depend on io). `write` persists a snapshot at `path` and returns
-/// false on any failure; `read` returns nullopt when the file is
-/// missing, corrupt, or fails its checksum.
-struct SnapshotSpillCodec {
-  std::function<bool(const Snapshot&, const std::string& path)> write;
-  std::function<std::optional<Snapshot>(const std::string& path)> read;
-
-  bool valid() const { return static_cast<bool>(write) && static_cast<bool>(read); }
-};
-
-/// Tiering configuration carried inside SnapshotPolicy.
+/// Store-encoding configuration carried inside SnapshotPolicy.
 struct SnapshotTiering {
   SnapshotStoreMode mode = SnapshotStoreMode::kFull;
-  /// Approximate in-memory budget for kTiered; frames are demoted to the
-  /// cold tier (oldest first) while the encoded footprint exceeds it.
-  /// 0 means "no budget": kTiered then behaves like kDelta.
-  std::size_t budget_bytes = 0;
-  /// Directory for cold-frame spill files. Empty (or an invalid codec)
-  /// keeps cold frames in memory as quantized arrays instead.
-  std::string spill_dir;
-  /// Injected disk codec (io::MakeSnapshotSpillCodec). Unset codec with a
-  /// non-empty spill_dir degrades to in-memory quantization.
-  SnapshotSpillCodec codec;
 };
 
 /// Shared snapshot/pyramid configuration of the engines (sequential and
@@ -181,7 +154,7 @@ struct SnapshotPolicy {
   std::size_t pyramid_alpha = 2;
   /// Pyramidal precision l (>= 1): alpha^l + 1 snapshots kept per order.
   std::size_t pyramid_l = 3;
-  /// Storage-tier configuration (full / delta / tiered).
+  /// Store encoding (full / delta).
   SnapshotTiering tiering;
 };
 
@@ -220,25 +193,10 @@ struct FrameRank {
   bool operator()(const FrameKey& a, const FrameKey& b) const;
 };
 
-/// On-disk / in-memory representation of one retained frame.
+/// Representation of one retained frame.
 enum class FrameEncoding : std::uint8_t {
-  kFull = 0,       ///< verbatim flat frame
-  kDelta = 1,      ///< ids + records whose bits differ from the parent
-  kQuantized = 2,  ///< float32 statistics, in memory
-  kSpilled = 3,    ///< exact frame on disk; only the header stays resident
-};
-
-/// Quantized (float32) micro-cluster arrays of one cold frame. Ids and
-/// creation times stay exact (they are identity, not statistics); every
-/// additive statistic is narrowed to float.
-struct QuantizedClusters {
-  std::size_t dims = 0;
-  std::vector<std::uint64_t> ids;
-  std::vector<double> creation_times;
-  std::vector<float> weights;
-  std::vector<float> last_updates;
-  /// Per cluster: cf1[0..d), cf2[0..d), ef2[0..d), flattened.
-  std::vector<float> values;
+  kFull = 0,   ///< verbatim flat frame
+  kDelta = 1,  ///< ids + records whose bits differ from the parent
 };
 
 /// One retained frame in encoded form. Exactly one payload member is
@@ -247,7 +205,7 @@ struct EncodedFrame {
   std::uint64_t tick = 0;
   double time = 0.0;
   FrameEncoding encoding = FrameEncoding::kFull;
-  /// Number of micro-clusters in the materialized frame (all encodings).
+  /// Number of micro-clusters in the materialized frame (both encodings).
   std::size_t cluster_count = 0;
   /// Point dimensionality of the frame's clusters (0 when empty).
   std::size_t dims = 0;
@@ -259,10 +217,6 @@ struct EncodedFrame {
   /// same-id record.
   std::vector<std::uint64_t> ids;
   Snapshot changed;
-  /// kQuantized payload.
-  QuantizedClusters quant;
-  /// kSpilled payload: file written by the injected codec.
-  std::string spill_path;
 };
 
 /// Complete serializable state of a SnapshotStore (checkpoint/restore).
@@ -279,10 +233,7 @@ struct SnapshotStoreState {
 /// Storage-tier accounting, queried by engines for snapshot.* metrics.
 struct SnapshotTierStats {
   std::size_t frames = 0;
-  std::size_t full_frames = 0;
   std::size_t delta_frames = 0;
-  std::size_t quantized_frames = 0;
-  std::size_t spilled_frames = 0;
   /// Approximate resident bytes of the encoded frames.
   std::size_t approx_bytes = 0;
   /// What the same retention would occupy in the full-array store.
@@ -291,10 +242,6 @@ struct SnapshotTierStats {
   double delta_ratio = 1.0;
   /// Cumulative materializations of non-full frames.
   std::uint64_t reconstructions = 0;
-  /// Cumulative frames written to / read back from / lost on disk.
-  std::uint64_t spills = 0;
-  std::uint64_t spill_loads = 0;
-  std::uint64_t spill_failures = 0;
 };
 
 /// Receiver of snapshot publications (the serve layer's read replica).
@@ -322,7 +269,7 @@ class SnapshotSink {
   virtual void PublishCurrent(std::shared_ptr<const Snapshot> snapshot) = 0;
 };
 
-/// Pyramidal retention store for snapshots, with tiered frame storage.
+/// Pyramidal retention store for snapshots, full or delta-encoded.
 class SnapshotStore {
  public:
   /// `alpha` >= 2 is the geometric base; `l` >= 1 controls precision:
@@ -333,7 +280,7 @@ class SnapshotStore {
   SnapshotStore(std::size_t alpha, std::size_t l, SnapshotTiering tiering);
 
   /// Stores `snapshot`, which was taken at integer clock `tick` >= 1.
-  /// Ticks must be inserted in increasing order. In delta/tiered modes
+  /// Ticks must be inserted in increasing order. In delta mode
   /// the ring's previous head is re-encoded against the new frame (its
   /// changed records are copied; the frame itself is never mutated, so
   /// it may be shared with a sink). Returns the tick of the frame the
@@ -349,10 +296,11 @@ class SnapshotStore {
   std::size_t OrderOf(std::uint64_t tick) const;
 
   /// The first retained frame in FrameRank{target, pick} order that
-  /// materializes: a kFull frame is the store's own shared frame, other
-  /// encodings are materialized into a new one. Frames whose spill file
-  /// is missing/corrupt are skipped (the next candidate answers instead)
-  /// and counted as spill_failures. Null when no frame answers.
+  /// materializes: a kFull frame is the store's own shared frame, a
+  /// delta frame is materialized into a new one. A frame that fails to
+  /// materialize (a restored delta whose donor record is missing) is
+  /// skipped and the next candidate answers instead. Null when no frame
+  /// answers.
   std::shared_ptr<const Snapshot> Find(double target, FramePick pick) const;
 
   /// A copy of Find(time, FramePick::kAtOrBefore).
@@ -367,7 +315,7 @@ class SnapshotStore {
   /// Primes `sink` with every retained frame as PublishSnapshot(tick,
   /// frame), in increasing tick order (attach after recovery). Frames are
   /// handed over as Find hands them out; frames that fail to materialize
-  /// (lost spill files) are skipped.
+  /// are skipped.
   void PrimeSink(SnapshotSink& sink) const;
 
   /// Number of order levels currently in use.
@@ -384,8 +332,8 @@ class SnapshotStore {
     return orders_[order][index];
   }
 
-  /// Materializes frame `index` of ring `order`. nullopt only when the
-  /// frame is spilled and its file is missing or corrupt.
+  /// Materializes frame `index` of ring `order`. nullopt only when a
+  /// delta frame on its chain names an id with no donor record.
   std::optional<Snapshot> MaterializeFrame(std::size_t order,
                                            std::size_t index) const;
 
@@ -397,9 +345,6 @@ class SnapshotStore {
 
   /// Pyramidal precision l.
   std::size_t l() const { return l_; }
-
-  /// Active tiering configuration.
-  const SnapshotTiering& tiering() const { return tiering_; }
 
   /// Storage-tier accounting. Byte totals are recomputed on call from
   /// each frame's header (cluster count, dims, payload sizes), O(frames)
@@ -427,13 +372,8 @@ class SnapshotStore {
   /// whose bytes differ.
   static void EncodeDelta(EncodedFrame& frame, const Snapshot& parent);
 
-  /// Materializes a frame that does not depend on a parent (kFull,
-  /// kQuantized, kSpilled). nullopt on spill read failure.
-  std::optional<Snapshot> MaterializeSelfContained(
-      const EncodedFrame& frame) const;
-
   /// Materializes frame `index` of `ring`, resolving delta chains
-  /// rightwards (towards newer frames).
+  /// rightwards (towards newer frames) to the first kFull frame.
   std::optional<Snapshot> MaterializeIndex(const std::deque<EncodedFrame>& ring,
                                            std::size_t index) const;
 
@@ -441,16 +381,6 @@ class SnapshotStore {
   /// any other is materialized. Null when materialization fails.
   std::shared_ptr<const Snapshot> SharedFrame(
       const std::deque<EncodedFrame>& ring, std::size_t index) const;
-
-  /// Demotes the globally oldest warm/hot (non-head) frame to the cold
-  /// tier; returns false when no frame is eligible.
-  bool DemoteOldestToCold();
-
-  /// Enforces tiering_.budget_bytes by repeated demotion.
-  void EnforceBudget();
-
-  /// Drops the oldest frame of `ring`, deleting its spill file if any.
-  void EvictFront(std::deque<EncodedFrame>& ring);
 
   /// Approximate resident bytes of one encoded frame, from its header:
   /// O(1), equal to summing every cluster's bytes since a frame has a
@@ -460,8 +390,6 @@ class SnapshotStore {
   /// Bytes the frame would occupy in the full-array store.
   static std::size_t FullEquivalentBytes(const EncodedFrame& frame);
 
-  std::size_t ApproxBytes() const;
-
   std::size_t alpha_;
   std::size_t l_;
   std::size_t capacity_per_order_;
@@ -469,12 +397,9 @@ class SnapshotStore {
   std::uint64_t last_tick_ = 0;
   /// orders_[i] holds the most recent snapshots of order i, oldest first.
   std::vector<std::deque<EncodedFrame>> orders_;
-  /// Cumulative tier counters (mutated on const query paths; the store
-  /// has a single-threaded ownership contract).
+  /// Cumulative reconstruction counter (mutated on const query paths;
+  /// the store has a single-threaded ownership contract).
   mutable std::uint64_t reconstructions_ = 0;
-  mutable std::uint64_t spills_ = 0;
-  mutable std::uint64_t spill_loads_ = 0;
-  mutable std::uint64_t spill_failures_ = 0;
 };
 
 /// Horizon extraction via subtractivity: returns the micro-cluster

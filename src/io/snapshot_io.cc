@@ -11,7 +11,6 @@ namespace umicro::io {
 
 namespace {
 constexpr int kFormatVersion = 1;
-constexpr int kSpillFormatVersion = 1;
 
 void AppendDouble(std::ostringstream& out, double value) {
   char buffer[64];
@@ -19,8 +18,10 @@ void AppendDouble(std::ostringstream& out, double value) {
   out << buffer;
 }
 
-/// Writes the "usnap 1" text of `snapshot`.
-void AppendSnapshot(std::ostringstream& out, const core::Snapshot& snapshot) {
+}  // namespace
+
+std::string SnapshotToString(const core::Snapshot& snapshot) {
+  std::ostringstream out;
   out << "usnap " << kFormatVersion << "\n";
   out << "time ";
   AppendDouble(out, snapshot.time);
@@ -30,13 +31,6 @@ void AppendSnapshot(std::ostringstream& out, const core::Snapshot& snapshot) {
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
     AppendRecordLine(out, snapshot, i);
   }
-}
-
-}  // namespace
-
-std::string SnapshotToString(const core::Snapshot& snapshot) {
-  std::ostringstream out;
-  AppendSnapshot(out, snapshot);
   return std::move(out).str();
 }
 
@@ -76,42 +70,6 @@ std::optional<core::Snapshot> ReadSnapshotFile(const std::string& path) {
   const std::optional<std::string> text = ReadWholeFile(path);
   if (!text.has_value()) return std::nullopt;
   return ParseSnapshot(*text);
-}
-
-std::string SpillFrameToString(const core::Snapshot& snapshot) {
-  return ChecksummedText("usnapf", kSpillFormatVersion,
-                         [&snapshot](std::ostringstream& out) {
-                           AppendSnapshot(out, snapshot);
-                         });
-}
-
-std::optional<core::Snapshot> ParseSpillFrame(std::string_view text) {
-  const std::optional<std::string_view> body =
-      ChecksummedBody(text, "usnapf", kSpillFormatVersion);
-  if (!body.has_value()) return std::nullopt;
-  return ParseSnapshot(*body);
-}
-
-bool WriteSpillFrameFile(const core::Snapshot& snapshot,
-                         const std::string& path) {
-  return WriteTextFileAtomic(SpillFrameToString(snapshot), path);
-}
-
-std::optional<core::Snapshot> ReadSpillFrameFile(const std::string& path) {
-  const std::optional<std::string> text = ReadWholeFile(path);
-  if (!text.has_value()) return std::nullopt;
-  return ParseSpillFrame(*text);
-}
-
-core::SnapshotSpillCodec MakeSnapshotSpillCodec() {
-  core::SnapshotSpillCodec codec;
-  codec.write = [](const core::Snapshot& snapshot, const std::string& path) {
-    return WriteSpillFrameFile(snapshot, path);
-  };
-  codec.read = [](const std::string& path) {
-    return ReadSpillFrameFile(path);
-  };
-  return codec;
 }
 
 }  // namespace umicro::io

@@ -302,22 +302,12 @@ const char* FrameEncodingTag(core::FrameEncoding encoding) {
   switch (encoding) {
     case core::FrameEncoding::kFull: return "full";
     case core::FrameEncoding::kDelta: return "delta";
-    case core::FrameEncoding::kQuantized: return "quant";
-    case core::FrameEncoding::kSpilled: return "spill";
   }
   return "full";
 }
 
-/// Floats are printed with 9 significant digits, which round-trips
-/// float32 exactly through the double-typed text parse.
-void AppendFloat(std::ostringstream& out, float value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", static_cast<double>(value));
-  out << buffer;
-}
-
-/// Serializes the tiered store: per-frame lines carrying the frame's
-/// tick, time, encoding, cluster count, and dimensionality, with an
+/// Serializes the store: per-frame lines carrying the frame's tick,
+/// time, encoding, cluster count, and dimensionality, with an
 /// encoding-specific payload. Delta frames ship only their changed
 /// clusters, which is what shrinks per-tenant checkpoint bytes.
 void AppendSnapshotStoreState(std::ostringstream& out,
@@ -347,33 +337,14 @@ void AppendSnapshotStoreState(std::ostringstream& out,
           }
           break;
         }
-        case core::FrameEncoding::kQuantized: {
-          const auto& q = frame.quant;
-          for (std::size_t i = 0; i < q.ids.size(); ++i) {
-            out << q.ids[i] << ' ';
-            AppendDouble(out, q.creation_times[i]);
-            out << ' ';
-            AppendFloat(out, q.weights[i]);
-            out << ' ';
-            AppendFloat(out, q.last_updates[i]);
-            for (std::size_t v = 0; v < 3 * q.dims; ++v) {
-              out << ' ';
-              AppendFloat(out, q.values[i * 3 * q.dims + v]);
-            }
-            out << "\n";
-          }
-          break;
-        }
-        case core::FrameEncoding::kSpilled:
-          out << "path " << frame.spill_path << "\n";
-          break;
       }
     }
   }
 }
 
 /// Parses one encoded frame (after the "frame" keyword was consumed);
-/// `text_bytes` bounds the records the rest of the input can hold.
+/// `text_bytes` bounds the records the rest of the input can hold. Any
+/// tag but "full" and "delta" is refused.
 bool ParseEncodedFrame(TextCursor& in, std::size_t engine_dims,
                        std::size_t text_bytes, core::EncodedFrame* out) {
   core::EncodedFrame frame;
@@ -405,7 +376,13 @@ bool ParseEncodedFrame(TextCursor& in, std::size_t engine_dims,
     frame.full = std::move(full);
   } else if (tag == "delta") {
     frame.encoding = core::FrameEncoding::kDelta;
-    if (!in.Keyword("ids")) return false;
+    // Every id takes a digit and the whitespace before it: refuse a
+    // count the rest of the text cannot hold before sizing the list.
+    constexpr std::size_t kMinIdBytes = 2;
+    if (!in.Keyword("ids") ||
+        frame.cluster_count > in.remaining() / kMinIdBytes) {
+      return false;
+    }
     frame.ids.resize(frame.cluster_count);
     for (std::uint64_t& id : frame.ids) {
       if (!in.Number(&id)) return false;
@@ -420,40 +397,6 @@ bool ParseEncodedFrame(TextCursor& in, std::size_t engine_dims,
     if (!ParseRecordLines(in, changed_count, frame.dims, &frame.changed)) {
       return false;
     }
-  } else if (tag == "quant") {
-    frame.encoding = core::FrameEncoding::kQuantized;
-    if (!FrameHeaderFits(frame.cluster_count, frame.dims, text_bytes)) {
-      return false;
-    }
-    auto& q = frame.quant;
-    q.dims = frame.dims;
-    q.ids.resize(frame.cluster_count);
-    q.creation_times.resize(frame.cluster_count);
-    q.weights.resize(frame.cluster_count);
-    q.last_updates.resize(frame.cluster_count);
-    q.values.resize(frame.cluster_count * 3 * q.dims);
-    for (std::size_t i = 0; i < frame.cluster_count; ++i) {
-      double weight = 0.0;
-      double last_update = 0.0;
-      if (!in.Number(&q.ids[i]) || !in.Number(&q.creation_times[i]) ||
-          !in.Number(&weight) || weight < 0.0 || !in.Number(&last_update)) {
-        return false;
-      }
-      q.weights[i] = static_cast<float>(weight);
-      q.last_updates[i] = static_cast<float>(last_update);
-      for (std::size_t v = 0; v < 3 * q.dims; ++v) {
-        double value = 0.0;
-        if (!in.Number(&value)) return false;
-        q.values[i * 3 * q.dims + v] = static_cast<float>(value);
-      }
-    }
-  } else if (tag == "spill") {
-    frame.encoding = core::FrameEncoding::kSpilled;
-    std::string_view path;
-    if (!in.Keyword("path") || !in.Line(&path)) return false;
-    if (!path.empty() && path.front() == ' ') path.remove_prefix(1);
-    if (path.empty()) return false;
-    frame.spill_path = std::string(path);
   } else {
     return false;
   }

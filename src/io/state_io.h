@@ -89,8 +89,8 @@ bool WriteTextFileAtomic(const std::string& text, const std::string& path);
 /// Reads a whole file; std::nullopt when it cannot be opened.
 std::optional<std::string> ReadWholeFile(const std::string& path);
 
-/// The checksummed envelope of "ucheckpoint 2" and "usnapf 1": one
-/// header line, then the body,
+/// The checksummed envelope of "ucheckpoint 2": one header line, then
+/// the body,
 ///   <magic> <version> <fnv1a-of-body as 16 hex digits>
 /// Returns the envelope of the body `append_body` writes. The text is
 /// built once: the checksum is filled into the fixed-width header in

@@ -5,7 +5,6 @@
 #ifndef UMICRO_IO_TEXT_CURSOR_H_
 #define UMICRO_IO_TEXT_CURSOR_H_
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstddef>
@@ -75,16 +74,6 @@ class TextCursor {
     }
     pos_ = static_cast<std::size_t>(result.ptr - text_.data());
     *out = value;
-    return true;
-  }
-
-  /// Reads the rest of the current line, without its newline, and moves
-  /// past the newline. The line may be empty.
-  bool Line(std::string_view* out) {
-    if (failed_) return false;
-    const std::size_t end = std::min(text_.find('\n', pos_), text_.size());
-    *out = text_.substr(pos_, end - pos_);
-    pos_ = end == text_.size() ? end : end + 1;
     return true;
   }
 

@@ -229,26 +229,25 @@ TEST(CliErrorsTest, UnknownSnapshotStoreMode) {
                    "unknown --snapshot-store");
 }
 
-TEST(CliErrorsTest, SnapshotBudgetRequiresTieredStore) {
+TEST(CliErrorsTest, RetiredColdTierInputsAreRefused) {
+  // The store keeps only the lossless full and delta encodings: the old
+  // tiered mode is an unknown value, and its two flags unknown flags
+  // (exit 2 with the usage text).
   ExpectUsageError("--synthetic=syndrift --points=100 "
-                   "--snapshot-budget-mb=8",
-                   "require --snapshot-store=tiered");
-  ExpectUsageError("--synthetic=syndrift --points=100 "
-                   "--snapshot-store=delta --snapshot-budget-mb=8",
-                   "require --snapshot-store=tiered");
-  ExpectUsageError("--synthetic=syndrift --points=100 --snapshot-spill-dir=" +
-                       testing::TempDir() + "/cli_spill",
-                   "require --snapshot-store=tiered");
-}
-
-TEST(CliErrorsTest, UnusableSnapshotSpillDir) {
-  const std::string blocker = testing::TempDir() + "/cli_spill_blocker";
-  std::ofstream(blocker) << "x";
-  ExpectEnvironmentError("--synthetic=syndrift --points=100 "
-                         "--snapshot-store=tiered --snapshot-spill-dir=" +
-                             blocker + "/nested",
-                         "cannot create --snapshot-spill-dir");
-  std::remove(blocker.c_str());
+                   "--snapshot-store=tiered",
+                   "unknown --snapshot-store: tiered");
+  for (const std::string flag :
+       {"--snapshot-budget-mb=8", "--snapshot-spill-dir=spill"}) {
+    SCOPED_TRACE(flag);
+    const CliResult result =
+        RunCli("--synthetic=syndrift --points=100 " + flag);
+    EXPECT_EQ(result.exit_code, 2);
+    EXPECT_NE(result.stderr_text.find("unknown argument: " + flag),
+              std::string::npos)
+        << "stderr was: " << result.stderr_text;
+    EXPECT_NE(result.stderr_text.find("usage: umicro_cli"), std::string::npos)
+        << "stderr was: " << result.stderr_text;
+  }
 }
 
 TEST(CliErrorsTest, MissingInputFile) {

@@ -193,8 +193,8 @@ double NonNegative(double v) { return v < 0.0 ? -v : v; }
 
 /// A hand-built engine state that carries every edge value in every
 /// section: counters, the clock, Welford accumulators, variances, the
-/// labeled cluster records, full, delta and quantized store frames and
-/// the metric cells.
+/// labeled cluster records, full and delta store frames and the metric
+/// cells.
 core::EngineState EdgeEngineState() {
   const std::vector<double> edge = EdgeDoubles();
   const std::size_t dims = edge.size();
@@ -270,28 +270,6 @@ core::EngineState EdgeEngineState() {
   delta.dims = dims;
   state.store.orders[0].push_back(std::move(delta));
 
-  using flimits = std::numeric_limits<float>;
-  const std::vector<float> float_edge = {
-      -0.0f, flimits::denorm_min(), flimits::min() - flimits::denorm_min(),
-      flimits::min(), flimits::max(), -flimits::max(), 0.1f, 1.0f / 3.0f};
-  core::EncodedFrame quant;
-  quant.tick = kTopId;
-  quant.time = std::numeric_limits<double>::max();
-  quant.encoding = core::FrameEncoding::kQuantized;
-  quant.cluster_count = 2;
-  quant.dims = dims;
-  quant.quant.dims = dims;
-  for (std::size_t c = 0; c < 2; ++c) {
-    quant.quant.ids.push_back(kTopId - c);
-    quant.quant.creation_times.push_back(edge[c + 2]);
-    quant.quant.weights.push_back(flimits::denorm_min());
-    quant.quant.last_updates.push_back(-flimits::max());
-    for (std::size_t v = 0; v < 3 * dims; ++v) {
-      quant.quant.values.push_back(float_edge[(v + c) % float_edge.size()]);
-    }
-  }
-  state.store.orders[0].push_back(std::move(quant));
-
   for (std::size_t j = 0; j < dims; ++j) {
     state.counters.emplace_back("counter." + std::to_string(j), edge[j]);
     state.gauges.emplace_back("gauge." + std::to_string(j),
@@ -362,7 +340,7 @@ TEST(EdgeValueRoundTripTest, CheckpointKeepsEveryByteAndEveryBit) {
   ASSERT_EQ(got->store.orders.size(), 1u);
   const auto& frames = got->store.orders[0];
   const auto& want_frames = want.store.orders[0];
-  ASSERT_EQ(frames.size(), 3u);
+  ASSERT_EQ(frames.size(), 2u);
   for (std::size_t f = 0; f < frames.size(); ++f) {
     EXPECT_EQ(frames[f].tick, want_frames[f].tick);
     EXPECT_EQ(Bits(frames[f].time), Bits(want_frames[f].time));
@@ -370,13 +348,6 @@ TEST(EdgeValueRoundTripTest, CheckpointKeepsEveryByteAndEveryBit) {
   EXPECT_TRUE(SameBits(*frames[0].full, *want_frames[0].full));
   EXPECT_EQ(frames[1].ids, want_frames[1].ids);
   EXPECT_TRUE(SameBits(frames[1].changed, want_frames[1].changed));
-  EXPECT_EQ(frames[2].quant.ids, want_frames[2].quant.ids);
-  EXPECT_TRUE(SameBits(frames[2].quant.creation_times,
-                       want_frames[2].quant.creation_times));
-  EXPECT_TRUE(SameBits(frames[2].quant.weights, want_frames[2].quant.weights));
-  EXPECT_TRUE(SameBits(frames[2].quant.last_updates,
-                       want_frames[2].quant.last_updates));
-  EXPECT_TRUE(SameBits(frames[2].quant.values, want_frames[2].quant.values));
 
   ASSERT_EQ(got->counters.size(), want.counters.size());
   ASSERT_EQ(got->gauges.size(), want.gauges.size());

@@ -160,8 +160,12 @@ TEST(ServeConcurrencyTest, QueriesRaceIngestSafely) {
 
   const auto points = MakeStream(4096, 7);
   std::atomic<bool> done{false};
+  // Ingest waits for both queriers, and each querier submits at least
+  // once, so the race happens however the threads are scheduled.
+  std::atomic<int> running{0};
 
   std::thread ingest([&] {
+    while (running.load() < 2) std::this_thread::yield();
     constexpr std::size_t kBatch = 128;
     for (std::size_t i = 0; i < points.size(); i += kBatch) {
       const std::size_t n = std::min(kBatch, points.size() - i);
@@ -175,7 +179,8 @@ TEST(ServeConcurrencyTest, QueriesRaceIngestSafely) {
   for (int q = 0; q < 2; ++q) {
     queriers.emplace_back([&, q] {
       std::uint64_t last_seq = 0;
-      while (!done.load()) {
+      running.fetch_add(1);
+      do {
         QueryRequest request;
         if (q == 0) {
           request.kind = QueryRequest::Kind::kClusterRecent;
@@ -190,7 +195,7 @@ TEST(ServeConcurrencyTest, QueriesRaceIngestSafely) {
         EXPECT_GE(response.publish_seq, last_seq);
         last_seq = response.publish_seq;
         answered.fetch_add(1);
-      }
+      } while (!done.load());
     });
   }
   ingest.join();

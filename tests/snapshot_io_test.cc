@@ -94,25 +94,6 @@ TEST(SnapshotIoTest, RejectsOversizedHeader) {
                    .has_value());
 }
 
-TEST(SnapshotIoTest, ChecksummedSpillFrameWithOversizedHeaderIsRejected) {
-  // The checksum only proves the body is what was written; the parser
-  // behind it still refuses the header.
-  for (const std::string& body :
-       {std::string("usnap 1\ntime 0\ndims 1 clusters 100000000000000\n"),
-        std::string("usnap 1\ntime 0\ndims 100000000000 clusters 1\n")}) {
-    char header[64];
-    std::snprintf(header, sizeof(header), "usnapf 1 %016llx\n",
-                  static_cast<unsigned long long>(Fnv1a(body)));
-    const std::string text = std::string(header) + body;
-    EXPECT_FALSE(ParseSpillFrame(text).has_value());
-    const std::string path =
-        testing::TempDir() + "/snapshot_io_test_oversized.usnapf";
-    ASSERT_TRUE(WriteTextFileAtomic(text, path));
-    EXPECT_FALSE(ReadSpillFrameFile(path).has_value());
-    std::remove(path.c_str());
-  }
-}
-
 TEST(SnapshotIoTest, RejectsNegativeWeight) {
   EXPECT_FALSE(
       ParseSnapshot("usnap 1\ntime 0\ndims 1 clusters 1\n1 0 -1 0 0 0 0\n")

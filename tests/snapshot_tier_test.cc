@@ -1,4 +1,4 @@
-// Tests for the tiered snapshot store (docs/snapshots.md).
+// Tests for the snapshot store's two encodings (docs/snapshots.md).
 //
 // The load-bearing claim is exactness: a delta-encoded store must
 // materialize every retained frame bit-identical to what the classic
@@ -6,20 +6,16 @@
 // settings, and through checkpoint round-trips and fleet recovery.
 // Bit-identity is asserted through io::SnapshotToString /
 // io::EngineStateToString, whose %.17g rendering distinguishes any two
-// doubles with different bit patterns (including -0.0 vs 0.0).
-//
-// The tiered mode's cold frames are the one place approximation is
-// allowed: quantized frames must stay within float32 relative error,
-// spilled frames must stay exact, and a restore under mismatched
-// pyramid geometry must fail fast without touching the store.
+// doubles with different bit patterns (including -0.0 vs 0.0). The
+// byte accounting must equal a per-cluster walk in both encodings, and
+// a restore under mismatched pyramid geometry must fail fast without
+// touching the store.
 
 #include "core/snapshot.h"
 
 #include <unistd.h>
 
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -238,7 +234,7 @@ TEST(SnapshotTierTest, FleetRecoveryWithDeltaFramesIsExact) {
   }
 }
 
-// ---- Tiered cold frames ------------------------------------------------
+// ---- Byte accounting ---------------------------------------------------
 
 // Inserts the same drifting synthetic snapshots into both stores.
 void FillStores(SnapshotStore& a, SnapshotStore& b, std::size_t dims,
@@ -261,89 +257,6 @@ void FillStores(SnapshotStore& a, SnapshotStore& b, std::size_t dims,
   }
 }
 
-TEST(SnapshotTierTest, TieredBudgetDemotesToQuantizedWithBoundedError) {
-  const std::size_t dims = 6;
-  SnapshotTiering tiering;
-  tiering.mode = SnapshotStoreMode::kTiered;
-  tiering.budget_bytes = 4096;  // far below the full retention footprint
-  SnapshotStore full(2, 3);
-  SnapshotStore tiered(2, 3, tiering);
-  FillStores(full, tiered, dims, 512);
-
-  const SnapshotTierStats stats = tiered.TierStats();
-  EXPECT_GT(stats.quantized_frames, 0u);
-  EXPECT_EQ(stats.spilled_frames, 0u);  // no codec: quantization only
-  EXPECT_LT(stats.approx_bytes, stats.full_equivalent_bytes);
-  EXPECT_EQ(stats.frames, stats.full_frames + stats.delta_frames +
-                              stats.quantized_frames + stats.spilled_frames);
-
-  // Ring structure is untouched by demotion; frame payloads are either
-  // bit-identical (hot/warm) or within float32 relative error (cold).
-  ASSERT_EQ(full.NumOrders(), tiered.NumOrders());
-  for (std::size_t order = 0; order < full.NumOrders(); ++order) {
-    ASSERT_EQ(full.OrderSize(order), tiered.OrderSize(order));
-    for (std::size_t i = 0; i < full.OrderSize(order); ++i) {
-      const auto exact = full.MaterializeFrame(order, i);
-      const auto approx = tiered.MaterializeFrame(order, i);
-      ASSERT_TRUE(exact.has_value());
-      ASSERT_TRUE(approx.has_value());
-      if (tiered.FrameAt(order, i).encoding != FrameEncoding::kQuantized) {
-        EXPECT_EQ(io::SnapshotToString(*exact), io::SnapshotToString(*approx));
-        continue;
-      }
-      ASSERT_EQ(exact->size(), approx->size());
-      for (std::size_t c = 0; c < exact->size(); ++c) {
-        const MicroClusterState exact_state = exact->State(c);
-        const MicroClusterState approx_state = approx->State(c);
-        const auto& e = exact_state.ecf;
-        const auto& a = approx_state.ecf;
-        EXPECT_EQ(exact_state.id, approx_state.id);
-        EXPECT_EQ(exact_state.creation_time, approx_state.creation_time);
-        // float32 has ~1.2e-7 relative precision; allow a little slack
-        // for the double->float->double round trip of squared sums.
-        const double tol = 1e-6;
-        EXPECT_NEAR(a.weight(), e.weight(), tol * std::abs(e.weight()));
-        for (std::size_t d = 0; d < dims; ++d) {
-          EXPECT_NEAR(a.cf1()[d], e.cf1()[d],
-                      tol * std::max(1.0, std::abs(e.cf1()[d])));
-          EXPECT_NEAR(a.cf2()[d], e.cf2()[d],
-                      tol * std::max(1.0, std::abs(e.cf2()[d])));
-          EXPECT_NEAR(a.ef2()[d], e.ef2()[d],
-                      tol * std::max(1.0, std::abs(e.ef2()[d])));
-        }
-      }
-    }
-  }
-}
-
-TEST(SnapshotTierTest, TieredSpillRoundTripsExactly) {
-  const std::string dir = ::testing::TempDir() + "snapshot_tier_spill_" +
-                          std::to_string(::getpid());
-  ASSERT_TRUE(util::EnsureDirectory(dir));
-
-  SnapshotTiering tiering;
-  tiering.mode = SnapshotStoreMode::kTiered;
-  tiering.budget_bytes = 4096;
-  tiering.spill_dir = dir;
-  tiering.codec = io::MakeSnapshotSpillCodec();
-  SnapshotStore full(2, 3);
-  SnapshotStore tiered(2, 3, tiering);
-  FillStores(full, tiered, 6, 512);
-
-  const SnapshotTierStats stats = tiered.TierStats();
-  EXPECT_GT(stats.spilled_frames, 0u);
-  EXPECT_EQ(stats.quantized_frames, 0u);  // codec present: spills win
-  EXPECT_GT(stats.spills, 0u);
-  EXPECT_EQ(stats.spill_failures, 0u);
-
-  // Spilled frames come back bit-identical (the codec is exact and
-  // checksummed), so the whole retention matches the full store.
-  EXPECT_EQ(FrameStrings(tiered), FrameStrings(full));
-  EXPECT_GT(tiered.TierStats().spill_loads, 0u);
-}
-
-// ---- Byte accounting ---------------------------------------------------
-
 // The per-cluster walk the store's byte accounting used to run over every
 // cluster of every frame: 64 bytes of frame overhead, and per exact
 // cluster a 32-byte header plus cf1/cf2/ef2 at its own dimensionality.
@@ -364,22 +277,12 @@ std::size_t PerClusterBytes(const EncodedFrame& frame) {
         bytes += exact(frame.changed, i);
       }
       break;
-    case FrameEncoding::kQuantized:
-      bytes += frame.quant.ids.size() * sizeof(std::uint64_t) +
-               frame.quant.creation_times.size() * sizeof(double) +
-               (frame.quant.weights.size() + frame.quant.last_updates.size() +
-                frame.quant.values.size()) *
-                   sizeof(float);
-      break;
-    case FrameEncoding::kSpilled:
-      bytes += frame.spill_path.size();
-      break;
   }
   return bytes;
 }
 
 // TierStats byte totals must equal the per-cluster walk, frame by frame
-// summed, with every encoding present.
+// summed, with both encodings present.
 void ExpectBytesMatchPerClusterWalk(const SnapshotStore& store,
                                     const char* label) {
   std::size_t approx = 0;
@@ -398,17 +301,8 @@ void ExpectBytesMatchPerClusterWalk(const SnapshotStore& store,
 }
 
 TEST(SnapshotTierTest, FrameBytesEqualThePerClusterWalk) {
-  const std::string dir = ::testing::TempDir() + "snapshot_tier_bytes_" +
-                          std::to_string(::getpid());
-  ASSERT_TRUE(util::EnsureDirectory(dir));
   SnapshotTiering delta;
   delta.mode = SnapshotStoreMode::kDelta;
-  SnapshotTiering quantized;
-  quantized.mode = SnapshotStoreMode::kTiered;
-  quantized.budget_bytes = 4096;
-  SnapshotTiering spilled = quantized;
-  spilled.spill_dir = dir;
-  spilled.codec = io::MakeSnapshotSpillCodec();
 
   struct Case {
     const char* label;
@@ -416,9 +310,7 @@ TEST(SnapshotTierTest, FrameBytesEqualThePerClusterWalk) {
     FrameEncoding expected;
   };
   for (const Case& c : {Case{"full", {}, FrameEncoding::kFull},
-                        Case{"delta", delta, FrameEncoding::kDelta},
-                        Case{"quantized", quantized, FrameEncoding::kQuantized},
-                        Case{"spilled", spilled, FrameEncoding::kSpilled}}) {
+                        Case{"delta", delta, FrameEncoding::kDelta}}) {
     SnapshotStore store(2, 3, c.tiering);
     SnapshotStore twin(2, 3, c.tiering);
     FillStores(store, twin, 5, 200);

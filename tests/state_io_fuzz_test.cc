@@ -31,7 +31,6 @@
 #include "fleet/engine_fleet.h"
 #include "fleet/fleet_checkpoint.h"
 #include "io/checkpoint_series.h"
-#include "io/snapshot_io.h"
 #include "stream/dataset.h"
 #include "util/random.h"
 
@@ -170,84 +169,36 @@ TEST(StateIoFuzzTest, EngineParserSurvivesRandomSplices) {
   }
 }
 
-std::string TieredEngineText(core::SnapshotStoreMode mode) {
+std::string DeltaEngineText() {
   core::EngineConfig options;
   options.umicro.num_micro_clusters = 15;
   options.snapshot.snapshot_every = 16;
   options.snapshot.pyramid_l = 2;
-  options.snapshot.tiering.mode = mode;
-  if (mode == core::SnapshotStoreMode::kTiered) {
-    // A small budget with no codec: cold frames quantize in memory, so
-    // the serialized state carries all three frame grammars.
-    options.snapshot.tiering.budget_bytes = 2048;
-  }
+  options.snapshot.tiering.mode = core::SnapshotStoreMode::kDelta;
   core::UMicroEngine engine(3, options);
   const stream::Dataset dataset = RandomStream(600, 14);
   for (const auto& point : dataset.points()) engine.Process(point);
   return EngineStateToString(engine.ExportEngineState());
 }
 
-TEST(StateIoFuzzTest, ChecksumRejectsCorruptionOfDeltaAndTieredStates) {
-  for (const core::SnapshotStoreMode mode :
-       {core::SnapshotStoreMode::kDelta, core::SnapshotStoreMode::kTiered}) {
-    const std::string clean = TieredEngineText(mode);
-    ASSERT_TRUE(ParseEngineState(clean).has_value());
-    // The state really exercises the new frame grammars -- otherwise
-    // this fuzz pass proves nothing new. In tiered mode the tiny budget
-    // demotes every warm frame, so the text carries quantized frames;
-    // in delta mode it carries delta frames.
-    if (mode == core::SnapshotStoreMode::kTiered) {
-      ASSERT_NE(clean.find(" quant "), std::string::npos);
-    } else {
-      ASSERT_NE(clean.find(" delta "), std::string::npos);
-    }
-    util::Rng rng(106);
-    for (int i = 0; i < 300; ++i) {
-      const std::size_t offset = rng.NextBounded(clean.size());
-      EXPECT_FALSE(ParseEngineState(FlipOneByte(clean, offset, rng))
-                       .has_value())
-          << "flip at offset " << offset << " went undetected";
-    }
-    for (int i = 0; i < 100; ++i) {
-      EXPECT_FALSE(
-          ParseEngineState(clean.substr(0, rng.NextBounded(clean.size())))
-              .has_value());
-      EXPECT_FALSE(ParseEngineState(SpliceJunk(clean, rng)).has_value());
-    }
-  }
-}
-
-TEST(StateIoFuzzTest, SpillFrameRejectsEveryByteFlipAndHostileInput) {
-  std::vector<core::MicroClusterState> states;
-  for (std::uint64_t id = 0; id < 4; ++id) {
-    core::MicroClusterState state;
-    state.id = id;
-    state.creation_time = 1.0;
-    state.ecf = core::ErrorClusterFeature::FromPoint(
-        stream::UncertainPoint({1.0 + id, 2.0, 3.0}, {0.1, 0.1, 0.1}, 7.0),
-        2.0);
-    states.push_back(std::move(state));
-  }
-  const core::Snapshot snapshot = core::Snapshot::FromStates(7.5, states);
-  const std::string clean = SpillFrameToString(snapshot);
-  ASSERT_TRUE(ParseSpillFrame(clean).has_value());
-
-  util::Rng rng(107);
+TEST(StateIoFuzzTest, ChecksumRejectsCorruptionOfDeltaStates) {
+  const std::string clean = DeltaEngineText();
+  ASSERT_TRUE(ParseEngineState(clean).has_value());
+  // The state really exercises the delta frame grammar -- otherwise this
+  // fuzz pass proves nothing beyond the full-store one.
+  ASSERT_NE(clean.find(" delta "), std::string::npos);
+  util::Rng rng(106);
   for (int i = 0; i < 300; ++i) {
     const std::size_t offset = rng.NextBounded(clean.size());
-    EXPECT_FALSE(ParseSpillFrame(FlipOneByte(clean, offset, rng))
+    EXPECT_FALSE(ParseEngineState(FlipOneByte(clean, offset, rng))
                      .has_value())
         << "flip at offset " << offset << " went undetected";
-    EXPECT_FALSE(
-        ParseSpillFrame(clean.substr(0, rng.NextBounded(clean.size())))
-            .has_value());
   }
-  for (const std::string& hostile :
-       {std::string(""), std::string("usnapf"), std::string("usnapf 1\n"),
-        std::string("usnapf 1 zzzz\nusnap 1\n"),
-        std::string("usnapf 2 0000000000000000\n"),
-        std::string("usnapf 1 0000000000000000\nusnap 1\n")}) {
-    EXPECT_FALSE(ParseSpillFrame(hostile).has_value());
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(
+        ParseEngineState(clean.substr(0, rng.NextBounded(clean.size())))
+            .has_value());
+    EXPECT_FALSE(ParseEngineState(SpliceJunk(clean, rng)).has_value());
   }
 }
 
@@ -322,6 +273,31 @@ TEST(StateIoFuzzTest, HostileHandcraftedInputsAreRejected) {
     EXPECT_FALSE(ParseEngineState(SealedCheckpoint(text)).has_value())
         << text;
   }
+
+  // A store whose frames are only "full" and "delta": any other frame
+  // tag is refused, including the "quant" and "spill" frames of the
+  // retired cold tier. The store is otherwise valid: the control with
+  // those two frames written "full" parses.
+  const std::string record = "5 0 1 0 0.5 0.25 0\n";
+  const auto sealed_store = [&valid](const std::string& store) {
+    return ChecksummedText("ucheckpoint", 2, [&](std::ostringstream& out) {
+      out << "kind umicro\ndims 1\ningest 0 0\nclock 6 0 5\nshards 1\n"
+          << valid << "global 0\n" << store << "counters 0\ngauges 0\n";
+    });
+  };
+  ASSERT_TRUE(ParseEngineState(sealed_store(
+                                   "store 5 2 2 1\norder 3\n"
+                                   "frame 1 1 full 1 1\n" + record +
+                                   "frame 3 3 full 1 1\n" + record +
+                                   "frame 5 5 full 1 1\n" + record))
+                  .has_value());
+  EXPECT_FALSE(ParseEngineState(sealed_store(
+                                    "store 5 2 2 1\norder 3\n"
+                                    "frame 1 1 quant 1 1\n" + record +
+                                    "frame 3 3 spill 1 1\n"
+                                    "path spill/frame-1-t3\n"
+                                    "frame 5 5 full 1 1\n" + record))
+                   .has_value());
 }
 
 TEST(StateIoFuzzTest, HugeCountsFailFastWithoutAllocating) {
@@ -366,6 +342,20 @@ TEST(StateIoFuzzTest, HugeCountsFailFastWithoutAllocating) {
       });
   largest_allocation.store(0);
   EXPECT_FALSE(ParseEngineState(order_bomb).has_value());
+  EXPECT_LT(largest_allocation.load(), std::size_t{1} << 20);
+
+  // Likewise a delta frame announcing more ids than the rest of the
+  // text can hold (at kMaxClusters the id list alone is 8 MiB).
+  const std::string ids_bomb = ChecksummedText(
+      "ucheckpoint", 2, [](std::ostringstream& out) {
+        out << "kind umicro\ndims 1\ningest 0 0\nclock 1 0 0\nshards 1\n"
+               "ustate 1\ndims 1\ncounters 1 7 0 0 0\ndecay 0 0\n"
+               "welford 0 0 0\nvariances 1\nclusters 0\nglobal 0\n"
+               "store 1 2 2 1\norder 1\nframe 1 0 delta "
+            << kMaxClusters << " 1\nids 1\n";
+      });
+  largest_allocation.store(0);
+  EXPECT_FALSE(ParseEngineState(ids_bomb).has_value());
   EXPECT_LT(largest_allocation.load(), std::size_t{1} << 20);
 }
 
@@ -427,25 +417,8 @@ TEST(StateIoFuzzTest, BodyParsersSurviveMutationsPastTheChecksum) {
     return ParseEngineState(t);
   };
   FuzzSealedBody(EngineText(), "ucheckpoint", 2, parse_engine, 400, 201);
-  FuzzSealedBody(TieredEngineText(core::SnapshotStoreMode::kDelta),
-                 "ucheckpoint", 2, parse_engine, 400, 202);
-  FuzzSealedBody(TieredEngineText(core::SnapshotStoreMode::kTiered),
-                 "ucheckpoint", 2, parse_engine, 400, 203);
-
-  std::vector<core::MicroClusterState> states;
-  for (std::uint64_t id = 0; id < 4; ++id) {
-    core::MicroClusterState state;
-    state.id = id;
-    state.creation_time = 1.0;
-    state.ecf = core::ErrorClusterFeature::FromPoint(
-        stream::UncertainPoint({1.0 + id, 2.0, 3.0}, {0.1, 0.1, 0.1}, 7.0),
-        2.0);
-    states.push_back(std::move(state));
-  }
-  FuzzSealedBody(SpillFrameToString(core::Snapshot::FromStates(7.5, states)),
-                 "usnapf", 1,
-                 [](const std::string& t) { return ParseSpillFrame(t); },
-                 400, 204);
+  FuzzSealedBody(DeltaEngineText(), "ucheckpoint", 2, parse_engine, 400,
+                 202);
 }
 
 /// The fleet manifest carries its own checksum (decimal FNV-1a of the

@@ -70,7 +70,6 @@
 #include "io/arff_dataset.h"
 #include "io/csv_dataset.h"
 #include "io/load_stats.h"
-#include "io/snapshot_io.h"
 #include "io/state_io.h"
 #include "net/chaos.h"
 #include "net/socket.h"
@@ -131,8 +130,7 @@ constexpr Named<BackpressurePolicy> kBackpressures[] = {
     {"drop_oldest", BackpressurePolicy::kDropOldest},
     {"drop_newest", BackpressurePolicy::kDropNewest}};
 constexpr Named<SnapshotStoreMode> kStoreModes[] = {
-    {"full", SnapshotStoreMode::kFull}, {"delta", SnapshotStoreMode::kDelta},
-    {"tiered", SnapshotStoreMode::kTiered}};
+    {"full", SnapshotStoreMode::kFull}, {"delta", SnapshotStoreMode::kDelta}};
 constexpr Named<BadRecordPolicy> kBadRecordPolicies[] = {
     {"repair", BadRecordPolicy::kRepair},
     {"quarantine", BadRecordPolicy::kQuarantine},
@@ -193,11 +191,10 @@ struct CliInputs {
 };
 
 /// The CLI's engine defaults: the library's, except a coarser snapshot
-/// cadence and a 64 MiB budget for --snapshot-store=tiered.
+/// cadence.
 EngineConfig CliDefaults() {
   EngineConfig config;
   config.snapshot.snapshot_every = 4096;
-  config.snapshot.tiering.budget_bytes = std::size_t{64} << 20;
   return config;
 }
 
@@ -227,10 +224,9 @@ Target Switch(bool* out) {
           [] { return std::string(); }, ""};
 }
 
-/// An integer >= `min` (decimal, or hex with a 0x prefix), stored times
-/// `scale`.
+/// An integer >= `min` (decimal, or hex with a 0x prefix).
 template <typename T>
-Target Count(T* out, std::type_identity_t<T> min = 0, T scale = 1) {
+Target Count(T* out, std::type_identity_t<T> min = 0) {
   return {[=](const std::string& text) {
             const bool hex = text.rfind("0x", 0) == 0;
             const char* end = text.data() + text.size();
@@ -240,10 +236,10 @@ Target Count(T* out, std::type_identity_t<T> min = 0, T scale = 1) {
             if (error != std::errc() || stop != end || value < min) {
               return false;
             }
-            *out = value * scale;
+            *out = value;
             return true;
           },
-          [=] { return std::to_string(*out / scale); },
+          [=] { return std::to_string(*out); },
           "an integer >= " + std::to_string(min)};
 }
 
@@ -320,7 +316,6 @@ struct Flag {
 std::vector<Flag> FlagTable(EngineConfig* config, CliInputs* cli) {
   umicro::core::UMicroOptions& umicro = config->umicro;
   umicro::core::ParallelConfig& parallel = config->parallel;
-  umicro::core::SnapshotTiering& tiering = config->snapshot.tiering;
   return {
       {"input", "FILE", "CSV, or ARFF by .arff extension", Text(&cli->input)},
       {"synthetic", "NAME", "built-in workload: syndrift|network|forest",
@@ -365,11 +360,7 @@ std::vector<Flag> FlagTable(EngineConfig* config, CliInputs* cli) {
       {"snapshot-every", "N", "snapshot cadence, 0 disables",
        Count(&config->snapshot.snapshot_every)},
       {"snapshot-store", "M", "store encoding (fleet default delta)",
-       Choice(&tiering.mode, kStoreModes)},
-      {"snapshot-budget-mb", "N", "tiered-store budget",
-       Count(&tiering.budget_bytes, 0, std::size_t{1} << 20)},
-      {"snapshot-spill-dir", "DIR", "tiered-store spill directory",
-       Text(&tiering.spill_dir)},
+       Choice(&config->snapshot.tiering.mode, kStoreModes)},
       {"metrics-out", "STEM", "write STEM.json + STEM.csv",
        Text(&cli->metrics_out)},
       {"metrics-every", "N", "re-export metrics every N points",
@@ -901,29 +892,11 @@ int main(int argc, char** argv) {
   if (const int rc = ParseCommandLine(argc, argv, flags, &given)) return rc;
   if (const int rc = CheckRoles(flags, given, cli.role)) return rc;
 
-  // Snapshot-store flags are validated before the role dispatch: every
-  // role that owns a pyramidal store honors them.
-  umicro::core::SnapshotTiering& tiering = config.snapshot.tiering;
-  if ((given.count("snapshot-budget-mb") || !tiering.spill_dir.empty()) &&
-      tiering.mode != SnapshotStoreMode::kTiered) {
-    std::fprintf(stderr,
-                 "--snapshot-budget-mb/--snapshot-spill-dir require "
-                 "--snapshot-store=tiered (full and delta stores never "
-                 "demote frames)\n");
-    return 2;
-  }
-  if (!tiering.spill_dir.empty()) {
-    if (!umicro::util::EnsureDirectory(tiering.spill_dir)) {
-      std::fprintf(stderr, "cannot create --snapshot-spill-dir: %s\n",
-                   tiering.spill_dir.c_str());
-      return 1;
-    }
-    tiering.codec = umicro::io::MakeSnapshotSpillCodec();
-  }
   // The fleet's per-tenant store defaults to delta encoding; an explicit
-  // --snapshot-store overrides it (full for debugging, tiered to cap the
-  // fleet's snapshot bytes).
-  if (given.count("snapshot-store")) config.fleet.snapshot.tiering = tiering;
+  // --snapshot-store overrides it (full for debugging).
+  if (given.count("snapshot-store")) {
+    config.fleet.snapshot.tiering = config.snapshot.tiering;
+  }
 
   // ---- Distributed roles ---------------------------------------------
   // agg and query never load a dataset; they are dispatched before the
